@@ -40,6 +40,7 @@ from .decomp import (
     recognize_genus_one,
     turaev_genus,
 )
+from .analysis import DiagramAnalysis
 from .invariants import (
     AAMarkedDiagram,
     ObstructionVerdict,

@@ -7,23 +7,11 @@ import argparse
 import json
 import sys
 
-from .diagram import DiagramError, PDSyntaxError, crossing_signs, orient, parse_pd, validate
-from .laurent import LaurentPoly
-from .statesum import (
-    CrossingLimitError,
-    determinant,
-    jones,
-    kauffman_bracket,
-    s_A,
-    s_B,
-)
-from .decomp import (
-    alternating_decomposition,
-    closures,
-    nonalternating_edges,
-    recognize_genus_one,
-    turaev_genus,
-)
+from .analysis import DiagramAnalysis
+from .diagram import DiagramError, PDSyntaxError, orient, parse_pd
+# determinant is not called here (the analysis computes it), but it stays
+# bound on this module: bench/test_bench.py traces it through this name.
+from .statesum import CrossingLimitError, determinant, jones  # noqa: F401
 from .invariants import (
     SignatureReport,
     conway_determinant,
@@ -50,43 +38,38 @@ def _err(exc):
 _SKIP = {"status": "skipped"}
 
 
-def _signature_field(od, g_t: int) -> dict:
-    d = od.diagram
-    det = None
+def _signature_field(a: DiagramAnalysis) -> dict:
+    od = a.od
     try:
-        det = determinant(od)
-    except CrossingLimitError:
-        pass
-    try:
-        if not nonalternating_edges(d):
-            sig = traczyk_signature(od)
-            mod4 = giller_mod4_check(sig, det) if det is not None and det % 2 else None
+        if not a.nonalternating:
+            sig = traczyk_signature(od, a)
+            mod4 = giller_mod4_check(sig, a.det) if a.det % 2 else None
             rep = SignatureReport(
-                lower=sig, upper=sig, exact=sig, method="traczyk", det=det, mod4_ok=mod4
+                lower=sig, upper=sig, exact=sig, method="traczyk", det=a.det, mod4_ok=mod4
             )
-        elif g_t == 1 and od.component_count == 1 and det is not None:
-            rep = genus_one_knot_signature(od)
+        elif a.turaev_genus == 1 and od.component_count == 1:
+            rep = genus_one_knot_signature(od, a)
         else:
-            bounds = signature_bounds(od)
-            rep = SignatureReport(lower=bounds.lower, upper=bounds.upper, det=det)
+            bounds = signature_bounds(od, a)
+            rep = SignatureReport(lower=bounds.lower, upper=bounds.upper, det=a.det)
         return _ok(rep.to_json())
-    except (DiagramError, CrossingLimitError, ValueError) as exc:
+    except (DiagramError, ValueError) as exc:
         return _err(exc)
 
 
-def _decomposition_field(d, od) -> dict:
-    gs = recognize_genus_one(d)
+def _closure_determinants(gs) -> list[dict]:
+    return [{"n_det": n, "d_det": d} for n, d in gs.closure_determinants]
+
+
+def _decomposition_field(a: DiagramAnalysis) -> dict:
+    gs = a.genus_one
     if gs is None:
         return _SKIP
-    dets = []
-    for t in gs.tangles:
-        num, den = closures(t)
-        dets.append({"n_det": determinant(orient(num)), "d_det": determinant(orient(den))})
     summary = {
         "k": gs.k,
-        "closure_determinants": dets,
+        "closure_determinants": _closure_determinants(gs),
         "conway_determinant": conway_determinant(gs),
-        "tangle_sum_signature": tangle_sum_signature(gs, od).to_json(),
+        "tangle_sum_signature": tangle_sum_signature(gs, a.od, a).to_json(),
     }
     return _ok(summary)
 
@@ -95,37 +78,35 @@ def analyze_record(rec: KnotRecord, max_crossings: int | None = None) -> dict:
     out = {"name": rec.name, "fields": {}}
     f = out["fields"]
     try:
-        d = parse_pd(rec.pd_text)
-        validate(d)
-        od = orient(d)
+        a = DiagramAnalysis(parse_pd(rec.pd_text), max_crossings=max_crossings)
+        od = a.od
     except (PDSyntaxError, DiagramError) as exc:
         out["status"] = "error"
         out["message"] = str(exc)
         return out
     out["status"] = "ok"
-    f["s_A"] = _ok(s_A(d))
-    f["s_B"] = _ok(s_B(d))
-    _, c_plus, c_minus, writhe = crossing_signs(od)
+    f["s_A"] = _ok(a.s_A)
+    f["s_B"] = _ok(a.s_B)
+    _, c_plus, c_minus, writhe = a.signs
     f["c_plus"] = _ok(c_plus)
     f["c_minus"] = _ok(c_minus)
     f["writhe"] = _ok(writhe)
     f["components"] = _ok(od.component_count)
-    g_t = turaev_genus(d)
-    f["turaev_genus"] = _ok(g_t)
+    f["turaev_genus"] = _ok(a.turaev_genus)
     v = None
     try:
-        f["bracket"] = _ok(kauffman_bracket(d, max_crossings).to_json())
-        v = jones(od, max_crossings)
+        f["bracket"] = _ok(a.bracket.to_json())
+        v = a.jones
         f["jones"] = _ok(v.to_json())
         f["jones_text"] = _ok(v.to_text())
-        f["det"] = _ok(determinant(od, max_crossings))
     except CrossingLimitError as exc:
-        for key in ("bracket", "jones", "jones_text", "det"):
+        for key in ("bracket", "jones", "jones_text"):
             f.setdefault(key, _err(exc))
-    f["signature"] = _signature_field(od, g_t)
+    f["det"] = _ok(a.det)
+    f["signature"] = _signature_field(a)
     try:
-        f["decomposition"] = _decomposition_field(d, od)
-    except (DiagramError, CrossingLimitError) as exc:
+        f["decomposition"] = _decomposition_field(a)
+    except DiagramError as exc:
         f["decomposition"] = _err(exc)
     if v is not None and not v.is_zero:
         f["obstruction"] = _ok(jones_obstruction(v).to_json())
@@ -137,27 +118,22 @@ def analyze_record(rec: KnotRecord, max_crossings: int | None = None) -> dict:
 def decompose_record(rec: KnotRecord) -> dict:
     out = {"name": rec.name}
     try:
-        d = parse_pd(rec.pd_text)
-        validate(d)
-        dec = alternating_decomposition(d)
+        a = DiagramAnalysis(parse_pd(rec.pd_text))
+        dec = a.decomposition
     except (PDSyntaxError, DiagramError) as exc:
         out["status"] = "error"
         out["message"] = str(exc)
         return out
     out["status"] = "ok"
-    out["turaev_genus"] = turaev_genus(d)
+    out["turaev_genus"] = a.turaev_genus
     out["decomposition"] = dec.to_json()
-    gs = recognize_genus_one(d)
+    gs = a.genus_one
     if gs is None:
         out["recognized"] = False
         return out
     out["recognized"] = True
     out["k"] = gs.k
-    dets = []
-    for t in gs.tangles:
-        num, den = closures(t)
-        dets.append({"n_det": determinant(orient(num)), "d_det": determinant(orient(den))})
-    out["closure_determinants"] = dets
+    out["closure_determinants"] = _closure_determinants(gs)
     out["conway_determinant"] = conway_determinant(gs)
     return out
 

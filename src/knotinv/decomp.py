@@ -11,6 +11,8 @@ regions; when those regions form a single cycle of proper alternating
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .diagram import (
     Crossing,
@@ -18,9 +20,11 @@ from .diagram import (
     DiagramError,
     OrientedDiagram,
     orient,
-    validate,
 )
-from .statesum import s_A, s_B
+from .statesum import goeritz_determinant
+
+if TYPE_CHECKING:
+    from .analysis import DiagramAnalysis
 
 __all__ = [
     "MarkedPoint",
@@ -41,10 +45,23 @@ __all__ = [
 MarkedPoint = tuple[int, tuple[int, int]]
 
 
-def turaev_genus(d: Diagram) -> int:
-    """g_T(D) = (2 + c - s_A - s_B) / 2 for a connected diagram."""
-    validate(d)
-    doubled = 2 + d.crossing_count - s_A(d) - s_B(d)
+def _analysis(d: Diagram, analysis: DiagramAnalysis | None) -> DiagramAnalysis:
+    if analysis is not None:
+        return analysis
+    from .analysis import DiagramAnalysis  # analysis is built on this module
+
+    return DiagramAnalysis(d)
+
+
+def turaev_genus(d: Diagram, analysis: DiagramAnalysis | None = None) -> int:
+    """g_T(D) = (2 + c - s_A - s_B) / 2 for a connected diagram.
+
+    ``analysis``, the diagram's :class:`~knotinv.analysis.DiagramAnalysis`,
+    supplies its validation and state counts when given.
+    """
+    a = _analysis(d, analysis)
+    a.fs  # validates the diagram
+    doubled = 2 + d.crossing_count - a.s_A - a.s_B
     if doubled % 2 or doubled < 0:
         raise DiagramError(f"impossible genus value {doubled}/2 (convention bug)")
     return doubled // 2
@@ -117,6 +134,14 @@ class GenusOneStructure:
     def k(self) -> int:
         return len(self.tangles) // 2
 
+    @cached_property
+    def closure_determinants(self) -> tuple[tuple[int, int], ...]:
+        """(det N(R_i), det D(R_i)) for each tangle, computed once."""
+        return tuple(
+            (goeritz_determinant(num), goeritz_determinant(den))
+            for num, den in map(closures, self.tangles)
+        )
+
 
 def _face_steps(d: Diagram, orbit: tuple[tuple[int, int], ...]):
     """Edge traversals of one face orbit: (edge, from_pos, to_pos) per step.
@@ -134,9 +159,14 @@ def _face_steps(d: Diagram, orbit: tuple[tuple[int, int], ...]):
     return steps
 
 
-def alternating_decomposition(d: Diagram) -> AltDecomposition:
-    fs = validate(d)
-    nonalt = nonalternating_edges(d)
+def alternating_decomposition(
+    d: Diagram, analysis: DiagramAnalysis | None = None
+) -> AltDecomposition:
+    """Curve system and alternating tangles; ``analysis`` supplies the
+    face structure and the non-alternating edges when given."""
+    a = _analysis(d, analysis)
+    fs = a.fs
+    nonalt = a.nonalternating
     if not nonalt:
         tangle = _extract_tangle(d, tuple(range(d.crossing_count)), (), nonalt, proper=False)
         return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
@@ -275,7 +305,14 @@ def _extract_tangle(
     )
 
 
-def _close(t: Tangle, joins: tuple[tuple[int, int], tuple[int, int]]) -> Diagram:
+def _close(
+    t: Tangle, joins: tuple[tuple[int, int], tuple[int, int]]
+) -> tuple[Diagram, dict[int, int]]:
+    """Join the boundary pairs of ``t``.
+
+    Returns the closure, not yet validated, and the map from each tangle
+    label to its edge in the closure (empty for a crossingless closure).
+    """
     labels = {e for x in t.crossings for e in x.ends} | set(t.boundary)
     parent = {e: e for e in labels}
 
@@ -297,23 +334,24 @@ def _close(t: Tangle, joins: tuple[tuple[int, int], tuple[int, int]]) -> Diagram
     if not t.crossings:
         if len(free) != 1:
             raise DiagramError("closure is split")
-        return Diagram(crossings=(), edge_count=0, free_loops=1)
+        return Diagram(crossings=(), edge_count=0, free_loops=1), {}
     relabel = {r: i + 1 for i, r in enumerate(roots_used)}
-    crossings = tuple(
-        Crossing(ends=tuple(relabel[find(e)] for e in x.ends)) for x in t.crossings
-    )
-    out = Diagram(crossings=crossings, edge_count=len(roots_used), free_loops=0)
-    validate(out)
-    return out
+    edge_of = {e: relabel[find(e)] for e in labels}
+    crossings = tuple(Crossing(ends=tuple(edge_of[e] for e in x.ends)) for x in t.crossings)
+    return Diagram(crossings=crossings, edge_count=len(roots_used), free_loops=0), edge_of
 
 
 def closures(t: Tangle) -> tuple[Diagram, Diagram]:
-    """Numerator and denominator closures of a 2-tangle."""
+    """Numerator and denominator closures of a 2-tangle.
+
+    They are not validated here; ``validate`` (which ``goeritz_determinant``
+    and ``orient`` call) rejects a closure that is not a planar diagram.
+    """
     if len(t.boundary) != 4:
         raise DiagramError(f"not a 2-tangle: {len(t.boundary)} boundary strands")
     b0, b1, b2, b3 = t.boundary
-    numerator = _close(t, ((b0, b1), (b2, b3)))
-    denominator = _close(t, ((b1, b2), (b3, b0)))
+    numerator, _ = _close(t, ((b0, b1), (b2, b3)))
+    denominator, _ = _close(t, ((b1, b2), (b3, b0)))
     return numerator, denominator
 
 
@@ -323,27 +361,9 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
         raise DiagramError(f"not a 2-tangle: {len(t.boundary)} boundary strands")
     b0, b1, b2, b3 = t.boundary
     joins = ((b0, b1), (b2, b3)) if which == "numerator" else ((b1, b2), (b3, b0))
-    diag = _close(t, joins)
+    diag, edge_of = _close(t, joins)
     if not t.crossings:
         return orient(diag)
-
-    # rebuild the relabeling used by _close to translate head positions
-    labels = {e for x in t.crossings for e in x.ends} | set(t.boundary)
-    parent = {e: e for e in labels}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in joins:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    used = {e for x in t.crossings for e in x.ends}
-    roots_used = sorted({find(e) for e in used})
-    relabel = {r: i + 1 for i, r in enumerate(roots_used)}
 
     local_of = {ci: i for i, ci in enumerate(t.crossing_indices)}
 
@@ -352,9 +372,8 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
         return (local_of[ci], s)
 
     heads: dict[int, tuple[int, int]] = {}
-    parent_ends = od.diagram.edge_ends()
     for local_label, e in t.internal_origin.items():
-        heads[relabel[find(local_label)]] = local_pos(od.head[e])
+        heads[edge_of[local_label]] = local_pos(od.head[e])
     for pair in joins:
         ins = []
         for stub in pair:
@@ -365,7 +384,7 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
             raise DiagramError("ambient orientation does not extend to this closure")
         stub = ins[0]
         e, pos = t.stub_origin[stub]
-        heads[relabel[find(stub)]] = local_pos(pos)
+        heads[edge_of[stub]] = local_pos(pos)
     return orient(diag, head=heads)
 
 
@@ -405,15 +424,19 @@ def _region_cycle(tangles, edge_links):
     return order
 
 
-def recognize_genus_one(d: Diagram) -> GenusOneStructure | None:
+def recognize_genus_one(
+    d: Diagram, analysis: DiagramAnalysis | None = None
+) -> GenusOneStructure | None:
     """Recognize the normal form: 2k proper alternating 2-tangles in a cycle.
 
     Returns None when the diagram is not presented in that form (including
-    every diagram whose own Turaev genus is not one).
+    every diagram whose own Turaev genus is not one).  ``analysis`` supplies
+    the Turaev genus and the decomposition when given.
     """
-    if turaev_genus(d) != 1:
+    a = _analysis(d, analysis)
+    if a.turaev_genus != 1:
         return None
-    dec = alternating_decomposition(d)
+    dec = a.decomposition
     m = len(dec.tangles)
     if m < 2 or m % 2 or len(dec.curves) != m:
         return None

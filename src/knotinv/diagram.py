@@ -295,14 +295,19 @@ def _strand_components(d: Diagram) -> list[list[int]]:
     return sorted(groups.values(), key=min)
 
 
-def orient(d: Diagram, head: dict[int, Position] | None = None) -> OrientedDiagram:
+def orient(
+    d: Diagram, head: dict[int, Position] | None = None, fs: FaceStructure | None = None
+) -> OrientedDiagram:
     """Orient every component; the lowest edge of each component is directed
     from its scan-order first end to its second.
 
     A precomputed ``head`` map (edge -> head position) may be supplied to
-    impose an induced orientation instead of the default one.
+    impose an induced orientation instead of the default one.  ``fs``, the
+    face structure :func:`validate` returned for ``d``, spares validating
+    the diagram again.
     """
-    validate(d)
+    if fs is None:
+        validate(d)
     ends = d.edge_ends()
     comps = _strand_components(d)
     component_of: dict[int, int] = {}

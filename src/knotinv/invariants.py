@@ -12,20 +12,17 @@ from .diagram import (
     DiagramError,
     FaceStructure,
     OrientedDiagram,
-    crossing_signs,
     orient,
     validate,
 )
-from .statesum import determinant, s_A, s_B, state_graph
+from .statesum import s_A, s_B, state_graph
 from .decomp import (
     GenusOneStructure,
-    Tangle,
-    closures,
     classify_orientation,
     nonalternating_edges,
     oriented_closure,
-    turaev_genus,
 )
+from .analysis import DiagramAnalysis
 
 __all__ = [
     "SignatureReport",
@@ -111,6 +108,8 @@ def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
             if kink:
                 break
         if kink is None:
+            if d is od.diagram:
+                return od
             return orient(d, head=heads) if d.crossings else orient(d)
         ci, s = kink
         x = d.crossings[ci]
@@ -150,27 +149,33 @@ def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
         heads = new_heads
 
 
-def traczyk_signature(od: OrientedDiagram) -> int:
-    """Signature of a reduced alternating connected diagram."""
-    d = od.diagram
-    fs = validate(d)
-    if nonalternating_edges(d):
+def traczyk_signature(od: OrientedDiagram, analysis: DiagramAnalysis | None = None) -> int:
+    """Signature of a reduced alternating connected diagram.
+
+    ``analysis``, the :class:`DiagramAnalysis` of ``od``, supplies the
+    quantities it has already computed; the other signature functions take
+    it the same way.
+    """
+    a = analysis or DiagramAnalysis(od.diagram, od)
+    if a.nonalternating:
         raise DiagramError("signature formula requires an alternating diagram")
-    if not is_reduced(d, fs):
+    if not is_reduced(od.diagram, a.fs):
         raise DiagramError("signature formula requires a reduced diagram")
-    _, c_plus, c_minus, _ = crossing_signs(od)
-    sig = s_A(d) - c_plus - 1
-    alt = -s_B(d) + c_minus + 1
+    _, c_plus, c_minus, _ = a.signs
+    sig = a.s_A - c_plus - 1
+    alt = -a.s_B + c_minus + 1
     if sig != alt:
         raise DiagramError(f"signature formulas disagree: {sig} vs {alt} (convention bug)")
     return sig
 
 
-def signature_bounds(od: OrientedDiagram) -> SignatureReport:
-    d = od.diagram
-    validate(d)
-    _, c_plus, c_minus, _ = crossing_signs(od)
-    return SignatureReport(lower=s_A(d) - c_plus - 1, upper=-s_B(d) + c_minus + 1)
+def signature_bounds(
+    od: OrientedDiagram, analysis: DiagramAnalysis | None = None
+) -> SignatureReport:
+    a = analysis or DiagramAnalysis(od.diagram, od)
+    a.fs  # validates the diagram
+    _, c_plus, c_minus, _ = a.signs
+    return SignatureReport(lower=a.s_A - c_plus - 1, upper=-a.s_B + c_minus + 1)
 
 
 def giller_mod4_check(sigma: int, det: int) -> bool:
@@ -181,15 +186,18 @@ def giller_mod4_check(sigma: int, det: int) -> bool:
     return (sigma - (det - 1)) % 4 == 0
 
 
-def genus_one_knot_signature(od: OrientedDiagram) -> SignatureReport:
-    d = od.diagram
+def genus_one_knot_signature(
+    od: OrientedDiagram, analysis: DiagramAnalysis | None = None
+) -> SignatureReport:
+    """Theorem 1: sigma = s_A - c_plus +- 1, the sign fixed by the determinant mod 4."""
+    a = analysis or DiagramAnalysis(od.diagram, od)
     if od.component_count != 1:
         raise DiagramError("exact signature needs a one-component diagram")
-    if turaev_genus(d) != 1:
+    if a.turaev_genus != 1:
         raise DiagramError("exact signature formula needs a genus-one diagram")
-    _, c_plus, _, _ = crossing_signs(od)
-    m = s_A(d) - c_plus
-    det = determinant(od)
+    _, c_plus, _, _ = a.signs
+    m = a.s_A - c_plus
+    det = a.det
     lo = giller_mod4_check(m - 1, det)
     hi = giller_mod4_check(m + 1, det)
     if lo == hi:
@@ -200,14 +208,18 @@ def genus_one_knot_signature(od: OrientedDiagram) -> SignatureReport:
     )
 
 
-def tangle_sum_signature(gs: GenusOneStructure, od: OrientedDiagram) -> SignatureReport:
+def tangle_sum_signature(
+    gs: GenusOneStructure, od: OrientedDiagram, analysis: DiagramAnalysis | None = None
+) -> SignatureReport:
+    """Theorem 2: the closures' Traczyk signatures summed, +- 1 by the determinant mod 4."""
+    a = analysis or DiagramAnalysis(od.diagram, od)
     cls = classify_orientation(gs, od)
     which = "numerator" if cls in ("numerator", "both") else "denominator"
     total = 0
     for t in gs.tangles:
         oc = reduce_kinks(oriented_closure(t, od, which))
         total += traczyk_signature(oc)
-    det = determinant(od)
+    det = a.det
     if od.component_count == 1:
         lo = giller_mod4_check(total - 1, det)
         hi = giller_mod4_check(total + 1, det)
@@ -228,10 +240,7 @@ def tangle_sum_signature(gs: GenusOneStructure, od: OrientedDiagram) -> Signatur
 
 
 def conway_determinant(gs: GenusOneStructure) -> int:
-    dets = []
-    for t in gs.tangles:
-        num, den = closures(t)
-        dets.append((determinant(orient(num)), determinant(orient(den))))
+    dets = gs.closure_determinants
     total = 0
     for i in range(len(dets)):
         prod = dets[i][0]  # det N(R_i)

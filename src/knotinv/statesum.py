@@ -1,5 +1,8 @@
 """Kauffman states, state graphs, the bracket, Jones polynomial and determinant.
 
+The determinant comes from the Goeritz matrix, so it has no crossing limit;
+only the bracket and the Jones polynomial run the 2^c state sum.
+
 Smoothing convention: at a crossing (e1, e2, e3, e4) the A-resolution joins
 the end-pairs (e1, e2) and (e3, e4); the B-resolution joins (e2, e3) and
 (e4, e1).  With the counterclockwise slot layout of :mod:`knotinv.diagram`
@@ -206,9 +209,16 @@ def kauffman_bracket(d: Diagram, max_crossings: int | None = None) -> LaurentPol
     return LaurentPoly("A", coeffs)
 
 
-def jones(od: OrientedDiagram, max_crossings: int | None = None) -> LaurentPoly:
-    """V = (-A^3)^(-writhe) * <D> with A = t^(-1/4), in half-powers of t."""
-    bracket = kauffman_bracket(od.diagram, max_crossings)
+def jones(
+    od: OrientedDiagram, max_crossings: int | None = None, bracket: LaurentPoly | None = None
+) -> LaurentPoly:
+    """V = (-A^3)^(-writhe) * <D> with A = t^(-1/4), in half-powers of t.
+
+    ``bracket``, when given, is the diagram's Kauffman bracket already
+    computed; the state sum then does not run again.
+    """
+    if bracket is None:
+        bracket = kauffman_bracket(od.diagram, max_crossings)
     _, _, _, writhe = crossing_signs(od)
     sign = -1 if writhe % 2 else 1
     coeffs: dict[int, int] = {}
@@ -219,25 +229,6 @@ def jones(od: OrientedDiagram, max_crossings: int | None = None) -> LaurentPoly:
         h = -a_exp // 2  # A^k = t^(-k/4) = half-exponent -k/2
         coeffs[h] = coeffs.get(h, 0) + sign * coef
     return LaurentPoly("t_half", coeffs)
-
-
-def determinant(od: OrientedDiagram, max_crossings: int | None = None) -> int:
-    """|V(-1)| evaluated exactly with t^(1/2) = i in Gaussian integers."""
-    v = jones(od, max_crossings)
-    re = im = 0
-    for h, coef in v.coeffs.items():
-        k = h % 4
-        if k == 0:
-            re += coef
-        elif k == 1:
-            im += coef
-        elif k == 2:
-            re -= coef
-        else:
-            im -= coef
-    if re != 0 and im != 0:
-        raise DiagramError("Jones evaluation at t = -1 is not purely real or imaginary")
-    return abs(re) + abs(im)
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -267,8 +258,8 @@ def _int_det(m: list[list[int]]) -> int:
 def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
     """|det| of the Goeritz matrix on one checkerboard color class.
 
-    Independent of the state-sum route; both must agree on every valid
-    connected diagram.
+    Polynomial in the crossing count.  The tests check it against |V(-1)|
+    from the state sum on random diagrams.
     """
     if fs is None:
         fs = validate(d)
@@ -296,3 +287,8 @@ def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
         g[j][j] += eta
     reduced = [row[1:] for row in g[1:]]
     return abs(_int_det(reduced))
+
+
+def determinant(od: OrientedDiagram) -> int:
+    """The link determinant |V(-1)|, taken from the Goeritz matrix."""
+    return goeritz_determinant(od.diagram)

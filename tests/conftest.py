@@ -17,6 +17,24 @@ K12N888_MIRROR_PD = (
 )
 
 
+def det_from_jones(v) -> int:
+    """|V(-1)|, with t^(1/2) = i in the Gaussian integers: the state-sum
+    route to the determinant, kept as an oracle for ``determinant``."""
+    re = im = 0
+    for h, coef in v.coeffs.items():
+        k = h % 4
+        if k == 0:
+            re += coef
+        elif k == 1:
+            im += coef
+        elif k == 2:
+            re -= coef
+        else:
+            im -= coef
+    assert re == 0 or im == 0, "V(-1) is not purely real or imaginary"
+    return abs(re) + abs(im)
+
+
 @pytest.fixture
 def trefoil():
     return parse_pd(TREFOIL_PD)

@@ -48,7 +48,7 @@ from knotinv.sampling import (
 )
 from knotinv.statesum import resolve_loops
 
-from conftest import K12N888_MIRROR_PD
+from conftest import K12N888_MIRROR_PD, det_from_jones
 from test_statesum import FIG8_STATES, HOPF_STATES, TREFOIL_STATES, bracket_from_table
 
 TABLE_POLYS = {
@@ -153,7 +153,7 @@ def test_criterion_5_random_corpus():
         heads_m = {e: (ci, (s - 1) % 4) for e, (ci, s) in od.head.items()}
         assert jones(orient(m, head=heads_m)) == jones(od).mirror()
         assert (s_A(m), s_B(m)) == (s_B(d), s_A(d))
-        assert determinant(od) == goeritz_determinant(d)
+        assert determinant(od) == goeritz_determinant(d) == det_from_jones(jones(od))
         count += 1
     elapsed = time.time() - start
     assert elapsed < 60.0, elapsed

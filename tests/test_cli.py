@@ -1,9 +1,12 @@
 import json
+import random
 from importlib import resources
 
 import pytest
 
+from knotinv import goeritz_determinant, serialize_pd
 from knotinv.cli import main
+from knotinv.sampling import random_almost_alternating_diagram
 
 from conftest import AA_TREFOIL_PD, K12N888_MIRROR_PD, TREFOIL_PD
 
@@ -114,7 +117,22 @@ def test_max_crossings_flag(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     fields = obj["records"][0]["fields"]
     assert fields["bracket"]["status"] == "error"
+    assert fields["jones"]["status"] == "error"
     assert fields["s_A"]["status"] == "ok"
+    # the determinant comes from the Goeritz matrix, not the state sum
+    assert fields["det"] == {"status": "ok", "value": 3}
+
+
+def test_decompose_beyond_state_sum_limit(tmp_path, capsys):
+    # 26 crossings: its closures have 25, above the default limit of 24
+    d, _ = random_almost_alternating_diagram(26, random.Random(1))
+    f = tmp_path / "aa26.pd"
+    f.write_text(f"aa26: {serialize_pd(d)}\n")
+    rc = main(["decompose", str(f), "--json"])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)["records"][0]
+    assert rec["status"] == "ok" and rec["recognized"]
+    assert rec["conway_determinant"] == goeritz_determinant(d) == 12330
 
 
 def test_json_deterministic(capsys):

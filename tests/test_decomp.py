@@ -112,7 +112,8 @@ def test_crossingless_strand_closures():
     t = Tangle(crossings=(), boundary=(1, 2, 2, 1), decorations=("-", "+", "-", "+"), proper=False)
     with pytest.raises(DiagramError):
         closures(t)
-    num = _close(t, ((1, 2), (2, 1)))
+    num, edge_of = _close(t, ((1, 2), (2, 1)))
+    assert edge_of == {}
     assert num.free_loops == 1 and num.crossing_count == 0
     with pytest.raises(DiagramError):
         _close(t, ((2, 2), (1, 1)))

@@ -2,7 +2,7 @@ import random
 
 from knotinv import (
     determinant,
-    goeritz_determinant,
+    jones,
     nonalternating_edges,
     orient,
     parse_pd,
@@ -17,6 +17,8 @@ from knotinv.sampling import (
     random_diagram,
     random_genus_one_diagram,
 )
+
+from conftest import det_from_jones
 
 
 def test_alternating_generator():
@@ -34,7 +36,8 @@ def test_random_generator_valid():
         d = random_diagram(rng.randint(1, 10), rng)
         validate(d)
         assert parse_pd(serialize_pd(d)) == d
-        assert determinant(orient(d)) == goeritz_determinant(d)
+        od = orient(d)
+        assert determinant(od) == det_from_jones(jones(od))
 
 
 def test_genus_one_generator():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,7 +18,10 @@ from knotinv import (
     s_B,
     state_graph,
 )
+from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
 from knotinv.statesum import resolve_loops
+
+from conftest import det_from_jones
 
 # Frozen full state tables: (assignment, resulting loop count).  Assignment
 # character i is the smoothing at crossing i; the loop counts were checked
@@ -118,9 +122,22 @@ def test_determinants(trefoil, fig8, hopf):
     assert determinant(orient(hopf)) == 2
 
 
+def _determinant_corpus():
+    """Seeded alternating, genus-one (k = 1-2) and random diagrams of at
+    most 12 crossings."""
+    rng = random.Random(120)
+    for _ in range(20):
+        yield random_alternating_diagram(rng.randint(1, 12), rng)
+        k = rng.choice((1, 2))
+        yield random_genus_one_diagram(k, rng, [rng.randint(1, 3) for _ in range(2 * k)])
+        yield random_diagram(rng.randint(1, 12), rng)
+
+
 def test_goeritz_agrees(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
-    for d in (trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
-        assert goeritz_determinant(d) == determinant(orient(d))
+    fixed = (trefoil, fig8, hopf, aa_trefoil, k12n888_mirror)
+    for d in itertools.chain(fixed, _determinant_corpus()):
+        od = orient(d)
+        assert determinant(od) == goeritz_determinant(d) == det_from_jones(jones(od))
 
 
 def test_mirror_bracket(trefoil, fig8):
