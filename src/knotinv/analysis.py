@@ -26,9 +26,10 @@ class DiagramAnalysis:
     """Lazily computed invariants of one diagram.
 
     ``od`` imposes an orientation; without it the default orientation of
-    :func:`~knotinv.diagram.orient` is used.  ``max_crossings`` bounds the
-    state sum behind ``bracket`` and ``jones``; every other field is
-    polynomial in the crossing count and has no limit.
+    :func:`~knotinv.diagram.orient` is used; the face structure ``od``
+    carries is reused, so the diagram is not validated again.
+    ``max_crossings`` is the crossing limit of ``bracket`` and ``jones``;
+    every other field is polynomial in the crossing count and has no limit.
     """
 
     def __init__(self, d: Diagram, od: OrientedDiagram | None = None,
@@ -37,6 +38,8 @@ class DiagramAnalysis:
         self.max_crossings = max_crossings
         if od is not None:
             self.od = od
+            if od.fs is not None and od.diagram is d:
+                self.fs = od.fs
 
     @cached_property
     def fs(self) -> FaceStructure:

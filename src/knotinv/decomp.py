@@ -69,11 +69,15 @@ def turaev_genus(d: Diagram, analysis: DiagramAnalysis | None = None) -> int:
 
 def nonalternating_edges(d: Diagram) -> set[int]:
     """Edges whose two ends are both over-passes or both under-passes."""
+    first_parity: dict[int, int] = {}
     bad = set()
-    for e in range(1, d.edge_count + 1):
-        s1, s2 = d.end_slots(e)
-        if s1 % 2 == s2 % 2:
-            bad.add(e)
+    for x in d.crossings:
+        for s, e in enumerate(x.ends):
+            parity = first_parity.pop(e, None)
+            if parity is None:
+                first_parity[e] = s % 2
+            elif parity == s % 2:
+                bad.add(e)
     return bad
 
 

@@ -85,10 +85,6 @@ class Diagram:
                 ends[e].append((ci, s))
         return ends
 
-    def end_slots(self, edge: int) -> tuple[int, int]:
-        slots = [s for x in self.crossings for s, e in enumerate(x.ends) if e == edge]
-        return (slots[0], slots[1])
-
 
 _TOKEN_RE = re.compile(r"^(?:X)?[\[\(]([^\]\)]*)[\]\)]$")
 
@@ -253,13 +249,16 @@ class OrientedDiagram:
 
     ``head`` maps each edge to the end position it points into; the tail is
     the other end.  ``edge_direction`` reports forward/backward relative to
-    the edge's scan-order first position.
+    the edge's scan-order first position.  ``fs`` is the diagram's face
+    structure when :func:`orient` built it, so that it need not be
+    validated again.
     """
 
     diagram: Diagram
     head: dict[int, Position] = field(repr=False, default_factory=dict)
     component_of: dict[int, int] = field(repr=False, default_factory=dict)
     component_count: int = 1
+    fs: FaceStructure | None = field(repr=False, compare=False, default=None)
 
     @property
     def edge_direction(self) -> dict[int, str]:
@@ -304,10 +303,10 @@ def orient(
     A precomputed ``head`` map (edge -> head position) may be supplied to
     impose an induced orientation instead of the default one.  ``fs``, the
     face structure :func:`validate` returned for ``d``, spares validating
-    the diagram again.
+    the diagram again.  The result carries the face structure.
     """
     if fs is None:
-        validate(d)
+        fs = validate(d)
     ends = d.edge_ends()
     comps = _strand_components(d)
     component_of: dict[int, int] = {}
@@ -345,6 +344,7 @@ def orient(
         head=heads,
         component_of=component_of,
         component_count=len(comps) + d.free_loops,
+        fs=fs,
     )
 
 

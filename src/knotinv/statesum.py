@@ -1,7 +1,10 @@
 """Kauffman states, state graphs, the bracket, Jones polynomial and determinant.
 
-The determinant comes from the Goeritz matrix, so it has no crossing limit;
-only the bracket and the Jones polynomial run the 2^c state sum.
+The determinant comes from the Goeritz matrix, so it has no crossing limit.
+The bracket (and the Jones polynomial built on it) comes from a planar sweep
+over the crossings, whose cost is exponential only in the number of open
+edge ends along the way, not in the crossing count.  The bracket still
+refuses diagrams above the crossing limit (default 24), unchanged for now.
 
 Smoothing convention: at a crossing (e1, e2, e3, e4) the A-resolution joins
 the end-pairs (e1, e2) and (e3, e4); the B-resolution joins (e2, e3) and
@@ -14,7 +17,6 @@ bracket -A^-5 - A^3 + A^7 (the global mirror of the other chirality choice).
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -47,7 +49,7 @@ _DEFAULT_LIMIT = 24
 
 
 class CrossingLimitError(RuntimeError):
-    """State sum aborted: crossing count exceeds the configured limit."""
+    """Bracket refused: crossing count exceeds the configured limit."""
 
 
 def max_crossing_limit(override: int | None = None) -> int:
@@ -149,64 +151,94 @@ def adequacy(d: Diagram) -> dict[str, bool]:
     }
 
 
-def kauffman_bracket(d: Diagram, max_crossings: int | None = None) -> LaurentPoly:
-    """Full 2^c state sum, normalized so the 0-crossing unknot has bracket 1.
+# delta^0, delta^1 and delta^2 as (exponent, coefficient) terms: one
+# crossing's smoothing closes at most two loops
+_DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 
-    Each state contributes A^(#A - #B) * (-A^2 - A^-2)^(loops - 1).
+
+def _sweep_order(d: Diagram) -> list[tuple[int, int, int, int]]:
+    """Crossing ends in greedy frontier order: each next crossing is the one
+    with the most ends on labels left open by the crossings before it."""
+    left = [x.ends for x in d.crossings]
+    order = []
+    open_labels: set[int] = set()
+    while left:
+        best = max(range(len(left)), key=lambda i: sum(e in open_labels for e in left[i]))
+        ends = left.pop(best)
+        order.append(ends)
+        for e in ends:
+            open_labels ^= {e}
+    return order
+
+
+def _add_term(out: dict[int, int], p: dict[int, int], shift: int, loops: int) -> dict[int, int]:
+    """out += A^shift * delta^loops * p, on {exponent: coeff} dicts."""
+    for e, cf in p.items():
+        for off, mult in _DELTA_POWERS[loops]:
+            out[e + shift + off] = out.get(e + shift + off, 0) + cf * mult
+    return out
+
+
+def _over_delta(p: dict[int, int]) -> dict[int, int]:
+    """The exact quotient p / delta, by synthetic division from the top."""
+    p = dict(p)
+    lo, hi = min(p), max(p)
+    q: dict[int, int] = {}
+    for top in range(hi, lo + 3, -1):
+        cf = p.pop(top, 0)
+        if cf:
+            # delta * (-cf A^(top-2)) = cf A^top + cf A^(top-4)
+            q[top - 2] = -cf
+            p[top - 4] = p.get(top - 4, 0) - cf
+    if any(p.values()):
+        raise DiagramError("diagram has no loops, so its bracket is undefined")
+    return q
+
+
+def kauffman_bracket(d: Diagram, max_crossings: int | None = None) -> LaurentPoly:
+    """Kauffman bracket by a planar sweep, normalized so the 0-crossing
+    unknot has bracket 1.
+
+    The bracket is the state sum of A^(#A - #B) * delta^(loops - 1) with
+    delta = -A^2 - A^-2.  Instead of enumerating the 2^c states, the sweep
+    adds the crossings one at a time in greedy frontier order and keeps, for
+    each way the strands seen so far pair up the open edge ends (a
+    noncrossing matching), the summed polynomial of the partial states that
+    give it; a loop that closes multiplies by delta at once.  The work is
+    exponential only in the number of open ends, not in c.  The crossing
+    limit still applies, and is checked before any work.
     """
     c = d.crossing_count
     limit = max_crossing_limit(max_crossings)
     if c > limit:
         raise CrossingLimitError(f"{c} crossings exceeds the state-sum limit of {limit}")
-    n_edges = d.edge_count
-    pairs_a = []
-    pairs_b = []
-    for x in d.crossings:
-        e1, e2, e3, e4 = x.ends
-        pairs_a.append((e1 - 1, e2 - 1, e3 - 1, e4 - 1))
-        pairs_b.append((e2 - 1, e3 - 1, e4 - 1, e1 - 1))
-
-    # counts[(aCount, loops)] = number of states; DFS shares prefix unions
-    counts: dict[tuple[int, int], int] = {}
-    root = (list(range(n_edges)), n_edges)
-    stack = [(0, 0, root)]
-    while stack:
-        depth, a_count, (parent, loops) = stack.pop()
-        if depth == c:
-            key = (a_count, loops + d.free_loops)
-            counts[key] = counts.get(key, 0) + 1
-            continue
-        for pick, (p, q, r, s) in ((1, pairs_a[depth]), (0, pairs_b[depth])):
-            par = parent.copy()
-            merged = loops
-            for a, b in ((p, q), (r, s)):
-                while par[a] != a:
-                    par[a] = par[par[a]]
-                    a = par[a]
-                while par[b] != b:
-                    par[b] = par[par[b]]
-                    b = par[b]
-                if a != b:
-                    par[a] = b
-                    merged -= 1
-            stack.append((depth + 1, a_count + pick, (par, merged)))
-
-    coeffs: dict[int, int] = {}
-    for (a_count, loops), mult in counts.items():
-        n = loops - 1
-        base_exp = a_count - (c - a_count)
-        sign = -1 if n % 2 else 1
-        for j in range(n + 1):
-            e = base_exp + 2 * n - 4 * j
-            coeffs[e] = coeffs.get(e, 0) + sign * mult * math.comb(n, j)
-    if c == 0:
-        # normalization: one free loop is the unknot with bracket 1
-        n = d.free_loops - 1
-        sign = -1 if n % 2 else 1
-        coeffs = {}
-        for j in range(n + 1):
-            coeffs[2 * n - 4 * j] = coeffs.get(2 * n - 4 * j, 0) + sign * math.comb(n, j)
-    return LaurentPoly("A", coeffs)
+    # matching, as the sorted (end, partner) items both ways round -> {A-exponent: coeff}
+    states: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
+    for e1, e2, e3, e4 in _sweep_order(d):
+        nxt: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        for key, poly in states.items():
+            for shift, arcs in ((1, ((e1, e2), (e3, e4))), (-1, ((e2, e3), (e4, e1)))):
+                partner = dict(key)
+                loops = 0
+                for x, y in arcs:
+                    if x == y:  # both ends of one edge at this crossing
+                        loops += 1
+                        continue
+                    # an open end continues to its partner; a new one stays open
+                    px = partner.pop(x, x)
+                    py = partner.pop(y, y)
+                    if px == y:  # x and y were the two ends of one open strand
+                        loops += 1
+                    else:
+                        partner[px] = py
+                        partner[py] = px
+                new_key = tuple(sorted(partner.items()))
+                _add_term(nxt.setdefault(new_key, {}), poly, shift, loops)
+        states = nxt
+    (coeffs,) = states.values()
+    for _ in range(d.free_loops):
+        coeffs = _add_term({}, coeffs, 0, 1)
+    return LaurentPoly("A", _over_delta(coeffs))
 
 
 def jones(

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -5,7 +6,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from knotinv import parse_pd
+from knotinv import LaurentPoly, parse_pd
+from knotinv.statesum import resolve_loops
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -33,6 +35,21 @@ def det_from_jones(v) -> int:
             im -= coef
     assert re == 0 or im == 0, "V(-1) is not purely real or imaginary"
     return abs(re) + abs(im)
+
+
+def bracket_state_sum(d) -> LaurentPoly:
+    """The Kauffman bracket as the plain 2^c state sum of
+    A^(#A - #B) * (-A^2 - A^-2)^(loops - 1): the oracle for the sweep in
+    ``kauffman_bracket``.  Only for small diagrams."""
+    assert d.crossing_count <= 12, "the 2^c oracle is for at most 12 crossings"
+    delta = LaurentPoly("A", {2: -1, -2: -1})
+    total = LaurentPoly("A", {})
+    for state in itertools.product("AB", repeat=d.crossing_count):
+        term = LaurentPoly("A", {state.count("A") - state.count("B"): 1})
+        for _ in range(resolve_loops(d, state) - 1):
+            term = term * delta
+        total = total + term
+    return total
 
 
 @pytest.fixture

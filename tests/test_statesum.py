@@ -5,6 +5,7 @@ import pytest
 
 from knotinv import (
     CrossingLimitError,
+    Diagram,
     LaurentPoly,
     adequacy,
     determinant,
@@ -21,7 +22,7 @@ from knotinv import (
 from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
 from knotinv.statesum import resolve_loops
 
-from conftest import det_from_jones
+from conftest import HOPF_PD, TREFOIL_PD, bracket_state_sum, det_from_jones
 
 # Frozen full state tables: (assignment, resulting loop count).  Assignment
 # character i is the smoothing at crossing i; the loop counts were checked
@@ -138,6 +139,55 @@ def test_goeritz_agrees(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
     for d in itertools.chain(fixed, _determinant_corpus()):
         od = orient(d)
         assert determinant(od) == goeritz_determinant(d) == det_from_jones(jones(od))
+
+
+def _bracket_corpus():
+    """Seeded diagrams of at most 12 crossings, with the edge cases of the
+    sweep: several components, free loops, no crossings and kinks."""
+    rng = random.Random(4)
+    for _ in range(20):
+        yield random_diagram(rng.randint(1, 12), rng)
+        yield random_alternating_diagram(rng.randint(1, 12), rng)
+        k = rng.choice((1, 2))
+        yield random_genus_one_diagram(k, rng, [rng.randint(1, 3) for _ in range(2 * k)])
+    yield parse_pd(HOPF_PD)
+    while True:
+        d = random_diagram(rng.randint(4, 12), rng)
+        if orient(d).component_count == 2:
+            yield d
+            break
+    yield parse_pd(TREFOIL_PD + " U")
+    yield parse_pd("")
+    yield parse_pd("U U")
+    # a kinked trefoil: label 8 twice at the last crossing
+    yield parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]")
+    yield parse_pd("X[1,2,2,1]")
+
+
+def test_bracket_sweep_matches_state_sum():
+    rng = random.Random(5)
+    for d in _bracket_corpus():
+        expected = bracket_state_sum(d)
+        assert kauffman_bracket(d) == expected
+        # the sweep order follows the crossing order; the bracket does not
+        shuffled = list(d.crossings)
+        rng.shuffle(shuffled)
+        assert kauffman_bracket(Diagram(tuple(shuffled), d.edge_count, d.free_loops)) == expected
+
+
+def test_bracket_full_size_cross_check():
+    """At 20-24 crossings, where the state sum is out of reach, check the
+    sweep against the Goeritz determinant and the mirror symmetry."""
+    rng = random.Random(24)
+    corpus = [random_alternating_diagram(24, rng) for _ in range(5)]
+    while len(corpus) < 10:
+        k = rng.choice((1, 2, 3))
+        d = random_genus_one_diagram(k, rng, [rng.randint(2, 5) for _ in range(2 * k)])
+        if 20 <= d.crossing_count <= 24:
+            corpus.append(d)
+    for d in corpus:
+        assert det_from_jones(jones(orient(d))) == goeritz_determinant(d)
+        assert kauffman_bracket(mirror(d)) == kauffman_bracket(d).mirror()
 
 
 def test_mirror_bracket(trefoil, fig8):
