@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .diagram import (
-    Crossing,
-    Diagram,
-    DiagramError,
-    OrientedDiagram,
-    orient,
-)
-from .statesum import goeritz_determinant
+from .diagram import Crossing, Diagram, DiagramError, OrientedDiagram, UnionFind, orient, splice
 
 if TYPE_CHECKING:
     from .analysis import DiagramAnalysis
@@ -99,6 +92,8 @@ class Tangle:
     # local label -> parent edge (internal) / parent (edge, position) (stub)
     internal_origin: dict[int, int] = field(default_factory=dict, repr=False)
     stub_origin: dict[int, MarkedPoint] = field(default_factory=dict, repr=False)
+    # closure -> (its analysis, its label map), filled by _closure
+    _closed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def crossing_count(self) -> int:
@@ -140,10 +135,11 @@ class GenusOneStructure:
 
     @cached_property
     def closure_determinants(self) -> tuple[tuple[int, int], ...]:
-        """(det N(R_i), det D(R_i)) for each tangle, computed once."""
+        """(det N(R_i), det D(R_i)) for each tangle, computed once on the
+        closures each tangle keeps (see :func:`closures`)."""
         return tuple(
-            (goeritz_determinant(num), goeritz_determinant(den))
-            for num, den in map(closures, self.tangles)
+            (_closure(t, "numerator")[0].det, _closure(t, "denominator")[0].det)
+            for t in self.tangles
         )
 
 
@@ -214,23 +210,14 @@ def alternating_decomposition(
         curves.append(tuple(cycle))
 
     # maximal alternating regions: crossings joined by alternating edges
-    parent = list(range(d.crossing_count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(d.crossing_count)
     ends = d.edge_ends()
     for e, ((c1, _), (c2, _)) in ends.items():
         if e not in nonalt:
-            r1, r2 = find(c1), find(c2)
-            if r1 != r2:
-                parent[r1] = r2
+            uf.union(c1, c2)
     regions: dict[int, list[int]] = {}
     for ci in range(d.crossing_count):
-        regions.setdefault(find(ci), []).append(ci)
+        regions.setdefault(uf.find(ci), []).append(ci)
 
     point_curve = {p: k for k, curve in enumerate(curves) for p in curve}
     tangles = []
@@ -317,57 +304,53 @@ def _close(
     Returns the closure, not yet validated, and the map from each tangle
     label to its edge in the closure (empty for a crossingless closure).
     """
-    labels = {e for x in t.crossings for e in x.ends} | set(t.boundary)
-    parent = {e: e for e in labels}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in joins:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    used = {e for x in t.crossings for e in x.ends}
-    roots_used = sorted({find(e) for e in used})
-    free = {find(e) for e in labels} - set(roots_used)
-    if free and t.crossings:
+    label_count = max([e for x in t.crossings for e in x.ends] + list(t.boundary), default=0)
+    diag, edge_of = splice(t.crossings, label_count, joins)
+    if diag.free_loops and t.crossings:
         raise DiagramError("closure is split (crossingless circle alongside crossings)")
-    if not t.crossings:
-        if len(free) != 1:
-            raise DiagramError("closure is split")
-        return Diagram(crossings=(), edge_count=0, free_loops=1), {}
-    relabel = {r: i + 1 for i, r in enumerate(roots_used)}
-    edge_of = {e: relabel[find(e)] for e in labels}
-    crossings = tuple(Crossing(ends=tuple(edge_of[e] for e in x.ends)) for x in t.crossings)
-    return Diagram(crossings=crossings, edge_count=len(roots_used), free_loops=0), edge_of
+    if diag.free_loops != 1 and not t.crossings:
+        raise DiagramError("closure is split")
+    return diag, edge_of
+
+
+def _joins(t: Tangle, which: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    if len(t.boundary) != 4:
+        raise DiagramError(f"not a 2-tangle: {len(t.boundary)} boundary strands")
+    b0, b1, b2, b3 = t.boundary
+    return ((b0, b1), (b2, b3)) if which == "numerator" else ((b1, b2), (b3, b0))
+
+
+def _closure(t: Tangle, which: str) -> tuple[DiagramAnalysis, dict[int, int]]:
+    """The ``which`` closure of ``t`` as its analysis, which validates it on
+    first use, and :func:`_close`'s label map; built once per tangle."""
+    which = "numerator" if which == "numerator" else "denominator"
+    if which not in t._closed:
+        diag, edge_of = _close(t, _joins(t, which))
+        t._closed[which] = (_analysis(diag, None), edge_of)
+    return t._closed[which]
 
 
 def closures(t: Tangle) -> tuple[Diagram, Diagram]:
     """Numerator and denominator closures of a 2-tangle.
 
-    They are not validated here; ``validate`` (which ``goeritz_determinant``
-    and ``orient`` call) rejects a closure that is not a planar diagram.
+    Each tangle builds each closure once, and ``closures``,
+    ``GenusOneStructure.closure_determinants`` and :func:`oriented_closure`
+    share it.  They are not validated here: the closure's kept analysis
+    validates it the first time its face structure is needed, so once per
+    tangle, and ``validate`` rejects a closure that is not a planar diagram.
     """
-    if len(t.boundary) != 4:
-        raise DiagramError(f"not a 2-tangle: {len(t.boundary)} boundary strands")
-    b0, b1, b2, b3 = t.boundary
-    numerator, _ = _close(t, ((b0, b1), (b2, b3)))
-    denominator, _ = _close(t, ((b1, b2), (b3, b0)))
-    return numerator, denominator
+    return _closure(t, "numerator")[0].diagram, _closure(t, "denominator")[0].diagram
 
 
 def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiagram:
-    """Closure carrying the orientation induced from the ambient diagram."""
-    if len(t.boundary) != 4:
-        raise DiagramError(f"not a 2-tangle: {len(t.boundary)} boundary strands")
-    b0, b1, b2, b3 = t.boundary
-    joins = ((b0, b1), (b2, b3)) if which == "numerator" else ((b1, b2), (b3, b0))
-    diag, edge_of = _close(t, joins)
+    """Closure carrying the orientation induced from the ambient diagram.
+
+    The closure is the one the tangle built once (see :func:`closures`),
+    and its face structure, validated at most once, is handed to ``orient``.
+    """
+    a, edge_of = _closure(t, which)
     if not t.crossings:
-        return orient(diag)
+        return orient(a.diagram, fs=a.fs)
 
     local_of = {ci: i for i, ci in enumerate(t.crossing_indices)}
 
@@ -378,7 +361,7 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
     heads: dict[int, tuple[int, int]] = {}
     for local_label, e in t.internal_origin.items():
         heads[edge_of[local_label]] = local_pos(od.head[e])
-    for pair in joins:
+    for pair in _joins(t, which):
         ins = []
         for stub in pair:
             e, pos = t.stub_origin[stub]
@@ -389,7 +372,7 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
         stub = ins[0]
         e, pos = t.stub_origin[stub]
         heads[edge_of[stub]] = local_pos(pos)
-    return orient(diag, head=heads)
+    return orient(a.diagram, head=heads, fs=a.fs)
 
 
 def _region_cycle(tangles, edge_links):

@@ -86,6 +86,56 @@ class Diagram:
         return ends
 
 
+class UnionFind:
+    """Union-find over 0..n-1 that counts its classes."""
+
+    __slots__ = ("parent", "classes")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.classes = n
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.classes -= 1
+
+
+def splice(
+    crossings: tuple[Crossing, ...], label_count: int, joins: tuple[tuple[int, int], ...]
+) -> tuple[Diagram, dict[int, int]]:
+    """Join label pairs of a partial diagram and relabel it.
+
+    ``crossings`` use labels in 1..label_count, and each pair in ``joins``
+    glues two of them into one strand.  Every run of glued labels that a
+    crossing uses becomes one edge, numbered in the order of the runs'
+    union-find roots; the runs no crossing uses become free loops.  This is
+    a tangle closure, a smoothing (the crossing left out of ``crossings``)
+    and a kink removal alike.  Returns the diagram, not yet validated, and
+    the map from each label on a used run to its edge.
+    """
+    uf = UnionFind(label_count + 1)
+    for a, b in joins:
+        uf.union(a, b)
+    find = uf.find
+    roots = sorted({find(e) for x in crossings for e in x.ends})
+    edge_of_root = {r: i for i, r in enumerate(roots, 1)}
+    edge_of = {
+        e: edge_of_root[r] for e in range(1, label_count + 1) if (r := find(e)) in edge_of_root
+    }
+    closed = tuple(Crossing(ends=tuple(edge_of[e] for e in x.ends)) for x in crossings)
+    # classes less the unused label 0 and the used runs
+    return Diagram(closed, len(roots), uf.classes - 1 - len(roots)), edge_of
+
+
 _TOKEN_RE = re.compile(r"^(?:X)?[\[\(]([^\]\)]*)[\]\)]$")
 
 
@@ -185,20 +235,10 @@ def validate(d: Diagram) -> FaceStructure:
     if d.free_loops:
         raise DiagramError("split diagram: free loops alongside crossings")
     # connectedness of the 4-regular graph
-    parent = list(range(c))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    ends = d.edge_ends()
-    for (c1, _), (c2, _) in ends.values():
-        r1, r2 = find(c1), find(c2)
-        if r1 != r2:
-            parent[r1] = r2
-    if len({find(i) for i in range(c)}) != 1:
+    uf = UnionFind(c)
+    for (c1, _), (c2, _) in d.edge_ends().values():
+        uf.union(c1, c2)
+    if uf.classes != 1:
         raise DiagramError("split diagram: crossing graph is disconnected")
 
     orbits = _face_orbits(d)
@@ -248,10 +288,8 @@ class OrientedDiagram:
     """A diagram with a direction chosen on every edge.
 
     ``head`` maps each edge to the end position it points into; the tail is
-    the other end.  ``edge_direction`` reports forward/backward relative to
-    the edge's scan-order first position.  ``fs`` is the diagram's face
-    structure when :func:`orient` built it, so that it need not be
-    validated again.
+    the other end.  ``fs`` is the diagram's face structure when
+    :func:`orient` built it, so that it need not be validated again.
     """
 
     diagram: Diagram
@@ -260,37 +298,17 @@ class OrientedDiagram:
     component_count: int = 1
     fs: FaceStructure | None = field(repr=False, compare=False, default=None)
 
-    @property
-    def edge_direction(self) -> dict[int, str]:
-        ends = self.diagram.edge_ends()
-        return {
-            e: ("forward" if self.head[e] == max(ends[e]) else "backward")
-            for e in range(1, self.diagram.edge_count + 1)
-        }
-
 
 def _strand_components(d: Diagram) -> list[list[int]]:
     """Group edges into strand cycles (under: slots 0-2, over: slots 1-3)."""
     n = d.edge_count
-    parent = list(range(n + 1))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x in d.crossings:
-        a, b, cc, dd = x.ends
-        ra, rc = find(a), find(cc)
-        if ra != rc:
-            parent[ra] = rc
-        rb, rd = find(b), find(dd)
-        if rb != rd:
-            parent[rb] = rd
+    uf = UnionFind(n + 1)
+    for a, b, cc, dd in (x.ends for x in d.crossings):
+        uf.union(a, cc)
+        uf.union(b, dd)
     groups: dict[int, list[int]] = {}
     for e in range(1, n + 1):
-        groups.setdefault(find(e), []).append(e)
+        groups.setdefault(uf.find(e), []).append(e)
     return sorted(groups.values(), key=min)
 
 

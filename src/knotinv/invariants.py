@@ -6,15 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import warnings
 
-from .diagram import (
-    Crossing,
-    Diagram,
-    DiagramError,
-    FaceStructure,
-    OrientedDiagram,
-    orient,
-    validate,
-)
+from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, orient, splice, validate
 from .statesum import s_A, s_B, state_graph
 from .decomp import (
     GenusOneStructure,
@@ -97,56 +89,24 @@ def is_reduced(d: Diagram, fs: FaceStructure | None = None) -> bool:
 def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
     """Remove Reidemeister-1 kinks, preserving the orientation."""
     d = od.diagram
-    heads = dict(od.head)
+    heads = od.head
     while True:
-        kink = None
-        for ci, x in enumerate(d.crossings):
-            for s in range(4):
-                if x.ends[s] == x.ends[(s + 1) % 4]:
-                    kink = (ci, s)
-                    break
-            if kink:
-                break
+        kink = next(
+            ((ci, s) for ci, x in enumerate(d.crossings) for s in range(4)
+             if x.ends[s] == x.ends[(s + 1) % 4]),
+            None,
+        )
         if kink is None:
             if d is od.diagram:
                 return od
             return orient(d, head=heads) if d.crossings else orient(d)
+        # a kink at slots (s, s+1) goes by the smoothing that joins (s+1, s+2)
+        # and (s+3, s): its loop merges into the strand through the crossing
         ci, s = kink
-        x = d.crossings[ci]
-        k = x.ends[s]
-        o1, o2 = x.ends[(s + 2) % 4], x.ends[(s + 3) % 4]
-        if o1 == o2:
-            # the whole component was a single kinked circle
-            d = Diagram(crossings=(), edge_count=0, free_loops=1)
-            heads = {}
-            continue
-        ends = d.edge_ends()
-        keep, drop = min(o1, o2), max(o1, o2)
-        new_head = heads[o1] if heads[o1][0] != ci else heads[o2]
-        assert new_head[0] != ci
-        # merge drop into keep, delete the crossing, then compact labels
-        remap = {}
-        nxt = 1
-        for e in range(1, d.edge_count + 1):
-            if e in (k, drop):
-                continue
-            remap[e] = nxt
-            nxt += 1
-        remap[drop] = remap[keep]
-        crossings = []
-        new_heads = {}
-        for cj, y in enumerate(d.crossings):
-            if cj == ci:
-                continue
-            cj_new = cj if cj < ci else cj - 1
-            crossings.append(Crossing(ends=tuple(remap[e] for e in y.ends)))
-        for e, (hc, hs) in heads.items():
-            if e == k or hc == ci:
-                continue
-            new_heads[remap[e]] = (hc if hc < ci else hc - 1, hs)
-        new_heads[remap[keep]] = (new_head[0] if new_head[0] < ci else new_head[0] - 1, new_head[1])
-        d = Diagram(crossings=tuple(crossings), edge_count=nxt - 1, free_loops=0)
-        heads = new_heads
+        d, edge_of = _smooth(d, ci, "A" if s % 2 else "B")
+        heads = {
+            edge_of[e]: (hc - (hc > ci), hs) for e, (hc, hs) in heads.items() if hc != ci
+        }
 
 
 def traczyk_signature(od: OrientedDiagram, analysis: DiagramAnalysis | None = None) -> int:
@@ -307,35 +267,19 @@ def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
     return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2)
 
 
-def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
-    """Replace crossing ci by its A- or B-smoothing."""
+def _smooth(d: Diagram, ci: int, choice: str) -> tuple[Diagram, dict[int, int]]:
+    """Replace crossing ci by its A- or B-smoothing; returns the smoothed
+    diagram and its label map, as :func:`~knotinv.diagram.splice` does."""
     e1, e2, e3, e4 = d.crossings[ci].ends
     joins = ((e1, e2), (e3, e4)) if choice == "A" else ((e2, e3), (e4, e1))
-    parent = {e: e for e in range(1, d.edge_count + 1)}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in joins:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    used = sorted({find(e) for cj, x in enumerate(d.crossings) if cj != ci for e in x.ends})
-    free = {find(e) for e in range(1, d.edge_count + 1)} - set(used)
-    crossings = tuple(
-        Crossing(ends=tuple({r: i + 1 for i, r in enumerate(used)}[find(e)] for e in x.ends))
-        for cj, x in enumerate(d.crossings)
-        if cj != ci
-    )
-    return Diagram(crossings=crossings, edge_count=len(used), free_loops=len(free))
+    return splice(d.crossings[:ci] + d.crossings[ci + 1:], d.edge_count, joins)
 
 
 def aa_closures(aa: AAMarkedDiagram) -> tuple[Diagram, Diagram]:
     """(D(R), N(R)): the A- and B-smoothings of the dealternator."""
-    return _smooth(aa.diagram, aa.dealternator, "A"), _smooth(aa.diagram, aa.dealternator, "B")
+    dr, _ = _smooth(aa.diagram, aa.dealternator, "A")
+    nr, _ = _smooth(aa.diagram, aa.dealternator, "B")
+    return dr, nr
 
 
 def _check_aa_reduced(aa: AAMarkedDiagram) -> tuple[Diagram, Diagram]:

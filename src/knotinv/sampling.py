@@ -136,10 +136,13 @@ def assemble(vertex_count: int, joins: list[tuple[Port, Port]],
     return Diagram(crossings=crossings, edge_count=len(joins), free_loops=0)
 
 
-def _num_close(t: TangleSketch):
-    """Join the remaining four ports: north pair over the top, south pair
-    under the bottom."""
-    return t.joins + [(t.nw, t.ne), (t.sw, t.se)]
+def _closed_joins(t: TangleSketch, closure: str) -> list[tuple[Port, Port]]:
+    """The sketch's joins plus the two closing ones: the "N" closure joins
+    the north pair over the top and the south pair under the bottom, the
+    "D" closure the east pair and the west pair."""
+    if closure == "N":
+        return t.joins + [(t.nw, t.ne), (t.sw, t.se)]
+    return t.joins + [(t.ne, t.se), (t.nw, t.sw)]
 
 
 def random_alternating_diagram(n: int, rng: random.Random,
@@ -147,21 +150,14 @@ def random_alternating_diagram(n: int, rng: random.Random,
     t = random_tangle_sketch(n, rng)
     if closure is None:
         closure = rng.choice(("N", "D"))
-    if closure == "N":
-        joins = t.joins + [(t.nw, t.ne), (t.sw, t.se)]
-    else:
-        joins = t.joins + [(t.ne, t.se), (t.nw, t.sw)]
+    joins = _closed_joins(t, closure)
     return assemble(t.vertex_count, joins, mirror_all=rng.random() < 0.5)
 
 
 def random_diagram(n: int, rng: random.Random) -> Diagram:
     """A random connected diagram: an alternating one with random flips."""
     t = random_tangle_sketch(n, rng)
-    closure = rng.choice(("N", "D"))
-    if closure == "N":
-        joins = t.joins + [(t.nw, t.ne), (t.sw, t.se)]
-    else:
-        joins = t.joins + [(t.ne, t.se), (t.nw, t.sw)]
+    joins = _closed_joins(t, rng.choice(("N", "D")))
     flips = {v for v in range(n) if rng.random() < 0.5}
     return assemble(n, joins, flips=flips, mirror_all=rng.random() < 0.5)
 

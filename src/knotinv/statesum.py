@@ -20,7 +20,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, crossing_signs, validate
+from .diagram import (
+    Diagram,
+    DiagramError,
+    FaceStructure,
+    OrientedDiagram,
+    UnionFind,
+    crossing_signs,
+    validate,
+)
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -77,27 +85,6 @@ class StateGraph:
         return any(u == v for u, v in self.edges)
 
 
-class _UF:
-    __slots__ = ("parent", "classes")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.classes = n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.classes -= 1
-
-
 def _state_pairs(ends: tuple[int, int, int, int], choice: str) -> tuple[tuple[int, int], tuple[int, int]]:
     e1, e2, e3, e4 = ends
     if choice == ALL_A:
@@ -105,9 +92,9 @@ def _state_pairs(ends: tuple[int, int, int, int], choice: str) -> tuple[tuple[in
     return (e2, e3), (e4, e1)
 
 
-def _loops_uf(d: Diagram, s: State) -> _UF:
-    uf = _UF(d.edge_count + 1)
-    uf.classes = d.edge_count  # ignore the unused 0 slot
+def _loops_uf(d: Diagram, s: State) -> UnionFind:
+    """The state's loops as classes of edge labels (label 0 is unused)."""
+    uf = UnionFind(d.edge_count + 1)
     for x, choice in zip(d.crossings, s):
         for a, b in _state_pairs(x.ends, choice):
             uf.union(a, b)
@@ -118,7 +105,7 @@ def resolve_loops(d: Diagram, s: State) -> int:
     """Number of loops in the state, including free loops."""
     if len(s) != d.crossing_count:
         raise ValueError(f"state length {len(s)} != crossing count {d.crossing_count}")
-    return _loops_uf(d, s).classes + d.free_loops
+    return _loops_uf(d, s).classes - 1 + d.free_loops
 
 
 def s_A(d: Diagram) -> int:

@@ -37,3 +37,12 @@ def test_decompose_record_validates_each_diagram_once(monkeypatch):
     assert len(validations) == 5
     assert len({d for (d,) in validations}) == 5
 
+
+def test_analyze_record_validates_each_diagram_once(monkeypatch):
+    validations = _count_calls(monkeypatch, diagram.validate)
+    rep = analyze_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
+    assert rep["fields"]["decomposition"]["status"] == "ok"
+    # as in decompose_record: the Theorem 2 signature reuses the closures
+    # that the closure determinants built and validated
+    assert len(validations) == 5
+    assert len({d for (d,) in validations}) == 5

@@ -1,6 +1,7 @@
 import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +141,24 @@ def test_json_deterministic(capsys):
     first = capsys.readouterr().out
     main(["invariants", data_path("sample_knots.pd"), "--json"])
     assert capsys.readouterr().out == first
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["invariants", "sample_knots.pd", "--json"], "sample_knots.invariants.json"),
+        (["decompose", "sample_knots.pd", "--json"], "sample_knots.decompose.json"),
+        (["obstruct", "--csv", "obstruction_examples.csv", "--json"],
+         "obstruction_examples.obstruct.json"),
+    ],
+    ids=["invariants", "decompose", "obstruct"],
+)
+def test_golden_output(argv, golden, capsys, monkeypatch):
+    # the golden files were printed with the default crossing limit
+    monkeypatch.delenv("KNOTINV_MAX_CROSSINGS", raising=False)
+    argv = [data_path(a) if a.endswith((".pd", ".csv")) else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

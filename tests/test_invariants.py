@@ -30,8 +30,13 @@ from knotinv import (
     traczyk_signature,
     validate,
 )
-from knotinv.invariants import _check_aa_reduced
-from knotinv.sampling import random_almost_alternating_diagram, random_alternating_diagram
+from knotinv.diagram import Crossing, Diagram
+from knotinv.invariants import _check_aa_reduced, _smooth
+from knotinv.sampling import (
+    random_almost_alternating_diagram,
+    random_alternating_diagram,
+    random_diagram,
+)
 
 
 def test_traczyk_trefoil(trefoil):
@@ -67,6 +72,53 @@ def test_reduce_kinks():
     # a single kinked circle reduces to the unknot
     lone = reduce_kinks(orient(parse_pd("X[1,2,2,1]")))
     assert lone.diagram.crossing_count == 0 and lone.diagram.free_loops == 1
+
+
+def _add_curl(d: Diagram, rng: random.Random) -> Diagram:
+    """Put a Reidemeister-1 curl on a random edge e: e runs from its first
+    end into the new crossing, round the curl and out along a new edge to
+    e's old second end.  The lowest edge of every component and its
+    direction stay put, so the default orientation is unchanged."""
+    e = rng.randint(1, d.edge_count)
+    ci, s = d.edge_ends()[e][1]
+    loop, out = d.edge_count + 1, d.edge_count + 2
+    ends = [list(x.ends) for x in d.crossings]
+    ends[ci][s] = out
+    curl = (e, loop, loop, out)
+    r = rng.randrange(4)  # which slot is the incoming under-strand
+    ends.append(curl[r:] + curl[:r])
+    return Diagram(tuple(Crossing(tuple(x)) for x in ends), d.edge_count + 2)
+
+
+def test_reduce_kinks_removes_added_curls():
+    rng = random.Random(12)
+    for i in range(60):
+        make = random_diagram if i % 2 else random_alternating_diagram
+        d = make(rng.randint(1, 10), rng)
+        kinked = d
+        for _ in range(rng.randint(1, 3)):
+            kinked = _add_curl(kinked, rng)
+        want = reduce_kinks(orient(d))
+        got = reduce_kinks(orient(kinked))
+        assert got.diagram.crossing_count == want.diagram.crossing_count
+        assert jones(got) == jones(want)
+
+
+def test_smoothing_skein_relation():
+    # <D> = A <D_A> + A^-1 <D_B> at every crossing; the free loops each
+    # smoothing leaves, which aa_closures relies on, enter through delta
+    rng = random.Random(13)
+    a, a_inv = LaurentPoly("A", {1: 1}), LaurentPoly("A", {-1: 1})
+    pairs = 0
+    for i in range(60):
+        make = random_diagram if i % 2 else random_alternating_diagram
+        d = make(rng.randint(1, 12), rng)
+        bracket = kauffman_bracket(d)
+        for ci in range(d.crossing_count):
+            (da, _), (db, _) = _smooth(d, ci, "A"), _smooth(d, ci, "B")
+            assert bracket == a * kauffman_bracket(da) + a_inv * kauffman_bracket(db)
+            pairs += 1
+    assert pairs > 300
 
 
 def test_signature_bounds(trefoil, aa_trefoil, k12n888_mirror):
