@@ -120,21 +120,19 @@ def decompose_record(rec: KnotRecord) -> dict:
     try:
         a = DiagramAnalysis(parse_pd(rec.pd_text))
         dec = a.decomposition
+        fields = {"turaev_genus": a.turaev_genus, "decomposition": dec.to_json()}
+        gs = a.genus_one
+        fields["recognized"] = gs is not None
+        if gs is not None:
+            fields["k"] = gs.k
+            fields["closure_determinants"] = _closure_determinants(gs)
+            fields["conway_determinant"] = conway_determinant(gs)
     except (PDSyntaxError, DiagramError) as exc:
         out["status"] = "error"
         out["message"] = str(exc)
         return out
     out["status"] = "ok"
-    out["turaev_genus"] = a.turaev_genus
-    out["decomposition"] = dec.to_json()
-    gs = a.genus_one
-    if gs is None:
-        out["recognized"] = False
-        return out
-    out["recognized"] = True
-    out["k"] = gs.k
-    out["closure_determinants"] = _closure_determinants(gs)
-    out["conway_determinant"] = conway_determinant(gs)
+    out.update(fields)
     return out
 
 

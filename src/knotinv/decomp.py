@@ -14,7 +14,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .diagram import Crossing, Diagram, DiagramError, OrientedDiagram, UnionFind, orient, splice
+from .diagram import (
+    Crossing,
+    Diagram,
+    DiagramError,
+    FaceStructure,
+    OrientedDiagram,
+    Position,
+    UnionFind,
+    orient,
+    splice,
+)
+from .statesum import _cofactor, _goeritz_matrix
 
 if TYPE_CHECKING:
     from .analysis import DiagramAnalysis
@@ -125,9 +136,14 @@ class AltDecomposition:
 @dataclass(frozen=True)
 class GenusOneStructure:
     """2k proper alternating 2-tangles in a cycle; tangle i's boundary is
-    rotated so (b1, b2) are the stubs toward tangle i+1."""
+    rotated so (b1, b2) are the stubs toward tangle i+1.
+
+    ``parent`` is the recognized diagram with its face structure, from which
+    the closure determinants are read.
+    """
 
     tangles: tuple[Tangle, ...]
+    parent: tuple[Diagram, FaceStructure] = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -135,12 +151,98 @@ class GenusOneStructure:
 
     @cached_property
     def closure_determinants(self) -> tuple[tuple[int, int], ...]:
-        """(det N(R_i), det D(R_i)) for each tangle, computed once on the
-        closures each tangle keeps (see :func:`closures`)."""
-        return tuple(
-            (_closure(t, "numerator")[0].det, _closure(t, "denominator")[0].det)
-            for t in self.tangles
-        )
+        """(det N(R_i), det D(R_i)) for each tangle, read off the parent's
+        faces with no closure built.
+
+        The parent faces cut each tangle's corners into its interior faces
+        and four *sectors*, S01, S12, S23 and S30, named by the boundary
+        points they enter and leave through.  On the colour class of S01 and
+        S23, the Goeritz graph of N(R_i) has the interior faces of that
+        colour plus S01 and S23 as vertices, and that of D(R_i) the same
+        with S01 and S23 merged.  By the matrix-tree theorem both
+        determinants are cofactors of one Goeritz matrix: ground S01 for
+        N(R_i), delete S23 as well for D(R_i).  The closures that
+        :func:`closures` builds are the test oracle of this route.
+        """
+        d, fs = self.parent
+        colour = fs.checkerboard_color
+        corner_key, interior, sector_face = _tangle_faces(d, fs, self.tangles)
+        dets = []
+        for i, t in enumerate(self.tangles):
+            # each closure: c_t crossings, internal + 2 edges, interior + 3 faces
+            euler = t.crossing_count - (len(t.internal_origin) + 2) + (len(interior[i]) + 3)
+            if len(sector_face[i]) != 4 or euler != 2:
+                raise DiagramError(f"tangle {i} does not close to planar diagrams")
+            cls = colour[sector_face[i][0]]
+            vertex = {_S01: 0, _S23: 1}
+            for fi in interior[i]:
+                if colour[fi] == cls:
+                    vertex[fi] = len(vertex)
+            g = _goeritz_matrix(
+                vertex,
+                ([corner_key[(ci, k)] for k in range(4)] for ci in t.crossing_indices),
+            )
+            dets.append((_cofactor(g, 1), _cofactor(g, 2)))
+        return tuple(dets)
+
+
+# Sector j of a tangle runs between boundary points j and j+1 (so S01 is
+# sector 0) and its corners are keyed -1 - j; an interior face's corners
+# are keyed by the face's index.
+_S01, _S23 = -1, -3
+
+
+def _sector(a: int | None, b: int | None) -> int | None:
+    """The sector between boundary points ``a`` and ``b``, or None when
+    they are not cyclically adjacent."""
+    if a is None or b is None:
+        return None
+    if (b - a) % 4 == 1:
+        return a
+    if (a - b) % 4 == 1:
+        return b
+    return None
+
+
+def _tangle_faces(d: Diagram, fs: FaceStructure, tangles: tuple[Tangle, ...]):
+    """Split the parent's face orbits into runs of corners by tangle.
+
+    Returns the key of every corner (an interior face's index, or its
+    sector's key), each tangle's interior faces, and each tangle's map from
+    sector index 0..3 to the parent face it lies in.  Raises DiagramError
+    when a run does not join cyclically adjacent boundary points or a
+    tangle has a sector twice.
+    """
+    owner = {ci: i for i, t in enumerate(tangles) for ci in t.crossing_indices}
+    point = [{p: k for k, p in enumerate(t.boundary_points)} for t in tangles]
+    corner_key: dict[Position, int] = {}
+    interior: list[list[int]] = [[] for _ in tangles]
+    sector_face: list[dict[int, int]] = [{} for _ in tangles]
+    for fi, orbit in enumerate(fs.faces):
+        owners = [owner[ci] for ci, _ in orbit]
+        starts = [r for r in range(len(orbit)) if owners[r - 1] != owners[r]]
+        if not starts:
+            interior[owners[0]].append(fi)
+            for corner in orbit:
+                corner_key[corner] = fi
+            continue
+        for r, start in enumerate(starts):
+            end = starts[(r + 1) % len(starts)]
+            run = orbit[start:end] if start < end else orbit[start:] + orbit[:end]
+            i = owners[start]
+            # enters at the first corner's slot, leaves after the last corner
+            ci, s = run[0]
+            cj, sj = run[-1][0], (run[-1][1] + 1) % 4
+            j = _sector(
+                point[i].get((d.crossings[ci].ends[s], (ci, s))),
+                point[i].get((d.crossings[cj].ends[sj], (cj, sj))),
+            )
+            if j is None or j in sector_face[i]:
+                raise DiagramError(f"tangle {i} has a malformed sector")
+            sector_face[i][j] = fi
+            for corner in run:
+                corner_key[corner] = -1 - j
+    return corner_key, interior, sector_face
 
 
 def _face_steps(d: Diagram, orbit: tuple[tuple[int, int], ...]):
@@ -322,7 +424,8 @@ def _joins(t: Tangle, which: str) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def _closure(t: Tangle, which: str) -> tuple[DiagramAnalysis, dict[int, int]]:
     """The ``which`` closure of ``t`` as its analysis, which validates it on
-    first use, and :func:`_close`'s label map; built once per tangle."""
+    first use, and :func:`_close`'s label map; built once per tangle, and
+    only for :func:`closures` and :func:`oriented_closure`."""
     which = "numerator" if which == "numerator" else "denominator"
     if which not in t._closed:
         diag, edge_of = _close(t, _joins(t, which))
@@ -333,11 +436,13 @@ def _closure(t: Tangle, which: str) -> tuple[DiagramAnalysis, dict[int, int]]:
 def closures(t: Tangle) -> tuple[Diagram, Diagram]:
     """Numerator and denominator closures of a 2-tangle.
 
-    Each tangle builds each closure once, and ``closures``,
-    ``GenusOneStructure.closure_determinants`` and :func:`oriented_closure`
-    share it.  They are not validated here: the closure's kept analysis
-    validates it the first time its face structure is needed, so once per
-    tangle, and ``validate`` rejects a closure that is not a planar diagram.
+    Each tangle builds each closure once, and ``closures`` and
+    :func:`oriented_closure` share it.  ``GenusOneStructure.closure_determinants``
+    builds none: it reads the determinants off the parent diagram's faces,
+    and these closures are its test oracle.  They are not validated here:
+    the closure's kept analysis validates it the first time its face
+    structure is needed, so once per tangle, and ``validate`` rejects a
+    closure that is not a planar diagram.
     """
     return _closure(t, "numerator")[0].diagram, _closure(t, "denominator")[0].diagram
 
@@ -498,7 +603,7 @@ def recognize_genus_one(
             if r is None:
                 return None
             arranged.append(r)
-    return GenusOneStructure(tangles=tuple(arranged))
+    return GenusOneStructure(tangles=tuple(arranged), parent=(d, a.fs))
 
 
 def classify_orientation(gs: GenusOneStructure, od: OrientedDiagram) -> str:

@@ -200,17 +200,20 @@ def _face_orbits(d: Diagram) -> list[list[Position]]:
     arrival at slot s and the departure at slot s+1.
     """
     ends = d.edge_ends()
-    # dart identified by its arrival position; 4c darts in total
-    unvisited = {(ci, s) for ci, x in enumerate(d.crossings) for s in range(4)}
+    # dart identified by its arrival position (ci, s), index 4 * ci + s;
+    # each face starts at its lowest dart
+    visited = [False] * (4 * d.crossing_count)
     faces = []
-    while unvisited:
-        start = min(unvisited)
+    for first in range(len(visited)):
+        if visited[first]:
+            continue
+        start = divmod(first, 4)
         orbit = []
         pos = start
         while True:
             orbit.append(pos)
-            unvisited.discard(pos)
             ci, s = pos
+            visited[4 * ci + s] = True
             dep = (ci, (s + 1) % 4)
             edge = d.crossings[ci].ends[(s + 1) % 4]
             p, q = ends[edge]

@@ -274,6 +274,40 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _goeritz_matrix(vertex: dict, corners) -> list[list[int]]:
+    """The Goeritz matrix (a weighted Laplacian) of one checkerboard colour class.
+
+    ``vertex`` numbers the faces of the class; ``corners`` yields, for each
+    crossing, the faces at its corners 0..3.  A crossing joins its two
+    corners of the class with weight -eta: eta = -1 when the class sits at
+    corners 0/2, +1 when at corners 1/3.  A crossing whose two corners of
+    the class are one face adds nothing.
+    """
+    n = len(vertex)
+    g = [[0] * n for _ in range(n)]
+    for f in corners:
+        # the class's corners are an opposite pair; their parity fixes the sign
+        if f[0] in vertex:
+            fi, fj = f[0], f[2]
+            eta = -1  # the class at the B-corners (SE/NW)
+        else:
+            fi, fj = f[1], f[3]
+            eta = 1  # the class at the A-corners (NE/SW)
+        if fi == fj:
+            continue
+        i, j = vertex[fi], vertex[fj]
+        g[i][j] -= eta
+        g[j][i] -= eta
+        g[i][i] += eta
+        g[j][j] += eta
+    return g
+
+
+def _cofactor(g: list[list[int]], k: int) -> int:
+    """|det| of ``g`` with its first ``k`` rows and columns deleted."""
+    return abs(_int_det([row[k:] for row in g[k:]]))
+
+
 def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
     """|det| of the Goeritz matrix on one checkerboard color class.
 
@@ -285,27 +319,11 @@ def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
     if d.crossing_count == 0:
         return 1
     white = [fi for fi, col in enumerate(fs.checkerboard_color) if col == 0]
-    idx = {fi: i for i, fi in enumerate(white)}
-    n = len(white)
-    g = [[0] * n for _ in range(n)]
-    for ci in range(d.crossing_count):
-        corners = [fs.corner_face[(ci, k)] for k in range(4)]
-        # white corners are an opposite pair; their parity fixes the sign
-        if corners[0] in idx:
-            fi, fj = corners[0], corners[2]
-            eta = -1  # white at the B-corners (SE/NW)
-        else:
-            fi, fj = corners[1], corners[3]
-            eta = 1  # white at the A-corners (NE/SW)
-        if fi == fj:
-            continue
-        i, j = idx[fi], idx[fj]
-        g[i][j] -= eta
-        g[j][i] -= eta
-        g[i][i] += eta
-        g[j][j] += eta
-    reduced = [row[1:] for row in g[1:]]
-    return abs(_int_det(reduced))
+    g = _goeritz_matrix(
+        {fi: i for i, fi in enumerate(white)},
+        ([fs.corner_face[(ci, k)] for k in range(4)] for ci in range(d.crossing_count)),
+    )
+    return _cofactor(g, 1)
 
 
 def determinant(od: OrientedDiagram) -> int:

@@ -31,18 +31,21 @@ def test_analyze_record_brackets_once(monkeypatch):
 
 def test_decompose_record_validates_each_diagram_once(monkeypatch):
     validations = _count_calls(monkeypatch, diagram.validate)
+    splices = _count_calls(monkeypatch, diagram.splice)
     rep = decompose_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
     assert rep["recognized"] and rep["k"] == 1
-    # the diagram itself and the two closures of each of its two tangles
-    assert len(validations) == 5
-    assert len({d for (d,) in validations}) == 5
+    # the diagram itself only: the closure determinants are read off its
+    # faces, and no closure is built
+    assert splices == []
+    assert len(validations) == 1
+    assert len({id(d) for (d,) in validations}) == 1
 
 
 def test_analyze_record_validates_each_diagram_once(monkeypatch):
     validations = _count_calls(monkeypatch, diagram.validate)
     rep = analyze_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
     assert rep["fields"]["decomposition"]["status"] == "ok"
-    # as in decompose_record: the Theorem 2 signature reuses the closures
-    # that the closure determinants built and validated
-    assert len(validations) == 5
-    assert len({d for (d,) in validations}) == 5
+    # the diagram and the closure of each of its two tangles that the
+    # Theorem 2 signature orients
+    assert len(validations) == 3
+    assert len({id(d) for (d,) in validations}) == 3

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from knotinv import goeritz_determinant, serialize_pd
-from knotinv.cli import main
+from knotinv import decomp, goeritz_determinant, serialize_pd
+from knotinv.cli import KnotRecord, analyze_record, decompose_record, main
 from knotinv.sampling import random_almost_alternating_diagram
 
 from conftest import AA_TREFOIL_PD, K12N888_MIRROR_PD, TREFOIL_PD
@@ -134,6 +134,24 @@ def test_decompose_beyond_state_sum_limit(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)["records"][0]
     assert rec["status"] == "ok" and rec["recognized"]
     assert rec["conway_determinant"] == goeritz_determinant(d) == 12330
+
+
+def test_closure_structure_error_is_typed(tmp_path, capsys, monkeypatch):
+    # a tangle whose sectors do not join adjacent boundary points fails the
+    # structural check in place of closure validation
+    monkeypatch.setattr(decomp, "_sector", lambda a, b: None)
+    rec = KnotRecord(name="big", pd_text=K12N888_MIRROR_PD)
+    out = decompose_record(rec)
+    message = out.pop("message")
+    assert out == {"name": "big", "status": "error"}
+    assert message.endswith("has a malformed sector")
+    rep = analyze_record(rec)
+    assert rep["status"] == "ok"
+    assert rep["fields"]["decomposition"] == {"status": "error", "message": message}
+    f = tmp_path / "d.pd"
+    f.write_text(f"big: {K12N888_MIRROR_PD}\ntref: {TREFOIL_PD}\n")
+    assert main(["decompose", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"big: error: {message}"
 
 
 def test_json_deterministic(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from knotinv import (
@@ -6,7 +8,10 @@ from knotinv import (
     alternating_decomposition,
     classify_orientation,
     closures,
+    conway_determinant,
     determinant,
+    goeritz_determinant,
+    mirror,
     nonalternating_edges,
     orient,
     oriented_closure,
@@ -15,6 +20,7 @@ from knotinv import (
     turaev_genus,
 )
 from knotinv.diagram import Crossing
+from knotinv.sampling import random_genus_one_diagram
 
 
 def test_turaev_genus_values(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
@@ -88,10 +94,6 @@ def test_recognize_12n888(k12n888_mirror):
 
 
 def test_generated_cycles_recognized():
-    import random
-
-    from knotinv.sampling import random_genus_one_diagram
-
     rng = random.Random(3)
     seen_k = set()
     for _ in range(12):
@@ -136,3 +138,33 @@ def test_classify_orientation_12n888(k12n888_mirror):
     gs = recognize_genus_one(k12n888_mirror)
     od = orient(k12n888_mirror)
     assert classify_orientation(gs, od) in ("numerator", "denominator", "both")
+
+
+def test_closure_determinants_match_closures(k12n888_mirror):
+    """The closure determinants read off the parent's faces against the
+    Goeritz determinants of the closures themselves, the Conway determinant
+    against the diagram's, and each tangle's pair against its mirror's, on
+    12n888, its mirror and 200 seeded genus-one diagrams (k = 1-4, up to 60
+    crossings)."""
+    rng = random.Random(60)
+    corpus = [k12n888_mirror, mirror(k12n888_mirror)]
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        sizes = [rng.randint(1, 30 // k) for _ in range(2 * k)]
+        corpus.append(random_genus_one_diagram(k, rng, sizes))
+    for d in corpus:
+        gs = recognize_genus_one(d)
+        assert conway_determinant(gs) == goeritz_determinant(d)
+        mirrored = recognize_genus_one(mirror(d))
+        mirror_pairs = {
+            t.crossing_indices: pair
+            for t, pair in zip(mirrored.tangles, mirrored.closure_determinants)
+        }
+        for t, pair in zip(gs.tangles, gs.closure_determinants):
+            assert pair == tuple(goeritz_determinant(c) for c in closures(t))
+            if gs.k > 1:
+                assert mirror_pairs[t.crossing_indices] == pair
+            else:
+                # two tangles can pair their four connecting edges into
+                # channels two ways; the mirror may get the other, swapping N and D
+                assert sorted(mirror_pairs[t.crossing_indices]) == sorted(pair)
