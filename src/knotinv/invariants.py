@@ -339,10 +339,11 @@ _IMPLIED = ("not_almost_alternating", "turaev_genus_ge_2", "dealternating_number
 
 
 def jones_obstruction(v) -> ObstructionVerdict:
-    if not v.coeffs:
+    c = v.coeffs
+    if not c:
         raise ValueError("zero polynomial has no extreme coefficients")
-    a_m = v.coefficient(v.min_exponent())
-    a_M = v.coefficient(v.max_exponent())
+    a_m = c[min(c)]
+    a_M = c[max(c)]
     fires = abs(a_m) >= 2 and abs(a_M) >= 2
     return ObstructionVerdict(
         a_m=a_m, a_M=a_M, fires=fires, implied=_IMPLIED if fires else ()

@@ -37,11 +37,9 @@ _TERM_RE = re.compile(
 
 
 def _half_exponent(frac: str) -> int:
-    if "/" in frac:
-        num, den = frac.split("/")
-        num, den = int(num), int(den)
-    else:
-        num, den = int(frac), 1
+    """Twice the exponent written ``p/q``, which must be a half-integer."""
+    num, den = frac.split("/")
+    num, den = int(num), int(den)
     if den == 0 or (2 * num) % den:
         raise PolyParseError(f"exponent {frac!r} is not a half-integer")
     return 2 * num // den
@@ -50,11 +48,15 @@ def _half_exponent(frac: str) -> int:
 def parse_poly(text: str) -> LaurentPoly:
     """Parse signed-monomial polynomial text into a t_half LaurentPoly.
 
-    Accepts ``t^{k}``, ``t^k``, half-integer exponents like ``t^{1/2}``,
-    bare ``t`` (exponent 1) and bare integers (exponent 0).  Coefficients
-    at repeated exponents are summed.
+    Accepts ``t^{k}``, ``t^k``, half-integer exponents like ``t^{1/2}`` or
+    ``t^-5/2``, bare ``t`` (exponent 1), bare integers (exponent 0), an
+    optional ``*`` between coefficient and ``t``, and whitespace anywhere.
+    Runs of signs collapse (``+ -1*t^2`` reads as ``-t^2``), and
+    coefficients at repeated exponents are summed.  Every term after the
+    first needs a sign.  Malformed text raises ``PolyParseError`` naming
+    the first bad term.
     """
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     # collapse sign pairs so serializer output like "+ -1*t^2" reads back
     while True:
         t = s.replace("+-", "-").replace("-+", "-").replace("--", "+").replace("++", "+")
@@ -64,40 +66,40 @@ def parse_poly(text: str) -> LaurentPoly:
     if not s:
         raise PolyParseError("empty polynomial text")
     coeffs: dict[int, int] = {}
-    pos = 0
-    first = True
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
+    match = _TERM_RE.match
+    pos, n = 0, len(s)
+    while pos < n:
+        m = match(s, pos)  # every part is optional, so this always matches
+        end = m.end()
+        sign, coef, var, bexp, exp = m.groups()
+        if end == pos or (coef is None and var is None):
             raise PolyParseError(f"malformed polynomial near {s[pos:pos+12]!r}")
-        sign, coef, var = m.group("sign"), m.group("coef"), m.group("var")
-        exp = m.group("bexp") or m.group("exp")
-        if coef is None and var is None:
-            raise PolyParseError(f"malformed polynomial near {s[pos:pos+12]!r}")
+        exp = bexp or exp
         if exp is not None and var is None:
             raise PolyParseError(f"exponent without variable near {s[pos:pos+12]!r}")
-        if not first and not sign:
+        if pos and not sign:
             raise PolyParseError(f"missing sign between terms near {s[pos:pos+12]!r}")
-        c = int(coef) if coef is not None else 1
+        c = int(coef) if coef else 1
         if sign == "-":
             c = -c
         if var is None:
             h = 0
         elif exp is None:
             h = 2
-        else:
+        elif "/" in exp:
             h = _half_exponent(exp)
+        else:
+            h = 2 * int(exp)
         coeffs[h] = coeffs.get(h, 0) + c
-        pos = m.end()
-        first = False
+        pos = end
     return LaurentPoly("t_half", coeffs)
 
 
 def read_pd_file(path: str) -> list[KnotRecord]:
     """One PD per line, optionally prefixed ``name: pd``; blank lines and
-    ``#`` comments are skipped."""
+    ``#`` comments are skipped.  A UTF-8 byte-order mark is ignored."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -113,19 +115,29 @@ def read_pd_file(path: str) -> list[KnotRecord]:
 
 
 def read_csv(path: str) -> list[KnotRecord]:
-    """CSV with header columns ``name``, ``jones`` and optionally ``pd``."""
+    """CSV with header columns ``name``, ``jones`` and optionally ``pd``.
+
+    Blank rows are skipped and a UTF-8 byte-order mark is ignored.  A header
+    name given twice means its last column.  A row that ends before its
+    ``name`` or ``jones`` field raises ``ValueError`` naming the line.
+    """
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = set(reader.fieldnames or ())
-        if "name" not in cols or "jones" not in cols:
-            raise ValueError(f"{path}: CSV needs 'name' and 'jones' columns, got {sorted(cols)}")
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        col = {field: i for i, field in enumerate(next(reader, ()))}
+        if "name" not in col or "jones" not in col:
+            raise ValueError(f"{path}: CSV needs 'name' and 'jones' columns, got {sorted(col)}")
+        i_name, i_jones, i_pd = col["name"], col["jones"], col.get("pd")
+        need = max(i_name, i_jones) + 1
         for row in reader:
-            records.append(
-                KnotRecord(
-                    name=row["name"].strip(),
-                    pd_text=(row.get("pd") or "").strip() or None,
-                    jones_text=row["jones"].strip(),
+            n = len(row)
+            if n < need:
+                if not n:
+                    continue
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: row has {n} field(s),"
+                    f" but its 'name' and 'jones' columns need {need}"
                 )
-            )
+            pd_text = row[i_pd].strip() if i_pd is not None and i_pd < n else ""
+            records.append(KnotRecord(row[i_name].strip(), pd_text or None, row[i_jones].strip()))
     return records

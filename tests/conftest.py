@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from knotinv import LaurentPoly, parse_pd
 from knotinv.statesum import resolve_loops
+from knotinv.textio import PolyParseError
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -50,6 +52,76 @@ def bracket_state_sum(d) -> LaurentPoly:
             term = term * delta
         total = total + term
     return total
+
+
+_TERM_RE = re.compile(
+    r"""(?P<sign>[+-]?)
+        (?:(?P<coef>\d+)\*?)?
+        (?P<var>t)?
+        (?:\^(?:\{(?P<bexp>-?\d+(?:/\d+)?)\}|(?P<exp>-?\d+(?:/\d+)?)))?
+    """,
+    re.VERBOSE,
+)
+
+
+def _half_exponent(frac: str) -> int:
+    if "/" in frac:
+        num, den = frac.split("/")
+        num, den = int(num), int(den)
+    else:
+        num, den = int(frac), 1
+    if den == 0 or (2 * num) % den:
+        raise PolyParseError(f"exponent {frac!r} is not a half-integer")
+    return 2 * num // den
+
+
+def parse_poly_reference(text: str) -> LaurentPoly:
+    """``textio.parse_poly`` as it was before its one-pass rewrite, kept
+    verbatim (with its term regex and exponent helper) as the oracle for
+    the parser.  Parse signed-monomial polynomial text into a t_half
+    LaurentPoly.
+
+    Accepts ``t^{k}``, ``t^k``, half-integer exponents like ``t^{1/2}``,
+    bare ``t`` (exponent 1) and bare integers (exponent 0).  Coefficients
+    at repeated exponents are summed.
+    """
+    s = re.sub(r"\s+", "", text)
+    # collapse sign pairs so serializer output like "+ -1*t^2" reads back
+    while True:
+        t = s.replace("+-", "-").replace("-+", "-").replace("--", "+").replace("++", "+")
+        if t == s:
+            break
+        s = t
+    if not s:
+        raise PolyParseError("empty polynomial text")
+    coeffs: dict[int, int] = {}
+    pos = 0
+    first = True
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not m or m.end() == pos:
+            raise PolyParseError(f"malformed polynomial near {s[pos:pos+12]!r}")
+        sign, coef, var = m.group("sign"), m.group("coef"), m.group("var")
+        exp = m.group("bexp") or m.group("exp")
+        if coef is None and var is None:
+            raise PolyParseError(f"malformed polynomial near {s[pos:pos+12]!r}")
+        if exp is not None and var is None:
+            raise PolyParseError(f"exponent without variable near {s[pos:pos+12]!r}")
+        if not first and not sign:
+            raise PolyParseError(f"missing sign between terms near {s[pos:pos+12]!r}")
+        c = int(coef) if coef is not None else 1
+        if sign == "-":
+            c = -c
+        if var is None:
+            h = 0
+        elif exp is None:
+            h = 2
+        else:
+            h = _half_exponent(exp)
+        coeffs[h] = coeffs.get(h, 0) + c
+        pos = m.end()
+        first = False
+    return LaurentPoly("t_half", coeffs)
 
 
 @pytest.fixture

@@ -93,6 +93,18 @@ def test_obstruct_consistency_gate_pass(tmp_path, capsys):
     assert obj["records"][0]["verdict"]["fires"] is False
 
 
+def test_obstruct_csv_short_row(tmp_path, capsys):
+    f = tmp_path / "short.csv"
+    f.write_text("name,jones,pd\nk1\n")
+    rc = main(["obstruct", "--csv", str(f)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {f}, line 2: row has 1 field(s), but its 'name' and 'jones' columns need 2\n"
+    )
+
+
 def test_decompose(tmp_path, capsys):
     f = tmp_path / "d.pd"
     f.write_text(f"aat: {AA_TREFOIL_PD}\nbig: {K12N888_MIRROR_PD}\ntref: {TREFOIL_PD}\n")

@@ -22,6 +22,7 @@ from knotinv import (
     mirror,
     orient,
     parse_pd,
+    parse_poly,
     recognize_genus_one,
     reduce_kinks,
     signature_bounds,
@@ -260,6 +261,27 @@ def test_obstruction_verdicts():
     assert not quiet.fires and quiet.implied == ()
     with pytest.raises(ValueError):
         jones_obstruction(LaurentPoly("t_half", {}))
+
+
+def test_obstruction_after_cancellation():
+    # the t^5 terms cancel, so the top coefficient is that of t^3
+    verdict = jones_obstruction(parse_poly("2t^5 - 2t^5 + 3t^3 - t"))
+    assert (verdict.a_m, verdict.a_M, verdict.fires) == (-1, 3, False)
+    verdict = jones_obstruction(parse_poly("-2t^{-3} + 5 - 4t^2 + 2t^{-3} + 3t^{-1}"))
+    assert (verdict.a_m, verdict.a_M, verdict.fires) == (3, -4, True)
+
+
+def test_obstruction_mirror_swaps_extremes():
+    rng = random.Random(11)
+    for _ in range(300):
+        v = LaurentPoly(
+            "t_half", {rng.randint(-20, 20): rng.randint(-5, 5) for _ in range(rng.randint(1, 8))}
+        )
+        if v.is_zero:
+            continue
+        verdict, mirrored = jones_obstruction(v), jones_obstruction(v.mirror())
+        assert (mirrored.a_m, mirrored.a_M) == (verdict.a_M, verdict.a_m)
+        assert mirrored.fires == verdict.fires and mirrored.implied == verdict.implied
 
 
 def test_obstruction_trefoil(trefoil):

@@ -1,8 +1,13 @@
+import random
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from knotinv import KnotRecord, LaurentPoly, parse_poly, read_csv, read_pd_file
 from knotinv.textio import PolyParseError
+
+from conftest import parse_poly_reference
 
 
 def test_parse_table_row():
@@ -51,6 +56,87 @@ def test_round_trip(c):
     assert parse_poly(parse_poly(p.to_text()).to_text()) == p
 
 
+def _parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the polynomial, or the error message."""
+    try:
+        return parse(text)
+    except PolyParseError as exc:
+        return ("PolyParseError", str(exc))
+
+
+def _assert_same_as_reference(text):
+    assert _parse_outcome(parse_poly, text) == _parse_outcome(parse_poly_reference, text), text
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None, database=None)
+@given(st.text(alphabet="t^{}/-+*0123456789 x", max_size=24))
+def test_parse_poly_matches_reference_on_fuzz(text):
+    _assert_same_as_reference(text)
+
+
+_SIGNS = {1: ("+", "--", "-+-"), -1: ("-", "+-", "-+", "---")}
+_SPACES = ("", " ", "  ", "\t", "\n", "\u00a0", "\u2003")
+
+
+def _render(coeffs, rng):
+    """The polynomial ``coeffs`` (half-exponent -> coefficient) as text in
+    syntaxes picked by ``rng``: braced and bare exponents, half-integers as
+    ``h/2`` or a reducible fraction, bare ``t``, ``t^0``, implicit and
+    starred coefficients, sign runs, split terms and stray whitespace."""
+    terms = []
+    for h, c in coeffs.items():
+        parts = [c] if abs(c) < 2 or rng.random() < 0.7 else [c - c // 2, c // 2]
+        terms += [(h, part) for part in parts]
+    rng.shuffle(terms)
+    out = []
+    for h, c in terms:
+        sign = rng.choice(_SIGNS[1 if c > 0 else -1])
+        if h % 2:
+            exp = rng.choice(("{%d/2}" % h, "%d/2" % h, "{%d/6}" % (3 * h)))
+        else:
+            exp = rng.choice(("{%d}" % (h // 2), "%d" % (h // 2), "{%d/2}" % h, "%d/2" % h))
+        var = rng.choice(("t", "t^" + exp)) if h == 2 else "t^" + exp
+        if h == 0 and rng.random() < 0.7:
+            var = ""
+        mag = str(abs(c)) + (rng.choice(("", "*")) if var else "")
+        if abs(c) == 1 and var and rng.random() < 0.6:
+            mag = ""
+        out.append(sign + rng.choice(_SPACES) + mag + var)
+    text = rng.choice(_SPACES).join(out)
+    if text.startswith("+") and rng.random() < 0.5:
+        text = text[1:]
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(_SPACES) + text[i:]
+    return text
+
+
+def test_parse_poly_matches_reference_on_rendered_polynomials():
+    rng = random.Random(7)
+    for _ in range(2000):
+        coeffs = {
+            rng.randint(-30, 30): rng.choice((-1, 1)) * rng.randint(1, 120)
+            for _ in range(rng.randint(1, 10))
+        }
+        text = _render(coeffs, rng)
+        assert parse_poly(text) == parse_poly_reference(text) == LaurentPoly("t_half", coeffs), text
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("2t^2 3t^3", "missing sign between terms"),
+        ("t^{1/3} + 1", "exponent '1/3' is not a half-integer"),
+        ("2x^2 + 1", "malformed polynomial"),
+        ("^3 - t", "malformed polynomial"),
+    ],
+)
+def test_parse_poly_matches_reference_on_malformed(text, prefix):
+    _assert_same_as_reference(text)
+    with pytest.raises(PolyParseError, match="^" + re.escape(prefix)):
+        parse_poly(text)
+
+
 def test_read_pd_file(tmp_path):
     f = tmp_path / "knots.pd"
     f.write_text(
@@ -70,6 +156,41 @@ def test_read_csv(tmp_path):
     recs = read_csv(str(f))
     assert recs[0] == KnotRecord(name="k1", jones_text="t + t^3 - t^4")
     assert recs[1].pd_text.startswith("X[")
+
+
+def test_read_csv_rows(tmp_path):
+    # blank rows are skipped, a repeated header name means its last column,
+    # a missing optional pd field reads as no PD, extra fields are ignored
+    f = tmp_path / "t.csv"
+    f.write_text('pd,jones,name,jones\n\nX,"1",k1,"t",extra\n\n,"2",k2,"-t^2"\n,,k3,"3"\n')
+    assert read_csv(str(f)) == [
+        KnotRecord("k1", "X", "t"),
+        KnotRecord("k2", None, "-t^2"),
+        KnotRecord("k3", None, "3"),
+    ]
+    f.write_text('name,jones,pd\nk1,"t"\n')
+    assert read_csv(str(f)) == [KnotRecord(name="k1", jones_text="t")]
+
+
+def test_read_csv_short_row(tmp_path):
+    f = tmp_path / "short.csv"
+    f.write_text('name,jones,pd\nk1,"t",\n\nk2\n')
+    with pytest.raises(ValueError, match=r"short\.csv, line 4: row has 1 field"):
+        read_csv(str(f))
+
+
+def test_read_csv_bom(tmp_path):
+    f = tmp_path / "bom.csv"
+    f.write_bytes('\ufeffname,jones\nk1,"t + t^3 - t^4"\n'.encode("utf-8"))
+    assert read_csv(str(f)) == [KnotRecord(name="k1", jones_text="t + t^3 - t^4")]
+
+
+def test_read_pd_file_bom(tmp_path):
+    f = tmp_path / "bom.pd"
+    f.write_bytes("\ufefftrefoil: X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]\n".encode("utf-8"))
+    assert read_pd_file(str(f)) == [
+        KnotRecord(name="trefoil", pd_text="X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+    ]
 
 
 def test_read_csv_schema_error(tmp_path):
