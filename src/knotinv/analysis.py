@@ -28,14 +28,13 @@ class DiagramAnalysis:
     ``od`` imposes an orientation; without it the default orientation of
     :func:`~knotinv.diagram.orient` is used; the face structure ``od``
     carries is reused, so the diagram is not validated again.
-    ``max_crossings`` is the crossing limit of ``bracket`` and ``jones``;
-    every other field is polynomial in the crossing count and has no limit.
+    Reading ``bracket`` or ``jones`` raises
+    :class:`~knotinv.statesum.CrossingLimitError` when the bracket's sweep
+    would be too wide; every other field is polynomial in the crossing count.
     """
 
-    def __init__(self, d: Diagram, od: OrientedDiagram | None = None,
-                 max_crossings: int | None = None):
+    def __init__(self, d: Diagram, od: OrientedDiagram | None = None):
         self.diagram = d
-        self.max_crossings = max_crossings
         if od is not None:
             self.od = od
             if od.fs is not None and od.diagram is d:
@@ -88,7 +87,7 @@ class DiagramAnalysis:
 
     @cached_property
     def bracket(self) -> LaurentPoly:
-        return statesum.kauffman_bracket(self.diagram, self.max_crossings)
+        return statesum.kauffman_bracket(self.diagram)
 
     @cached_property
     def jones(self) -> LaurentPoly:

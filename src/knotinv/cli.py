@@ -74,11 +74,11 @@ def _decomposition_field(a: DiagramAnalysis) -> dict:
     return _ok(summary)
 
 
-def analyze_record(rec: KnotRecord, max_crossings: int | None = None) -> dict:
+def analyze_record(rec: KnotRecord) -> dict:
     out = {"name": rec.name, "fields": {}}
     f = out["fields"]
     try:
-        a = DiagramAnalysis(parse_pd(rec.pd_text), max_crossings=max_crossings)
+        a = DiagramAnalysis(parse_pd(rec.pd_text))
         od = a.od
     except (PDSyntaxError, DiagramError) as exc:
         out["status"] = "error"
@@ -136,7 +136,7 @@ def decompose_record(rec: KnotRecord) -> dict:
     return out
 
 
-def obstruct_record(rec: KnotRecord, max_crossings: int | None = None) -> dict:
+def obstruct_record(rec: KnotRecord) -> dict:
     out = {"name": rec.name}
     try:
         given = parse_poly(rec.jones_text) if rec.jones_text else None
@@ -147,7 +147,7 @@ def obstruct_record(rec: KnotRecord, max_crossings: int | None = None) -> dict:
     computed = None
     if rec.pd_text:
         try:
-            computed = jones(orient(parse_pd(rec.pd_text)), max_crossings)
+            computed = jones(orient(parse_pd(rec.pd_text)))
         except (PDSyntaxError, DiagramError, CrossingLimitError) as exc:
             out["status"] = "error"
             out["message"] = f"jones recomputation failed: {exc}"
@@ -183,15 +183,16 @@ def _print_invariants_text(reports):
                 print(f"  {key}: error: {cell['message']}")
 
 
+def _print_json(obj) -> None:
+    """Write ``obj`` as indented JSON and a newline, streamed to stdout
+    rather than joined into one string first."""
+    json.dump(obj, sys.stdout, indent=2)
+    print()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="knotinv", description="Diagram invariants from Kauffman state sums."
-    )
-    parser.add_argument(
-        "--max-crossings",
-        type=int,
-        default=None,
-        help="abort brackets beyond this crossing count (env KNOTINV_MAX_CROSSINGS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,9 +215,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "invariants":
             records = read_pd_file(args.pd_file)
-            reports = [analyze_record(r, args.max_crossings) for r in records]
+            reports = [analyze_record(r) for r in records]
             if args.json:
-                print(json.dumps({"records": reports}, indent=2))
+                _print_json({"records": reports})
             else:
                 _print_invariants_text(reports)
             return 1 if any(r["status"] == "error" for r in reports) else 0
@@ -225,7 +226,7 @@ def main(argv=None) -> int:
             records = read_pd_file(args.pd_file)
             reports = [decompose_record(r) for r in records]
             if args.json:
-                print(json.dumps({"records": reports}, indent=2))
+                _print_json({"records": reports})
             else:
                 for rep in reports:
                     if rep["status"] == "error":
@@ -253,16 +254,11 @@ def main(argv=None) -> int:
             records = [KnotRecord(name="poly", jones_text=args.poly)]
         else:
             records = read_csv(args.csv)
-        reports = [obstruct_record(r, args.max_crossings) for r in records]
+        reports = [obstruct_record(r) for r in records]
         fired = sum(1 for r in reports if r["status"] == "ok" and r["verdict"]["fires"])
         checked = sum(1 for r in reports if r["status"] == "ok")
         if args.json:
-            print(
-                json.dumps(
-                    {"records": reports, "summary": {"fired": fired, "checked": checked}},
-                    indent=2,
-                )
-            )
+            _print_json({"records": reports, "summary": {"fired": fired, "checked": checked}})
         else:
             for rep in reports:
                 if rep["status"] == "error":

@@ -146,6 +146,16 @@ def giller_mod4_check(sigma: int, det: int) -> bool:
     return (sigma - (det - 1)) % 4 == 0
 
 
+def _mod4_choice(m: int, det: int) -> int:
+    """The one of m - 1 and m + 1 that the mod-4 rule admits for a knot of
+    determinant ``det`` (Theorems 1 and 2 pin the signature to these two)."""
+    lo = giller_mod4_check(m - 1, det)
+    hi = giller_mod4_check(m + 1, det)
+    if lo == hi:
+        raise DiagramError("congruence selects no unique signature (convention bug)")
+    return m - 1 if lo else m + 1
+
+
 def genus_one_knot_signature(
     od: OrientedDiagram, analysis: DiagramAnalysis | None = None
 ) -> SignatureReport:
@@ -158,11 +168,7 @@ def genus_one_knot_signature(
     _, c_plus, _, _ = a.signs
     m = a.s_A - c_plus
     det = a.det
-    lo = giller_mod4_check(m - 1, det)
-    hi = giller_mod4_check(m + 1, det)
-    if lo == hi:
-        raise DiagramError("congruence selects no unique signature (convention bug)")
-    sig = m - 1 if lo else m + 1
+    sig = _mod4_choice(m, det)
     return SignatureReport(
         lower=m - 1, upper=m + 1, exact=sig, method="theorem1", det=det, mod4_ok=True
     )
@@ -181,11 +187,7 @@ def tangle_sum_signature(
         total += traczyk_signature(oc)
     det = a.det
     if od.component_count == 1:
-        lo = giller_mod4_check(total - 1, det)
-        hi = giller_mod4_check(total + 1, det)
-        if lo == hi:
-            raise DiagramError("congruence selects no unique signature (convention bug)")
-        sig = total - 1 if lo else total + 1
+        sig = _mod4_choice(total, det)
         return SignatureReport(
             lower=total - 1,
             upper=total + 1,

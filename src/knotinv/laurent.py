@@ -69,12 +69,6 @@ class LaurentPoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.variable, out)
 
-    def shift(self, delta: int) -> "LaurentPoly":
-        return LaurentPoly(self.variable, {e + delta: c for e, c in self.coeffs.items()})
-
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self.variable, {e: k * c for e, c in self.coeffs.items()})
-
     def _monomial_text(self, exponent: int, coeff: int) -> str:
         if self.variable == "t_half":
             var = "t"

@@ -1,10 +1,11 @@
 """Kauffman states, state graphs, the bracket, Jones polynomial and determinant.
 
-The determinant comes from the Goeritz matrix, so it has no crossing limit.
-The bracket (and the Jones polynomial built on it) comes from a planar sweep
-over the crossings, whose cost is exponential only in the number of open
-edge ends along the way, not in the crossing count.  The bracket still
-refuses diagrams above the crossing limit (default 24), unchanged for now.
+The determinant comes from the Goeritz matrix, so it is polynomial in the
+crossing count.  The bracket (and the Jones polynomial built on it) comes
+from a planar sweep over the crossings, whose cost is exponential only in the
+number of open edge ends along the way, not in the crossing count.  The
+bracket refuses a diagram whose sweep would hold more than
+``MAX_OPEN_ENDS`` open ends at once, before it does any work.
 
 Smoothing convention: at a crossing (e1, e2, e3, e4) the A-resolution joins
 the end-pairs (e1, e2) and (e3, e4); the B-resolution joins (e2, e3) and
@@ -17,7 +18,6 @@ bracket -A^-5 - A^3 + A^7 (the global mirror of the other chirality choice).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .diagram import (
@@ -46,24 +46,20 @@ __all__ = [
     "jones",
     "determinant",
     "goeritz_determinant",
-    "max_crossing_limit",
 ]
 
 ALL_A = "A"
 ALL_B = "B"
 
-_ENV_LIMIT = "KNOTINV_MAX_CROSSINGS"
-_DEFAULT_LIMIT = 24
+# The sweep keeps up to Catalan(w/2) matchings of w open ends, so its time
+# grows about fourfold per two more ends: a closed full twist on 8 strands
+# (16 ends) takes under a second, on 9 strands (18 ends) several seconds.
+MAX_OPEN_ENDS = 16
 
 
 class CrossingLimitError(RuntimeError):
-    """Bracket refused: crossing count exceeds the configured limit."""
-
-
-def max_crossing_limit(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(_ENV_LIMIT, _DEFAULT_LIMIT))
+    """Bracket refused: the sweep's frontier would hold more than
+    ``MAX_OPEN_ENDS`` open edge ends at once."""
 
 
 State = tuple[str, ...]  # one of "A"/"B" per crossing
@@ -143,19 +139,22 @@ def adequacy(d: Diagram) -> dict[str, bool]:
 _DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 
 
-def _sweep_order(d: Diagram) -> list[tuple[int, int, int, int]]:
-    """Crossing ends in greedy frontier order: each next crossing is the one
-    with the most ends on labels left open by the crossings before it."""
+def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Crossing ends in greedy frontier order, and the most open ends the
+    sweep holds at once: each next crossing is the one with the most ends on
+    labels left open by the crossings before it."""
     left = [x.ends for x in d.crossings]
     order = []
     open_labels: set[int] = set()
+    width = 0
     while left:
         best = max(range(len(left)), key=lambda i: sum(e in open_labels for e in left[i]))
         ends = left.pop(best)
         order.append(ends)
         for e in ends:
             open_labels ^= {e}
-    return order
+        width = max(width, len(open_labels))
+    return order, width
 
 
 def _add_term(out: dict[int, int], p: dict[int, int], shift: int, loops: int) -> dict[int, int]:
@@ -182,7 +181,7 @@ def _over_delta(p: dict[int, int]) -> dict[int, int]:
     return q
 
 
-def kauffman_bracket(d: Diagram, max_crossings: int | None = None) -> LaurentPoly:
+def kauffman_bracket(d: Diagram) -> LaurentPoly:
     """Kauffman bracket by a planar sweep, normalized so the 0-crossing
     unknot has bracket 1.
 
@@ -192,16 +191,18 @@ def kauffman_bracket(d: Diagram, max_crossings: int | None = None) -> LaurentPol
     each way the strands seen so far pair up the open edge ends (a
     noncrossing matching), the summed polynomial of the partial states that
     give it; a loop that closes multiplies by delta at once.  The work is
-    exponential only in the number of open ends, not in c.  The crossing
-    limit still applies, and is checked before any work.
+    exponential only in the number of open ends, not in c.  Raises
+    :class:`CrossingLimitError`, before any state is expanded, when the
+    order would hold more than ``MAX_OPEN_ENDS`` open ends at once.
     """
-    c = d.crossing_count
-    limit = max_crossing_limit(max_crossings)
-    if c > limit:
-        raise CrossingLimitError(f"{c} crossings exceeds the state-sum limit of {limit}")
+    order, width = _sweep_order(d)
+    if width > MAX_OPEN_ENDS:
+        raise CrossingLimitError(
+            f"sweep frontier of {width} open ends exceeds the bound of {MAX_OPEN_ENDS}"
+        )
     # matching, as the sorted (end, partner) items both ways round -> {A-exponent: coeff}
     states: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
-    for e1, e2, e3, e4 in _sweep_order(d):
+    for e1, e2, e3, e4 in order:
         nxt: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
         for key, poly in states.items():
             for shift, arcs in ((1, ((e1, e2), (e3, e4))), (-1, ((e2, e3), (e4, e1)))):
@@ -228,16 +229,14 @@ def kauffman_bracket(d: Diagram, max_crossings: int | None = None) -> LaurentPol
     return LaurentPoly("A", _over_delta(coeffs))
 
 
-def jones(
-    od: OrientedDiagram, max_crossings: int | None = None, bracket: LaurentPoly | None = None
-) -> LaurentPoly:
+def jones(od: OrientedDiagram, bracket: LaurentPoly | None = None) -> LaurentPoly:
     """V = (-A^3)^(-writhe) * <D> with A = t^(-1/4), in half-powers of t.
 
     ``bracket``, when given, is the diagram's Kauffman bracket already
-    computed; the state sum then does not run again.
+    computed; the sweep then does not run again.
     """
     if bracket is None:
-        bracket = kauffman_bracket(od.diagram, max_crossings)
+        bracket = kauffman_bracket(od.diagram)
     _, _, _, writhe = crossing_signs(od)
     sign = -1 if writhe % 2 else 1
     coeffs: dict[int, int] = {}

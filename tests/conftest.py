@@ -54,6 +54,31 @@ def bracket_state_sum(d) -> LaurentPoly:
     return total
 
 
+def full_twist_pd(n: int) -> str:
+    """PD code of the closed full twist (s_1 s_2 ... s_(n-1))^n on n strands:
+    the torus link T(n, n), with n(n - 1) crossings and n components.  The
+    bracket's sweep holds 2n open ends on it, so it measures the width bound."""
+    cur = list(range(n))  # the open strand end at each braid position
+    crossings = []
+    nxt = n
+    for _ in range(n):
+        for i in range(n - 1):
+            a, b = cur[i], cur[i + 1]
+            c, d = nxt, nxt + 1
+            nxt += 2
+            # counterclockwise from the incoming under-strand a (lower left):
+            # lower right b, upper right d, upper left c
+            crossings.append((a, b, d, c))
+            cur[i], cur[i + 1] = c, d
+    close = dict(zip(cur, range(n)))  # the closure joins the top to the bottom
+    label: dict[int, int] = {}
+    toks = []
+    for x in crossings:
+        ends = [label.setdefault(close.get(e, e), len(label) + 1) for e in x]
+        toks.append("X[%d,%d,%d,%d]" % tuple(ends))
+    return " ".join(toks)
+
+
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-]?)
         (?:(?P<coef>\d+)\*?)?

@@ -48,7 +48,7 @@ from knotinv.sampling import (
 )
 from knotinv.statesum import resolve_loops
 
-from conftest import K12N888_MIRROR_PD, det_from_jones
+from conftest import K12N888_MIRROR_PD, det_from_jones, full_twist_pd
 from test_statesum import FIG8_STATES, HOPF_STATES, TREFOIL_STATES, bracket_from_table
 
 TABLE_POLYS = {
@@ -241,7 +241,9 @@ def test_criterion_9_performance_guard():
     kauffman_bracket(d16)
     elapsed = time.time() - start
     assert elapsed < 5.0, elapsed
+    # the bracket is bounded by its sweep's width, not by the crossing count
     d25 = random_alternating_diagram(25, rng)
+    assert det_from_jones(jones(orient(d25))) == goeritz_determinant(d25)
     with pytest.raises(CrossingLimitError):
-        kauffman_bracket(d25)
+        kauffman_bracket(parse_pd(full_twist_pd(9)))
     print(f"\nPASS: criterion 9 — 16-crossing bracket in {elapsed:.2f}s; oversize input aborts cleanly")

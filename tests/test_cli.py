@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from knotinv import decomp, goeritz_determinant, serialize_pd
-from knotinv.cli import KnotRecord, analyze_record, decompose_record, main
+from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
 from knotinv.sampling import random_almost_alternating_diagram
 
-from conftest import AA_TREFOIL_PD, K12N888_MIRROR_PD, TREFOIL_PD
+from conftest import AA_TREFOIL_PD, K12N888_MIRROR_PD, TREFOIL_PD, full_twist_pd
 
 
 def data_path(name: str) -> str:
@@ -122,22 +122,32 @@ def test_decompose(tmp_path, capsys):
     assert big["conway_determinant"] == 45
 
 
-def test_max_crossings_flag(tmp_path, capsys):
+# the closed full twist on 9 strands: the bracket's sweep would hold 18 open ends
+REFUSED = "sweep frontier of 18 open ends exceeds the bound of 16"
+
+
+def test_invariants_beyond_sweep_width_bound(tmp_path, capsys):
     f = tmp_path / "d.pd"
-    f.write_text(f"tref: {TREFOIL_PD}\n")
-    rc = main(["--max-crossings", "2", "invariants", str(f), "--json"])
+    f.write_text(f"t9: {full_twist_pd(9)}\n")
+    rc = main(["invariants", str(f), "--json"])
     assert rc == 0
-    obj = json.loads(capsys.readouterr().out)
-    fields = obj["records"][0]["fields"]
-    assert fields["bracket"]["status"] == "error"
-    assert fields["jones"]["status"] == "error"
+    fields = json.loads(capsys.readouterr().out)["records"][0]["fields"]
+    for key in ("bracket", "jones", "jones_text"):
+        assert fields[key] == {"status": "error", "message": REFUSED}, key
+    assert fields["obstruction"] == {"status": "skipped"}
     assert fields["s_A"]["status"] == "ok"
-    # the determinant comes from the Goeritz matrix, not the state sum
-    assert fields["det"] == {"status": "ok", "value": 3}
+    # the determinant comes from the Goeritz matrix, not the bracket
+    assert fields["det"] == {"status": "ok", "value": 256}
+
+
+def test_obstruct_beyond_sweep_width_bound():
+    assert obstruct_record(KnotRecord(name="t9", pd_text=full_twist_pd(9))) == {
+        "name": "t9", "status": "error", "message": f"jones recomputation failed: {REFUSED}"
+    }
 
 
 def test_decompose_beyond_state_sum_limit(tmp_path, capsys):
-    # 26 crossings: its closures have 25, above the default limit of 24
+    # 26 crossings, whose closures have 25: decompose runs no bracket
     d, _ = random_almost_alternating_diagram(26, random.Random(1))
     f = tmp_path / "aa26.pd"
     f.write_text(f"aa26: {serialize_pd(d)}\n")
@@ -186,9 +196,7 @@ GOLDEN = Path(__file__).resolve().parent / "data"
     ],
     ids=["invariants", "decompose", "obstruct"],
 )
-def test_golden_output(argv, golden, capsys, monkeypatch):
-    # the golden files were printed with the default crossing limit
-    monkeypatch.delenv("KNOTINV_MAX_CROSSINGS", raising=False)
+def test_golden_output(argv, golden, capsys):
     argv = [data_path(a) if a.endswith((".pd", ".csv")) else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

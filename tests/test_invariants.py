@@ -298,16 +298,16 @@ def test_alternating_never_fires():
 
 
 def test_genus_one_extreme_jones_coefficient_at_scale():
-    """The paper's second result on genus-one diagrams of 24-60 crossings:
+    """The paper's second result on genus-one diagrams of 24-100 crossings:
     the leading or the trailing Jones coefficient has absolute value one."""
     rng = random.Random(2460)
     for _ in range(120):
         k = rng.randint(1, 4)
         sizes = [0]
         while sum(sizes) < 24:
-            sizes = [rng.randint(1, 30 // k) for _ in range(2 * k)]
+            sizes = [rng.randint(1, 50 // k) for _ in range(2 * k)]
         d = random_genus_one_diagram(k, rng, sizes)
-        assert 24 <= d.crossing_count <= 60
-        v = jones(orient(d), bracket=kauffman_bracket(d, max_crossings=60))
+        assert 24 <= d.crossing_count <= 100
+        v = jones(orient(d))
         verdict = jones_obstruction(v)
         assert min(abs(verdict.a_m), abs(verdict.a_M)) == 1, d

@@ -20,9 +20,10 @@ from knotinv import (
     state_graph,
 )
 from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
+from knotinv import statesum
 from knotinv.statesum import resolve_loops
 
-from conftest import HOPF_PD, TREFOIL_PD, bracket_state_sum, det_from_jones
+from conftest import HOPF_PD, TREFOIL_PD, bracket_state_sum, det_from_jones, full_twist_pd
 
 # Frozen full state tables: (assignment, resulting loop count).  Assignment
 # character i is the smoothing at crossing i; the loop counts were checked
@@ -195,14 +196,25 @@ def test_mirror_bracket(trefoil, fig8):
         assert kauffman_bracket(mirror(d)) == kauffman_bracket(d).mirror()
 
 
-def test_crossing_limit(trefoil):
-    with pytest.raises(CrossingLimitError):
-        kauffman_bracket(trefoil, max_crossings=2)
+def test_sweep_width_bound_admits():
+    """The closed full twist on n strands holds 2n open ends: up to 8
+    strands (56 crossings, 16 ends) the bracket is answered."""
+    for n in range(2, 9):
+        d = parse_pd(full_twist_pd(n))
+        v = jones(orient(d))
+        # V(1) = (-2)^(components - 1) and |V(-1)| = det for a link of n components
+        assert sum(v.coeffs.values()) == (-2) ** (n - 1), n
+        assert det_from_jones(v) == goeritz_determinant(d), n
 
 
-def test_crossing_limit_env(trefoil, monkeypatch):
-    monkeypatch.setenv("KNOTINV_MAX_CROSSINGS", "2")
-    with pytest.raises(CrossingLimitError):
-        kauffman_bracket(trefoil)
-    monkeypatch.setenv("KNOTINV_MAX_CROSSINGS", "3")
-    assert not kauffman_bracket(trefoil).is_zero
+def test_sweep_width_bound_refuses(monkeypatch):
+    """On 9 strands (72 crossings, 18 ends) the bracket is refused before
+    any state is expanded."""
+    d9 = parse_pd(full_twist_pd(9))
+
+    def expanded(*args):
+        raise AssertionError("a state was expanded")
+
+    monkeypatch.setattr(statesum, "_add_term", expanded)
+    with pytest.raises(CrossingLimitError, match="frontier of 18 open ends exceeds the bound of 16"):
+        kauffman_bracket(d9)
