@@ -78,7 +78,8 @@ class DiagramAnalysis:
     def genus_one(self) -> decomp.GenusOneStructure | None:
         """The genus-one normal form, or None when the diagram is not in it.
 
-        Its tangles' closure determinants are cached on the structure."""
+        Its tangles' Goeritz forms, which give the closure determinants and
+        signatures with no closure built, are cached on the structure."""
         return decomp.recognize_genus_one(self.diagram, self)
 
     @cached_property

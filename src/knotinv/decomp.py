@@ -10,12 +10,11 @@ regions; when those regions form a single cycle of proper alternating
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .diagram import (
-    Crossing,
     Diagram,
     DiagramError,
     FaceStructure,
@@ -25,7 +24,7 @@ from .diagram import (
     orient,
     splice,
 )
-from .statesum import _cofactor, _goeritz_matrix
+from .statesum import _det_signature, _goeritz_matrix
 
 if TYPE_CHECKING:
     from .analysis import DiagramAnalysis
@@ -87,28 +86,29 @@ def nonalternating_edges(d: Diagram) -> set[int]:
 
 @dataclass(frozen=True)
 class Tangle:
-    """An alternating tangle region, re-labeled as a standalone fragment.
+    """An alternating tangle region: a view on its parent diagram.
 
-    ``boundary`` lists local stub labels in cyclic order around the region,
-    read as (nw, ne, se, sw); the numerator closure joins (b0, b1) and
-    (b2, b3), the denominator closure joins (b1, b2) and (b3, b0).
+    ``crossing_indices`` are the parent's crossings in the region and
+    ``boundary_points`` the parent's marked points on its boundary, in
+    cyclic order, read as (nw, ne, se, sw); the numerator closure joins
+    points (0, 1) and (2, 3), the denominator closure (1, 2) and (3, 0).
+    Nothing is relabelled: :func:`closures` and :func:`oriented_closure`
+    splice the parent's crossings on the parent's edge labels.
     """
 
-    crossings: tuple[Crossing, ...]
-    boundary: tuple[int, ...]
-    decorations: tuple[str, ...]
+    crossing_indices: tuple[int, ...]
+    boundary_points: tuple[MarkedPoint, ...]
     proper: bool
-    crossing_indices: tuple[int, ...] = ()
-    boundary_points: tuple[MarkedPoint, ...] = ()
-    # local label -> parent edge (internal) / parent (edge, position) (stub)
-    internal_origin: dict[int, int] = field(default_factory=dict, repr=False)
-    stub_origin: dict[int, MarkedPoint] = field(default_factory=dict, repr=False)
-    # closure -> (its analysis, its label map), filled by _closure
-    _closed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    parent: Diagram = field(repr=False, compare=False)
 
     @property
     def crossing_count(self) -> int:
-        return len(self.crossings)
+        return len(self.crossing_indices)
+
+    @property
+    def decorations(self) -> tuple[str, ...]:
+        """'+' for a boundary point at an over-strand slot, '-' at an under-strand slot."""
+        return tuple("+" if pos[1] % 2 else "-" for _, pos in self.boundary_points)
 
     def to_json(self) -> dict:
         return {
@@ -136,10 +136,10 @@ class AltDecomposition:
 @dataclass(frozen=True)
 class GenusOneStructure:
     """2k proper alternating 2-tangles in a cycle; tangle i's boundary is
-    rotated so (b1, b2) are the stubs toward tangle i+1.
+    rotated so points 1 and 2 are the stubs toward tangle i+1.
 
     ``parent`` is the recognized diagram with its face structure, from which
-    the closure determinants are read.
+    each tangle's closure determinants and signatures are read.
     """
 
     tangles: tuple[Tangle, ...]
@@ -150,8 +150,9 @@ class GenusOneStructure:
         return len(self.tangles) // 2
 
     @cached_property
-    def closure_determinants(self) -> tuple[tuple[int, int], ...]:
-        """(det N(R_i), det D(R_i)) for each tangle, read off the parent's
+    def _forms(self) -> tuple[tuple[tuple[int, int], tuple[int, int], list[int]], ...]:
+        """Per tangle: (det, signature) of the Goeritz forms of N(R_i) and
+        D(R_i), and eta at each of its crossings, read off the parent's
         faces with no closure built.
 
         The parent faces cut each tangle's corners into its interior faces
@@ -159,31 +160,54 @@ class GenusOneStructure:
         points they enter and leave through.  On the colour class of S01 and
         S23, the Goeritz graph of N(R_i) has the interior faces of that
         colour plus S01 and S23 as vertices, and that of D(R_i) the same
-        with S01 and S23 merged.  By the matrix-tree theorem both
-        determinants are cofactors of one Goeritz matrix: ground S01 for
-        N(R_i), delete S23 as well for D(R_i).  The closures that
-        :func:`closures` builds are the test oracle of this route.
+        with S01 and S23 merged.  So both forms come from one Goeritz
+        matrix: ground S01 for N(R_i), delete S23 as well for D(R_i).
         """
         d, fs = self.parent
         colour = fs.checkerboard_color
         corner_key, interior, sector_face = _tangle_faces(d, fs, self.tangles)
-        dets = []
+        forms = []
         for i, t in enumerate(self.tangles):
-            # each closure: c_t crossings, internal + 2 edges, interior + 3 faces
-            euler = t.crossing_count - (len(t.internal_origin) + 2) + (len(interior[i]) + 3)
-            if len(sector_face[i]) != 4 or euler != 2:
+            # each closure has c_t crossings, 2 c_t edges and interior + 3
+            # faces, so it is planar exactly when interior = c_t - 1
+            if len(sector_face[i]) != 4 or len(interior[i]) != t.crossing_count - 1:
                 raise DiagramError(f"tangle {i} does not close to planar diagrams")
             cls = colour[sector_face[i][0]]
             vertex = {_S01: 0, _S23: 1}
             for fi in interior[i]:
                 if colour[fi] == cls:
                     vertex[fi] = len(vertex)
-            g = _goeritz_matrix(
+            g, etas = _goeritz_matrix(
                 vertex,
                 ([corner_key[(ci, k)] for k in range(4)] for ci in t.crossing_indices),
             )
-            dets.append((_cofactor(g, 1), _cofactor(g, 2)))
-        return tuple(dets)
+            forms.append((_det_signature(g, 1), _det_signature(g, 2), etas))
+        return tuple(forms)
+
+    @cached_property
+    def closure_determinants(self) -> tuple[tuple[int, int], ...]:
+        """(det N(R_i), det D(R_i)) for each tangle, by the matrix-tree
+        theorem on its Goeritz form.  The closures that :func:`closures`
+        builds are the test oracle of this route."""
+        return tuple((abs(n[0]), abs(dn[0])) for n, dn, _ in self._forms)
+
+    def closure_signatures(self, signs: tuple[int, ...], which: str) -> tuple[int, ...]:
+        """sigma of each tangle's ``which`` closure, oriented as the parent
+        with crossing signs ``signs`` induces, by Gordon-Litherland:
+        -sign(G) + mu on the tangle's Goeritz form G, where mu sums eta over
+        the crossings whose sign is -eta (those whose oriented smoothing
+        does not merge the two corners of G's colour class).
+
+        ``which`` must be a closure the parent's orientation extends to (see
+        :func:`classify_orientation`).  The closures that
+        :func:`oriented_closure` builds are the test oracle of this route.
+        """
+        k = 0 if which == "numerator" else 1
+        sigs = []
+        for t, form in zip(self.tangles, self._forms):
+            mu = sum(eta for ci, eta in zip(t.crossing_indices, form[2]) if signs[ci] == -eta)
+            sigs.append(-form[k][1] + mu)
+        return tuple(sigs)
 
 
 # Sector j of a tangle runs between boundary points j and j+1 (so S01 is
@@ -270,7 +294,7 @@ def alternating_decomposition(
     fs = a.fs
     nonalt = a.nonalternating
     if not nonalt:
-        tangle = _extract_tangle(d, tuple(range(d.crossing_count)), (), nonalt, proper=False)
+        tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False, parent=d)
         return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
 
     # arcs inside each face: consecutive blocks of marked points get joined
@@ -342,7 +366,7 @@ def alternating_decomposition(
                 ordered = tuple(curve)
                 decs = ["+" if pos[1] % 2 else "-" for _, pos in ordered]
                 proper = decs[0] != decs[1] and decs[1] != decs[2] and decs[2] != decs[3]
-        tangles.append(_extract_tangle(d, tuple(sorted(region)), ordered, nonalt, proper))
+        tangles.append(Tangle(tuple(sorted(region)), ordered, proper, d))
 
     return AltDecomposition(
         nonalternating=frozenset(nonalt),
@@ -351,133 +375,55 @@ def alternating_decomposition(
     )
 
 
-def _extract_tangle(
-    d: Diagram,
-    region: tuple[int, ...],
-    boundary_points: tuple[MarkedPoint, ...],
-    nonalt: set[int],
-    proper: bool,
-) -> Tangle:
-    local_idx = {ci: i for i, ci in enumerate(region)}
-    label = 0
-    internal: dict[int, int] = {}
-    stubs: dict[MarkedPoint, int] = {}
-    internal_origin: dict[int, int] = {}
-    stub_origin: dict[int, MarkedPoint] = {}
-
-    def edge_label(e: int, pos) -> int:
-        nonlocal label
-        if e in nonalt:
-            key = (e, pos)
-            if key not in stubs:
-                label += 1
-                stubs[key] = label
-                stub_origin[label] = key
-            return stubs[key]
-        if e not in internal:
-            label += 1
-            internal[e] = label
-            internal_origin[label] = e
-        return internal[e]
-
-    crossings = []
-    for ci in region:
-        x = d.crossings[ci]
-        crossings.append(Crossing(ends=tuple(edge_label(e, (ci, s)) for s, e in enumerate(x.ends))))
-    boundary = tuple(stubs[p] for p in boundary_points)
-    decorations = tuple("+" if pos[1] % 2 else "-" for _, pos in boundary_points)
-    return Tangle(
-        crossings=tuple(crossings),
-        boundary=boundary,
-        decorations=decorations,
-        proper=proper,
-        crossing_indices=region,
-        boundary_points=boundary_points,
-        internal_origin=internal_origin,
-        stub_origin=stub_origin,
-    )
+def _joins(t: Tangle, which: str) -> tuple[tuple[MarkedPoint, MarkedPoint], ...]:
+    """The boundary point pairs the ``which`` closure of ``t`` joins."""
+    if len(t.boundary_points) != 4:
+        raise DiagramError(f"not a 2-tangle: {len(t.boundary_points)} boundary strands")
+    p0, p1, p2, p3 = t.boundary_points
+    return ((p0, p1), (p2, p3)) if which == "numerator" else ((p1, p2), (p3, p0))
 
 
-def _close(
-    t: Tangle, joins: tuple[tuple[int, int], tuple[int, int]]
-) -> tuple[Diagram, dict[int, int]]:
-    """Join the boundary pairs of ``t``.
+def _close(t: Tangle, which: str) -> tuple[Diagram, dict[int, int]]:
+    """Splice the parent's crossings of ``t`` on the parent's labels,
+    joining the boundary edges in the pairs of the ``which`` closure.
 
-    Returns the closure, not yet validated, and the map from each tangle
-    label to its edge in the closure (empty for a crossingless closure).
+    Returns the closure, not yet validated, and splice's map from each
+    parent label the closure keeps to its edge there.  Every joined label
+    is a boundary edge that the tangle's crossings use, so the closure has
+    no free loop; the parent's other labels are dropped.
     """
-    label_count = max([e for x in t.crossings for e in x.ends] + list(t.boundary), default=0)
-    diag, edge_of = splice(t.crossings, label_count, joins)
-    if diag.free_loops and t.crossings:
-        raise DiagramError("closure is split (crossingless circle alongside crossings)")
-    if diag.free_loops != 1 and not t.crossings:
-        raise DiagramError("closure is split")
-    return diag, edge_of
-
-
-def _joins(t: Tangle, which: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    if len(t.boundary) != 4:
-        raise DiagramError(f"not a 2-tangle: {len(t.boundary)} boundary strands")
-    b0, b1, b2, b3 = t.boundary
-    return ((b0, b1), (b2, b3)) if which == "numerator" else ((b1, b2), (b3, b0))
-
-
-def _closure(t: Tangle, which: str) -> tuple[DiagramAnalysis, dict[int, int]]:
-    """The ``which`` closure of ``t`` as its analysis, which validates it on
-    first use, and :func:`_close`'s label map; built once per tangle, and
-    only for :func:`closures` and :func:`oriented_closure`."""
-    which = "numerator" if which == "numerator" else "denominator"
-    if which not in t._closed:
-        diag, edge_of = _close(t, _joins(t, which))
-        t._closed[which] = (_analysis(diag, None), edge_of)
-    return t._closed[which]
+    joins = tuple((a[0], b[0]) for a, b in _joins(t, which))
+    crossings = tuple(t.parent.crossings[ci] for ci in t.crossing_indices)
+    return splice(crossings, t.parent.edge_count, joins)
 
 
 def closures(t: Tangle) -> tuple[Diagram, Diagram]:
-    """Numerator and denominator closures of a 2-tangle.
+    """Numerator and denominator closures of a 2-tangle, built from the
+    parent diagram and not validated (``validate`` rejects a closure that
+    is not a planar diagram).
 
-    Each tangle builds each closure once, and ``closures`` and
-    :func:`oriented_closure` share it.  ``GenusOneStructure.closure_determinants``
-    builds none: it reads the determinants off the parent diagram's faces,
-    and these closures are its test oracle.  They are not validated here:
-    the closure's kept analysis validates it the first time its face
-    structure is needed, so once per tangle, and ``validate`` rejects a
-    closure that is not a planar diagram.
+    Nothing in the CLI builds them: ``GenusOneStructure`` reads the
+    closure determinants and signatures off the parent's faces, and these
+    closures are that route's test oracle.
     """
-    return _closure(t, "numerator")[0].diagram, _closure(t, "denominator")[0].diagram
+    return _close(t, "numerator")[0], _close(t, "denominator")[0]
 
 
 def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiagram:
-    """Closure carrying the orientation induced from the ambient diagram.
+    """The ``which`` closure of ``t``, built from the parent diagram, with
+    the orientation ``od`` of the parent induces; a test oracle, like
+    :func:`closures`.
 
-    The closure is the one the tangle built once (see :func:`closures`),
-    and its face structure, validated at most once, is handed to ``orient``.
+    Raises DiagramError when the orientation does not extend, that is when
+    a joined pair of boundary edges does not have one end flowing in.
     """
-    a, edge_of = _closure(t, which)
-    if not t.crossings:
-        return orient(a.diagram, fs=a.fs)
-
-    local_of = {ci: i for i, ci in enumerate(t.crossing_indices)}
-
-    def local_pos(parent_pos):
-        ci, s = parent_pos
-        return (local_of[ci], s)
-
-    heads: dict[int, tuple[int, int]] = {}
-    for local_label, e in t.internal_origin.items():
-        heads[edge_of[local_label]] = local_pos(od.head[e])
     for pair in _joins(t, which):
-        ins = []
-        for stub in pair:
-            e, pos = t.stub_origin[stub]
-            if od.head[e] == pos:
-                ins.append(stub)
-        if len(ins) != 1:
+        if sum(od.head[e] == pos for e, pos in pair) != 1:
             raise DiagramError("ambient orientation does not extend to this closure")
-        stub = ins[0]
-        e, pos = t.stub_origin[stub]
-        heads[edge_of[stub]] = local_pos(pos)
-    return orient(a.diagram, head=heads, fs=a.fs)
+    diag, edge_of = _close(t, which)
+    local_of = {ci: i for i, ci in enumerate(t.crossing_indices)}
+    heads = {edge_of[e]: (local_of[ci], s) for e, (ci, s) in od.head.items() if ci in local_of}
+    return orient(diag, head=heads)
 
 
 def _region_cycle(tangles, edge_links):
@@ -532,7 +478,9 @@ def recognize_genus_one(
     m = len(dec.tangles)
     if m < 2 or m % 2 or len(dec.curves) != m:
         return None
-    if not all(t.proper and t.crossing_count >= 1 and len(t.boundary) == 4 for t in dec.tangles):
+    if not all(
+        t.proper and t.crossing_count >= 1 and len(t.boundary_points) == 4 for t in dec.tangles
+    ):
         return None
 
     # which region each stub belongs to
@@ -562,17 +510,8 @@ def recognize_genus_one(
         edges = [stub_edge(t, k) for k in range(4)]
         for r in range(4):
             if {edges[(1 + r) % 4], edges[(2 + r) % 4]} == to_next:
-                perm = [(k + r) % 4 for k in range(4)]
-                return Tangle(
-                    crossings=t.crossings,
-                    boundary=tuple(t.boundary[k] for k in perm),
-                    decorations=tuple(t.decorations[k] for k in perm),
-                    proper=t.proper,
-                    crossing_indices=t.crossing_indices,
-                    boundary_points=tuple(t.boundary_points[k] for k in perm),
-                    internal_origin=t.internal_origin,
-                    stub_origin=t.stub_origin,
-                )
+                points = t.boundary_points
+                return replace(t, boundary_points=points[r:] + points[:r])
         return None
 
     arranged: list[Tangle] = []
@@ -613,7 +552,7 @@ def classify_orientation(gs: GenusOneStructure, od: OrientedDiagram) -> str:
     def pair_ok(t: Tangle, a: int, b: int) -> bool:
         flows_in = []
         for k in (a, b):
-            e, pos = t.stub_origin[t.boundary[k]]
+            e, pos = t.boundary_points[k]
             flows_in.append(od.head[e] == pos)
         return flows_in[0] != flows_in[1]
 

@@ -117,10 +117,12 @@ def splice(
     ``crossings`` use labels in 1..label_count, and each pair in ``joins``
     glues two of them into one strand.  Every run of glued labels that a
     crossing uses becomes one edge, numbered in the order of the runs'
-    union-find roots; the runs no crossing uses become free loops.  This is
-    a tangle closure, a smoothing (the crossing left out of ``crossings``)
-    and a kink removal alike.  Returns the diagram, not yet validated, and
-    the map from each label on a used run to its edge.
+    union-find roots.  A joined run that no crossing uses becomes a free
+    loop; a label that is neither used nor joined is dropped, so some of a
+    diagram's crossings can be spliced on that diagram's own labels.  This
+    is a tangle closure, a smoothing (the crossing left out of
+    ``crossings``) and a kink removal alike.  Returns the diagram, not yet
+    validated, and the map from each label on a used run to its edge.
     """
     uf = UnionFind(label_count + 1)
     for a, b in joins:
@@ -132,8 +134,8 @@ def splice(
         e: edge_of_root[r] for e in range(1, label_count + 1) if (r := find(e)) in edge_of_root
     }
     closed = tuple(Crossing(ends=tuple(edge_of[e] for e in x.ends)) for x in crossings)
-    # classes less the unused label 0 and the used runs
-    return Diagram(closed, len(roots), uf.classes - 1 - len(roots)), edge_of
+    loops = {find(e) for pair in joins for e in pair} - edge_of_root.keys()
+    return Diagram(closed, len(roots), len(loops)), edge_of
 
 
 _TOKEN_RE = re.compile(r"^(?:X)?[\[\(]([^\]\)]*)[\]\)]$")

@@ -8,12 +8,7 @@ import warnings
 
 from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, orient, splice, validate
 from .statesum import s_A, s_B, state_graph
-from .decomp import (
-    GenusOneStructure,
-    classify_orientation,
-    nonalternating_edges,
-    oriented_closure,
-)
+from .decomp import GenusOneStructure, classify_orientation, nonalternating_edges
 from .analysis import DiagramAnalysis
 
 __all__ = [
@@ -177,14 +172,19 @@ def genus_one_knot_signature(
 def tangle_sum_signature(
     gs: GenusOneStructure, od: OrientedDiagram, analysis: DiagramAnalysis | None = None
 ) -> SignatureReport:
-    """Theorem 2: the closures' Traczyk signatures summed, +- 1 by the determinant mod 4."""
+    """Theorem 2: the signatures of the closures the orientation extends to,
+    summed, +- 1 by the determinant mod 4.
+
+    The closure signatures are read off the parent's faces by
+    Gordon-Litherland (:meth:`GenusOneStructure.closure_signatures`), so no
+    closure is built and a closure with a nugatory crossing needs no
+    special case.  Traczyk on the reduced oriented closures is the test
+    oracle.
+    """
     a = analysis or DiagramAnalysis(od.diagram, od)
     cls = classify_orientation(gs, od)
     which = "numerator" if cls in ("numerator", "both") else "denominator"
-    total = 0
-    for t in gs.tangles:
-        oc = reduce_kinks(oriented_closure(t, od, which))
-        total += traczyk_signature(oc)
+    total = sum(gs.closure_signatures(a.signs[0], which))
     det = a.det
     if od.component_count == 1:
         sig = _mod4_choice(total, det)

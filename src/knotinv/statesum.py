@@ -1,10 +1,13 @@
 """Kauffman states, state graphs, the bracket, Jones polynomial and determinant.
 
 The determinant comes from the Goeritz matrix, so it is polynomial in the
-crossing count.  The bracket (and the Jones polynomial built on it) comes
-from a planar sweep over the crossings, whose cost is exponential only in the
-number of open edge ends along the way, not in the crossing count.  The
-bracket refuses a diagram whose sweep would hold more than
+crossing count.  One fraction-free symmetric elimination gives both the
+determinant and the signature of such a form: the genus-one closure
+signatures (Gordon-Litherland) come out of the same elimination as the
+closure determinants.  The bracket (and the Jones polynomial built on it)
+comes from a planar sweep over the crossings, whose cost is exponential only
+in the number of open edge ends along the way, not in the crossing count.
+The bracket refuses a diagram whose sweep would hold more than
 ``MAX_OPEN_ENDS`` open ends at once, before it does any work.
 
 Smoothing convention: at a crossing (e1, e2, e3, e4) the A-resolution joins
@@ -249,41 +252,19 @@ def jones(od: OrientedDiagram, bracket: LaurentPoly | None = None) -> LaurentPol
     return LaurentPoly("t_half", coeffs)
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _goeritz_matrix(vertex: dict, corners) -> list[list[int]]:
-    """The Goeritz matrix (a weighted Laplacian) of one checkerboard colour class.
+def _goeritz_matrix(vertex: dict, corners) -> tuple[list[list[int]], list[int]]:
+    """The Goeritz matrix (a weighted Laplacian) of one checkerboard colour
+    class, and each crossing's eta.
 
     ``vertex`` numbers the faces of the class; ``corners`` yields, for each
     crossing, the faces at its corners 0..3.  A crossing joins its two
     corners of the class with weight -eta: eta = -1 when the class sits at
     corners 0/2, +1 when at corners 1/3.  A crossing whose two corners of
-    the class are one face adds nothing.
+    the class are one face adds nothing to the matrix.
     """
     n = len(vertex)
     g = [[0] * n for _ in range(n)]
+    etas = []
     for f in corners:
         # the class's corners are an opposite pair; their parity fixes the sign
         if f[0] in vertex:
@@ -292,6 +273,7 @@ def _goeritz_matrix(vertex: dict, corners) -> list[list[int]]:
         else:
             fi, fj = f[1], f[3]
             eta = 1  # the class at the A-corners (NE/SW)
+        etas.append(eta)
         if fi == fj:
             continue
         i, j = vertex[fi], vertex[fj]
@@ -299,12 +281,50 @@ def _goeritz_matrix(vertex: dict, corners) -> list[list[int]]:
         g[j][i] -= eta
         g[i][i] += eta
         g[j][j] += eta
-    return g
+    return g, etas
 
 
-def _cofactor(g: list[list[int]], k: int) -> int:
-    """|det| of ``g`` with its first ``k`` rows and columns deleted."""
-    return abs(_int_det([row[k:] for row in g[k:]]))
+def _det_signature(g: list[list[int]], k: int = 0) -> tuple[int, int]:
+    """(det, signature) of the symmetric integer matrix ``g`` with its first
+    ``k`` rows and columns deleted.
+
+    Fraction-free symmetric elimination: the pivot at each step is a
+    nonzero diagonal entry of the trailing block, moved into place by
+    swapping a row and its column only when it is not there already.  When
+    the trailing diagonal is all zero, a nonzero entry (i, j) is made a
+    pivot by adding row and column j to row and column i, which leaves 2 *
+    a[i][j] on the diagonal.  Both moves are congruences of determinant
+    one, so the trailing block stays the Schur complement times the last
+    pivot, as in Bareiss's method, and each pivot's sign relative to the
+    one before it adds +-1 to the signature.  A trailing block of zeros is
+    the kernel: the determinant is 0 and it adds nothing to the signature.
+    """
+    a = [row[k:] for row in g[k:]]
+    n = len(a)
+    prev, sig = 1, 0
+    for step in range(n):
+        piv = next((i for i in range(step, n) if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(step, n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                return 0, sig
+            piv, j = pair
+            a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+            for row in a[step:]:
+                row[piv] += row[j]
+        if piv != step:
+            a[step], a[piv] = a[piv], a[step]
+            for row in a[step:]:
+                row[step], row[piv] = row[piv], row[step]
+        pivot_row = a[step]
+        p = pivot_row[step]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        tail = pivot_row[step + 1:]
+        for row in a[step + 1:]:
+            f = row[step]
+            row[step + 1:] = [(x * p - f * y) // prev for x, y in zip(row[step + 1:], tail)]
+        prev = p
+    return prev, sig
 
 
 def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
@@ -318,11 +338,11 @@ def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
     if d.crossing_count == 0:
         return 1
     white = [fi for fi, col in enumerate(fs.checkerboard_color) if col == 0]
-    g = _goeritz_matrix(
+    g, _ = _goeritz_matrix(
         {fi: i for i, fi in enumerate(white)},
         ([fs.corner_face[(ci, k)] for k in range(4)] for ci in range(d.crossing_count)),
     )
-    return _cofactor(g, 1)
+    return abs(_det_signature(g, 1)[0])
 
 
 def determinant(od: OrientedDiagram) -> int:

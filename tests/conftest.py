@@ -1,13 +1,14 @@
 import itertools
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from knotinv import LaurentPoly, parse_pd
+from knotinv import LaurentPoly, crossing_signs, parse_pd, validate
 from knotinv.statesum import resolve_loops
 from knotinv.textio import PolyParseError
 
@@ -77,6 +78,115 @@ def full_twist_pd(n: int) -> str:
         ends = [label.setdefault(close.get(e, e), len(label) + 1) for e in x]
         toks.append("X[%d,%d,%d,%d]" % tuple(ends))
     return " ".join(toks)
+
+
+def bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix: the routine
+    ``statesum`` took determinants with before its symmetric elimination,
+    kept verbatim as an oracle for it."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def fraction_det_signature(m: list[list[int]]) -> tuple[int, int]:
+    """(det, signature) of a symmetric integer matrix in exact rationals:
+    the determinant by row reduction, the signature by Lagrange's
+    diagonalisation by congruence (a zero diagonal is first made nonzero by
+    adding a row and its column to another).  The oracle for
+    ``statesum._det_signature``; slow, for small matrices."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            det = Fraction(0)
+            break
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    q = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    while q:
+        r = next((i for i in range(len(q)) if q[i][i]), None)
+        if r is None:
+            pair = next(((i, j) for i in range(len(q)) for j in range(len(q)) if q[i][j]), None)
+            if pair is None:
+                break  # the zero form: the rest is the kernel
+            r, j = pair
+            q[r] = [x + y for x, y in zip(q[r], q[j])]
+            for row in q:
+                row[r] += row[j]
+        p = q[r][r]
+        pivots.append(p)
+        # the Schur complement of the pivot, which the form splits off
+        q = [
+            [q[i][j] - q[i][r] * q[r][j] / p for j in range(len(q)) if j != r]
+            for i in range(len(q))
+            if i != r
+        ]
+    assert det.denominator == 1
+    return int(det), sum(1 if p > 0 else -1 for p in pivots)
+
+
+def gordon_litherland(od, colour: int = 0) -> tuple[int, int]:
+    """(signature, determinant) of an oriented diagram's link by
+    Gordon-Litherland on the faces of checkerboard colour ``colour``, in
+    exact rationals and independent of ``statesum``.
+
+    G is the Goeritz matrix of those faces with one row and column deleted:
+    a crossing whose two corners of the colour are distinct faces joins them
+    with weight -eta, where eta = -1 when the colour sits at corners 0/2 and
+    +1 at corners 1/3.  mu sums eta over the crossings whose sign is -eta,
+    those whose oriented smoothing does not merge the two corners of the
+    colour (nugatory crossings included).  sigma = -sign(G) + mu and
+    det = |det G|.
+    """
+    d = od.diagram
+    fs = validate(d)
+    faces = [fi for fi, col in enumerate(fs.checkerboard_color) if col == colour]
+    index = {fi: i for i, fi in enumerate(faces)}
+    g = [[0] * len(faces) for _ in faces]
+    signs = crossing_signs(od)[0]
+    mu = 0
+    for ci in range(d.crossing_count):
+        corner = [fs.corner_face[(ci, k)] for k in range(4)]
+        if fs.checkerboard_color[corner[0]] == colour:
+            f1, f2, eta = corner[0], corner[2], -1
+        else:
+            f1, f2, eta = corner[1], corner[3], 1
+        if signs[ci] == -eta:
+            mu += eta
+        if f1 != f2:
+            i, j = index[f1], index[f2]
+            g[i][j] -= eta
+            g[j][i] -= eta
+            g[i][i] += eta
+            g[j][j] += eta
+    det, sig = fraction_det_signature([row[1:] for row in g[1:]])
+    return -sig + mu, abs(det)
 
 
 _TERM_RE = re.compile(

@@ -43,9 +43,27 @@ def test_decompose_record_validates_each_diagram_once(monkeypatch):
 
 def test_analyze_record_validates_each_diagram_once(monkeypatch):
     validations = _count_calls(monkeypatch, diagram.validate)
+    splices = _count_calls(monkeypatch, diagram.splice)
     rep = analyze_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
     assert rep["fields"]["decomposition"]["status"] == "ok"
-    # the diagram and the closure of each of its two tangles that the
-    # Theorem 2 signature orients
-    assert len(validations) == 3
-    assert len({id(d) for (d,) in validations}) == 3
+    # the diagram itself only: the closure determinants and signatures are
+    # read off its faces, and no closure is built
+    assert splices == []
+    assert len(validations) == 1
+
+
+# an 11-crossing genus-one knot whose two tangles' closures keep a nugatory
+# crossing after kink removal, which Traczyk refuses
+NUGATORY_CLOSURE_PD = (
+    "X[1,2,3,4] X[5,1,4,6] X[7,5,6,8] X[7,8,10,9] X[9,10,12,11] X[11,14,15,13] "
+    "X[14,12,16,15] X[13,16,18,17] X[3,19,20,18] X[19,21,22,20] X[21,2,17,22]"
+)
+
+
+def test_theorem2_with_nugatory_closures():
+    f = analyze_record(KnotRecord(name="k11", pd_text=NUGATORY_CLOSURE_PD))["fields"]
+    assert f["decomposition"]["status"] == "ok"
+    theorem2 = f["decomposition"]["value"]["tangle_sum_signature"]
+    assert theorem2["method"] == "theorem2" and theorem2["exact"] == -4
+    assert f["signature"]["value"]["method"] == "theorem1"
+    assert f["signature"]["value"]["exact"] == -4

@@ -1,26 +1,26 @@
 import random
 
-import pytest
-
 from knotinv import (
-    DiagramError,
-    Tangle,
     alternating_decomposition,
     classify_orientation,
     closures,
     conway_determinant,
+    crossing_signs,
     determinant,
     goeritz_determinant,
+    is_reduced,
     mirror,
     nonalternating_edges,
     orient,
     oriented_closure,
-    parse_pd,
     recognize_genus_one,
+    reduce_kinks,
+    traczyk_signature,
     turaev_genus,
 )
-from knotinv.diagram import Crossing
 from knotinv.sampling import random_genus_one_diagram
+
+from conftest import gordon_litherland
 
 
 def test_turaev_genus_values(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
@@ -106,21 +106,6 @@ def test_generated_cycles_recognized():
     assert seen_k == {1, 2}
 
 
-def test_crossingless_strand_closures():
-    # vertical strands: the numerator closes to the unknot while the
-    # denominator splits into two circles, so closures() must refuse
-    from knotinv.decomp import _close
-
-    t = Tangle(crossings=(), boundary=(1, 2, 2, 1), decorations=("-", "+", "-", "+"), proper=False)
-    with pytest.raises(DiagramError):
-        closures(t)
-    num, edge_of = _close(t, ((1, 2), (2, 1)))
-    assert edge_of == {}
-    assert num.free_loops == 1 and num.crossing_count == 0
-    with pytest.raises(DiagramError):
-        _close(t, ((2, 2), (1, 1)))
-
-
 def test_oriented_closures_match_plain(aa_trefoil):
     gs = recognize_genus_one(aa_trefoil)
     od = orient(aa_trefoil)
@@ -168,3 +153,58 @@ def test_closure_determinants_match_closures(k12n888_mirror):
                 # two tangles can pair their four connecting edges into
                 # channels two ways; the mirror may get the other, swapping N and D
                 assert sorted(mirror_pairs[t.crossing_indices]) == sorted(pair)
+
+
+def _joined_edges(t, which: str) -> frozenset:
+    """The pairs of parent edges the ``which`` closure of ``t`` joins."""
+    e0, e1, e2, e3 = (e for e, _ in t.boundary_points)
+    pairs = ((e0, e1), (e2, e3)) if which == "numerator" else ((e1, e2), (e3, e0))
+    return frozenset(frozenset(pair) for pair in pairs)
+
+
+def _closure_signatures(d, od) -> dict:
+    """Face-read signature of every closure ``od`` extends to, keyed by the
+    tangle's crossings and the edges the closure joins."""
+    gs = recognize_genus_one(d)
+    cls = classify_orientation(gs, od)
+    signs = crossing_signs(od)[0]
+    out = {}
+    for which in ("numerator", "denominator") if cls == "both" else (cls,):
+        for t, sig in zip(gs.tangles, gs.closure_signatures(signs, which)):
+            out[(t.crossing_indices, _joined_edges(t, which))] = (t, which, sig)
+    return out
+
+
+def test_closure_signatures_match_closures(k12n888_mirror):
+    """The closure signatures read off the parent's faces against Traczyk
+    on each reduced oriented closure wherever it applies, and against
+    Gordon-Litherland on each oriented closure itself, on 12n888, its
+    mirror and 120 seeded genus-one diagrams (k = 1-4, up to 60 crossings).
+    Mirroring, with the orientation carried over, negates each signature."""
+    rng = random.Random(61)
+    corpus = [k12n888_mirror, mirror(k12n888_mirror)]
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        sizes = [rng.randint(1, 30 // k) for _ in range(2 * k)]
+        corpus.append(random_genus_one_diagram(k, rng, sizes))
+    traczyk = unreduced = 0
+    for d in corpus:
+        od = orient(d)
+        sigs = _closure_signatures(d, od)
+        for t, which, sig in sigs.values():
+            oc = oriented_closure(t, od, which)
+            assert sig == gordon_litherland(oc)[0]
+            red = reduce_kinks(oc)
+            if is_reduced(red.diagram):
+                assert sig == traczyk_signature(red)
+                traczyk += 1
+            else:
+                unreduced += 1
+        # slot s of a crossing is slot s - 1 of its mirror image
+        mirrored_od = orient(
+            mirror(d), head={e: (ci, (s - 1) % 4) for e, (ci, s) in od.head.items()}
+        )
+        mirrored = _closure_signatures(mirror(d), mirrored_od)
+        assert mirrored.keys() == sigs.keys()
+        assert all(mirrored[key][2] == -sig for key, (_, _, sig) in sigs.items())
+    assert traczyk > 300 and unreduced > 20

@@ -6,15 +6,18 @@ from knotinv import (
     Crossing,
     DiagramError,
     PDSyntaxError,
+    closures,
     crossing_signs,
     mirror,
     orient,
     parse_pd,
+    recognize_genus_one,
     serialize_pd,
     validate,
 )
+from knotinv.diagram import splice
 
-from conftest import TREFOIL_PD, FIG8_PD, HOPF_PD
+from conftest import AA_TREFOIL_PD, TREFOIL_PD, FIG8_PD, HOPF_PD
 
 
 def test_parse_round_trip():
@@ -119,3 +122,20 @@ def test_relabel_invariance(perm):
         edge_count=6,
     )
     assert validate(relabeled).face_count == 5
+
+
+def test_splice_free_loops():
+    """A joined run that no crossing uses is a free loop; a label neither
+    used nor joined is dropped, so some of a diagram's crossings can be
+    spliced on that diagram's own labels."""
+    d, edge_of = splice((Crossing((1, 2, 3, 4)),), 8, ((1, 2), (3, 4), (5, 6)))
+    assert d == Diagram((Crossing((1, 1, 2, 2)),), 2, 1)  # run {5, 6}; 7 and 8 dropped
+    assert edge_of == {1: 1, 2: 1, 3: 2, 4: 2}
+    # two crossingless vertical strands: one circle closed one way, two the other
+    assert splice((), 2, ((1, 2), (2, 1))) == (Diagram((), 0, 1), {})
+    assert splice((), 2, ((1, 1), (2, 2))) == (Diagram((), 0, 2), {})
+    # a tangle's closures, spliced on its parent's labels, drop the labels
+    # of the other tangle rather than counting them as loops
+    for t in recognize_genus_one(parse_pd(AA_TREFOIL_PD)).tangles:
+        for c in closures(t):
+            assert c.free_loops == 0 and c.edge_count == 2 * c.crossing_count

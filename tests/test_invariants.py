@@ -20,6 +20,7 @@ from knotinv import (
     kauffman_bracket,
     mark_almost_alternating,
     mirror,
+    nonalternating_edges,
     orient,
     parse_pd,
     parse_poly,
@@ -29,6 +30,7 @@ from knotinv import (
     state_graph,
     tangle_sum_signature,
     traczyk_signature,
+    turaev_genus,
     validate,
 )
 from knotinv.diagram import Crossing, Diagram
@@ -39,6 +41,8 @@ from knotinv.sampling import (
     random_diagram,
     random_genus_one_diagram,
 )
+
+from conftest import gordon_litherland
 
 
 def test_traczyk_trefoil(trefoil):
@@ -161,6 +165,46 @@ def test_theorem2_12n888(k12n888_mirror):
     rep = tangle_sum_signature(gs, od)
     assert rep.exact == 8 and rep.method == "theorem2"
     assert rep.mod4_ok
+
+
+def test_gordon_litherland_agrees_with_every_route():
+    """Gordon-Litherland (the conftest oracle, both colour classes) against
+    the bounds, Traczyk, Theorem 1 and Theorem 2 wherever each applies, and
+    the mod-4 rule on every knot, over 240 seeded random, alternating and
+    genus-one diagrams."""
+    rng = random.Random(125)
+    applied = dict(traczyk=0, theorem1=0, theorem2=0, theorem2_link=0, knots=0)
+    for i in range(240):
+        if i % 3 == 0:
+            d = random_diagram(rng.randint(1, 12), rng)
+        elif i % 3 == 1:
+            d = random_alternating_diagram(rng.randint(1, 14), rng)
+        else:
+            k = rng.randint(1, 2)
+            d = random_genus_one_diagram(k, rng, [rng.randint(1, 4) for _ in range(2 * k)])
+        od = orient(d)
+        sig, det = gordon_litherland(od)
+        assert gordon_litherland(od, colour=1) == (sig, det)
+        bounds = signature_bounds(od)
+        assert bounds.lower <= sig <= bounds.upper
+        if not nonalternating_edges(d) and is_reduced(d):
+            assert traczyk_signature(od) == sig
+            applied["traczyk"] += 1
+        knot = od.component_count == 1
+        if knot:
+            assert giller_mod4_check(sig, det)
+            applied["knots"] += 1
+            if turaev_genus(d) == 1:
+                assert genus_one_knot_signature(od).exact == sig
+                applied["theorem1"] += 1
+        gs = recognize_genus_one(d)
+        if gs is not None:
+            rep = tangle_sum_signature(gs, od)
+            assert rep.lower <= sig <= rep.upper
+            if knot:
+                assert rep.exact == sig
+            applied["theorem2" if knot else "theorem2_link"] += 1
+    assert min(applied.values()) >= 30, applied
 
 
 def test_conway_determinant_12n888(k12n888_mirror):

@@ -23,7 +23,15 @@ from knotinv.sampling import random_alternating_diagram, random_diagram, random_
 from knotinv import statesum
 from knotinv.statesum import resolve_loops
 
-from conftest import HOPF_PD, TREFOIL_PD, bracket_state_sum, det_from_jones, full_twist_pd
+from conftest import (
+    HOPF_PD,
+    TREFOIL_PD,
+    bareiss_det,
+    bracket_state_sum,
+    det_from_jones,
+    fraction_det_signature,
+    full_twist_pd,
+)
 
 # Frozen full state tables: (assignment, resulting loop count).  Assignment
 # character i is the smoothing at crossing i; the loop counts were checked
@@ -140,6 +148,41 @@ def test_goeritz_agrees(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
     for d in itertools.chain(fixed, _determinant_corpus()):
         od = orient(d)
         assert determinant(od) == goeritz_determinant(d) == det_from_jones(jones(od))
+
+
+def _symmetric_matrices(rng: random.Random, count: int):
+    """Seeded random symmetric integer matrices of sizes 0-8: every third
+    one with an all-zero diagonal, every fifth one singular (its last row
+    and column copy its first), about a third of the entries zero."""
+    for i in range(count):
+        n = rng.randint(0, 8)
+        m = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r, n):
+                m[r][c] = m[c][r] = rng.randint(-3, 3) if rng.random() < 0.7 else 0
+        if i % 3 == 0:
+            for r in range(n):
+                m[r][r] = 0
+        if i % 5 == 0 and n > 1:
+            m[-1] = m[0][:]
+            for row in m:
+                row[-1] = row[0]
+        yield m
+
+
+def test_det_signature_matches_references():
+    """One elimination's (det, signature) against Bareiss and against exact
+    rational diagonalisation, on 3000 seeded symmetric matrices."""
+    singular = zero_diagonal = 0
+    for m in _symmetric_matrices(random.Random(3000), 3000):
+        got = statesum._det_signature(m)
+        assert got == fraction_det_signature(m), m
+        assert got[0] == bareiss_det(m), m
+        singular += got[0] == 0
+        zero_diagonal += len(m) > 1 and not any(m[i][i] for i in range(len(m)))
+        if m:
+            assert statesum._det_signature(m, 1) == statesum._det_signature([r[1:] for r in m[1:]])
+    assert singular > 300 and zero_diagonal > 800
 
 
 def _bracket_corpus():
