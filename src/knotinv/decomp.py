@@ -19,8 +19,6 @@ from .diagram import (
     DiagramError,
     FaceStructure,
     OrientedDiagram,
-    Position,
-    UnionFind,
     orient,
     splice,
 )
@@ -71,17 +69,11 @@ def turaev_genus(d: Diagram, analysis: DiagramAnalysis | None = None) -> int:
 
 
 def nonalternating_edges(d: Diagram) -> set[int]:
-    """Edges whose two ends are both over-passes or both under-passes."""
-    first_parity: dict[int, int] = {}
-    bad = set()
-    for x in d.crossings:
-        for s, e in enumerate(x.ends):
-            parity = first_parity.pop(e, None)
-            if parity is None:
-                first_parity[e] = s % 2
-            elif parity == s % 2:
-                bad.add(e)
-    return bad
+    """Edges whose two ends are both over-passes or both under-passes: the
+    labels of the darts ``a`` whose ``mate[a]`` has the same slot parity."""
+    mate = d.mate
+    labels = (e for x in d.crossings for e in x.ends)
+    return {e for a, e in enumerate(labels) if not (a ^ mate[a]) & 1}
 
 
 @dataclass(frozen=True)
@@ -178,8 +170,7 @@ class GenusOneStructure:
                 if colour[fi] == cls:
                     vertex[fi] = len(vertex)
             g, etas = _goeritz_matrix(
-                vertex,
-                ([corner_key[(ci, k)] for k in range(4)] for ci in t.crossing_indices),
+                vertex, (corner_key[4 * ci:4 * ci + 4] for ci in t.crossing_indices)
             )
             forms.append((_det_signature(g, 1), _det_signature(g, 2), etas))
         return tuple(forms)
@@ -231,146 +222,142 @@ def _sector(a: int | None, b: int | None) -> int | None:
 def _tangle_faces(d: Diagram, fs: FaceStructure, tangles: tuple[Tangle, ...]):
     """Split the parent's face orbits into runs of corners by tangle.
 
-    Returns the key of every corner (an interior face's index, or its
-    sector's key), each tangle's interior faces, and each tangle's map from
-    sector index 0..3 to the parent face it lies in.  Raises DiagramError
-    when a run does not join cyclically adjacent boundary points or a
-    tangle has a sector twice.
+    Returns the key of every corner, indexed by dart (an interior face's
+    index, or its sector's key), each tangle's interior faces, and each
+    tangle's map from sector index 0..3 to the parent face it lies in.
+    Raises DiagramError when a run does not join cyclically adjacent
+    boundary points or a tangle has a sector twice.
     """
-    owner = {ci: i for i, t in enumerate(tangles) for ci in t.crossing_indices}
-    point = [{p: k for k, p in enumerate(t.boundary_points)} for t in tangles]
-    corner_key: dict[Position, int] = {}
+    mate = d.mate
+    owner = [0] * d.crossing_count
+    point: list[int | None] = [None] * (4 * d.crossing_count)  # boundary index by dart
+    for i, t in enumerate(tangles):
+        for ci in t.crossing_indices:
+            owner[ci] = i
+        for k, (_, (ci, s)) in enumerate(t.boundary_points):
+            point[4 * ci + s] = k
+    corner_key = [0] * (4 * d.crossing_count)
     interior: list[list[int]] = [[] for _ in tangles]
     sector_face: list[dict[int, int]] = [{} for _ in tangles]
     for fi, orbit in enumerate(fs.faces):
-        owners = [owner[ci] for ci, _ in orbit]
+        owners = [owner[a >> 2] for a in orbit]
         starts = [r for r in range(len(orbit)) if owners[r - 1] != owners[r]]
         if not starts:
             interior[owners[0]].append(fi)
-            for corner in orbit:
-                corner_key[corner] = fi
+            for a in orbit:
+                corner_key[a] = fi
             continue
         for r, start in enumerate(starts):
             end = starts[(r + 1) % len(starts)]
             run = orbit[start:end] if start < end else orbit[start:] + orbit[:end]
             i = owners[start]
-            # enters at the first corner's slot, leaves after the last corner
-            ci, s = run[0]
-            cj, sj = run[-1][0], (run[-1][1] + 1) % 4
-            j = _sector(
-                point[i].get((d.crossings[ci].ends[s], (ci, s))),
-                point[i].get((d.crossings[cj].ends[sj], (cj, sj))),
-            )
+            # enters at the first corner's dart and leaves by the mate of the
+            # next run's first corner
+            j = _sector(point[run[0]], point[mate[orbit[end]]])
             if j is None or j in sector_face[i]:
                 raise DiagramError(f"tangle {i} has a malformed sector")
             sector_face[i][j] = fi
-            for corner in run:
-                corner_key[corner] = -1 - j
+            for a in run:
+                corner_key[a] = -1 - j
     return corner_key, interior, sector_face
-
-
-def _face_steps(d: Diagram, orbit: tuple[tuple[int, int], ...]):
-    """Edge traversals of one face orbit: (edge, from_pos, to_pos) per step.
-
-    Step i runs from the departure after corner i to the arrival corner i+1.
-    """
-    steps = []
-    n = len(orbit)
-    for i in range(n):
-        ci, s = orbit[i]
-        dep = (ci, (s + 1) % 4)
-        edge = d.crossings[ci].ends[(s + 1) % 4]
-        arr = orbit[(i + 1) % n]
-        steps.append((edge, dep, arr))
-    return steps
 
 
 def alternating_decomposition(
     d: Diagram, analysis: DiagramAnalysis | None = None
 ) -> AltDecomposition:
     """Curve system and alternating tangles; ``analysis`` supplies the
-    face structure and the non-alternating edges when given."""
+    face structure and the non-alternating edges when given.
+
+    A marked point is a dart on a non-alternating edge, one whose ``mate``
+    has the same slot parity; it is turned into a :data:`MarkedPoint` only
+    for the output."""
     a = _analysis(d, analysis)
     fs = a.fs
     nonalt = a.nonalternating
     if not nonalt:
         tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False, parent=d)
         return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
+    mate = d.mate
+    labels = [e for x in d.crossings for e in x.ends]
 
-    # arcs inside each face: consecutive blocks of marked points get joined
-    arcs: list[tuple[MarkedPoint, MarkedPoint]] = []
+    # arcs inside each face: a step of the face along a non-alternating edge
+    # is a block from its departure dart to its arrival dart (the next
+    # corner), and the arrival of each block is joined to the departure of
+    # the next
+    adj: dict[int, list[int]] = {}
     for orbit in fs.faces:
-        blocks: list[tuple[MarkedPoint, MarkedPoint]] = []
-        for edge, dep, arr in _face_steps(d, orbit):
-            if edge in nonalt:
-                blocks.append(((edge, dep), (edge, arr)))
-        for i, block in enumerate(blocks):
-            nxt = blocks[(i + 1) % len(blocks)]
-            arcs.append((block[1], nxt[0]))
-
-    adj: dict[MarkedPoint, list[MarkedPoint]] = {}
-    for p, q in arcs:
-        if p == q:
-            raise DiagramError("degenerate alternating decomposition (self-arc)")
-        adj.setdefault(p, []).append(q)
-        adj.setdefault(q, []).append(p)
+        arrivals = [b for b in orbit[1:] + orbit[:1] if not (b ^ mate[b]) & 1]
+        for i, b in enumerate(arrivals):
+            p, q = b, mate[arrivals[(i + 1) % len(arrivals)]]
+            if p == q:
+                raise DiagramError("degenerate alternating decomposition (self-arc)")
+            adj.setdefault(p, []).append(q)
+            adj.setdefault(q, []).append(p)
     for p, nbrs in adj.items():
         if len(nbrs) != 2:
-            raise DiagramError(f"marked point {p} has arc degree {len(nbrs)}")
+            raise DiagramError(
+                f"marked point {(labels[p], divmod(p, 4))} has arc degree {len(nbrs)}"
+            )
 
-    curves: list[tuple[MarkedPoint, ...]] = []
-    unvisited = set(adj)
-    while unvisited:
-        start = min(unvisited)
+    # every marked dart, in (label, dart) order: curves start at the first
+    # one not yet on a curve
+    marked = sorted(adj, key=lambda b: (labels[b], b))
+    point = {b: (labels[b], divmod(b, 4)) for b in marked}
+    curve_of: dict[int, int] = {}
+    curves: list[list[int]] = []
+    for start in marked:
+        if start in curve_of:
+            continue
+        k = curve_of[start] = len(curves)
         cycle = [start]
-        unvisited.discard(start)
         prev, cur = None, start
         while True:
-            a, b = adj[cur]
-            nxt = b if a == prev else a
+            x, y = adj[cur]
+            nxt = y if x == prev else x
             if nxt == start:
                 break
             cycle.append(nxt)
-            unvisited.discard(nxt)
+            curve_of[nxt] = k
             prev, cur = cur, nxt
-        curves.append(tuple(cycle))
+        curves.append(cycle)
 
     # maximal alternating regions: crossings joined by alternating edges
-    uf = UnionFind(d.crossing_count)
-    ends = d.edge_ends()
-    for e, ((c1, _), (c2, _)) in ends.items():
-        if e not in nonalt:
-            uf.union(c1, c2)
-    regions: dict[int, list[int]] = {}
-    for ci in range(d.crossing_count):
-        regions.setdefault(uf.find(ci), []).append(ci)
+    region_of = [-1] * d.crossing_count
+    regions: list[list[int]] = []
+    for first in range(d.crossing_count):
+        if region_of[first] >= 0:
+            continue
+        r = region_of[first] = len(regions)
+        members = [first]
+        for ci in members:
+            for b in mate[4 * ci:4 * ci + 4]:
+                cj = b >> 2
+                if region_of[cj] < 0 and (b ^ mate[b]) & 1:
+                    region_of[cj] = r
+                    members.append(cj)
+        regions.append(sorted(members))
+    points: list[list[int]] = [[] for _ in regions]
+    for b in marked:
+        points[region_of[b >> 2]].append(b)
 
-    point_curve = {p: k for k, curve in enumerate(curves) for p in curve}
     tangles = []
-    for region in sorted(regions.values(), key=min):
-        region_set = set(region)
-        pts = [
-            (e, pos)
-            for e in sorted(nonalt)
-            for pos in ends[e]
-            if pos[0] in region_set
-        ]
+    for region, pts in zip(regions, points):
         # cyclic boundary order comes from the curve when the region is a
         # genuine 2-tangle (all four points on one curve of length four)
-        curve_ids = {point_curve[p] for p in pts}
-        ordered = tuple(sorted(pts))
+        ordered = pts
         proper = False
+        curve_ids = {curve_of[b] for b in pts}
         if len(pts) == 4 and len(curve_ids) == 1:
             curve = curves[curve_ids.pop()]
             if len(curve) == 4:
-                ordered = tuple(curve)
-                decs = ["+" if pos[1] % 2 else "-" for _, pos in ordered]
-                proper = decs[0] != decs[1] and decs[1] != decs[2] and decs[2] != decs[3]
-        tangles.append(Tangle(tuple(sorted(region)), ordered, proper, d))
+                ordered = curve
+                p0, p1, p2, p3 = (b & 1 for b in curve)
+                proper = p0 != p1 != p2 != p3
+        tangles.append(Tangle(tuple(region), tuple(map(point.get, ordered)), proper, d))
 
     return AltDecomposition(
         nonalternating=frozenset(nonalt),
-        curves=tuple(curves),
+        curves=tuple(tuple(map(point.get, curve)) for curve in curves),
         tangles=tuple(tangles),
     )
 
@@ -484,14 +471,15 @@ def recognize_genus_one(
         return None
 
     # which region each stub belongs to
-    region_of: dict[int, int] = {}
+    region_of = [0] * d.crossing_count
     for i, t in enumerate(dec.tangles):
         for ci in t.crossing_indices:
             region_of[ci] = i
-    ends = d.edge_ends()
+    # the two ends of each non-alternating edge are boundary points of the
+    # tangles, and consecutive in (label, dart) order
+    ends = sorted(p for t in dec.tangles for p in t.boundary_points)
     edge_links: dict[tuple[int, int], list[int]] = {}
-    for e in sorted(dec.nonalternating):
-        (c1, _), (c2, _) = ends[e]
+    for (e, (c1, _)), (_, (c2, _)) in zip(ends[::2], ends[1::2]):
         i, j = region_of[c1], region_of[c2]
         if i == j:
             return None

@@ -4,8 +4,16 @@ A diagram is a list of crossings, each a 4-tuple of edge labels read
 counterclockwise starting at the incoming under-strand.  Geometrically the
 four slots of a crossing sit at the compass points S, E, N, W (slots
 0, 1, 2, 3), so the under-strand occupies slots 0 and 2 and the over-strand
-slots 1 and 3.  All face/corner bookkeeping below is derived from that
-rotation system.
+slots 1 and 3.
+
+Every face, state and strand computation reads one table.  Slot ``s`` of
+crossing ``ci`` is the *dart* ``4 * ci + s``; ``Diagram.mate[a]`` is the
+dart at the other end of dart ``a``'s edge.  The rest are bit operations on
+a dart: ``a >> 2`` is its crossing, ``a & 3`` its slot, ``a ^ 2`` the dart
+across the crossing on the same strand, and ``a ^ 1`` / ``a ^ 3`` the dart
+the A- / B-smoothing joins it to.  Faces are the orbits of
+``a -> mate[next slot of a]`` (Lando-Zvonkin, *Graphs on Surfaces and Their
+Applications*, ch. 1).
 """
 
 from __future__ import annotations
@@ -56,6 +64,12 @@ class Diagram:
 
     ``free_loops`` counts crossingless circle components; the empty diagram
     with one free loop is the 0-crossing unknot.
+
+    ``mate`` is the dart table, built with the label check: ``mate[a]`` is
+    the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
+    ``s`` of crossing ``ci``), so ``mate[mate[a]] == a``.  It is derived
+    from ``crossings``, so it is not a field: it is neither compared nor
+    shown in the repr.
     """
 
     crossings: tuple[Crossing, ...]
@@ -63,27 +77,36 @@ class Diagram:
     free_loops: int = 0
 
     def __post_init__(self):
-        seen: dict[int, int] = {}
+        n = self.edge_count
+        first = [-1] * (n + 1)  # the first dart seen on each label
+        mate = [-1] * (4 * len(self.crossings))
+        bad = False
+        a = 0
         for x in self.crossings:
             for e in x.ends:
-                if not isinstance(e, int) or e < 1 or e > self.edge_count:
-                    raise DiagramError(f"edge label {e!r} out of range 1..{self.edge_count}")
-                seen[e] = seen.get(e, 0) + 1
-        for e in range(1, self.edge_count + 1):
-            if seen.get(e, 0) != 2:
-                raise DiagramError(f"edge {e} appears {seen.get(e, 0)} times, expected 2")
+                if not isinstance(e, int) or e < 1 or e > n:
+                    raise DiagramError(f"edge label {e!r} out of range 1..{n}")
+                b = first[e]
+                if b < 0:
+                    first[e] = a
+                else:
+                    bad |= mate[b] >= 0  # a third end of the label
+                    mate[a] = b
+                    mate[b] = a
+                a += 1
+        if bad or -1 in mate or len(mate) != 2 * n:  # some label not used twice
+            seen: dict[int, int] = {}
+            for x in self.crossings:
+                for e in x.ends:
+                    seen[e] = seen.get(e, 0) + 1
+            for e in range(1, n + 1):
+                if seen.get(e, 0) != 2:
+                    raise DiagramError(f"edge {e} appears {seen.get(e, 0)} times, expected 2")
+        object.__setattr__(self, "mate", tuple(mate))
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    def edge_ends(self) -> dict[int, list[Position]]:
-        """Map each edge label to its two end positions, in scan order."""
-        ends: dict[int, list[Position]] = {e: [] for e in range(1, self.edge_count + 1)}
-        for ci, x in enumerate(self.crossings):
-            for s, e in enumerate(x.ends):
-                ends[e].append((ci, s))
-        return ends
 
 
 class UnionFind:
@@ -138,7 +161,28 @@ def splice(
     return Diagram(closed, len(roots), len(loops)), edge_of
 
 
-_TOKEN_RE = re.compile(r"^(?:X)?[\[\(]([^\]\)]*)[\]\)]$")
+# X[a,b,c,d], X(a,b,c,d), [a,b,c,d] or (a,b,c,d), brackets matched: the
+# optional group 1 is the "[" that selects the closing "]" over ")"
+_TOKEN_RE = re.compile(
+    r"X?(\[)?(?(1)|\()(-?[0-9]+),(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)(?(1)\]|\))"
+)
+
+
+def _token_error(tok: str) -> PDSyntaxError:
+    """Why ``tok`` is not a crossing: its shape, its arity (empty fields
+    count) or a label that is not an ASCII integer."""
+    body = tok[1:] if tok.startswith("X") else tok
+    if (
+        len(body) < 2
+        or body[0] + body[-1] not in ("[]", "()")
+        or "]" in body[1:-1]
+        or ")" in body[1:-1]
+    ):
+        return PDSyntaxError(f"malformed token {tok!r}")
+    items = body[1:-1].split(",") if len(body) > 2 else []
+    if len(items) != 4:
+        return PDSyntaxError(f"malformed token {tok!r} (arity {len(items)})")
+    return PDSyntaxError(f"non-integer label in token {tok!r}")
 
 
 def parse_pd(text: str) -> Diagram:
@@ -146,28 +190,23 @@ def parse_pd(text: str) -> Diagram:
 
     Also accepts ``X(a,b,c,d)`` and bare ``[a,b,c,d]`` / ``(a,b,c,d)``
     tuples; each ``U`` token adds one free unknotted loop.  Empty text is
-    the 0-crossing unknot.
+    the 0-crossing unknot.  A label is an optionally negative run of ASCII
+    digits; a negative one is refused by the label range check.
     """
     tokens = text.split()
     if not tokens:
         return Diagram(crossings=(), edge_count=0, free_loops=1)
     crossings: list[Crossing] = []
     free_loops = 0
+    match = _TOKEN_RE.fullmatch
     for tok in tokens:
         if tok == "U":
             free_loops += 1
             continue
-        m = _TOKEN_RE.match(tok)
+        m = match(tok)
         if not m:
-            raise PDSyntaxError(f"malformed token {tok!r}")
-        items = [p for p in m.group(1).split(",") if p.strip()]
-        if len(items) != 4:
-            raise PDSyntaxError(f"malformed token {tok!r} (arity {len(items)})")
-        try:
-            ends = tuple(int(p) for p in items)
-        except ValueError:
-            raise PDSyntaxError(f"non-integer label in token {tok!r}") from None
-        crossings.append(Crossing(ends=ends))
+            raise _token_error(tok)
+        crossings.append(Crossing(ends=tuple(map(int, m.group(2, 3, 4, 5)))))
     edge_count = max((e for x in crossings for e in x.ends), default=0)
     return Diagram(crossings=tuple(crossings), edge_count=edge_count, free_loops=free_loops)
 
@@ -182,48 +221,21 @@ def serialize_pd(d: Diagram) -> str:
 class FaceStructure:
     """Faces of the rotation system plus a proper checkerboard 2-coloring.
 
-    Each face is a tuple of corners ``(crossing, k)``: the corner of that
-    crossing between slots k and k+1.  ``checkerboard_color[f]`` is 0 or 1.
+    Each face is a tuple of darts, starting at its lowest: dart ``a`` stands
+    for the corner of crossing ``a >> 2`` between slots ``a & 3`` and the
+    next one counterclockwise, and the face runs from corner ``a`` along the
+    edge at the next slot to corner ``Diagram.mate`` of that slot's dart.
+    ``face_of[a]`` is the index of the face at corner ``a`` and
+    ``checkerboard_color[f]`` is 0 or 1.
     """
 
-    faces: tuple[tuple[Position, ...], ...]
+    faces: tuple[tuple[int, ...], ...]
     checkerboard_color: tuple[int, ...]
-    corner_face: dict[Position, int] = field(repr=False, default_factory=dict)
+    face_of: list[int] = field(repr=False, default_factory=list)
 
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-
-def _face_orbits(d: Diagram) -> list[list[Position]]:
-    """Face traversal: arriving at slot s, the face continues from slot s+1.
-
-    Returns one corner list per face; corner (c, s) is swept between the
-    arrival at slot s and the departure at slot s+1.
-    """
-    ends = d.edge_ends()
-    # dart identified by its arrival position (ci, s), index 4 * ci + s;
-    # each face starts at its lowest dart
-    visited = [False] * (4 * d.crossing_count)
-    faces = []
-    for first in range(len(visited)):
-        if visited[first]:
-            continue
-        start = divmod(first, 4)
-        orbit = []
-        pos = start
-        while True:
-            orbit.append(pos)
-            ci, s = pos
-            visited[4 * ci + s] = True
-            dep = (ci, (s + 1) % 4)
-            edge = d.crossings[ci].ends[(s + 1) % 4]
-            p, q = ends[edge]
-            pos = q if p == dep else p
-            if pos == start:
-                break
-        faces.append(orbit)
-    return faces
 
 
 def validate(d: Diagram) -> FaceStructure:
@@ -239,52 +251,58 @@ def validate(d: Diagram) -> FaceStructure:
         return FaceStructure(faces=((), ()), checkerboard_color=(0, 1))
     if d.free_loops:
         raise DiagramError("split diagram: free loops alongside crossings")
-    # connectedness of the 4-regular graph
-    uf = UnionFind(c)
-    for (c1, _), (c2, _) in d.edge_ends().values():
-        uf.union(c1, c2)
-    if uf.classes != 1:
+    mate = d.mate
+    # connectedness, by a walk from crossing 0 that also gives each crossing
+    # the colour of its corner 0 (``phase``): corners alternate in colour
+    # round a crossing, so the phase stays the same across an edge whose two
+    # ends have opposite slot parity and flips across one whose ends have
+    # the same parity
+    phase = [-1] * c
+    phase[0] = 0
+    stack = [0]
+    clash = False
+    while stack:
+        ci = stack.pop()
+        p = phase[ci]
+        for a in range(4 * ci, 4 * ci + 4):
+            b = mate[a]
+            q = p ^ (a ^ b ^ 1) & 1
+            cj = b >> 2
+            if phase[cj] < 0:
+                phase[cj] = q
+                stack.append(cj)
+            elif phase[cj] != q:
+                clash = True
+    if -1 in phase:
         raise DiagramError("split diagram: crossing graph is disconnected")
 
-    orbits = _face_orbits(d)
-    euler = c - d.edge_count + len(orbits)
+    # faces: orbits of a -> mate[next slot of a], each from its lowest dart
+    succ = [*mate[1:], mate[0]]
+    succ[3::4] = mate[::4]  # slot 3 is followed by slot 0
+    face_of = [-1] * (4 * c)
+    faces = []
+    for first in range(4 * c):
+        if face_of[first] >= 0:
+            continue
+        fi = len(faces)
+        orbit = []
+        a = first
+        while face_of[a] < 0:
+            face_of[a] = fi
+            orbit.append(a)
+            a = succ[a]
+        faces.append(tuple(orbit))
+    euler = c - d.edge_count + len(faces)
     if euler != 2:
         raise DiagramError(f"not planar: Euler characteristic {euler} != 2")
-
-    corner_face = {}
-    for fi, orbit in enumerate(orbits):
-        for pos in orbit:
-            corner_face[pos] = fi
-    # checkerboard coloring: faces flanking a common edge get opposite
-    # colors.  Each face step from corner (c, s) runs along the edge at slot
-    # s+1, so that edge-side belongs to this face.
-    edge_sides: dict[int, list[int]] = {e: [] for e in range(1, d.edge_count + 1)}
-    for fi, orbit in enumerate(orbits):
-        for ci, s in orbit:
-            edge_sides[d.crossings[ci].ends[(s + 1) % 4]].append(fi)
-    neighbors: dict[int, list[int]] = {fi: [] for fi in range(len(orbits))}
-    for sides in edge_sides.values():
-        f1, f2 = sides
-        neighbors[f1].append(f2)
-        neighbors[f2].append(f1)
-    colors: list[int | None] = [None] * len(orbits)
-    # anchor: the face at corner (0, 0) gets the color its slot parity would
-    # give in an alternating diagram, keeping colors stable across inputs
-    stack = [(corner_face[(0, 0)], 0)]
-    while stack:
-        fi, col = stack.pop()
-        if colors[fi] is not None:
-            if colors[fi] != col:
-                raise DiagramError("inconsistent checkerboard coloring")
-            continue
-        colors[fi] = col
-        stack.extend((other, 1 - col) for other in neighbors[fi])
-    if any(c is None for c in colors):
+    if clash:
         raise DiagramError("inconsistent checkerboard coloring")
+    # the face at corner (0, 0) gets colour 0, the colour its slot parity
+    # would give in an alternating diagram, keeping colours stable
     return FaceStructure(
-        faces=tuple(tuple(o) for o in orbits),
-        checkerboard_color=tuple(colors),
-        corner_face=corner_face,
+        faces=tuple(faces),
+        checkerboard_color=tuple(phase[f[0] >> 2] ^ f[0] & 1 for f in faces),
+        face_of=face_of,
     )
 
 
@@ -305,16 +323,23 @@ class OrientedDiagram:
 
 
 def _strand_components(d: Diagram) -> list[list[int]]:
-    """Group edges into strand cycles (under: slots 0-2, over: slots 1-3)."""
-    n = d.edge_count
-    uf = UnionFind(n + 1)
-    for a, b, cc, dd in (x.ends for x in d.crossings):
-        uf.union(a, cc)
-        uf.union(b, dd)
-    groups: dict[int, list[int]] = {}
-    for e in range(1, n + 1):
-        groups.setdefault(uf.find(e), []).append(e)
-    return sorted(groups.values(), key=min)
+    """Group edges into strand cycles, each the orbit of the arrival darts
+    ``a -> mate[a ^ 2]`` (under: slots 0-2, over: slots 1-3) in one
+    direction, sorted by lowest label."""
+    mate = d.mate
+    seen = [False] * len(mate)
+    comps = []
+    for first in range(len(mate)):
+        if seen[first]:
+            continue
+        comp = []
+        a = first
+        while not seen[a]:
+            seen[a] = seen[mate[a]] = True
+            comp.append(d.crossings[a >> 2].ends[a & 3])
+            a = mate[a ^ 2]
+        comps.append(sorted(comp))
+    return sorted(comps)
 
 
 def orient(
@@ -330,7 +355,11 @@ def orient(
     """
     if fs is None:
         fs = validate(d)
-    ends = d.edge_ends()
+    mate = d.mate
+    labels = [e for x in d.crossings for e in x.ends]
+    dart_of = [0] * (d.edge_count + 1)  # the second end of each label
+    for a, e in enumerate(labels):
+        dart_of[e] = a
     comps = _strand_components(d)
     component_of: dict[int, int] = {}
     heads: dict[int, Position] = {}
@@ -339,22 +368,19 @@ def orient(
             component_of[e] = idx
         if head is not None:
             continue
-        e0 = min(comp)
-        pos = max(ends[e0])  # head of the lowest edge: its second occurrence
-        e = e0
+        e0 = comp[0]
+        a = dart_of[e0]  # head of the lowest edge: its second end
         while True:
-            heads[e] = pos
-            ci, s = pos
-            out_slot = (s + 2) % 4
-            e = d.crossings[ci].ends[out_slot]
-            p, q = ends[e]
-            pos = q if p == (ci, out_slot) else p
-            if e == e0:
+            e = labels[a]
+            heads[e] = (a >> 2, a & 3)
+            a = mate[a ^ 2]
+            if labels[a] == e0:
                 break
     if head is not None:
         heads = dict(head)
         for e in range(1, d.edge_count + 1):
-            if heads.get(e) not in ends[e]:
+            a = dart_of[e]
+            if heads.get(e) not in ((a >> 2, a & 3), divmod(mate[a], 4)):
                 raise DiagramError(f"bad head position for edge {e}")
     # two-in / two-out check at every crossing, paired under/under over/over
     for ci, x in enumerate(d.crossings):

@@ -72,13 +72,7 @@ def is_reduced(d: Diagram, fs: FaceStructure | None = None) -> bool:
     """No nugatory crossing: no face touches the same crossing twice."""
     if fs is None:
         fs = validate(d)
-    for face in fs.faces:
-        seen = set()
-        for ci, _ in face:
-            if ci in seen:
-                return False
-            seen.add(ci)
-    return True
+    return all(len({a >> 2 for a in face}) == len(face) for face in fs.faces)
 
 
 def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
@@ -260,10 +254,7 @@ def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
     x = d.crossings[dealternator]
     if set(nonalt) != set(x.ends) or len(set(x.ends)) != 4:
         raise DiagramError("marked crossing is not a dealternator with four distinct non-alternating edges")
-    u1 = fs.corner_face[(dealternator, 1)]
-    u2 = fs.corner_face[(dealternator, 3)]
-    v1 = fs.corner_face[(dealternator, 0)]
-    v2 = fs.corner_face[(dealternator, 2)]
+    v1, u1, v2, u2 = fs.face_of[4 * dealternator:4 * dealternator + 4]
     if len({u1, u2, v1, v2}) != 4:
         raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
     return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2)
@@ -309,7 +300,7 @@ def aa_adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
     col = fs.checkerboard_color
     face_adj: dict[int, set[int]] = {fi: set() for fi in range(fs.face_count)}
     for ci in range(aa.diagram.crossing_count):
-        here = {fs.corner_face[(ci, s)] for s in range(4)}
+        here = set(fs.face_of[4 * ci:4 * ci + 4])
         for f in here:
             face_adj[f] |= here - {f}
     adj_u = adj_v = 0

@@ -107,12 +107,32 @@ def resolve_loops(d: Diagram, s: State) -> int:
     return _loops_uf(d, s).classes - 1 + d.free_loops
 
 
+def _smoothing_loops(d: Diagram, flip: int) -> int:
+    """Loops of the all-A (``flip`` 1) or all-B (``flip`` 3) state.
+
+    The smoothing joins dart a to dart ``a ^ flip`` at its crossing, so a
+    loop, run one way, is an orbit of ``a -> mate[a ^ flip]`` on its
+    arrival darts; run the other way it is a second orbit."""
+    mate = d.mate
+    seen = [False] * len(mate)
+    orbits = 0
+    for a in range(len(mate)):
+        if not seen[a]:
+            orbits += 1
+            while not seen[a]:
+                seen[a] = True
+                a = mate[a ^ flip]
+    return orbits // 2 + d.free_loops
+
+
 def s_A(d: Diagram) -> int:
-    return resolve_loops(d, (ALL_A,) * d.crossing_count)
+    """Loops of the all-A state; :func:`resolve_loops` is its oracle."""
+    return _smoothing_loops(d, 1)
 
 
 def s_B(d: Diagram) -> int:
-    return resolve_loops(d, (ALL_B,) * d.crossing_count)
+    """Loops of the all-B state; :func:`resolve_loops` is its oracle."""
+    return _smoothing_loops(d, 3)
 
 
 def state_graph(d: Diagram, which: str = ALL_A) -> StateGraph:
@@ -145,18 +165,28 @@ _DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int]:
     """Crossing ends in greedy frontier order, and the most open ends the
     sweep holds at once: each next crossing is the one with the most ends on
-    labels left open by the crossings before it."""
-    left = [x.ends for x in d.crossings]
+    labels left open by the crossings before it, the lowest such crossing
+    on a tie.
+
+    ``count`` keeps the open ends of each crossing not yet swept (-1 once it
+    is swept): sweeping a crossing opens the far end of each of its edges
+    that leads to a crossing not yet swept, and closes the others."""
+    mate = d.mate
+    count = [0] * len(d.crossings)
     order = []
-    open_labels: set[int] = set()
-    width = 0
-    while left:
-        best = max(range(len(left)), key=lambda i: sum(e in open_labels for e in left[i]))
-        ends = left.pop(best)
-        order.append(ends)
-        for e in ends:
-            open_labels ^= {e}
-        width = max(width, len(open_labels))
+    width = open_ends = 0
+    for _ in range(len(count)):
+        ci = count.index(max(count))
+        count[ci] = -1
+        order.append(d.crossings[ci].ends)
+        for a in range(4 * ci, 4 * ci + 4):
+            cj = mate[a] >> 2
+            if count[cj] >= 0:
+                open_ends += 1
+                count[cj] += 1
+            elif cj != ci:
+                open_ends -= 1
+        width = max(width, open_ends)
     return order, width
 
 
@@ -340,7 +370,7 @@ def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
     white = [fi for fi, col in enumerate(fs.checkerboard_color) if col == 0]
     g, _ = _goeritz_matrix(
         {fi: i for i, fi in enumerate(white)},
-        ([fs.corner_face[(ci, k)] for k in range(4)] for ci in range(d.crossing_count)),
+        (fs.face_of[a:a + 4] for a in range(0, 4 * d.crossing_count, 4)),
     )
     return abs(_det_signature(g, 1)[0])
 

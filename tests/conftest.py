@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import sys
 from fractions import Fraction
@@ -8,9 +9,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from knotinv import LaurentPoly, crossing_signs, parse_pd, validate
+from knotinv import LaurentPoly, crossing_signs, parse_pd, serialize_pd, validate
+from knotinv.sampling import (
+    random_almost_alternating_diagram,
+    random_alternating_diagram,
+    random_diagram,
+    random_genus_one_diagram,
+)
 from knotinv.statesum import resolve_loops
-from knotinv.textio import PolyParseError
+from knotinv.textio import KnotRecord, PolyParseError
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8_PD = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
@@ -78,6 +85,103 @@ def full_twist_pd(n: int) -> str:
         ends = [label.setdefault(close.get(e, e), len(label) + 1) for e in x]
         toks.append("X[%d,%d,%d,%d]" % tuple(ends))
     return " ".join(toks)
+
+
+def seeded_corpus(seed: int = 10) -> list[KnotRecord]:
+    """A fixed corpus of PD records from ``knotinv.sampling``: 20 random
+    and 20 alternating diagrams of 3-22 crossings, 32 genus-one diagrams
+    with k = 1-4 and 2k..60 crossings, and 8 almost-alternating diagrams
+    of 6-60 crossings.  The golden digests in ``tests/data`` pin the CLI's
+    JSON on it."""
+    rng = random.Random(seed)
+    diagrams = []
+    for c in range(3, 23):
+        diagrams.append(("random", random_diagram(c, rng)))
+        diagrams.append(("alternating", random_alternating_diagram(c, rng)))
+    for i in range(32):
+        k = 1 + i % 4
+        c = 2 * k + (i * 7) % (61 - 2 * k)
+        sizes = [c // (2 * k) + (t < c % (2 * k)) for t in range(2 * k)]
+        diagrams.append(("genus_one", random_genus_one_diagram(k, rng, sizes)))
+    for n in (6, 10, 15, 20, 30, 40, 50, 60):
+        diagrams.append(("almost_alternating", random_almost_alternating_diagram(n, rng)[0]))
+    return [
+        KnotRecord(name=f"{kind}-{i:02d}-c{d.crossing_count}", pd_text=serialize_pd(d))
+        for i, (kind, d) in enumerate(diagrams)
+    ]
+
+
+def sweep_order_reference(d) -> tuple[list[tuple[int, int, int, int]], int]:
+    """``statesum._sweep_order`` as it was before it kept per-crossing
+    counts, kept verbatim as its oracle: crossing ends in greedy frontier
+    order, and the most open ends the sweep holds at once; each next
+    crossing is the one with the most ends on labels left open by the
+    crossings before it."""
+    left = [x.ends for x in d.crossings]
+    order = []
+    open_labels: set[int] = set()
+    width = 0
+    while left:
+        best = max(range(len(left)), key=lambda i: sum(e in open_labels for e in left[i]))
+        ends = left.pop(best)
+        order.append(ends)
+        for e in ends:
+            open_labels ^= {e}
+        width = max(width, len(open_labels))
+    return order, width
+
+
+def faces_reference(d) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Face orbits as lists of (crossing, slot) corners, and the checkerboard
+    colour of each face: the tracer and colouring ``validate`` used before
+    the dart table, kept as their oracle for a valid diagram.
+
+    Arriving at slot s, the face continues from slot s+1; each face starts
+    at its lowest corner.  Faces flanking a common edge get opposite
+    colours, and the face at corner (0, 0) gets colour 0.
+    """
+    ends: dict[int, list[tuple[int, int]]] = {e: [] for e in range(1, d.edge_count + 1)}
+    for ci, x in enumerate(d.crossings):
+        for s, e in enumerate(x.ends):
+            ends[e].append((ci, s))
+    visited = [False] * (4 * d.crossing_count)
+    faces = []
+    for first in range(len(visited)):
+        if visited[first]:
+            continue
+        start = divmod(first, 4)
+        orbit = []
+        pos = start
+        while True:
+            orbit.append(pos)
+            ci, s = pos
+            visited[4 * ci + s] = True
+            dep = (ci, (s + 1) % 4)
+            edge = d.crossings[ci].ends[(s + 1) % 4]
+            p, q = ends[edge]
+            pos = q if p == dep else p
+            if pos == start:
+                break
+        faces.append(orbit)
+    corner_face = {pos: fi for fi, orbit in enumerate(faces) for pos in orbit}
+    edge_sides: dict[int, list[int]] = {e: [] for e in range(1, d.edge_count + 1)}
+    for fi, orbit in enumerate(faces):
+        for ci, s in orbit:
+            edge_sides[d.crossings[ci].ends[(s + 1) % 4]].append(fi)
+    neighbors: dict[int, list[int]] = {fi: [] for fi in range(len(faces))}
+    for f1, f2 in edge_sides.values():
+        neighbors[f1].append(f2)
+        neighbors[f2].append(f1)
+    colors: list[int | None] = [None] * len(faces)
+    stack = [(corner_face[(0, 0)], 0)]
+    while stack:
+        fi, col = stack.pop()
+        if colors[fi] is not None:
+            assert colors[fi] == col, "inconsistent checkerboard coloring"
+            continue
+        colors[fi] = col
+        stack.extend((other, 1 - col) for other in neighbors[fi])
+    return faces, colors
 
 
 def bareiss_det(m: list[list[int]]) -> int:
@@ -172,7 +276,7 @@ def gordon_litherland(od, colour: int = 0) -> tuple[int, int]:
     signs = crossing_signs(od)[0]
     mu = 0
     for ci in range(d.crossing_count):
-        corner = [fs.corner_face[(ci, k)] for k in range(4)]
+        corner = fs.face_of[4 * ci:4 * ci + 4]
         if fs.checkerboard_color[corner[0]] == colour:
             f1, f2, eta = corner[0], corner[2], -1
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from importlib import resources
@@ -9,7 +10,7 @@ from knotinv import decomp, goeritz_determinant, serialize_pd
 from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
 from knotinv.sampling import random_almost_alternating_diagram
 
-from conftest import AA_TREFOIL_PD, K12N888_MIRROR_PD, TREFOIL_PD, full_twist_pd
+from conftest import AA_TREFOIL_PD, K12N888_MIRROR_PD, TREFOIL_PD, full_twist_pd, seeded_corpus
 
 
 def data_path(name: str) -> str:
@@ -200,3 +201,17 @@ def test_golden_output(argv, golden, capsys):
     argv = [data_path(a) if a.endswith((".pd", ".csv")) else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "command, entry", [("decompose", decompose_record), ("invariants", analyze_record)]
+)
+def test_seeded_corpus_digest(command, entry):
+    """The CLI's JSON over a seeded corpus of random, alternating, genus-one
+    and almost-alternating diagrams of up to 60 crossings hashes to the
+    committed digest: output stays byte-identical beyond the sample knots."""
+    digests = dict(
+        line.split()[::-1] for line in (GOLDEN / "seeded_corpus.sha256").read_text().splitlines()
+    )
+    text = json.dumps({"records": [entry(r) for r in seeded_corpus()]}, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[command]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,8 +18,10 @@ from knotinv import (
     validate,
 )
 from knotinv.diagram import splice
+from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
 
-from conftest import AA_TREFOIL_PD, TREFOIL_PD, FIG8_PD, HOPF_PD
+from conftest import AA_TREFOIL_PD, TREFOIL_PD, FIG8_PD, HOPF_PD, faces_reference
+from test_invariants import _add_curl
 
 
 def test_parse_round_trip():
@@ -46,6 +50,35 @@ def test_parse_errors():
         parse_pd("garbage")
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("X[1,,5,2,4]", "malformed token 'X[1,,5,2,4]' (arity 5)"),
+        ("X[1,5,2,4,]", "malformed token 'X[1,5,2,4,]' (arity 5)"),
+        ("X[+1,5,2,4]", "non-integer label in token 'X[+1,5,2,4]'"),
+        ("X[0_2,5,2,4]", "non-integer label in token 'X[0_2,5,2,4]'"),
+        ("X[\u0661,5,2,4]", "non-integer label in token 'X[\u0661,5,2,4]'"),
+        ("X[1,5,2,4)", "malformed token 'X[1,5,2,4)'"),
+        ("(1,5,2,4]", "malformed token '(1,5,2,4]'"),
+        ("X[]", "malformed token 'X[]' (arity 0)"),
+    ],
+    ids=["empty-field", "trailing-comma", "plus-sign", "underscore", "arabic-indic", "bracket-paren",
+         "paren-bracket", "empty"],
+)
+def test_parse_rejects_malformed_token(token, message):
+    """A token is a crossing only when it has four optionally negative
+    ASCII integers in matching brackets; Python's int() alone took more."""
+    with pytest.raises(PDSyntaxError) as exc:
+        parse_pd(f"X[1,4,2,5] X[3,6,4,1] {token}")
+    assert str(exc.value) == message
+
+
+def test_parse_negative_label_reaches_range_check():
+    with pytest.raises(DiagramError) as exc:
+        parse_pd("X[-1,2,2,1]")
+    assert str(exc.value) == "edge label -1 out of range 1..2"
+
+
 def test_edge_labels_twice_each():
     with pytest.raises(DiagramError):
         parse_pd("X[1,1,1,2]")
@@ -61,6 +94,81 @@ def test_split_diagram_rejected():
         validate(parse_pd("X[1,3,2,4] X[3,1,4,2] U"))
 
 
+@pytest.mark.parametrize(
+    "pd, message",
+    [
+        ("U U", "split diagram: expected exactly one free loop with no crossings"),
+        ("X[1,3,2,4] X[3,1,4,2] U", "split diagram: free loops alongside crossings"),
+        ("X[1,3,2,4] X[3,1,4,2] X[5,7,6,8] X[7,5,8,6]",
+         "split diagram: crossing graph is disconnected"),
+        ("X[1,2,1,2]", "not planar: Euler characteristic 0 != 2"),
+        ("X[1,3,2,4] X[1,3,2,4]", "not planar: Euler characteristic 0 != 2"),
+    ],
+    ids=["free-loops", "loop-with-crossings", "disconnected", "non-planar-1", "non-planar-2"],
+)
+def test_validate_messages(pd, message):
+    with pytest.raises(DiagramError) as exc:
+        validate(parse_pd(pd))
+    assert str(exc.value) == message
+
+
+def test_label_messages():
+    with pytest.raises(DiagramError) as exc:
+        Diagram((Crossing((1, 2, 3, 4)), Crossing((1, 2, 3, 5))), 5)
+    assert str(exc.value) == "edge 4 appears 1 times, expected 2"
+    with pytest.raises(DiagramError) as exc:
+        Diagram((Crossing((1, 1, 1, 2)), Crossing((2, 3, 3, 4))), 4)
+    assert str(exc.value) == "edge 1 appears 3 times, expected 2"
+    with pytest.raises(DiagramError) as exc:
+        Diagram((Crossing((1, 1, 2, 2)),), 3)
+    assert str(exc.value) == "edge 3 appears 0 times, expected 2"
+    with pytest.raises(DiagramError) as exc:
+        Diagram((Crossing((1, 1, 2, 2)), Crossing((3, 3, 4, 7))), 4)
+    assert str(exc.value) == "edge label 7 out of range 1..4"
+
+
+def _dart_corpus():
+    """Seeded valid diagrams, with kinks and loop edges (both ends of an
+    edge at one crossing)."""
+    rng = random.Random(7)
+    for i in range(60):
+        make = (random_diagram, random_alternating_diagram)[i % 2]
+        d = make(rng.randint(1, 14), rng)
+        yield d
+        for _ in range(rng.randint(1, 3)):
+            d = _add_curl(d, rng)
+        yield d
+    for _ in range(10):
+        k = rng.choice((1, 2, 3))
+        yield random_genus_one_diagram(k, rng, [rng.randint(1, 4) for _ in range(2 * k)])
+    for pd in ("X[1,1,2,2]", "X[1,2,2,1]", "X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]"):
+        yield parse_pd(pd)
+
+
+def test_mate_table():
+    """mate pairs the two darts of every edge; it is no field of the diagram."""
+    for d in _dart_corpus():
+        labels = [e for x in d.crossings for e in x.ends]
+        assert sorted(d.mate) == list(range(4 * d.crossing_count))
+        for a, b in enumerate(d.mate):
+            assert a != b and d.mate[b] == a and labels[a] == labels[b]
+    d = parse_pd(TREFOIL_PD)
+    assert "mate" not in repr(d)
+    assert d == Diagram(d.crossings, d.edge_count)
+
+
+def test_faces_match_reference():
+    """The faces and colours validate reads off the dart table are those of
+    the corner tracer it replaced."""
+    for d in _dart_corpus():
+        fs = validate(d)
+        faces, colours = faces_reference(d)
+        assert fs.faces == tuple(tuple(4 * ci + s for ci, s in f) for f in faces)
+        assert list(fs.checkerboard_color) == colours
+        assert len(fs.face_of) == 4 * d.crossing_count
+        assert all(fs.face_of[a] == fi for fi, f in enumerate(fs.faces) for a in f)
+
+
 def test_faces_euler(trefoil, fig8, hopf):
     assert validate(trefoil).face_count == 5
     assert validate(fig8).face_count == 6
@@ -72,7 +180,8 @@ def test_checkerboard_proper(trefoil, aa_trefoil):
         fs = validate(d)
         sides: dict[int, list[int]] = {e: [] for e in range(1, d.edge_count + 1)}
         for fi, face in enumerate(fs.faces):
-            for ci, s in face:
+            for a in face:
+                ci, s = divmod(a, 4)
                 sides[d.crossings[ci].ends[(s + 1) % 4]].append(fi)
         for f1, f2 in sides.values():
             assert fs.checkerboard_color[f1] != fs.checkerboard_color[f2]
@@ -81,7 +190,6 @@ def test_checkerboard_proper(trefoil, aa_trefoil):
 def test_orientation_two_in_two_out(trefoil, fig8, hopf):
     for d in (trefoil, fig8, hopf):
         od = orient(d)
-        ends = d.edge_ends()
         for ci, x in enumerate(d.crossings):
             inbound = sum(1 for s in range(4) if od.head[x.ends[s]] == (ci, s))
             assert inbound == 2

@@ -86,7 +86,8 @@ def _add_curl(d: Diagram, rng: random.Random) -> Diagram:
     e's old second end.  The lowest edge of every component and its
     direction stay put, so the default orientation is unchanged."""
     e = rng.randint(1, d.edge_count)
-    ci, s = d.edge_ends()[e][1]
+    first = [f for x in d.crossings for f in x.ends].index(e)
+    ci, s = divmod(max(first, d.mate[first]), 4)  # e's second end in scan order
     loop, out = d.edge_count + 1, d.edge_count + 2
     ends = [list(x.ends) for x in d.crossings]
     ends[ci][s] = out

@@ -31,6 +31,7 @@ from conftest import (
     det_from_jones,
     fraction_det_signature,
     full_twist_pd,
+    sweep_order_reference,
 )
 
 # Frozen full state tables: (assignment, resulting loop count).  Assignment
@@ -261,3 +262,27 @@ def test_sweep_width_bound_refuses(monkeypatch):
     monkeypatch.setattr(statesum, "_add_term", expanded)
     with pytest.raises(CrossingLimitError, match="frontier of 18 open ends exceeds the bound of 16"):
         kauffman_bracket(d9)
+
+
+def test_s_A_s_B_match_resolve_loops():
+    """The orbit counts of a -> mate[a ^ 1] and a -> mate[a ^ 3] are the
+    loop counts of the all-A and all-B states."""
+    for d in _bracket_corpus():
+        c = d.crossing_count
+        assert s_A(d) == resolve_loops(d, ("A",) * c)
+        assert s_B(d) == resolve_loops(d, ("B",) * c)
+
+
+def test_sweep_order_matches_reference():
+    """The per-crossing open-end counts give the greedy's order and width:
+    on seeded diagrams, reordered, and on full twists of 2-9 strands."""
+    rng = random.Random(6)
+    corpus = list(_bracket_corpus())
+    corpus += [random_genus_one_diagram(k, rng, [rng.randint(2, 8) for _ in range(2 * k)])
+               for k in (1, 2, 3, 4) for _ in range(3)]
+    corpus += [parse_pd(full_twist_pd(n)) for n in range(2, 10)]
+    for d in corpus:
+        shuffled = list(d.crossings)
+        rng.shuffle(shuffled)
+        for g in (d, Diagram(tuple(shuffled), d.edge_count, d.free_loops)):
+            assert statesum._sweep_order(g) == sweep_order_reference(g)
