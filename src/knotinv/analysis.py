@@ -92,4 +92,5 @@ class DiagramAnalysis:
 
     @cached_property
     def jones(self) -> LaurentPoly:
-        return statesum.jones(self.od, bracket=self.bracket)
+        """Reads the writhe off ``signs``, so the signs are worked out once."""
+        return statesum._jones_from_bracket(self.bracket, self.signs[3])

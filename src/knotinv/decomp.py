@@ -22,7 +22,7 @@ from .diagram import (
     orient,
     splice,
 )
-from .statesum import _det_signature, _goeritz_matrix
+from .statesum import _goeritz_matrix, _nested_det_signatures
 
 if TYPE_CHECKING:
     from .analysis import DiagramAnalysis
@@ -153,7 +153,8 @@ class GenusOneStructure:
         S23, the Goeritz graph of N(R_i) has the interior faces of that
         colour plus S01 and S23 as vertices, and that of D(R_i) the same
         with S01 and S23 merged.  So both forms come from one Goeritz
-        matrix: ground S01 for N(R_i), delete S23 as well for D(R_i).
+        matrix: ground S01 for N(R_i), delete S23 as well for D(R_i).  With
+        S23 numbered last, one elimination gives both.
         """
         d, fs = self.parent
         colour = fs.checkerboard_color
@@ -165,14 +166,17 @@ class GenusOneStructure:
             if len(sector_face[i]) != 4 or len(interior[i]) != t.crossing_count - 1:
                 raise DiagramError(f"tangle {i} does not close to planar diagrams")
             cls = colour[sector_face[i][0]]
-            vertex = {_S01: 0, _S23: 1}
+            vertex = {_S01: 0}
             for fi in interior[i]:
                 if colour[fi] == cls:
                     vertex[fi] = len(vertex)
+            vertex[_S23] = len(vertex)
             g, etas = _goeritz_matrix(
                 vertex, (corner_key[4 * ci:4 * ci + 4] for ci in t.crossing_indices)
             )
-            forms.append((_det_signature(g, 1), _det_signature(g, 2), etas))
+            # S23 last: with S01 grounded, the leading block is D(R_i)'s form
+            d_form, n_form = _nested_det_signatures(g, 1, len(g) - 2)
+            forms.append((n_form, d_form, etas))
         return tuple(forms)
 
     @cached_property

@@ -3,7 +3,7 @@ predictions for almost-alternating and genus-one diagrams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import warnings
 
 from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, orient, splice, validate
@@ -237,7 +237,8 @@ class AAMarkedDiagram:
 
     u1, u2 are the faces at the dealternator corners merged by its
     A-smoothing (corners 1 and 3); v1, v2 the faces merged by its
-    B-smoothing (corners 0 and 2).
+    B-smoothing (corners 0 and 2).  ``fs`` is the diagram's face structure
+    when the marking has it, so the diagram is not validated again.
     """
 
     diagram: Diagram
@@ -246,6 +247,7 @@ class AAMarkedDiagram:
     u2: int
     v1: int
     v2: int
+    fs: FaceStructure | None = field(default=None, repr=False, compare=False)
 
 
 def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
@@ -257,7 +259,7 @@ def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
     v1, u1, v2, u2 = fs.face_of[4 * dealternator:4 * dealternator + 4]
     if len({u1, u2, v1, v2}) != 4:
         raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
-    return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2)
+    return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2, fs=fs)
 
 
 def _smooth(d: Diagram, ci: int, choice: str) -> tuple[Diagram, dict[int, int]]:
@@ -295,7 +297,12 @@ def aa_adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
     parallel when the closure identifies the marked faces.
     """
     _check_aa_reduced(aa)
-    fs = validate(aa.diagram)
+    return _adjacency(aa)
+
+
+def _adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
+    """:func:`aa_adjacency` once both smoothings are known to be reduced."""
+    fs = aa.fs if aa.fs is not None else validate(aa.diagram)
     marked = {aa.u1, aa.u2, aa.v1, aa.v2}
     col = fs.checkerboard_color
     face_adj: dict[int, set[int]] = {fi: set() for fi in range(fs.face_count)}
@@ -312,14 +319,14 @@ def aa_adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
         if col[f] == col[aa.v1] and aa.v1 in face_adj[f] and aa.v2 in face_adj[f]:
             adj_v += 1
     if adj_u == 1 and adj_v == 1:
-        warnings.warn("adj(u)=adj(v)=1: both extreme coefficient predictions vanish", stacklevel=2)
+        warnings.warn("adj(u)=adj(v)=1: both extreme coefficient predictions vanish", stacklevel=3)
     return adj_u, adj_v
 
 
 def aa_extreme_coefficients(aa: AAMarkedDiagram) -> tuple[tuple[int, int], tuple[int, int]]:
     """Predicted extreme bracket terms ((exp, α_0), (exp, α_k))."""
     dr, _ = _check_aa_reduced(aa)
-    adj_u, adj_v = aa_adjacency(aa)
+    adj_u, adj_v = _adjacency(aa)
     c = aa.diagram.crossing_count - 1  # crossings of the tangle
     v_d = s_A(dr)
     vb_d = s_B(dr)

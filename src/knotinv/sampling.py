@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Crossing, Diagram, DiagramError, validate
+from .diagram import Crossing, Diagram, DiagramError
 
 __all__ = [
     "TangleSketch",
@@ -218,6 +218,5 @@ def random_almost_alternating_diagram(
             _check_aa_reduced(aa)
         except DiagramError:
             continue
-        validate(d)
         return d, n - 1
     raise DiagramError(f"no reduced almost-alternating sample found in {max_tries} tries")

@@ -16,7 +16,13 @@ from knotinv.sampling import (
     random_diagram,
     random_genus_one_diagram,
 )
-from knotinv.statesum import resolve_loops
+from knotinv.statesum import (
+    MAX_OPEN_ENDS,
+    CrossingLimitError,
+    _over_delta,
+    _sweep_order,
+    resolve_loops,
+)
 from knotinv.textio import KnotRecord, PolyParseError
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -60,6 +66,58 @@ def bracket_state_sum(d) -> LaurentPoly:
             term = term * delta
         total = total + term
     return total
+
+
+# delta^0, delta^1 and delta^2 as (exponent, coefficient) terms: one
+# crossing's smoothing closes at most two loops
+_DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
+
+
+def _add_term(out: dict[int, int], p: dict[int, int], shift: int, loops: int) -> dict[int, int]:
+    """out += A^shift * delta^loops * p, on {exponent: coeff} dicts."""
+    for e, cf in p.items():
+        for off, mult in _DELTA_POWERS[loops]:
+            out[e + shift + off] = out.get(e + shift + off, 0) + cf * mult
+    return out
+
+
+def bracket_sweep_reference(d) -> LaurentPoly:
+    """``statesum.kauffman_bracket`` as it was before it packed matchings
+    into label-indexed tuples and polynomials into integers, kept verbatim
+    as its oracle: matchings as sorted (end, partner) items, polynomials as
+    {A-exponent: coeff} dicts."""
+    order, width = _sweep_order(d)
+    if width > MAX_OPEN_ENDS:
+        raise CrossingLimitError(
+            f"sweep frontier of {width} open ends exceeds the bound of {MAX_OPEN_ENDS}"
+        )
+    # matching, as the sorted (end, partner) items both ways round -> {A-exponent: coeff}
+    states: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
+    for e1, e2, e3, e4 in order:
+        nxt: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        for key, poly in states.items():
+            for shift, arcs in ((1, ((e1, e2), (e3, e4))), (-1, ((e2, e3), (e4, e1)))):
+                partner = dict(key)
+                loops = 0
+                for x, y in arcs:
+                    if x == y:  # both ends of one edge at this crossing
+                        loops += 1
+                        continue
+                    # an open end continues to its partner; a new one stays open
+                    px = partner.pop(x, x)
+                    py = partner.pop(y, y)
+                    if px == y:  # x and y were the two ends of one open strand
+                        loops += 1
+                    else:
+                        partner[px] = py
+                        partner[py] = px
+                new_key = tuple(sorted(partner.items()))
+                _add_term(nxt.setdefault(new_key, {}), poly, shift, loops)
+        states = nxt
+    (coeffs,) = states.values()
+    for _ in range(d.free_loops):
+        coeffs = _add_term({}, coeffs, 0, 1)
+    return LaurentPoly("A", _over_delta(coeffs))
 
 
 def full_twist_pd(n: int) -> str:

@@ -1,7 +1,9 @@
 import sys
+from pathlib import Path
 
 from knotinv import diagram, statesum
 from knotinv.cli import KnotRecord, analyze_record, decompose_record
+from knotinv.textio import read_pd_file
 
 from conftest import K12N888_MIRROR_PD
 
@@ -50,6 +52,19 @@ def test_analyze_record_validates_each_diagram_once(monkeypatch):
     # read off its faces, and no closure is built
     assert splices == []
     assert len(validations) == 1
+
+
+def test_analyze_record_signs_crossings_once(monkeypatch):
+    """Jones reads the writhe off the signs the signature already needs."""
+    data = Path(diagram.__file__).resolve().parent / "data" / "sample_knots.pd"
+    records = read_pd_file(data)
+    assert len(records) == 5
+    signs = _count_calls(monkeypatch, diagram.crossing_signs)
+    for rec in records:
+        signs.clear()
+        rep = analyze_record(rec)
+        assert rep["fields"]["jones"]["status"] == "ok", rec.name
+        assert len(signs) == 1, rec.name
 
 
 # an 11-crossing genus-one knot whose two tangles' closures keep a nugatory

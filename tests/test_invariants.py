@@ -43,6 +43,7 @@ from knotinv.sampling import (
 )
 
 from conftest import gordon_litherland
+from test_analysis import _count_calls
 
 
 def test_traczyk_trefoil(trefoil):
@@ -277,6 +278,18 @@ def test_aa_generated_predictions():
         dr, nr = _check_aa_reduced(aa)
         assert adj_u == state_graph(nr, "A").reduced_edge_count - state_graph(dr, "A").reduced_edge_count
         assert adj_v == state_graph(dr, "B").reduced_edge_count - state_graph(nr, "B").reduced_edge_count
+
+
+def test_aa_helpers_validate_each_diagram_once(monkeypatch):
+    """Marking validates the diagram, the extreme-coefficient prediction
+    validates its two smoothings, and nothing is validated twice."""
+    d, deal = random_almost_alternating_diagram(10, random.Random(7))
+    validations = _count_calls(monkeypatch, validate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        aa_extreme_coefficients(mark_almost_alternating(d, deal))
+    assert len(validations) == 3
+    assert len({id(g) for (g,) in validations}) == 3
 
 
 def test_adj_duality():

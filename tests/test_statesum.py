@@ -4,6 +4,7 @@ import random
 import pytest
 
 from knotinv import (
+    Crossing,
     CrossingLimitError,
     Diagram,
     LaurentPoly,
@@ -22,12 +23,14 @@ from knotinv import (
 from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
 from knotinv import statesum
 from knotinv.statesum import resolve_loops
+from test_invariants import _add_curl
 
 from conftest import (
     HOPF_PD,
     TREFOIL_PD,
     bareiss_det,
     bracket_state_sum,
+    bracket_sweep_reference,
     det_from_jones,
     fraction_det_signature,
     full_twist_pd,
@@ -186,6 +189,24 @@ def test_det_signature_matches_references():
     assert singular > 300 and zero_diagonal > 800
 
 
+def test_nested_det_signatures_match_reference():
+    """One elimination's (det, signature) of a matrix and of its leading
+    block without the last row and column, the pair each genus-one tangle
+    needs: the block's against exact rational diagonalisation, the whole's
+    against the plain elimination, which the test above checks on the same
+    matrices."""
+    singular_lead = zero_diagonal = 0
+    for m in _symmetric_matrices(random.Random(3000), 3000):
+        if not m:
+            continue
+        lead, whole = statesum._nested_det_signatures(m, 0, len(m) - 1)
+        assert whole == statesum._det_signature(m), m
+        assert lead == fraction_det_signature([r[:-1] for r in m[:-1]]), m
+        singular_lead += lead[0] == 0
+        zero_diagonal += len(m) > 1 and not any(m[i][i] for i in range(len(m)))
+    assert singular_lead > 500 and zero_diagonal > 800
+
+
 def _bracket_corpus():
     """Seeded diagrams of at most 12 crossings, with the edge cases of the
     sweep: several components, free loops, no crossings and kinks."""
@@ -255,13 +276,75 @@ def test_sweep_width_bound_refuses(monkeypatch):
     """On 9 strands (72 crossings, 18 ends) the bracket is refused before
     any state is expanded."""
     d9 = parse_pd(full_twist_pd(9))
+    sweep_order = statesum._sweep_order
+    probed = []
 
-    def expanded(*args):
-        raise AssertionError("a state was expanded")
+    class Unswept:
+        """The sweep order, which no state is expanded without reading."""
 
-    monkeypatch.setattr(statesum, "_add_term", expanded)
+        def __iter__(self):
+            raise AssertionError("a state was expanded")
+
+    def order_probe(d):
+        _, width = sweep_order(d)
+        probed.append(width)
+        return Unswept(), width
+
+    monkeypatch.setattr(statesum, "_sweep_order", order_probe)
     with pytest.raises(CrossingLimitError, match="frontier of 18 open ends exceeds the bound of 16"):
         kauffman_bracket(d9)
+    assert probed == [18]
+
+
+def test_packed_sweep_matches_reference_genus_one():
+    """Label-indexed matchings and packed polynomials against the dict
+    sweep they replaced, on 12 seeded genus-one diagrams of 20-60
+    crossings."""
+    rng = random.Random(11)
+    for i in range(12):
+        k = 1 + i % 4
+        c = rng.randint(20, 60)
+        d = random_genus_one_diagram(k, rng, [c // (2 * k) + (t < c % (2 * k)) for t in range(2 * k)])
+        assert 20 <= d.crossing_count <= 60
+        assert kauffman_bracket(d) == bracket_sweep_reference(d), i
+
+
+def test_packed_sweep_matches_reference_full_twists():
+    """The widest sweeps the bound admits: full twists on 2-8 strands."""
+    for n in range(2, 9):
+        d = parse_pd(full_twist_pd(n))
+        assert kauffman_bracket(d) == bracket_sweep_reference(d), n
+
+
+def test_packed_sweep_matches_reference_curls(trefoil):
+    """30 curls: each closes a loop at its own crossing and stretches the
+    exponent range the offset must cover."""
+    rng = random.Random(30)
+    d = trefoil
+    for _ in range(30):
+        d = _add_curl(d, rng)
+    assert kauffman_bracket(d) == bracket_sweep_reference(d)
+
+
+def test_packed_sweep_digit_bound_on_split_diagram(trefoil):
+    """An unvalidated split diagram, 8 trefoils and 2 free loops: the
+    bound's r = 8 components of the crossing graph and f = 2 free loops,
+    and coefficients in the thousands, decoded whole."""
+    copies = tuple(
+        Crossing(tuple(e + 6 * i for e in x.ends)) for i in range(8) for x in trefoil.crossings
+    )
+    d = Diagram(copies, 48, free_loops=2)
+    got = kauffman_bracket(d)
+    assert got == bracket_sweep_reference(d)
+    assert max(abs(cf) for cf in got.coeffs.values()) == 3096
+
+
+def test_packed_sweep_counts_components_with_kinks():
+    """Crossings whose two ends of one edge meet at them (a kink) must not
+    hide a new component of the crossing graph from the bound: here a
+    one-crossing component is followed by a two-crossing one."""
+    d = parse_pd("X[2,1,1,2] X[4,3,3,5] X[6,4,5,6]")
+    assert kauffman_bracket(d) == bracket_state_sum(d) == bracket_sweep_reference(d)
 
 
 def test_s_A_s_B_match_resolve_loops():
