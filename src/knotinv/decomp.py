@@ -5,7 +5,13 @@ The alternating decomposition marks two points on every non-alternating edge
 are adjacent along the face boundary without running along a single edge.
 The resulting closed curves cut the diagram into maximal alternating
 regions; when those regions form a single cycle of proper alternating
-2-tangles the diagram is in the genus-one normal form.
+2-tangles the diagram is in the genus-one normal form (Armond-Lowrance 2017).
+
+Recognition is one walk over the boundary darts, with a tangle's places 0-3
+its curve's points from its lowest-labelled edge.  Each step turns the
+current tangle to leave through places 1 and 2, whose mates must lie on one
+other tangle at adjacent places, the later becoming its place 0; after 2k
+steps the walk must be back where it began, having visited every tangle.
 """
 
 from __future__ import annotations
@@ -417,40 +423,20 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
     return orient(diag, head=heads)
 
 
-def _region_cycle(tangles, edge_links):
-    """Order tangles into a single cycle; edge_links maps tangle-pair ->
-    list of connecting non-alternating edges.  Returns the tangle order or
-    None when the adjacency is not a cycle."""
-    m = len(tangles)
-    nbrs: dict[int, list[int]] = {i: [] for i in range(m)}
-    for (i, j), edges in edge_links.items():
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    if m == 2:
-        if edge_links.get((0, 1)) is None or len(edge_links[(0, 1)]) != 4:
+def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None:
+    """The tangles in walk order from tangle 0 turned to its place ``r``, each
+    turned to leave through places 1 and 2, or None if the walk does not close."""
+    i, walked = 0, []
+    for _ in tangles:
+        walked.append((i, r))
+        (i, p), (j, q) = far[i][(r + 1) % 4], far[i][(r + 2) % 4]
+        if i != j or not (p - q) % 2:  # not one tangle, or not adjacent places
             return None
-        return [0, 1]
-    for i, ns in nbrs.items():
-        if len(ns) != 2:
-            return None
-    for edges in edge_links.values():
-        if len(edges) != 2:
-            return None
-    order = [0]
-    prev = None
-    cur = 0
-    while True:
-        a, b = nbrs[cur]
-        nxt = b if a == prev else a
-        if nxt == 0:
-            break
-        order.append(nxt)
-        if len(order) > m:
-            return None
-        prev, cur = cur, nxt
-    if len(order) != m:
+        r = p if (p - q) % 4 == 1 else q  # the later place
+    if (i, r) != walked[0] or len({i for i, _ in walked}) != len(tangles):
         return None
-    return order
+    pts = [t.boundary_points for t in tangles]
+    return tuple(replace(tangles[i], boundary_points=pts[i][r:] + pts[i][:r]) for i, r in walked)
 
 
 def recognize_genus_one(
@@ -460,7 +446,9 @@ def recognize_genus_one(
 
     Returns None when the diagram is not presented in that form (including
     every diagram whose own Turaev genus is not one).  ``analysis`` supplies
-    the Turaev genus and the decomposition when given.
+    the Turaev genus and the decomposition when given.  The cycle is the
+    boundary-dart walk of the module docstring, leaving tangle 0 through
+    places (0, 1) when both reach one tangle, else through (3, 0).
     """
     a = _analysis(d, analysis)
     if a.turaev_genus != 1:
@@ -473,68 +461,16 @@ def recognize_genus_one(
         t.proper and t.crossing_count >= 1 and len(t.boundary_points) == 4 for t in dec.tangles
     ):
         return None
-
-    # which region each stub belongs to
-    region_of = [0] * d.crossing_count
-    for i, t in enumerate(dec.tangles):
-        for ci in t.crossing_indices:
-            region_of[ci] = i
-    # the two ends of each non-alternating edge are boundary points of the
-    # tangles, and consecutive in (label, dart) order
-    ends = sorted(p for t in dec.tangles for p in t.boundary_points)
-    edge_links: dict[tuple[int, int], list[int]] = {}
-    for (e, (c1, _)), (_, (c2, _)) in zip(ends[::2], ends[1::2]):
-        i, j = region_of[c1], region_of[c2]
-        if i == j:
-            return None
-        key = (min(i, j), max(i, j))
-        edge_links.setdefault(key, []).append(e)
-
-    order = _region_cycle(dec.tangles, edge_links)
-    if order is None:
+    # every dart of a non-alternating edge is a boundary dart: its (tangle,
+    # place), and far[i][p] that of the mate of tangle i's dart at place p
+    darts = [[4 * ci + s for _, (ci, s) in t.boundary_points] for t in dec.tangles]
+    at = {b: (i, p) for i, ds in enumerate(darts) for p, b in enumerate(ds)}
+    far = [[at[d.mate[b]] for b in ds] for ds in darts]
+    # with place 3 as place 0, places (0, 1) sit at 1 and 2; with place 2, (3, 0)
+    arranged = _walk(dec.tangles, far, 3 if far[0][0][0] == far[0][1][0] else 2)
+    if arranged is None:
         return None
-
-    def stub_edge(t: Tangle, k: int) -> int:
-        return t.boundary_points[k][0]
-
-    def rotate(t: Tangle, to_next: set[int]) -> Tangle | None:
-        """Rotate boundary so positions (1, 2) carry the to_next edges."""
-        edges = [stub_edge(t, k) for k in range(4)]
-        for r in range(4):
-            if {edges[(1 + r) % 4], edges[(2 + r) % 4]} == to_next:
-                points = t.boundary_points
-                return replace(t, boundary_points=points[r:] + points[:r])
-        return None
-
-    arranged: list[Tangle] = []
-    if m == 2:
-        # four connecting edges; split them into the two side channels using
-        # curve adjacency on both tangles
-        t0, t1 = dec.tangles[order[0]], dec.tangles[order[1]]
-        all_edges = [stub_edge(t0, k) for k in range(4)]
-        for split in ((0, 1), (1, 2)):
-            side = {all_edges[split[0]], all_edges[split[1]]}
-            r0 = rotate(t0, side)
-            r1 = rotate(t1, {e for e in all_edges if e not in side})
-            if r0 is None or r1 is None:
-                continue
-            # t1's to_prev stubs must be the side edges, adjacent there too
-            t1_edges = [stub_edge(r1, k) for k in range(4)]
-            if {t1_edges[0], t1_edges[3]} == side:
-                arranged = [r0, r1]
-                break
-        if not arranged:
-            return None
-    else:
-        for pos, i in enumerate(order):
-            j = order[(pos + 1) % m]
-            key = (min(i, j), max(i, j))
-            to_next = set(edge_links[key])
-            r = rotate(dec.tangles[i], to_next)
-            if r is None:
-                return None
-            arranged.append(r)
-    return GenusOneStructure(tangles=tuple(arranged), parent=(d, a.fs))
+    return GenusOneStructure(tangles=arranged, parent=(d, a.fs))
 
 
 def classify_orientation(gs: GenusOneStructure, od: OrientedDiagram) -> str:

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import pytest
 
 from knotinv import LaurentPoly, crossing_signs, parse_pd, serialize_pd, validate
+from knotinv.analysis import DiagramAnalysis
+from knotinv.decomp import GenusOneStructure, Tangle, _analysis
+from knotinv.diagram import Diagram
 from knotinv.sampling import (
     random_almost_alternating_diagram,
     random_alternating_diagram,
@@ -419,6 +423,130 @@ def parse_poly_reference(text: str) -> LaurentPoly:
         pos = m.end()
         first = False
     return LaurentPoly("t_half", coeffs)
+
+
+def _region_cycle_reference(tangles, edge_links):
+    """Order tangles into a single cycle; edge_links maps tangle-pair ->
+    list of connecting non-alternating edges.  Returns the tangle order or
+    None when the adjacency is not a cycle."""
+    m = len(tangles)
+    nbrs: dict[int, list[int]] = {i: [] for i in range(m)}
+    for (i, j), edges in edge_links.items():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    if m == 2:
+        if edge_links.get((0, 1)) is None or len(edge_links[(0, 1)]) != 4:
+            return None
+        return [0, 1]
+    for i, ns in nbrs.items():
+        if len(ns) != 2:
+            return None
+    for edges in edge_links.values():
+        if len(edges) != 2:
+            return None
+    order = [0]
+    prev = None
+    cur = 0
+    while True:
+        a, b = nbrs[cur]
+        nxt = b if a == prev else a
+        if nxt == 0:
+            break
+        order.append(nxt)
+        if len(order) > m:
+            return None
+        prev, cur = cur, nxt
+    if len(order) != m:
+        return None
+    return order
+
+
+def recognize_genus_one_reference(
+    d: Diagram, analysis: DiagramAnalysis | None = None
+) -> GenusOneStructure | None:
+    """``decomp.recognize_genus_one`` as it was before it walked the
+    boundary darts, kept verbatim with its helper ``_region_cycle_reference``
+    as the walk's oracle: edges are paired by sorting the boundary points by
+    label, the tangle cycle is read off their links, and the k = 1 channel
+    split is the first of (0, 1) and (1, 2) on tangle 0 that fits.
+
+    Returns None when the diagram is not presented in that form (including
+    every diagram whose own Turaev genus is not one).  ``analysis`` supplies
+    the Turaev genus and the decomposition when given.
+    """
+    a = _analysis(d, analysis)
+    if a.turaev_genus != 1:
+        return None
+    dec = a.decomposition
+    m = len(dec.tangles)
+    if m < 2 or m % 2 or len(dec.curves) != m:
+        return None
+    if not all(
+        t.proper and t.crossing_count >= 1 and len(t.boundary_points) == 4 for t in dec.tangles
+    ):
+        return None
+
+    # which region each stub belongs to
+    region_of = [0] * d.crossing_count
+    for i, t in enumerate(dec.tangles):
+        for ci in t.crossing_indices:
+            region_of[ci] = i
+    # the two ends of each non-alternating edge are boundary points of the
+    # tangles, and consecutive in (label, dart) order
+    ends = sorted(p for t in dec.tangles for p in t.boundary_points)
+    edge_links: dict[tuple[int, int], list[int]] = {}
+    for (e, (c1, _)), (_, (c2, _)) in zip(ends[::2], ends[1::2]):
+        i, j = region_of[c1], region_of[c2]
+        if i == j:
+            return None
+        key = (min(i, j), max(i, j))
+        edge_links.setdefault(key, []).append(e)
+
+    order = _region_cycle_reference(dec.tangles, edge_links)
+    if order is None:
+        return None
+
+    def stub_edge(t: Tangle, k: int) -> int:
+        return t.boundary_points[k][0]
+
+    def rotate(t: Tangle, to_next: set[int]) -> Tangle | None:
+        """Rotate boundary so positions (1, 2) carry the to_next edges."""
+        edges = [stub_edge(t, k) for k in range(4)]
+        for r in range(4):
+            if {edges[(1 + r) % 4], edges[(2 + r) % 4]} == to_next:
+                points = t.boundary_points
+                return replace(t, boundary_points=points[r:] + points[:r])
+        return None
+
+    arranged: list[Tangle] = []
+    if m == 2:
+        # four connecting edges; split them into the two side channels using
+        # curve adjacency on both tangles
+        t0, t1 = dec.tangles[order[0]], dec.tangles[order[1]]
+        all_edges = [stub_edge(t0, k) for k in range(4)]
+        for split in ((0, 1), (1, 2)):
+            side = {all_edges[split[0]], all_edges[split[1]]}
+            r0 = rotate(t0, side)
+            r1 = rotate(t1, {e for e in all_edges if e not in side})
+            if r0 is None or r1 is None:
+                continue
+            # t1's to_prev stubs must be the side edges, adjacent there too
+            t1_edges = [stub_edge(r1, k) for k in range(4)]
+            if {t1_edges[0], t1_edges[3]} == side:
+                arranged = [r0, r1]
+                break
+        if not arranged:
+            return None
+    else:
+        for pos, i in enumerate(order):
+            j = order[(pos + 1) % m]
+            key = (min(i, j), max(i, j))
+            to_next = set(edge_links[key])
+            r = rotate(dec.tangles[i], to_next)
+            if r is None:
+                return None
+            arranged.append(r)
+    return GenusOneStructure(tangles=tuple(arranged), parent=(d, a.fs))
 
 
 @pytest.fixture

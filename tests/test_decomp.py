@@ -1,6 +1,9 @@
 import random
 
 from knotinv import (
+    Crossing,
+    Diagram,
+    DiagramAnalysis,
     alternating_decomposition,
     classify_orientation,
     closures,
@@ -18,9 +21,9 @@ from knotinv import (
     traczyk_signature,
     turaev_genus,
 )
-from knotinv.sampling import random_genus_one_diagram
+from knotinv.sampling import random_alternating_diagram, random_genus_one_diagram
 
-from conftest import gordon_litherland
+from conftest import gordon_litherland, recognize_genus_one_reference
 
 
 def test_turaev_genus_values(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
@@ -104,6 +107,51 @@ def test_generated_cycles_recognized():
         assert turaev_genus(d) == 1
         seen_k.add(k)
     assert seen_k == {1, 2}
+
+
+def _switched(d, rng):
+    """``d`` with one to three crossings switched (each one's tuple rotated
+    by a slot), so some genus-one diagrams leave the normal form."""
+    xs = list(d.crossings)
+    for ci in rng.sample(range(len(xs)), min(len(xs), rng.randint(1, 3))):
+        e = xs[ci].ends
+        xs[ci] = Crossing((e[1], e[2], e[3], e[0]))
+    return Diagram(tuple(xs), d.edge_count)
+
+
+def test_walk_matches_reference_recognition():
+    """The boundary-dart walk against the old label-sorting recognition on
+    2000 seeded genus-one and alternating diagrams with 1-3 crossings
+    switched: both refuse the same diagrams, and they give the same rotated
+    tangles for k >= 2 and the same closure determinant pairs, up to
+    swapping N and D, for k = 1."""
+    rng = random.Random(62)
+    genus_one = refused = 0
+    for i in range(2000):
+        if i % 2:
+            k = rng.randint(1, 4)
+            d = random_genus_one_diagram(k, rng, [rng.randint(1, 5) for _ in range(2 * k)])
+        else:
+            d = random_alternating_diagram(rng.randint(3, 16), rng)
+        d = _switched(d, rng)
+        a = DiagramAnalysis(d)
+        gs, ref = recognize_genus_one(d, a), recognize_genus_one_reference(d, a)
+        genus_one += a.turaev_genus == 1
+        assert (gs is None) == (ref is None)
+        if gs is None:
+            refused += a.turaev_genus == 1
+            continue
+        assert gs.k == ref.k
+        assert [t.crossing_indices for t in gs.tangles] == [t.crossing_indices for t in ref.tangles]
+        if gs.k > 1:
+            assert [t.boundary_points for t in gs.tangles] == [
+                t.boundary_points for t in ref.tangles
+            ]
+        else:
+            assert sorted(map(sorted, gs.closure_determinants)) == sorted(
+                map(sorted, ref.closure_determinants)
+            )
+    assert genus_one > 700 and refused > 60
 
 
 def test_oriented_closures_match_plain(aa_trefoil):
