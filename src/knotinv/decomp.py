@@ -12,6 +12,9 @@ its curve's points from its lowest-labelled edge.  Each step turns the
 current tangle to leave through places 1 and 2, whose mates must lie on one
 other tangle at adjacent places, the later becoming its place 0; after 2k
 steps the walk must be back where it began, having visited every tangle.
+For k = 1 the two ways to split the four edges between the tangles into
+channels swap each tangle's N and D; the split with the smaller sorted
+closure determinant pairs is kept, whatever the labels.
 """
 
 from __future__ import annotations
@@ -448,7 +451,8 @@ def recognize_genus_one(
     every diagram whose own Turaev genus is not one).  ``analysis`` supplies
     the Turaev genus and the decomposition when given.  The cycle is the
     boundary-dart walk of the module docstring, leaving tangle 0 through
-    places (0, 1) when both reach one tangle, else through (3, 0).
+    places (0, 1) when both reach one tangle, else through (3, 0); for k = 1
+    through (3, 0) when the sorted (d, n) pairs are below the sorted (n, d).
     """
     a = _analysis(d, analysis)
     if a.turaev_genus != 1:
@@ -470,7 +474,17 @@ def recognize_genus_one(
     arranged = _walk(dec.tangles, far, 3 if far[0][0][0] == far[0][1][0] else 2)
     if arranged is None:
         return None
-    return GenusOneStructure(tangles=arranged, parent=(d, a.fs))
+    gs = GenusOneStructure(tangles=arranged, parent=(d, a.fs))
+    if m == 2:
+        # the other split turns each tangle a place, swapping N and D: it takes
+        # these forms swapped (their colour class gives the same invariants)
+        dets = gs.closure_determinants
+        other = sorted(p[::-1] for p in dets) < sorted(dets) and _walk(dec.tangles, far, 2)
+        if other:
+            swapped = tuple((dn, n, etas) for n, dn, etas in gs._forms)
+            gs = GenusOneStructure(tangles=other, parent=gs.parent)
+            vars(gs)["_forms"] = swapped  # where the cached property keeps it
+    return gs
 
 
 def classify_orientation(gs: GenusOneStructure, od: OrientedDiagram) -> str:

@@ -1,11 +1,13 @@
+import random
 import sys
 from pathlib import Path
 
-from knotinv import diagram, statesum
+from knotinv import diagram, parse_pd, recognize_genus_one, serialize_pd, statesum
 from knotinv.cli import KnotRecord, analyze_record, decompose_record
+from knotinv.sampling import random_genus_one_diagram
 from knotinv.textio import read_pd_file
 
-from conftest import K12N888_MIRROR_PD
+from conftest import K12N888_MIRROR_PD, recognize_genus_one_reference
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -41,6 +43,24 @@ def test_decompose_record_validates_each_diagram_once(monkeypatch):
     assert splices == []
     assert len(validations) == 1
     assert len({id(d) for (d,) in validations}) == 1
+
+
+def test_other_channel_split_eliminates_each_tangle_once(monkeypatch):
+    """When recognition takes the other k = 1 channel split, the tangles'
+    Goeritz forms of the first split are reused with N and D swapped, so a
+    record runs one elimination per tangle (and ``analyze_record`` one more
+    for the diagram's own determinant)."""
+    rng = random.Random(64)
+    while True:
+        pd = serialize_pd(random_genus_one_diagram(1, rng, [rng.randint(2, 6) for _ in "ab"]))
+        d = parse_pd(pd)
+        if recognize_genus_one(d).tangles != recognize_genus_one_reference(d).tangles:
+            break
+    eliminations = _count_calls(monkeypatch, statesum._nested_det_signatures)
+    for entry, count in ((decompose_record, 2), (analyze_record, 3)):
+        eliminations.clear()
+        assert entry(KnotRecord(name="k1", pd_text=pd))["status"] == "ok"
+        assert len(eliminations) == count
 
 
 def test_analyze_record_validates_each_diagram_once(monkeypatch):
