@@ -6,6 +6,8 @@ are adjacent along the face boundary without running along a single edge.
 The resulting closed curves cut the diagram into maximal alternating
 regions; when those regions form a single cycle of proper alternating
 2-tangles the diagram is in the genus-one normal form (Armond-Lowrance 2017).
+The walk over the faces that finds the arcs records their runs of corners
+(:class:`ArcRuns`), from which the genus-one tangles' Goeritz forms are read.
 
 Recognition is one walk over the boundary darts, with a tangle's places 0-3
 its curve's points from its lowest-labelled edge.  Each step turns the
@@ -19,7 +21,7 @@ closure determinant pairs is kept, whatever the labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -121,10 +123,23 @@ class Tangle:
 
 
 @dataclass(frozen=True)
+class ArcRuns:
+    """Arc ``r`` is ``arcs[r] = (p, q, face)``, from the marked dart ``p``
+    where ``face`` arrives along a non-alternating edge to the one ``q`` it
+    next leaves by.  ``run[a]`` is the arc whose run holds corner ``a``, or
+    -1 in a face with no such edge; ``interior`` has those faces' first."""
+
+    run: list[int]
+    arcs: list[tuple[int, int, int]]
+    interior: list[int]
+
+
+@dataclass(frozen=True)
 class AltDecomposition:
     nonalternating: frozenset[int]
     curves: tuple[tuple[MarkedPoint, ...], ...]
     tangles: tuple[Tangle, ...]
+    arc_runs: ArcRuns | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -134,17 +149,23 @@ class AltDecomposition:
         }
 
 
+# Sector j of a tangle runs between its places j and j + 1 (so S01 is
+# sector 0) and its corners are keyed -1 - j; an interior face's corners
+# are keyed by the face's index.
+_S01, _S23 = -1, -3
+
+
 @dataclass(frozen=True)
 class GenusOneStructure:
     """2k proper alternating 2-tangles in a cycle; tangle i's boundary is
     rotated so points 1 and 2 are the stubs toward tangle i+1.
 
-    ``parent`` is the recognized diagram with its face structure, from which
-    each tangle's closure determinants and signatures are read.
+    ``parent`` is the face structure and the alternating decomposition
+    whose arcs give each tangle's closure determinants and signatures.
     """
 
     tangles: tuple[Tangle, ...]
-    parent: tuple[Diagram, FaceStructure] = field(repr=False, compare=False)
+    parent: tuple[FaceStructure, AltDecomposition] = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -153,33 +174,28 @@ class GenusOneStructure:
     @cached_property
     def _forms(self) -> tuple[tuple[tuple[int, int], tuple[int, int], list[int]], ...]:
         """Per tangle: (det, signature) of the Goeritz forms of N(R_i) and
-        D(R_i), and eta at each of its crossings, read off the parent's
-        faces with no closure built.
+        D(R_i), and eta at each of its crossings, read off the
+        decomposition's arcs with no closure built.
 
-        The parent faces cut each tangle's corners into its interior faces
-        and four *sectors*, S01, S12, S23 and S30, named by the boundary
-        points they enter and leave through.  On the colour class of S01 and
-        S23, the Goeritz graph of N(R_i) has the interior faces of that
-        colour plus S01 and S23 as vertices, and that of D(R_i) the same
-        with S01 and S23 merged.  So both forms come from one Goeritz
-        matrix: ground S01 for N(R_i), delete S23 as well for D(R_i).  With
-        S23 numbered last, one elimination gives both.
+        The arcs cut each tangle's corners into its interior faces and four
+        *sectors*, S01, S12, S23 and S30 (see :meth:`_corners`).  On the
+        colour class of S01 and S23, the Goeritz graph of N(R_i) has the
+        interior faces of that colour plus S01 and S23 as vertices, and that
+        of D(R_i) the same with S01 and S23 merged.  So both forms come from
+        one Goeritz matrix: ground S01 for N(R_i), delete S23 as well for
+        D(R_i).  With S23 numbered last, one elimination gives both.
         """
-        d, fs = self.parent
-        colour = fs.checkerboard_color
-        corner_key, interior, sector_face = _tangle_faces(d, fs, self.tangles)
+        colour = self.parent[0].checkerboard_color
+        corner_key, interior, sector_face = self._corners()
         forms = []
         for i, t in enumerate(self.tangles):
             # each closure has c_t crossings, 2 c_t edges and interior + 3
             # faces, so it is planar exactly when interior = c_t - 1
-            if len(sector_face[i]) != 4 or len(interior[i]) != t.crossing_count - 1:
+            if len(interior[i]) != t.crossing_count - 1:
                 raise DiagramError(f"tangle {i} does not close to planar diagrams")
             cls = colour[sector_face[i][0]]
-            vertex = {_S01: 0}
-            for fi in interior[i]:
-                if colour[fi] == cls:
-                    vertex[fi] = len(vertex)
-            vertex[_S23] = len(vertex)
+            order = (_S01, *(fi for fi in interior[i] if colour[fi] == cls), _S23)
+            vertex = {key: v for v, key in enumerate(order)}
             g, etas = _goeritz_matrix(
                 vertex, (corner_key[4 * ci:4 * ci + 4] for ci in t.crossing_indices)
             )
@@ -187,6 +203,33 @@ class GenusOneStructure:
             d_form, n_form = _nested_det_signatures(g, 1, len(g) - 2)
             forms.append((n_form, d_form, etas))
         return tuple(forms)
+
+    def _corners(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
+        """The key of every corner, indexed by dart (an interior face's
+        index, or its sector's key), each tangle's interior faces, and the
+        face each of its sectors 0..3 lies in.  Every non-alternating edge
+        joins two tangles, so each arc is one of a tangle's curve and its
+        run is the sector between the places of its ends."""
+        face_of, runs = self.parent[0].face_of, self.parent[1].arc_runs
+        owner = [0] * (len(face_of) // 4)
+        where = [0] * len(face_of)  # 4 i + j at the dart of tangle i's place j
+        for i, t in enumerate(self.tangles):
+            for ci in t.crossing_indices:
+                owner[ci] = i
+            for j, (_, (ci, s)) in enumerate(t.boundary_points):
+                where[4 * ci + s] = 4 * i + j
+        # an arc between places j and j + 1, either way round: sector j
+        sector_key = []
+        sector_face = [[0] * 4 for _ in self.tangles]
+        for p, q, fi in runs.arcs:
+            w = where[p] if (where[q] - where[p]) % 4 == 1 else where[q]
+            sector_face[w >> 2][w & 3] = fi
+            sector_key.append(-1 - (w & 3))
+        corner_key = [sector_key[r] if r >= 0 else fi for r, fi in zip(runs.run, face_of)]
+        interior: list[list[int]] = [[] for _ in self.tangles]
+        for a in runs.interior:
+            interior[owner[a >> 2]].append(face_of[a])
+        return corner_key, interior, sector_face
 
     @cached_property
     def closure_determinants(self) -> tuple[tuple[int, int], ...]:
@@ -214,67 +257,6 @@ class GenusOneStructure:
         return tuple(sigs)
 
 
-# Sector j of a tangle runs between boundary points j and j+1 (so S01 is
-# sector 0) and its corners are keyed -1 - j; an interior face's corners
-# are keyed by the face's index.
-_S01, _S23 = -1, -3
-
-
-def _sector(a: int | None, b: int | None) -> int | None:
-    """The sector between boundary points ``a`` and ``b``, or None when
-    they are not cyclically adjacent."""
-    if a is None or b is None:
-        return None
-    if (b - a) % 4 == 1:
-        return a
-    if (a - b) % 4 == 1:
-        return b
-    return None
-
-
-def _tangle_faces(d: Diagram, fs: FaceStructure, tangles: tuple[Tangle, ...]):
-    """Split the parent's face orbits into runs of corners by tangle.
-
-    Returns the key of every corner, indexed by dart (an interior face's
-    index, or its sector's key), each tangle's interior faces, and each
-    tangle's map from sector index 0..3 to the parent face it lies in.
-    Raises DiagramError when a run does not join cyclically adjacent
-    boundary points or a tangle has a sector twice.
-    """
-    mate = d.mate
-    owner = [0] * d.crossing_count
-    point: list[int | None] = [None] * (4 * d.crossing_count)  # boundary index by dart
-    for i, t in enumerate(tangles):
-        for ci in t.crossing_indices:
-            owner[ci] = i
-        for k, (_, (ci, s)) in enumerate(t.boundary_points):
-            point[4 * ci + s] = k
-    corner_key = [0] * (4 * d.crossing_count)
-    interior: list[list[int]] = [[] for _ in tangles]
-    sector_face: list[dict[int, int]] = [{} for _ in tangles]
-    for fi, orbit in enumerate(fs.faces):
-        owners = [owner[a >> 2] for a in orbit]
-        starts = [r for r in range(len(orbit)) if owners[r - 1] != owners[r]]
-        if not starts:
-            interior[owners[0]].append(fi)
-            for a in orbit:
-                corner_key[a] = fi
-            continue
-        for r, start in enumerate(starts):
-            end = starts[(r + 1) % len(starts)]
-            run = orbit[start:end] if start < end else orbit[start:] + orbit[:end]
-            i = owners[start]
-            # enters at the first corner's dart and leaves by the mate of the
-            # next run's first corner
-            j = _sector(point[run[0]], point[mate[orbit[end]]])
-            if j is None or j in sector_face[i]:
-                raise DiagramError(f"tangle {i} has a malformed sector")
-            sector_face[i][j] = fi
-            for a in run:
-                corner_key[a] = -1 - j
-    return corner_key, interior, sector_face
-
-
 def alternating_decomposition(
     d: Diagram, analysis: DiagramAnalysis | None = None
 ) -> AltDecomposition:
@@ -296,14 +278,27 @@ def alternating_decomposition(
     # arcs inside each face: a step of the face along a non-alternating edge
     # is a block from its departure dart to its arrival dart (the next
     # corner), and the arrival of each block is joined to the departure of
-    # the next
+    # the next.  An arc's run is its face's corners from its arrival up to
+    # the next arrival, round the end of the face for the last arc.
+    run = [-1] * len(mate)
+    arcs: list[tuple[int, int, int]] = []
+    interior: list[int] = []
     adj: dict[int, list[int]] = {}
-    for orbit in fs.faces:
-        arrivals = [b for b in orbit[1:] + orbit[:1] if not (b ^ mate[b]) & 1]
+    for fi, orbit in enumerate(fs.faces):
+        cycle = orbit[1:] + orbit[:1]
+        arrivals = [b for b in cycle if not (b ^ mate[b]) & 1]
+        if not arrivals:
+            interior.append(orbit[0])
+            continue
+        k, r = cycle.index(arrivals[0]), len(arcs) - 1
+        for b in cycle[k:] + cycle[:k]:
+            r += not (b ^ mate[b]) & 1
+            run[b] = r
         for i, b in enumerate(arrivals):
             p, q = b, mate[arrivals[(i + 1) % len(arrivals)]]
             if p == q:
                 raise DiagramError("degenerate alternating decomposition (self-arc)")
+            arcs.append((p, q, fi))
             adj.setdefault(p, []).append(q)
             adj.setdefault(q, []).append(p)
     for p, nbrs in adj.items():
@@ -372,6 +367,7 @@ def alternating_decomposition(
         nonalternating=frozenset(nonalt),
         curves=tuple(tuple(map(point.get, curve)) for curve in curves),
         tangles=tuple(tangles),
+        arc_runs=ArcRuns(run, arcs, interior),
     )
 
 
@@ -403,8 +399,8 @@ def closures(t: Tangle) -> tuple[Diagram, Diagram]:
     is not a planar diagram).
 
     Nothing in the CLI builds them: ``GenusOneStructure`` reads the
-    closure determinants and signatures off the parent's faces, and these
-    closures are that route's test oracle.
+    closure determinants and signatures off the decomposition's arcs, and
+    these closures are that route's test oracle.
     """
     return _close(t, "numerator")[0], _close(t, "denominator")[0]
 
@@ -438,8 +434,8 @@ def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None
         r = p if (p - q) % 4 == 1 else q  # the later place
     if (i, r) != walked[0] or len({i for i, _ in walked}) != len(tangles):
         return None
-    pts = [t.boundary_points for t in tangles]
-    return tuple(replace(tangles[i], boundary_points=pts[i][r:] + pts[i][:r]) for i, r in walked)
+    turns = ((tangles[i], tangles[i].boundary_points, r) for i, r in walked)
+    return tuple(Tangle(t.crossing_indices, b[r:] + b[:r], t.proper, t.parent) for t, b, r in turns)
 
 
 def recognize_genus_one(
@@ -474,7 +470,7 @@ def recognize_genus_one(
     arranged = _walk(dec.tangles, far, 3 if far[0][0][0] == far[0][1][0] else 2)
     if arranged is None:
         return None
-    gs = GenusOneStructure(tangles=arranged, parent=(d, a.fs))
+    gs = GenusOneStructure(tangles=arranged, parent=(a.fs, dec))
     if m == 2:
         # the other split turns each tangle a place, swapping N and D: it takes
         # these forms swapped (their colour class gives the same invariants)

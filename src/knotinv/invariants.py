@@ -169,7 +169,7 @@ def tangle_sum_signature(
     """Theorem 2: the signatures of the closures the orientation extends to,
     summed, +- 1 by the determinant mod 4.
 
-    The closure signatures are read off the parent's faces by
+    The closure signatures are read off the decomposition's arcs by
     Gordon-Litherland (:meth:`GenusOneStructure.closure_signatures`), so no
     closure is built and a closure with a nugatory crossing needs no
     special case.  Traczyk on the reduced oriented closures is the test

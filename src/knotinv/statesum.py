@@ -365,12 +365,6 @@ def _goeritz_matrix(vertex: dict, corners) -> tuple[list[list[int]], list[int]]:
     return g, etas
 
 
-def _det_signature(g: list[list[int]], k: int = 0) -> tuple[int, int]:
-    """(det, signature) of the symmetric integer matrix ``g`` with its first
-    ``k`` rows and columns deleted, by :func:`_nested_det_signatures`."""
-    return _nested_det_signatures(g, k, 0)[1]
-
-
 def _nested_det_signatures(
     g: list[list[int]], k: int, lead: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -378,16 +372,17 @@ def _nested_det_signatures(
     symmetric integer matrix ``g`` with its first ``k`` rows and columns
     deleted, and of that whole matrix, from one elimination.
 
-    Fraction-free symmetric elimination: the pivot at each step is a
-    nonzero diagonal entry of the trailing block, moved into place by
-    swapping a row and its column only when it is not there already.  When
-    the trailing diagonal is all zero, a nonzero entry (i, j) is made a
-    pivot by adding row and column j to row and column i, which leaves 2 *
-    a[i][j] on the diagonal.  Both moves are congruences of determinant
-    one, so the trailing block stays the Schur complement times the last
-    pivot, as in Bareiss's method, and each pivot's sign relative to the
-    one before it adds +-1 to the signature.  A trailing block of zeros is
-    the kernel: the determinant is 0 and it adds nothing to the signature.
+    Fraction-free symmetric elimination, in place on a copy of ``g``: the
+    pivot at each step is a nonzero diagonal entry of the trailing block,
+    looked for only when the one in place is zero and moved into place by
+    swapping a row and its column.  When the trailing diagonal is all zero,
+    a nonzero entry (i, j) is made a pivot by adding row and column j to
+    row and column i, which leaves 2 * a[i][j] on the diagonal.  Both moves
+    are congruences of determinant one, so the trailing block stays the
+    Schur complement times the last pivot, as in Bareiss's method, and each
+    pivot's sign relative to the one before it adds +-1 to the signature.
+    A trailing block of zeros is the kernel: the determinant is 0 and it
+    adds nothing to the signature.
 
     Pivots and pairs are looked for inside the leading block until it is
     used up, so both moves stay congruences of that block too: its last
@@ -401,28 +396,33 @@ def _nested_det_signatures(
     forms = []
     for stop in (lead, n):
         while step < stop:
-            piv = next((i for i in range(step, stop) if a[i][i]), None)
-            if piv is None:
-                pair = next(
-                    ((i, j) for i in range(step, stop) for j in range(i + 1, stop) if a[i][j]), None
-                )
-                if pair is None:
-                    break
-                piv, j = pair
-                a[piv] = [x + y for x, y in zip(a[piv], a[j])]
-                for row in a[step:]:
-                    row[piv] += row[j]
-            if piv != step:
-                a[step], a[piv] = a[piv], a[step]
-                for row in a[step:]:
-                    row[step], row[piv] = row[piv], row[step]
+            if not a[step][step]:
+                piv = next((i for i in range(step + 1, stop) if a[i][i]), None)
+                if piv is None:
+                    pairs = ((i, j) for i in range(step, stop) for j in range(i + 1, stop))
+                    pair = next((ij for ij in pairs if a[ij[0]][ij[1]]), None)
+                    if pair is None:
+                        break
+                    piv, j = pair
+                    a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+                    for row in a[step:]:
+                        row[piv] += row[j]
+                if piv != step:
+                    a[step], a[piv] = a[piv], a[step]
+                    for row in a[step:]:
+                        row[step], row[piv] = row[piv], row[step]
             pivot_row = a[step]
             p = pivot_row[step]
             sig += 1 if (p > 0) == (prev > 0) else -1
-            tail = pivot_row[step + 1:]
+            rest = range(step + 1, n)
             for row in a[step + 1:]:
                 f = row[step]
-                row[step + 1:] = [(x * p - f * y) // prev for x, y in zip(row[step + 1:], tail)]
+                if f:
+                    for j in rest:
+                        row[j] = (row[j] * p - f * pivot_row[j]) // prev
+                else:
+                    for j in rest:
+                        row[j] = row[j] * p // prev
             prev = p
             step += 1
         forms.append((prev if step == stop else 0, sig))
@@ -444,7 +444,7 @@ def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
         {fi: i for i, fi in enumerate(white)},
         (fs.face_of[a:a + 4] for a in range(0, 4 * d.crossing_count, 4)),
     )
-    return abs(_det_signature(g, 1)[0])
+    return abs(_nested_det_signatures(g, 1, 0)[1][0])
 
 
 def determinant(od: OrientedDiagram) -> int:

@@ -13,7 +13,7 @@ import pytest
 from knotinv import LaurentPoly, crossing_signs, parse_pd, serialize_pd, validate
 from knotinv.analysis import DiagramAnalysis
 from knotinv.decomp import GenusOneStructure, Tangle, _analysis
-from knotinv.diagram import Diagram
+from knotinv.diagram import Diagram, DiagramError
 from knotinv.sampling import (
     random_almost_alternating_diagram,
     random_alternating_diagram,
@@ -272,12 +272,74 @@ def bareiss_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def nested_det_signatures_reference(
+    g: list[list[int]], k: int, lead: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``statesum._nested_det_signatures`` as it was before it updated the
+    trailing block in place, kept verbatim as its oracle: it looks for a
+    pivot at every step and rebuilds each trailing row as a new list.
+
+    (det, signature) of the leading ``lead`` x ``lead`` block of the
+    symmetric integer matrix ``g`` with its first ``k`` rows and columns
+    deleted, and of that whole matrix, from one elimination.
+
+    Fraction-free symmetric elimination: the pivot at each step is a
+    nonzero diagonal entry of the trailing block, moved into place by
+    swapping a row and its column only when it is not there already.  When
+    the trailing diagonal is all zero, a nonzero entry (i, j) is made a
+    pivot by adding row and column j to row and column i, which leaves 2 *
+    a[i][j] on the diagonal.  Both moves are congruences of determinant
+    one, so the trailing block stays the Schur complement times the last
+    pivot, as in Bareiss's method, and each pivot's sign relative to the
+    one before it adds +-1 to the signature.  A trailing block of zeros is
+    the kernel: the determinant is 0 and it adds nothing to the signature.
+
+    Pivots and pairs are looked for inside the leading block until it is
+    used up, so both moves stay congruences of that block too: its last
+    pivot is its determinant and its pivot signs sum to its signature.  A
+    leading block that turns singular gives (0, its signature so far), and
+    the elimination goes on over the whole trailing block.
+    """
+    a = [row[k:] for row in g[k:]]
+    n = len(a)
+    prev, sig, step = 1, 0, 0
+    forms = []
+    for stop in (lead, n):
+        while step < stop:
+            piv = next((i for i in range(step, stop) if a[i][i]), None)
+            if piv is None:
+                pair = next(
+                    ((i, j) for i in range(step, stop) for j in range(i + 1, stop) if a[i][j]), None
+                )
+                if pair is None:
+                    break
+                piv, j = pair
+                a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+                for row in a[step:]:
+                    row[piv] += row[j]
+            if piv != step:
+                a[step], a[piv] = a[piv], a[step]
+                for row in a[step:]:
+                    row[step], row[piv] = row[piv], row[step]
+            pivot_row = a[step]
+            p = pivot_row[step]
+            sig += 1 if (p > 0) == (prev > 0) else -1
+            tail = pivot_row[step + 1:]
+            for row in a[step + 1:]:
+                f = row[step]
+                row[step + 1:] = [(x * p - f * y) // prev for x, y in zip(row[step + 1:], tail)]
+            prev = p
+            step += 1
+        forms.append((prev if step == stop else 0, sig))
+    return forms[0], forms[1]
+
+
 def fraction_det_signature(m: list[list[int]]) -> tuple[int, int]:
     """(det, signature) of a symmetric integer matrix in exact rationals:
     the determinant by row reduction, the signature by Lagrange's
     diagonalisation by congruence (a zero diagonal is first made nonzero by
     adding a row and its column to another).  The oracle for
-    ``statesum._det_signature``; slow, for small matrices."""
+    ``statesum._nested_det_signatures``; slow, for small matrices."""
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     det = Fraction(1)
@@ -546,7 +608,67 @@ def recognize_genus_one_reference(
             if r is None:
                 return None
             arranged.append(r)
-    return GenusOneStructure(tangles=tuple(arranged), parent=(d, a.fs))
+    return GenusOneStructure(tangles=tuple(arranged), parent=(a.fs, dec))
+
+
+def _sector_reference(a: int | None, b: int | None) -> int | None:
+    """The sector between boundary points ``a`` and ``b``, or None when
+    they are not cyclically adjacent."""
+    if a is None or b is None:
+        return None
+    if (b - a) % 4 == 1:
+        return a
+    if (a - b) % 4 == 1:
+        return b
+    return None
+
+
+def tangle_faces_reference(d: Diagram, fs, tangles: tuple[Tangle, ...]):
+    """``decomp._tangle_faces`` as it was before the corners were read off
+    the decomposition's arcs, kept verbatim with its helper
+    ``_sector_reference`` as the oracle of ``GenusOneStructure._corners``:
+    it walks every parent face again and cuts it where the tangle changes.
+
+    Split the parent's face orbits into runs of corners by tangle.
+
+    Returns the key of every corner, indexed by dart (an interior face's
+    index, or its sector's key), each tangle's interior faces, and each
+    tangle's map from sector index 0..3 to the parent face it lies in.
+    Raises DiagramError when a run does not join cyclically adjacent
+    boundary points or a tangle has a sector twice.
+    """
+    mate = d.mate
+    owner = [0] * d.crossing_count
+    point: list[int | None] = [None] * (4 * d.crossing_count)  # boundary index by dart
+    for i, t in enumerate(tangles):
+        for ci in t.crossing_indices:
+            owner[ci] = i
+        for k, (_, (ci, s)) in enumerate(t.boundary_points):
+            point[4 * ci + s] = k
+    corner_key = [0] * (4 * d.crossing_count)
+    interior: list[list[int]] = [[] for _ in tangles]
+    sector_face: list[dict[int, int]] = [{} for _ in tangles]
+    for fi, orbit in enumerate(fs.faces):
+        owners = [owner[a >> 2] for a in orbit]
+        starts = [r for r in range(len(orbit)) if owners[r - 1] != owners[r]]
+        if not starts:
+            interior[owners[0]].append(fi)
+            for a in orbit:
+                corner_key[a] = fi
+            continue
+        for r, start in enumerate(starts):
+            end = starts[(r + 1) % len(starts)]
+            run = orbit[start:end] if start < end else orbit[start:] + orbit[:end]
+            i = owners[start]
+            # enters at the first corner's dart and leaves by the mate of the
+            # next run's first corner
+            j = _sector_reference(point[run[0]], point[mate[orbit[end]]])
+            if j is None or j in sector_face[i]:
+                raise DiagramError(f"tangle {i} has a malformed sector")
+            sector_face[i][j] = fi
+            for a in run:
+                corner_key[a] = -1 - j
+    return corner_key, interior, sector_face
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from knotinv import diagram, parse_pd, recognize_genus_one, serialize_pd, statesum
@@ -10,6 +11,15 @@ from knotinv.textio import read_pd_file
 from conftest import K12N888_MIRROR_PD, recognize_genus_one_reference
 
 
+def _rebind(monkeypatch, fn, replacement) -> None:
+    """Put ``replacement`` in place of ``fn`` in every knotinv module that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name == "knotinv" or name.startswith("knotinv."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Count calls of ``fn`` through every knotinv module that binds it."""
     calls = []
@@ -18,11 +28,7 @@ def _count_calls(monkeypatch, fn) -> list:
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "knotinv" or name.startswith("knotinv."):
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+    _rebind(monkeypatch, fn, counted)
     return calls
 
 
@@ -43,6 +49,29 @@ def test_decompose_record_validates_each_diagram_once(monkeypatch):
     assert splices == []
     assert len(validations) == 1
     assert len({id(d) for (d,) in validations}) == 1
+
+
+def test_decompose_record_walks_the_faces_once(monkeypatch):
+    """The decomposition walks the faces and records each arc's corners;
+    the tangles' Goeritz forms are read off that record, not off a second
+    walk."""
+    walks = []
+
+    class CountedFaces(tuple):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    validate = diagram.validate
+
+    def validate_counted(d):
+        fs = validate(d)
+        return replace(fs, faces=CountedFaces(fs.faces))
+
+    _rebind(monkeypatch, validate, validate_counted)
+    rep = decompose_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
+    assert rep["recognized"] and rep["closure_determinants"]
+    assert len(walks) == 1
 
 
 def test_other_channel_split_eliminates_each_tangle_once(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -160,14 +161,23 @@ def test_decompose_beyond_state_sum_limit(tmp_path, capsys):
 
 
 def test_closure_structure_error_is_typed(tmp_path, capsys, monkeypatch):
-    # a tangle whose sectors do not join adjacent boundary points fails the
-    # structural check in place of closure validation
-    monkeypatch.setattr(decomp, "_sector", lambda a, b: None)
+    # a tangle with one interior face too few fails the structural check in
+    # place of closure validation
+    decompose = decomp.alternating_decomposition
+
+    def dropping_a_face(d, analysis=None):
+        dec = decompose(d, analysis)
+        if dec.arc_runs is None:  # an alternating diagram has no arcs
+            return dec
+        runs = replace(dec.arc_runs, interior=dec.arc_runs.interior[1:])
+        return replace(dec, arc_runs=runs)
+
+    monkeypatch.setattr(decomp, "alternating_decomposition", dropping_a_face)
     rec = KnotRecord(name="big", pd_text=K12N888_MIRROR_PD)
     out = decompose_record(rec)
     message = out.pop("message")
     assert out == {"name": "big", "status": "error"}
-    assert message.endswith("has a malformed sector")
+    assert message.endswith("does not close to planar diagrams")
     rep = analyze_record(rec)
     assert rep["status"] == "ok"
     assert rep["fields"]["decomposition"] == {"status": "error", "message": message}

@@ -23,7 +23,7 @@ from knotinv import (
 )
 from knotinv.sampling import random_alternating_diagram, random_genus_one_diagram
 
-from conftest import gordon_litherland, recognize_genus_one_reference
+from conftest import gordon_litherland, recognize_genus_one_reference, tangle_faces_reference
 
 
 def test_turaev_genus_values(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
@@ -230,6 +230,34 @@ def test_closure_determinants_match_closures(k12n888_mirror):
                 assert sorted(mirror_pairs[t.crossing_indices]) == sorted(pair)
             else:
                 assert mirror_pairs[t.crossing_indices] == pair
+
+
+def test_arc_corners_match_face_walk_reference(k12n888_mirror):
+    """The corner keys, interior faces and sector faces read off the
+    decomposition's arcs against the old second walk over the parent's
+    faces, on 12n888, its mirror and 240 seeded genus-one diagrams (k = 1-4,
+    up to 60 crossings), k = 1 diagrams that take the other channel split
+    among them."""
+    rng = random.Random(65)
+    corpus = [k12n888_mirror, mirror(k12n888_mirror)]
+    for _ in range(240):
+        k = rng.randint(1, 4)
+        sizes = [rng.randint(1, 30 // k) for _ in range(2 * k)]
+        corpus.append(random_genus_one_diagram(k, rng, sizes))
+    other_split = 0
+    for d in corpus:
+        a = DiagramAnalysis(d)
+        gs = recognize_genus_one(d, a)
+        corner_key, interior, sector_face = gs._corners()
+        ref_key, ref_interior, ref_sector = tangle_faces_reference(d, a.fs, gs.tangles)
+        assert corner_key == ref_key
+        assert interior == ref_interior
+        assert sector_face == [[sf[j] for j in range(4)] for sf in ref_sector]
+        # for k = 1 the first split turns tangle 0 to its place 3, the other to 2
+        if gs.k == 1:
+            first = a.decomposition.tangles[0].boundary_points
+            other_split += gs.tangles[0].boundary_points[0] == first[2]
+    assert other_split > 10
 
 
 def _joined_edges(t, which: str) -> frozenset:

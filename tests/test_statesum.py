@@ -1,7 +1,9 @@
+import copy
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotinv import (
     Crossing,
@@ -34,6 +36,7 @@ from conftest import (
     det_from_jones,
     fraction_det_signature,
     full_twist_pd,
+    nested_det_signatures_reference,
     sweep_order_reference,
 )
 
@@ -179,13 +182,15 @@ def test_det_signature_matches_references():
     rational diagonalisation, on 3000 seeded symmetric matrices."""
     singular = zero_diagonal = 0
     for m in _symmetric_matrices(random.Random(3000), 3000):
-        got = statesum._det_signature(m)
+        got = statesum._nested_det_signatures(m, 0, 0)[1]
         assert got == fraction_det_signature(m), m
         assert got[0] == bareiss_det(m), m
         singular += got[0] == 0
         zero_diagonal += len(m) > 1 and not any(m[i][i] for i in range(len(m)))
         if m:
-            assert statesum._det_signature(m, 1) == statesum._det_signature([r[1:] for r in m[1:]])
+            assert statesum._nested_det_signatures(m, 1, 0) == statesum._nested_det_signatures(
+                [r[1:] for r in m[1:]], 0, 0
+            )
     assert singular > 300 and zero_diagonal > 800
 
 
@@ -200,11 +205,49 @@ def test_nested_det_signatures_match_reference():
         if not m:
             continue
         lead, whole = statesum._nested_det_signatures(m, 0, len(m) - 1)
-        assert whole == statesum._det_signature(m), m
+        assert whole == statesum._nested_det_signatures(m, 0, 0)[1], m
         assert lead == fraction_det_signature([r[:-1] for r in m[:-1]]), m
         singular_lead += lead[0] == 0
         zero_diagonal += len(m) > 1 and not any(m[i][i] for i in range(len(m)))
     assert singular_lead > 500 and zero_diagonal > 800
+
+
+@st.composite
+def _singular_symmetric(draw):
+    """A symmetric integer matrix of order 0-12, mostly zeros and small
+    entries, with a zero diagonal or a row and column copied onto a later
+    one (so every leading block holding both is singular), or both."""
+    n = draw(st.integers(0, 12))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3))
+    upper = iter(draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(upper)
+    if draw(st.booleans()):
+        for i in range(n):
+            m[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        src = draw(st.integers(0, n - 2))
+        dst = draw(st.integers(src + 1, n - 1))
+        m[dst] = m[src][:]
+        for row in m:
+            row[dst] = row[src]
+    return m
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(m=_singular_symmetric())
+def test_in_place_elimination_matches_reference(m):
+    """The in-place elimination against the old one that rebuilt each row,
+    for every k <= 2 and lead <= n - k, and it leaves its argument as it
+    was."""
+    before = copy.deepcopy(m)
+    for k in range(min(2, len(m)) + 1):
+        for lead in range(len(m) - k + 1):
+            got = statesum._nested_det_signatures(m, k, lead)
+            assert m == before
+            assert got == nested_det_signatures_reference(m, k, lead), (k, lead)
 
 
 def _bracket_corpus():
