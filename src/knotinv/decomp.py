@@ -283,7 +283,6 @@ def alternating_decomposition(
     run = [-1] * len(mate)
     arcs: list[tuple[int, int, int]] = []
     interior: list[int] = []
-    adj: dict[int, list[int]] = {}
     for fi, orbit in enumerate(fs.faces):
         cycle = orbit[1:] + orbit[:1]
         arrivals = [b for b in cycle if not (b ^ mate[b]) & 1]
@@ -299,17 +298,19 @@ def alternating_decomposition(
             if p == q:
                 raise DiagramError("degenerate alternating decomposition (self-arc)")
             arcs.append((p, q, fi))
-            adj.setdefault(p, []).append(q)
-            adj.setdefault(q, []).append(p)
-    for p, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise DiagramError(
-                f"marked point {(labels[p], divmod(p, 4))} has arc degree {len(nbrs)}"
-            )
 
-    # every marked dart, in (label, dart) order: curves start at the first
-    # one not yet on a curve
-    marked = sorted(adj, key=lambda b: (labels[b], b))
+    # each marked dart starts one arc and ends one, so the curves are the
+    # cycles of p -> q.  A curve starts at the first marked dart in (label,
+    # dart) order not yet on one, and runs the way of that dart's first arc.
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    way: dict[int, dict[int, int]] = {}
+    for p, q, _ in arcs:
+        succ[p] = q
+        pred[q] = p
+        way.setdefault(p, succ)
+        way.setdefault(q, pred)
+    marked = sorted(succ, key=lambda b: (labels[b], b))
     point = {b: (labels[b], divmod(b, 4)) for b in marked}
     curve_of: dict[int, int] = {}
     curves: list[list[int]] = []
@@ -317,16 +318,10 @@ def alternating_decomposition(
         if start in curve_of:
             continue
         k = curve_of[start] = len(curves)
-        cycle = [start]
-        prev, cur = None, start
-        while True:
-            x, y = adj[cur]
-            nxt = y if x == prev else x
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            curve_of[nxt] = k
-            prev, cur = cur, nxt
+        step, cycle, cur = way[start], [start], start
+        while (cur := step[cur]) != start:
+            cycle.append(cur)
+            curve_of[cur] = k
         curves.append(cycle)
 
     # maximal alternating regions: crossings joined by alternating edges

@@ -191,7 +191,8 @@ def parse_pd(text: str) -> Diagram:
     Also accepts ``X(a,b,c,d)`` and bare ``[a,b,c,d]`` / ``(a,b,c,d)``
     tuples; each ``U`` token adds one free unknotted loop.  Empty text is
     the 0-crossing unknot.  A label is an optionally negative run of ASCII
-    digits; a negative one is refused by the label range check.
+    digits; a negative one is refused by the label range check, and one
+    with more digits than ``int`` converts raises ``PDSyntaxError``.
     """
     tokens = text.split()
     if not tokens:
@@ -206,7 +207,11 @@ def parse_pd(text: str) -> Diagram:
         m = match(tok)
         if not m:
             raise _token_error(tok)
-        crossings.append(Crossing(ends=tuple(map(int, m.group(2, 3, 4, 5)))))
+        try:
+            ends = tuple(map(int, m.group(2, 3, 4, 5)))
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise PDSyntaxError(f"label too long to convert in token {tok[:16]!r}...") from None
+        crossings.append(Crossing(ends=ends))
     edge_count = max((e for x in crossings for e in x.ends), default=0)
     return Diagram(crossings=tuple(crossings), edge_count=edge_count, free_loops=free_loops)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPoly
 
@@ -15,15 +15,28 @@ class PolyParseError(ValueError):
     """Malformed polynomial text."""
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class _RecordFields(NamedTuple):
     name: str
     pd_text: str | None = None
     jones_text: str | None = None
 
-    def __post_init__(self):
-        if self.pd_text is None and self.jones_text is None:
-            raise ValueError(f"record {self.name!r} has neither a PD code nor a polynomial")
+
+class KnotRecord(_RecordFields):
+    """One table row: a name, and PD text or Jones polynomial text or both.
+
+    An immutable tuple: it unpacks and compares like ``(name, pd_text,
+    jones_text)``.  The constructor refuses a record with neither text.
+    ``KnotRecord._make(fields)`` builds a record with one ``tuple.__new__``
+    and skips that check, so it is only for callers that know one field
+    holds text, as the file readers do.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, pd_text: str | None = None, jones_text: str | None = None):
+        if pd_text is None and jones_text is None:
+            raise ValueError(f"record {name!r} has neither a PD code nor a polynomial")
+        return tuple.__new__(cls, (name, pd_text, jones_text))
 
 
 _TERM_RE = re.compile(
@@ -53,8 +66,9 @@ def parse_poly(text: str) -> LaurentPoly:
     optional ``*`` between coefficient and ``t``, and whitespace anywhere.
     Runs of signs collapse (``+ -1*t^2`` reads as ``-t^2``), and
     coefficients at repeated exponents are summed.  Every term after the
-    first needs a sign.  Malformed text raises ``PolyParseError`` naming
-    the first bad term.
+    first needs a sign.  Malformed text, or a number with more digits than
+    ``int`` converts (``sys.get_int_max_str_digits()``), raises
+    ``PolyParseError`` naming the first bad term.
     """
     s = "".join(text.split())
     # collapse sign pairs so serializer output like "+ -1*t^2" reads back
@@ -79,17 +93,22 @@ def parse_poly(text: str) -> LaurentPoly:
             raise PolyParseError(f"exponent without variable near {s[pos:pos+12]!r}")
         if pos and not sign:
             raise PolyParseError(f"missing sign between terms near {s[pos:pos+12]!r}")
-        c = int(coef) if coef else 1
+        try:
+            c = int(coef) if coef else 1
+            if var is None:
+                h = 0
+            elif exp is None:
+                h = 2
+            elif "/" in exp:
+                h = _half_exponent(exp)
+            else:
+                h = 2 * int(exp)
+        except PolyParseError:
+            raise
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise PolyParseError(f"number too long to convert near {s[pos:pos+12]!r}") from None
         if sign == "-":
             c = -c
-        if var is None:
-            h = 0
-        elif exp is None:
-            h = 2
-        elif "/" in exp:
-            h = _half_exponent(exp)
-        else:
-            h = 2 * int(exp)
         coeffs[h] = coeffs.get(h, 0) + c
         pos = end
     return LaurentPoly("t_half", coeffs)
@@ -97,8 +116,12 @@ def parse_poly(text: str) -> LaurentPoly:
 
 def read_pd_file(path: str) -> list[KnotRecord]:
     """One PD per line, optionally prefixed ``name: pd``; blank lines and
-    ``#`` comments are skipped.  A UTF-8 byte-order mark is ignored."""
+    ``#`` comments are skipped.  A UTF-8 byte-order mark is ignored.
+
+    Each record is built with ``KnotRecord._make``, since its PD field is
+    always a string."""
     records = []
+    make = KnotRecord._make
     with open(path, encoding="utf-8-sig") as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -110,7 +133,7 @@ def read_pd_file(path: str) -> list[KnotRecord]:
                 pd_text = pd_text.strip()
             else:
                 name, pd_text = f"line{i}", line
-            records.append(KnotRecord(name=name, pd_text=pd_text))
+            records.append(make((name, pd_text, None)))
     return records
 
 
@@ -120,8 +143,14 @@ def read_csv(path: str) -> list[KnotRecord]:
     Blank rows are skipped and a UTF-8 byte-order mark is ignored.  A header
     name given twice means its last column.  A row that ends before its
     ``name`` or ``jones`` field raises ``ValueError`` naming the line.
+
+    Each row costs one ``len``, up to three ``strip`` calls and one
+    ``KnotRecord._make``: a bare ``tuple.__new__`` that skips the
+    constructor's check, which is safe because the ``jones`` field is
+    always a string.
     """
     records = []
+    append, make = records.append, KnotRecord._make
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         col = {field: i for i, field in enumerate(next(reader, ()))}
@@ -139,5 +168,5 @@ def read_csv(path: str) -> list[KnotRecord]:
                     f" but its 'name' and 'jones' columns need {need}"
                 )
             pd_text = row[i_pd].strip() if i_pd is not None and i_pd < n else ""
-            records.append(KnotRecord(row[i_name].strip(), pd_text or None, row[i_jones].strip()))
+            append(make((row[i_name].strip(), pd_text or None, row[i_jones].strip())))
     return records

@@ -694,3 +694,18 @@ def aa_trefoil():
 @pytest.fixture
 def k12n888_mirror():
     return parse_pd(K12N888_MIRROR_PD)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's int-string digit limit, ``sys.get_int_max_str_digits()``;
+    when it is switched off (0), the default 4300 is set for the test."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        yield limit
+        return
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(0)

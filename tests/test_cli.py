@@ -107,6 +107,40 @@ def test_obstruct_csv_short_row(tmp_path, capsys):
     )
 
 
+def test_obstruct_overlong_number_is_a_record_error(tmp_path, capsys, int_digit_limit):
+    """A coefficient or PD label past the int-string digit limit fails its
+    own record only: the other rows keep their verdicts and ``main`` exits 1."""
+    digits = "7" * (int_digit_limit + 1)
+    good = {
+        "12n254": "3t^2-5t^3+ 9t^4-11t^5+ 11t^6-11t^7+ 8t^8-5t^9+ 2t^{10}",
+        "tref": "1*t^-1 + 1*t^-3 + -1*t^-4",
+    }
+    f = tmp_path / "long.csv"
+    f.write_text(
+        "name,jones,pd\n"
+        f'12n254,"{good["12n254"]}",\n'
+        f'long,"{digits}t^2 - 2",\n'
+        f'longpd,,"X[1,{digits},2,3]"\n'
+        f'tref,"{good["tref"]}","{TREFOIL_PD}"\n'
+    )
+    rc = main(["obstruct", "--csv", str(f), "--json"])
+    assert rc == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["name"] for r in records] == ["12n254", "long", "longpd", "tref"]
+    for r in (records[0], records[3]):
+        alone = obstruct_record(KnotRecord(r["name"], None, good[r["name"]]))
+        assert r == alone and r["status"] == "ok"
+    assert records[1] == {
+        "name": "long",
+        "status": "error",
+        "message": "number too long to convert near '777777777777'",
+    }
+    assert records[2]["status"] == "error"
+    assert records[2]["message"] == (
+        "jones recomputation failed: label too long to convert in token 'X[1,777777777777'..."
+    )
+
+
 def test_decompose(tmp_path, capsys):
     f = tmp_path / "d.pd"
     f.write_text(f"aat: {AA_TREFOIL_PD}\nbig: {K12N888_MIRROR_PD}\ntref: {TREFOIL_PD}\n")

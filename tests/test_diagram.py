@@ -73,6 +73,15 @@ def test_parse_rejects_malformed_token(token, message):
     assert str(exc.value) == message
 
 
+def test_parse_overlong_label_is_a_syntax_error(int_digit_limit):
+    """A label with more digits than ``int`` converts is a PDSyntaxError
+    naming its token, not a bare ValueError."""
+    label = "1" * (int_digit_limit + 1)
+    with pytest.raises(PDSyntaxError) as exc:
+        parse_pd(f"X[1,4,2,5] X[3,{label},4,1]")
+    assert str(exc.value) == "label too long to convert in token 'X[3,111111111111'..."
+
+
 def test_parse_negative_label_reaches_range_check():
     with pytest.raises(DiagramError) as exc:
         parse_pd("X[-1,2,2,1]")

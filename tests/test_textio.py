@@ -203,3 +203,63 @@ def test_read_csv_schema_error(tmp_path):
 def test_record_needs_content():
     with pytest.raises(ValueError):
         KnotRecord(name="empty")
+
+
+@pytest.mark.parametrize(
+    "template, near",
+    [
+        ("3t^2 - {}t^3", "-{}"),
+        ("1 + t^{}", "+t^{}"),
+        ("1 + t^{{{}}}", "+t^{{{}"),
+        ("t^{{{}/2}} - t", "t^{{{}"),
+        ("t^{{1/{}}}", "t^{{1/{}"),
+    ],
+    ids=["coefficient", "exponent", "braced-exponent", "numerator", "denominator"],
+)
+def test_parse_overlong_number(template, near, int_digit_limit):
+    """A number with more digits than ``int`` converts is a PolyParseError
+    naming its term, not a bare ValueError."""
+    digits = "7" * (int_digit_limit + 1)
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(template.format(digits))
+    assert str(exc.value) == f"number too long to convert near {near.format(digits)[:12]!r}"
+    # one digit fewer converts (the denominator is then not a half-integer's)
+    try:
+        parse_poly(template.format(digits[1:]))
+    except PolyParseError as short:
+        assert str(short).startswith("exponent '1/77")
+
+
+def test_readers_build_knot_records(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text('name,jones,pd\nk1," t ",\nk2,"1","X[1,3,2,4] X[3,1,4,2]"\n')
+    g = tmp_path / "k.pd"
+    g.write_text("hopf: X[1,3,2,4] X[3,1,4,2]\nX[1,3,2,4] X[3,1,4,2]\n")
+    csv_recs, pd_recs = read_csv(str(f)), read_pd_file(str(g))
+    assert all(type(r) is KnotRecord for r in csv_recs + pd_recs)
+    assert csv_recs == [
+        KnotRecord("k1", None, "t"),
+        KnotRecord(name="k2", pd_text="X[1,3,2,4] X[3,1,4,2]", jones_text="1"),
+    ]
+    assert pd_recs == [
+        KnotRecord(name="hopf", pd_text="X[1,3,2,4] X[3,1,4,2]"),
+        KnotRecord(name="line2", pd_text="X[1,3,2,4] X[3,1,4,2]"),
+    ]
+
+
+def test_knot_record_is_an_immutable_tuple():
+    rec = KnotRecord(name="k1", jones_text="t")
+    with pytest.raises(AttributeError):
+        rec.name = "k2"
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert hash(rec) == hash(KnotRecord("k1", None, "t"))
+    assert len({rec, KnotRecord("k1", None, "t"), KnotRecord("k1", "X[1,3,2,4] X[3,1,4,2]")}) == 2
+    assert rec == ("k1", None, "t")
+    name, pd_text, jones_text = rec
+    assert (name, pd_text, jones_text) == ("k1", None, "t")
+    assert repr(rec) == "KnotRecord(name='k1', pd_text=None, jones_text='t')"
+    with pytest.raises(ValueError, match="record 'x' has neither a PD code nor a polynomial"):
+        KnotRecord(name="x")
+    with pytest.raises(ValueError):
+        KnotRecord("x", None, None)
