@@ -83,8 +83,20 @@ class DiagramAnalysis:
         return decomp.recognize_genus_one(self.diagram, self)
 
     @cached_property
+    def goeritz(self) -> tuple[int, int, list[int]]:
+        """(det, signature, eta per crossing) of the Goeritz form G."""
+        return statesum._goeritz_form(self.diagram, self.fs)
+
+    @cached_property
     def det(self) -> int:
-        return statesum.goeritz_determinant(self.diagram, self.fs)
+        return abs(self.goeritz[0])
+
+    @cached_property
+    def signature(self) -> int:
+        """Gordon-Litherland, -sign(G) + mu, mu summing eta over the crossings
+        of sign -eta; read off ``goeritz``, so ``det``'s elimination is reused."""
+        _, sign_g, etas = self.goeritz
+        return -sign_g + sum(eta for s, eta in zip(self.signs[0], etas) if s == -eta)
 
     @cached_property
     def bracket(self) -> LaurentPoly:

@@ -38,21 +38,31 @@ def _err(exc):
 _SKIP = {"status": "skipped"}
 
 
+def _check(rep: SignatureReport, sig: int) -> SignatureReport:
+    """``rep``, if its exact value (when it has one) is the Gordon-Litherland
+    signature ``sig`` and its bounds hold it."""
+    if rep.exact not in (None, sig) or not rep.lower <= sig <= rep.upper:
+        raise DiagramError(
+            f"{rep.method} gives {rep.exact} in [{rep.lower}, {rep.upper}], Gordon-Litherland {sig}"
+        )
+    return rep
+
+
 def _signature_field(a: DiagramAnalysis) -> dict:
-    od = a.od
+    """Gordon-Litherland, checked by the paper's formula that applies."""
+    od, sig, det = a.od, a.signature, a.det
     try:
         if not a.nonalternating:
-            sig = traczyk_signature(od, a)
-            mod4 = giller_mod4_check(sig, a.det) if a.det % 2 else None
-            rep = SignatureReport(
-                lower=sig, upper=sig, exact=sig, method="traczyk", det=a.det, mod4_ok=mod4
-            )
+            t = traczyk_signature(od, a)
+            rep = SignatureReport(t, t, t, "traczyk")
         elif a.turaev_genus == 1 and od.component_count == 1:
             rep = genus_one_knot_signature(od, a)
         else:
-            bounds = signature_bounds(od, a)
-            rep = SignatureReport(lower=bounds.lower, upper=bounds.upper, det=a.det)
-        return _ok(rep.to_json())
+            b = signature_bounds(od, a)
+            rep = SignatureReport(b.lower, b.upper, sig, "gordon_litherland")
+        _check(rep, sig)
+        mod4 = giller_mod4_check(sig, det) if det % 2 else None
+        return _ok({**rep.to_json(), "det": det, "mod4_ok": mod4})
     except (DiagramError, ValueError) as exc:
         return _err(exc)
 
@@ -65,11 +75,12 @@ def _decomposition_field(a: DiagramAnalysis) -> dict:
     gs = a.genus_one
     if gs is None:
         return _SKIP
+    rep = _check(tangle_sum_signature(gs, a.od, a), a.signature)
     summary = {
         "k": gs.k,
         "closure_determinants": _closure_determinants(gs),
         "conway_determinant": conway_determinant(gs),
-        "tangle_sum_signature": tangle_sum_signature(gs, a.od, a).to_json(),
+        "tangle_sum_signature": rep.to_json(),
     }
     return _ok(summary)
 

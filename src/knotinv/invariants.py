@@ -99,7 +99,10 @@ def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
 
 
 def traczyk_signature(od: OrientedDiagram, analysis: DiagramAnalysis | None = None) -> int:
-    """Signature of a reduced alternating connected diagram.
+    """Signature of an alternating connected diagram, s_A - c_plus - 1.
+
+    Traczyk states it for reduced diagrams; untwisting a nugatory crossing
+    changes s_A and c_plus alike, so it holds on every alternating diagram.
 
     ``analysis``, the :class:`DiagramAnalysis` of ``od``, supplies the
     quantities it has already computed; the other signature functions take
@@ -108,14 +111,7 @@ def traczyk_signature(od: OrientedDiagram, analysis: DiagramAnalysis | None = No
     a = analysis or DiagramAnalysis(od.diagram, od)
     if a.nonalternating:
         raise DiagramError("signature formula requires an alternating diagram")
-    if not is_reduced(od.diagram, a.fs):
-        raise DiagramError("signature formula requires a reduced diagram")
-    _, c_plus, c_minus, _ = a.signs
-    sig = a.s_A - c_plus - 1
-    alt = -a.s_B + c_minus + 1
-    if sig != alt:
-        raise DiagramError(f"signature formulas disagree: {sig} vs {alt} (convention bug)")
-    return sig
+    return a.s_A - a.signs[1] - 1
 
 
 def signature_bounds(
@@ -154,13 +150,8 @@ def genus_one_knot_signature(
         raise DiagramError("exact signature needs a one-component diagram")
     if a.turaev_genus != 1:
         raise DiagramError("exact signature formula needs a genus-one diagram")
-    _, c_plus, _, _ = a.signs
-    m = a.s_A - c_plus
-    det = a.det
-    sig = _mod4_choice(m, det)
-    return SignatureReport(
-        lower=m - 1, upper=m + 1, exact=sig, method="theorem1", det=det, mod4_ok=True
-    )
+    m = a.s_A - a.signs[1]
+    return SignatureReport(m - 1, m + 1, _mod4_choice(m, a.det), "theorem1", a.det, True)
 
 
 def tangle_sum_signature(
@@ -179,20 +170,9 @@ def tangle_sum_signature(
     cls = classify_orientation(gs, od)
     which = "numerator" if cls in ("numerator", "both") else "denominator"
     total = sum(gs.closure_signatures(a.signs[0], which))
-    det = a.det
-    if od.component_count == 1:
-        sig = _mod4_choice(total, det)
-        return SignatureReport(
-            lower=total - 1,
-            upper=total + 1,
-            exact=sig,
-            method="theorem2",
-            det=det,
-            mod4_ok=True,
-        )
-    return SignatureReport(
-        lower=total - 1, upper=total + 1, exact=None, method="theorem2", det=det
-    )
+    knot = od.component_count == 1  # a link's Theorem 2 gives bounds only
+    sig = _mod4_choice(total, a.det) if knot else None
+    return SignatureReport(total - 1, total + 1, sig, "theorem2", a.det, knot or None)
 
 
 def conway_determinant(gs: GenusOneStructure) -> int:

@@ -2,16 +2,16 @@
 
 The determinant comes from the Goeritz matrix, so it is polynomial in the
 crossing count.  One fraction-free symmetric elimination gives both the
-determinant and the signature of such a form: the genus-one closure
-signatures (Gordon-Litherland) come out of the same elimination as the
-closure determinants.  The bracket (and the Jones polynomial built on it)
-comes from a planar sweep over the crossings, whose cost is exponential only
-in the number of open edge ends along the way, not in the crossing count.
-The sweep keys each matching of open ends by a tuple indexed by edge label
-and packs each polynomial into one integer (Kronecker substitution), so a
-step is a tuple copy, a few shifts and one addition.  The bracket refuses a
-diagram whose sweep would hold more than ``MAX_OPEN_ENDS`` open ends at
-once, before it does any work.
+determinant and the signature of such a form: the diagram's signature and
+the genus-one closure signatures (Gordon-Litherland) come out of the
+eliminations that give the determinants.  The bracket (and the Jones
+polynomial built on it) comes from a planar sweep over the crossings, whose
+cost is exponential only in the number of open edge ends along the way, not
+in the crossing count.  The sweep keys each matching of open ends by a tuple
+indexed by edge label and packs each polynomial into one integer (Kronecker
+substitution), so a step is a tuple copy, a few shifts and one addition.
+The bracket refuses a diagram whose sweep would hold more than
+``MAX_OPEN_ENDS`` open ends at once, before it does any work.
 
 Smoothing convention: at a crossing (e1, e2, e3, e4) the A-resolution joins
 the end-pairs (e1, e2) and (e3, e4); the B-resolution joins (e2, e3) and
@@ -429,22 +429,25 @@ def _nested_det_signatures(
     return forms[0], forms[1]
 
 
+def _goeritz_form(d: Diagram, fs: FaceStructure) -> tuple[int, int, list[int]]:
+    """(det, signature, eta per crossing) of the Goeritz form on the faces of
+    colour 0, the first deleted; with no crossing, the empty form (1, 0)."""
+    white = [fi for fi, col in enumerate(fs.checkerboard_color) if col == 0]
+    g, etas = _goeritz_matrix(
+        {fi: i for i, fi in enumerate(white)},
+        (fs.face_of[a:a + 4] for a in range(0, 4 * d.crossing_count, 4)),
+    )
+    det, sig = _nested_det_signatures(g, 1, 0)[1]
+    return det, sig, etas
+
+
 def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
     """|det| of the Goeritz matrix on one checkerboard color class.
 
     Polynomial in the crossing count.  The tests check it against |V(-1)|
     from the state sum on random diagrams.
     """
-    if fs is None:
-        fs = validate(d)
-    if d.crossing_count == 0:
-        return 1
-    white = [fi for fi, col in enumerate(fs.checkerboard_color) if col == 0]
-    g, _ = _goeritz_matrix(
-        {fi: i for i, fi in enumerate(white)},
-        (fs.face_of[a:a + 4] for a in range(0, 4 * d.crossing_count, 4)),
-    )
-    return abs(_nested_det_signatures(g, 1, 0)[1][0])
+    return abs(_goeritz_form(d, validate(d) if fs is None else fs)[0])
 
 
 def determinant(od: OrientedDiagram) -> int:

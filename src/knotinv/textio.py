@@ -41,9 +41,9 @@ class KnotRecord(_RecordFields):
 
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-]?)
-        (?:(?P<coef>\d+)\*?)?
+        (?:(?P<coef>[0-9]+)\*?)?
         (?P<var>t)?
-        (?:\^(?:\{(?P<bexp>-?\d+(?:/\d+)?)\}|(?P<exp>-?\d+(?:/\d+)?)))?
+        (?:\^(?:\{(?P<bexp>-?[0-9]+(?:/[0-9]+)?)\}|(?P<exp>-?[0-9]+(?:/[0-9]+)?)))?
     """,
     re.VERBOSE,
 )
@@ -66,9 +66,10 @@ def parse_poly(text: str) -> LaurentPoly:
     optional ``*`` between coefficient and ``t``, and whitespace anywhere.
     Runs of signs collapse (``+ -1*t^2`` reads as ``-t^2``), and
     coefficients at repeated exponents are summed.  Every term after the
-    first needs a sign.  Malformed text, or a number with more digits than
-    ``int`` converts (``sys.get_int_max_str_digits()``), raises
-    ``PolyParseError`` naming the first bad term.
+    first needs a sign.  Digits are ASCII.  Malformed text, or a number
+    (a sum at a repeated exponent included) with more digits than ``int``
+    converts (``sys.get_int_max_str_digits()``), raises ``PolyParseError``
+    naming the first bad term.
     """
     s = "".join(text.split())
     # collapse sign pairs so serializer output like "+ -1*t^2" reads back
@@ -103,13 +104,16 @@ def parse_poly(text: str) -> LaurentPoly:
                 h = _half_exponent(exp)
             else:
                 h = 2 * int(exp)
+            if sign == "-":
+                c = -c
+            if h in coeffs:
+                c += coeffs[h]
+                str(c)  # a sum, too, must convert back to text
         except PolyParseError:
             raise
         except ValueError:  # past the interpreter's int-string digit limit
             raise PolyParseError(f"number too long to convert near {s[pos:pos+12]!r}") from None
-        if sign == "-":
-            c = -c
-        coeffs[h] = coeffs.get(h, 0) + c
+        coeffs[h] = c
         pos = end
     return LaurentPoly("t_half", coeffs)
 

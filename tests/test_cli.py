@@ -1,17 +1,28 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from knotinv import decomp, goeritz_determinant, serialize_pd
+from knotinv import decomp, goeritz_determinant, orient, parse_pd, serialize_pd
+from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
 from knotinv.sampling import random_almost_alternating_diagram
+from knotinv.textio import read_pd_file
 
-from conftest import AA_TREFOIL_PD, K12N888_MIRROR_PD, TREFOIL_PD, full_twist_pd, seeded_corpus
+from conftest import (
+    AA_TREFOIL_PD,
+    K12N888_MIRROR_PD,
+    TREFOIL_PD,
+    full_twist_pd,
+    gordon_litherland,
+    seeded_corpus,
+)
 
 
 def data_path(name: str) -> str:
@@ -141,6 +152,26 @@ def test_obstruct_overlong_number_is_a_record_error(tmp_path, capsys, int_digit_
     )
 
 
+def test_obstruct_overlong_rows_keep_the_json_whole(capsys):
+    """``tests/data/overlong_row.csv``: an over-long coefficient and two
+    coefficients whose sum at one exponent is over-long each fail their own
+    row; the JSON parses whole, the two good rows are ``ok`` and ``main``
+    exits 1.  The data is written for the default limit of 4300 digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc = main(["obstruct", "--csv", str(GOLDEN / "overlong_row.csv"), "--json"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["status"]) for r in obj["records"]] == [
+        ("12n253", "ok"), ("overlong", "error"), ("12n254", "ok"), ("oversum", "error")
+    ]
+    assert obj["records"][3]["message"] == "number too long to convert near '+99999999999'"
+    assert obj["summary"] == {"fired": 2, "checked": 2}
+
+
 def test_decompose(tmp_path, capsys):
     f = tmp_path / "d.pd"
     f.write_text(f"aat: {AA_TREFOIL_PD}\nbig: {K12N888_MIRROR_PD}\ntref: {TREFOIL_PD}\n")
@@ -238,11 +269,16 @@ GOLDEN = Path(__file__).resolve().parent / "data"
         (["decompose", "sample_knots.pd", "--json"], "sample_knots.decompose.json"),
         (["obstruct", "--csv", "obstruction_examples.csv", "--json"],
          "obstruction_examples.obstruct.json"),
+        (["invariants", str(GOLDEN / "signature_cases.pd"), "--json"],
+         "signature_cases.invariants.json"),
     ],
-    ids=["invariants", "decompose", "obstruct"],
+    ids=["invariants", "decompose", "obstruct", "signature-cases"],
 )
 def test_golden_output(argv, golden, capsys):
-    argv = [data_path(a) if a.endswith((".pd", ".csv")) else a for a in argv]
+    argv = [
+        data_path(a) if a.endswith((".pd", ".csv")) and not Path(a).is_absolute() else a
+        for a in argv
+    ]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
@@ -259,3 +295,46 @@ def test_seeded_corpus_digest(command, entry):
     )
     text = json.dumps({"records": [entry(r) for r in seeded_corpus()]}, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digests[command]
+
+
+def test_every_signature_is_gordon_litherland():
+    """Every signature cell of the seeded corpus and of
+    ``signature_cases.pd`` is ``ok``, its ``exact`` the Gordon-Litherland
+    signature of the conftest oracle and ``mod4_ok`` true on every knot;
+    the paper's formula it names agreed with it."""
+    records = seeded_corpus() + read_pd_file(str(GOLDEN / "signature_cases.pd"))
+    methods = Counter()
+    for rec in records:
+        od = orient(parse_pd(rec.pd_text))
+        cell = analyze_record(rec)["fields"]["signature"]
+        assert cell["status"] == "ok", (rec.name, cell)
+        value = cell["value"]
+        assert value["exact"] == gordon_litherland(od)[0], rec.name
+        assert value["mod4_ok"] is (True if od.component_count == 1 else None), rec.name
+        methods[value["method"]] += 1
+    assert set(methods) == {"traczyk", "theorem1", "gordon_litherland"}, methods
+
+
+def test_signature_disagreement_is_an_error_cell(monkeypatch):
+    """When the paper's formula disagrees with the Gordon-Litherland
+    signature, or its bounds miss it, the signature cell (and a genus-one
+    diagram's decomposition cell, for Theorem 2) is an error, never an
+    ``ok``."""
+    monkeypatch.setattr(DiagramAnalysis, "signature", property(lambda a: 100))
+    records = [KnotRecord("trefoil", TREFOIL_PD), KnotRecord("12n888", K12N888_MIRROR_PD)]
+    records += read_pd_file(str(GOLDEN / "signature_cases.pd"))
+    f = {rec.name: analyze_record(rec)["fields"] for rec in records}
+    assert f["trefoil"]["signature"] == {
+        "status": "error", "message": "traczyk gives 2 in [2, 2], Gordon-Litherland 100"
+    }
+    assert f["tg2_knot"]["signature"]["message"] == (
+        "gordon_litherland gives 100 in [-2, 2], Gordon-Litherland 100"
+    )
+    assert f["12n888"]["signature"]["message"] == "theorem1 gives 8 in [8, 10], Gordon-Litherland 100"
+    assert f["12n888"]["decomposition"] == {
+        "status": "error", "message": "theorem2 gives 8 in [8, 10], Gordon-Litherland 100"
+    }
+    assert f["genus_one_link"]["decomposition"] == {
+        "status": "error", "message": "theorem2 gives None in [1, 3], Gordon-Litherland 100"
+    }
+    assert all(cells["signature"]["status"] == "error" for cells in f.values())

@@ -33,6 +33,7 @@ from knotinv import (
     turaev_genus,
     validate,
 )
+from knotinv.analysis import DiagramAnalysis
 from knotinv.diagram import Crossing, Diagram
 from knotinv.invariants import _check_aa_reduced, _smooth
 from knotinv.sampling import (
@@ -57,6 +58,9 @@ def test_traczyk_fig8(fig8):
 
 def test_traczyk_unknot():
     assert traczyk_signature(orient(parse_pd(""))) == 0
+    # no crossing: the empty Goeritz form, det 1 and signature 0
+    a = DiagramAnalysis(parse_pd(""))
+    assert (a.goeritz, a.det, a.signature) == ((1, 0, []), 1, 0)
 
 
 def test_traczyk_rejects_nonalternating(aa_trefoil):
@@ -65,6 +69,9 @@ def test_traczyk_rejects_nonalternating(aa_trefoil):
 
 
 def test_traczyk_rejects_nugatory():
+    # this curl makes the diagram non-alternating, which is what Traczyk
+    # refuses; alternating diagrams with nugatory crossings are answered
+    # (test_gordon_litherland_agrees_with_every_route)
     kinked = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]")
     assert not is_reduced(kinked)
     with pytest.raises(DiagramError):
@@ -171,11 +178,12 @@ def test_theorem2_12n888(k12n888_mirror):
 
 def test_gordon_litherland_agrees_with_every_route():
     """Gordon-Litherland (the conftest oracle, both colour classes) against
-    the bounds, Traczyk, Theorem 1 and Theorem 2 wherever each applies, and
-    the mod-4 rule on every knot, over 240 seeded random, alternating and
-    genus-one diagrams."""
+    the analysis's own route, the bounds, Traczyk (nugatory crossings
+    included), Theorem 1 and Theorem 2 wherever each applies, and the mod-4
+    rule on every knot, over 240 seeded random, alternating and genus-one
+    diagrams."""
     rng = random.Random(125)
-    applied = dict(traczyk=0, theorem1=0, theorem2=0, theorem2_link=0, knots=0)
+    applied = dict(traczyk=0, nugatory=0, theorem1=0, theorem2=0, theorem2_link=0, knots=0)
     for i in range(240):
         if i % 3 == 0:
             d = random_diagram(rng.randint(1, 12), rng)
@@ -187,11 +195,14 @@ def test_gordon_litherland_agrees_with_every_route():
         od = orient(d)
         sig, det = gordon_litherland(od)
         assert gordon_litherland(od, colour=1) == (sig, det)
+        a = DiagramAnalysis(d)
+        assert (a.signature, a.det) == (sig, det)
         bounds = signature_bounds(od)
         assert bounds.lower <= sig <= bounds.upper
-        if not nonalternating_edges(d) and is_reduced(d):
+        if not nonalternating_edges(d):
             assert traczyk_signature(od) == sig
             applied["traczyk"] += 1
+            applied["nugatory"] += not is_reduced(d)
         knot = od.component_count == 1
         if knot:
             assert giller_mod4_check(sig, det)

@@ -230,6 +230,31 @@ def test_parse_overlong_number(template, near, int_digit_limit):
         assert str(short).startswith("exponent '1/77")
 
 
+def test_parse_overlong_sum(int_digit_limit):
+    """Two coefficients that convert but whose sum at one exponent has more
+    digits than ``int`` converts back to text are a PolyParseError naming
+    the second term: the sum could not be written out."""
+    nines = "9" * int_digit_limit
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(f"{nines}t^2 + 1 + {nines}t^2")
+    assert str(exc.value) == f"number too long to convert near {'+' + nines[:11]!r}"
+    # a sum that still converts, and one that cancels, are kept
+    assert parse_poly(f"{nines}t^2 - 1t^2 + t^2") == LaurentPoly("t_half", {4: int(nines)})
+    assert parse_poly(f"{nines}t^2 - {nines}t^2 + 1") == LaurentPoly("t_half", {0: 1})
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0663t^2 + t", "3t^\u0662 + t", "t^{\u0661/2}", "1 + t^\u0663"],
+    ids=["coefficient", "exponent", "numerator", "second-term"],
+)
+def test_parse_rejects_non_ascii_digits(text):
+    """Arabic-Indic digits are not numbers, as in ``parse_pd``; the verbatim
+    oracle ``parse_poly_reference`` reads them with ``\\d`` and is not
+    asked."""
+    with pytest.raises(PolyParseError, match="^malformed polynomial near"):
+        parse_poly(text)
+
+
 def test_readers_build_knot_records(tmp_path):
     f = tmp_path / "t.csv"
     f.write_text('name,jones,pd\nk1," t ",\nk2,"1","X[1,3,2,4] X[3,1,4,2]"\n')
