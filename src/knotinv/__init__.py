@@ -46,7 +46,6 @@ from .invariants import (
     ObstructionVerdict,
     SignatureReport,
     aa_adjacency,
-    aa_closures,
     aa_extreme_coefficients,
     conway_determinant,
     dl_coefficients,

@@ -142,10 +142,10 @@ def splice(
     crossing uses becomes one edge, numbered in the order of the runs'
     union-find roots.  A joined run that no crossing uses becomes a free
     loop; a label that is neither used nor joined is dropped, so some of a
-    diagram's crossings can be spliced on that diagram's own labels.  This
-    is a tangle closure, a smoothing (the crossing left out of
-    ``crossings``) and a kink removal alike.  Returns the diagram, not yet
-    validated, and the map from each label on a used run to its edge.
+    diagram's crossings can be spliced on that diagram's own labels.  It
+    builds tangle closures and kink removals (a smoothing of the crossing
+    left out of ``crossings``).  Returns the diagram, not yet validated, and
+    the map from each label on a used run to its edge.
     """
     uf = UnionFind(label_count + 1)
     for a, b in joins:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import warnings
 
 from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, orient, splice, validate
-from .statesum import s_A, s_B, state_graph
+from .statesum import _state_loops, s_A, state_graph
 from .decomp import GenusOneStructure, classify_orientation, nonalternating_edges
 from .analysis import DiagramAnalysis
 
@@ -24,7 +24,6 @@ __all__ = [
     "conway_determinant",
     "dl_coefficients",
     "mark_almost_alternating",
-    "aa_closures",
     "aa_adjacency",
     "aa_extreme_coefficients",
     "jones_obstruction",
@@ -216,9 +215,9 @@ class AAMarkedDiagram:
     """An almost-alternating diagram with its dealternator marked.
 
     u1, u2 are the faces at the dealternator corners merged by its
-    A-smoothing (corners 1 and 3); v1, v2 the faces merged by its
-    B-smoothing (corners 0 and 2).  ``fs`` is the diagram's face structure
-    when the marking has it, so the diagram is not validated again.
+    A-smoothing D(R) (corners 1 and 3); v1, v2 the faces merged by its
+    B-smoothing N(R) (corners 0 and 2).  ``fs`` is the diagram's face
+    structure when the marking has it, so the diagram is not validated again.
     """
 
     diagram: Diagram
@@ -231,15 +230,22 @@ class AAMarkedDiagram:
 
 
 def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
+    if not 0 <= dealternator < d.crossing_count:
+        raise DiagramError(f"crossing {dealternator} is not in 0..{d.crossing_count - 1}")
     fs = validate(d)
-    nonalt = nonalternating_edges(d)
-    x = d.crossings[dealternator]
-    if set(nonalt) != set(x.ends) or len(set(x.ends)) != 4:
+    if not _is_dealternator(d, dealternator):
         raise DiagramError("marked crossing is not a dealternator with four distinct non-alternating edges")
     v1, u1, v2, u2 = fs.face_of[4 * dealternator:4 * dealternator + 4]
     if len({u1, u2, v1, v2}) != 4:
         raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
     return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2, fs=fs)
+
+
+def _is_dealternator(d: Diagram, ci: int) -> bool:
+    """Crossing ci's four edges are distinct and D's only non-alternating
+    ones, so each smoothing joins under to over: both are alternating."""
+    ends = set(d.crossings[ci].ends)
+    return len(ends) == 4 and nonalternating_edges(d) == ends
 
 
 def _smooth(d: Diagram, ci: int, choice: str) -> tuple[Diagram, dict[int, int]]:
@@ -250,22 +256,22 @@ def _smooth(d: Diagram, ci: int, choice: str) -> tuple[Diagram, dict[int, int]]:
     return splice(d.crossings[:ci] + d.crossings[ci + 1:], d.edge_count, joins)
 
 
-def aa_closures(aa: AAMarkedDiagram) -> tuple[Diagram, Diagram]:
-    """(D(R), N(R)): the A- and B-smoothings of the dealternator."""
-    dr, _ = _smooth(aa.diagram, aa.dealternator, "A")
-    nr, _ = _smooth(aa.diagram, aa.dealternator, "B")
-    return dr, nr
+def _check_aa_reduced(aa: AAMarkedDiagram) -> None:
+    """Refuse a marking whose D(R) or N(R) is not reduced, read off D's faces.
 
-
-def _check_aa_reduced(aa: AAMarkedDiagram) -> tuple[Diagram, Diagram]:
-    dr, nr = aa_closures(aa)
-    for name, g in (("D(R)", dr), ("N(R)", nr)):
-        fs = validate(g)
-        if nonalternating_edges(g):
-            raise DiagramError(f"{name} is not alternating (bad dealternator marking)")
-        if not is_reduced(g, fs):
+    A smoothing keeps D's faces, less their corners at the dealternator, but
+    merges two (u1, u2 for D(R); v1, v2 for N(R)), so it is reduced iff no
+    face meets another crossing twice, the merged two counted as one.  The
+    dealternator is checked again, as a marking can be built by hand."""
+    d, deal = aa.diagram, aa.dealternator
+    if not (0 <= deal < d.crossing_count and _is_dealternator(d, deal)):
+        raise DiagramError("D(R) is not alternating (bad dealternator marking)")
+    face_of = (aa.fs or validate(d)).face_of
+    corners = [face_of[a:a + 4] for a in range(0, len(face_of), 4)]
+    del corners[deal]
+    for name, keep, merged in (("D(R)", aa.u1, aa.u2), ("N(R)", aa.v1, aa.v2)):
+        if any(len({keep if f == merged else f for f in fs}) < 4 for fs in corners):
             raise DiagramError(f"{name} is not reduced (the diagram simplifies)")
-    return dr, nr
 
 
 def aa_adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
@@ -281,35 +287,33 @@ def aa_adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
 
 
 def _adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
-    """:func:`aa_adjacency` once both smoothings are known to be reduced."""
-    fs = aa.fs if aa.fs is not None else validate(aa.diagram)
-    marked = {aa.u1, aa.u2, aa.v1, aa.v2}
-    col = fs.checkerboard_color
-    face_adj: dict[int, set[int]] = {fi: set() for fi in range(fs.face_count)}
-    for ci in range(aa.diagram.crossing_count):
-        here = set(fs.face_of[4 * ci:4 * ci + 4])
-        for f in here:
-            face_adj[f] |= here - {f}
-    adj_u = adj_v = 0
-    for f in range(fs.face_count):
-        if f in marked:
-            continue
-        if col[f] == col[aa.u1] and aa.u1 in face_adj[f] and aa.u2 in face_adj[f]:
-            adj_u += 1
-        if col[f] == col[aa.v1] and aa.v1 in face_adj[f] and aa.v2 in face_adj[f]:
-            adj_v += 1
+    """:func:`aa_adjacency` once both smoothings are known to be reduced.
+    Faces of one colour meet at a crossing only at opposite corners a and
+    a ^ 2, so the faces counted are those opposite both u1 and u2 (v1, v2)."""
+    face_of = (aa.fs or validate(aa.diagram)).face_of
+    opposite: dict[int, set[int]] = {f: set() for f in (aa.u1, aa.u2, aa.v1, aa.v2)}
+    for a, f in enumerate(face_of):
+        if f in opposite:
+            opposite[f].add(face_of[a ^ 2])
+    adj_u = len((opposite[aa.u1] & opposite[aa.u2]) - {aa.u1, aa.u2})
+    adj_v = len((opposite[aa.v1] & opposite[aa.v2]) - {aa.v1, aa.v2})
     if adj_u == 1 and adj_v == 1:
         warnings.warn("adj(u)=adj(v)=1: both extreme coefficient predictions vanish", stacklevel=3)
     return adj_u, adj_v
 
 
 def aa_extreme_coefficients(aa: AAMarkedDiagram) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Predicted extreme bracket terms ((exp, α_0), (exp, α_k))."""
-    dr, _ = _check_aa_reduced(aa)
+    """Predicted extreme bracket terms ((exp, α_0), (exp, α_k)).  D(R)'s
+    all-A state is D's, and its all-B state D's with the dealternator's flip
+    set to A, so neither smoothing is built."""
+    _check_aa_reduced(aa)
     adj_u, adj_v = _adjacency(aa)
-    c = aa.diagram.crossing_count - 1  # crossings of the tangle
-    v_d = s_A(dr)
-    vb_d = s_B(dr)
+    d = aa.diagram
+    c = d.crossing_count - 1  # crossings of the tangle
+    flips = [3] * d.crossing_count
+    flips[aa.dealternator] = 1
+    v_d = s_A(d)
+    vb_d = _state_loops(d, flips)[1]
     a0 = (1 - adj_u) * (1 if v_d % 2 == 0 else -1)
     ak = (1 - adj_v) * (1 if (vb_d - 1) % 2 == 0 else -1)
     return ((c + 2 * v_d - 5, a0), (7 - c - 2 * vb_d, ak))

@@ -31,7 +31,6 @@ from .diagram import (
     DiagramError,
     FaceStructure,
     OrientedDiagram,
-    UnionFind,
     crossing_signs,
     validate,
 )
@@ -39,11 +38,9 @@ from .laurent import LaurentPoly
 
 __all__ = [
     "CrossingLimitError",
-    "State",
     "StateGraph",
     "ALL_A",
     "ALL_B",
-    "resolve_loops",
     "s_A",
     "s_B",
     "state_graph",
@@ -69,9 +66,6 @@ class CrossingLimitError(RuntimeError):
     ``MAX_OPEN_ENDS`` open edge ends at once."""
 
 
-State = tuple[str, ...]  # one of "A"/"B" per crossing
-
-
 @dataclass(frozen=True)
 class StateGraph:
     """Loops-as-vertices, traces-as-edges graph of a Kauffman state."""
@@ -88,70 +82,41 @@ class StateGraph:
         return any(u == v for u, v in self.edges)
 
 
-def _state_pairs(ends: tuple[int, int, int, int], choice: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    e1, e2, e3, e4 = ends
-    if choice == ALL_A:
-        return (e1, e2), (e3, e4)
-    return (e2, e3), (e4, e1)
-
-
-def _loops_uf(d: Diagram, s: State) -> UnionFind:
-    """The state's loops as classes of edge labels (label 0 is unused)."""
-    uf = UnionFind(d.edge_count + 1)
-    for x, choice in zip(d.crossings, s):
-        for a, b in _state_pairs(x.ends, choice):
-            uf.union(a, b)
-    return uf
-
-
-def resolve_loops(d: Diagram, s: State) -> int:
-    """Number of loops in the state, including free loops."""
-    if len(s) != d.crossing_count:
-        raise ValueError(f"state length {len(s)} != crossing count {d.crossing_count}")
-    return _loops_uf(d, s).classes - 1 + d.free_loops
-
-
-def _smoothing_loops(d: Diagram, flip: int) -> int:
-    """Loops of the all-A (``flip`` 1) or all-B (``flip`` 3) state.
-
-    The smoothing joins dart a to dart ``a ^ flip`` at its crossing, so a
-    loop, run one way, is an orbit of ``a -> mate[a ^ flip]`` on its
-    arrival darts; run the other way it is a second orbit."""
+def _state_loops(d: Diagram, flips: list[int] | tuple[int, ...]) -> tuple[list[int], int]:
+    """The loop of each dart, and the loop count with free loops, of the
+    state that joins dart a to ``a ^ flips[a >> 2]`` (1 is the A-smoothing,
+    3 the B-smoothing).  A loop runs from dart a out through ``a ^ flip`` to
+    ``mate[a ^ flip]``; each is walked once, marking both darts it passes."""
     mate = d.mate
-    seen = [False] * len(mate)
-    orbits = 0
+    loop = [-1] * len(mate)
+    count = 0
     for a in range(len(mate)):
-        if not seen[a]:
-            orbits += 1
-            while not seen[a]:
-                seen[a] = True
-                a = mate[a ^ flip]
-    return orbits // 2 + d.free_loops
+        if loop[a] < 0:
+            while loop[a] < 0:
+                b = a ^ flips[a >> 2]
+                loop[a] = loop[b] = count
+                a = mate[b]
+            count += 1
+    return loop, count + d.free_loops
 
 
 def s_A(d: Diagram) -> int:
-    """Loops of the all-A state; :func:`resolve_loops` is its oracle."""
-    return _smoothing_loops(d, 1)
+    """Loops of the all-A state; ``resolve_loops`` in the tests is its oracle."""
+    return _state_loops(d, (1,) * d.crossing_count)[1]
 
 
 def s_B(d: Diagram) -> int:
-    """Loops of the all-B state; :func:`resolve_loops` is its oracle."""
-    return _smoothing_loops(d, 3)
+    """Loops of the all-B state; ``resolve_loops`` in the tests is its oracle."""
+    return _state_loops(d, (3,) * d.crossing_count)[1]
 
 
 def state_graph(d: Diagram, which: str = ALL_A) -> StateGraph:
     if which not in (ALL_A, ALL_B):
         raise ValueError(f"state must be {ALL_A!r} or {ALL_B!r}")
-    s = (which,) * d.crossing_count
-    uf = _loops_uf(d, s)
-    roots = sorted({uf.find(e) for e in range(1, d.edge_count + 1)})
-    index = {r: i for i, r in enumerate(roots)}
-    edges = []
-    for x in d.crossings:
-        (a, _), (c, _) = _state_pairs(x.ends, which)
-        u, v = index[uf.find(a)], index[uf.find(c)]
-        edges.append((min(u, v), max(u, v)))
-    return StateGraph(vertex_count=len(roots) + d.free_loops, edges=tuple(edges))
+    loop, count = _state_loops(d, (1 if which == ALL_A else 3,) * d.crossing_count)
+    # either smoothing puts corners 0 and 2 of a crossing on its two loops
+    edges = tuple((min(u, v), max(u, v)) for u, v in zip(loop[::4], loop[2::4]))
+    return StateGraph(vertex_count=count, edges=edges)
 
 
 def adequacy(d: Diagram) -> dict[str, bool]:

@@ -13,7 +13,8 @@ import pytest
 from knotinv import LaurentPoly, crossing_signs, parse_pd, serialize_pd, validate
 from knotinv.analysis import DiagramAnalysis
 from knotinv.decomp import GenusOneStructure, Tangle, _analysis
-from knotinv.diagram import Diagram, DiagramError
+from knotinv.diagram import Crossing, Diagram, DiagramError, UnionFind
+from knotinv.invariants import _smooth
 from knotinv.sampling import (
     random_almost_alternating_diagram,
     random_alternating_diagram,
@@ -25,7 +26,6 @@ from knotinv.statesum import (
     CrossingLimitError,
     _over_delta,
     _sweep_order,
-    resolve_loops,
 )
 from knotinv.textio import KnotRecord, PolyParseError
 
@@ -55,6 +55,58 @@ def det_from_jones(v) -> int:
             im -= coef
     assert re == 0 or im == 0, "V(-1) is not purely real or imaginary"
     return abs(re) + abs(im)
+
+
+def _state_pairs(ends: tuple[int, int, int, int], choice: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    e1, e2, e3, e4 = ends
+    if choice == "A":
+        return (e1, e2), (e3, e4)
+    return (e2, e3), (e4, e1)
+
+
+def _loops_uf(d: Diagram, s) -> UnionFind:
+    """The state's loops as classes of edge labels (label 0 is unused)."""
+    uf = UnionFind(d.edge_count + 1)
+    for x, choice in zip(d.crossings, s):
+        for a, b in _state_pairs(x.ends, choice):
+            uf.union(a, b)
+    return uf
+
+
+def resolve_loops(d: Diagram, s) -> int:
+    """Number of loops in the state, including free loops: a union-find over
+    edge labels, kept as the oracle for the loop walk of ``s_A``, ``s_B``,
+    ``state_graph`` and the almost-alternating helpers, and for
+    ``bracket_state_sum``."""
+    if len(s) != d.crossing_count:
+        raise ValueError(f"state length {len(s)} != crossing count {d.crossing_count}")
+    return _loops_uf(d, s).classes - 1 + d.free_loops
+
+
+def aa_closures(aa) -> tuple[Diagram, Diagram]:
+    """(D(R), N(R)): the A- and B-smoothings of the dealternator, built by
+    splicing; the oracle for the almost-alternating helpers, which read both
+    off the marked diagram's own tables."""
+    dr, _ = _smooth(aa.diagram, aa.dealternator, "A")
+    nr, _ = _smooth(aa.diagram, aa.dealternator, "B")
+    return dr, nr
+
+
+def _add_curl(d: Diagram, rng: random.Random) -> Diagram:
+    """Put a Reidemeister-1 curl on a random edge e: e runs from its first
+    end into the new crossing, round the curl and out along a new edge to
+    e's old second end.  The lowest edge of every component and its
+    direction stay put, so the default orientation is unchanged."""
+    e = rng.randint(1, d.edge_count)
+    first = [f for x in d.crossings for f in x.ends].index(e)
+    ci, s = divmod(max(first, d.mate[first]), 4)  # e's second end in scan order
+    loop, out = d.edge_count + 1, d.edge_count + 2
+    ends = [list(x.ends) for x in d.crossings]
+    ends[ci][s] = out
+    curl = (e, loop, loop, out)
+    r = rng.randrange(4)  # which slot is the incoming under-strand
+    ends.append(curl[r:] + curl[:r])
+    return Diagram(tuple(Crossing(tuple(x)) for x in ends), d.edge_count + 2)
 
 
 def bracket_state_sum(d) -> LaurentPoly:

@@ -46,9 +46,8 @@ from knotinv.sampling import (
     random_alternating_diagram,
     random_diagram,
 )
-from knotinv.statesum import resolve_loops
 
-from conftest import K12N888_MIRROR_PD, det_from_jones, full_twist_pd
+from conftest import K12N888_MIRROR_PD, det_from_jones, full_twist_pd, resolve_loops
 from test_statesum import FIG8_STATES, HOPF_STATES, TREFOIL_STATES, bracket_from_table
 
 TABLE_POLYS = {

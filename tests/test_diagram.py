@@ -20,8 +20,7 @@ from knotinv import (
 from knotinv.diagram import splice
 from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
 
-from conftest import AA_TREFOIL_PD, TREFOIL_PD, FIG8_PD, HOPF_PD, faces_reference
-from test_invariants import _add_curl
+from conftest import AA_TREFOIL_PD, TREFOIL_PD, FIG8_PD, HOPF_PD, _add_curl, faces_reference
 
 
 def test_parse_round_trip():

@@ -4,10 +4,10 @@ import warnings
 import pytest
 
 from knotinv import (
+    AAMarkedDiagram,
     DiagramError,
     LaurentPoly,
     aa_adjacency,
-    aa_closures,
     aa_extreme_coefficients,
     conway_determinant,
     determinant,
@@ -26,6 +26,8 @@ from knotinv import (
     parse_poly,
     recognize_genus_one,
     reduce_kinks,
+    s_A,
+    s_B,
     signature_bounds,
     state_graph,
     tangle_sum_signature,
@@ -34,8 +36,9 @@ from knotinv import (
     validate,
 )
 from knotinv.analysis import DiagramAnalysis
-from knotinv.diagram import Crossing, Diagram
+from knotinv import invariants
 from knotinv.invariants import _check_aa_reduced, _smooth
+from knotinv.statesum import _state_loops
 from knotinv.sampling import (
     random_almost_alternating_diagram,
     random_alternating_diagram,
@@ -43,7 +46,7 @@ from knotinv.sampling import (
     random_genus_one_diagram,
 )
 
-from conftest import gordon_litherland
+from conftest import _add_curl, _loops_uf, aa_closures, gordon_litherland, resolve_loops
 from test_analysis import _count_calls
 
 
@@ -88,23 +91,6 @@ def test_reduce_kinks():
     assert lone.diagram.crossing_count == 0 and lone.diagram.free_loops == 1
 
 
-def _add_curl(d: Diagram, rng: random.Random) -> Diagram:
-    """Put a Reidemeister-1 curl on a random edge e: e runs from its first
-    end into the new crossing, round the curl and out along a new edge to
-    e's old second end.  The lowest edge of every component and its
-    direction stay put, so the default orientation is unchanged."""
-    e = rng.randint(1, d.edge_count)
-    first = [f for x in d.crossings for f in x.ends].index(e)
-    ci, s = divmod(max(first, d.mate[first]), 4)  # e's second end in scan order
-    loop, out = d.edge_count + 1, d.edge_count + 2
-    ends = [list(x.ends) for x in d.crossings]
-    ends[ci][s] = out
-    curl = (e, loop, loop, out)
-    r = rng.randrange(4)  # which slot is the incoming under-strand
-    ends.append(curl[r:] + curl[:r])
-    return Diagram(tuple(Crossing(tuple(x)) for x in ends), d.edge_count + 2)
-
-
 def test_reduce_kinks_removes_added_curls():
     rng = random.Random(12)
     for i in range(60):
@@ -120,8 +106,9 @@ def test_reduce_kinks_removes_added_curls():
 
 
 def test_smoothing_skein_relation():
-    # <D> = A <D_A> + A^-1 <D_B> at every crossing; the free loops each
-    # smoothing leaves, which aa_closures relies on, enter through delta
+    # <D> = A <D_A> + A^-1 <D_B> at every crossing, on the smoothings
+    # ``_smooth`` builds for reduce_kinks and the conftest aa_closures
+    # oracle; a free loop a smoothing leaves enters through delta
     rng = random.Random(13)
     a, a_inv = LaurentPoly("A", {1: 1}), LaurentPoly("A", {-1: 1})
     pairs = 0
@@ -255,12 +242,31 @@ def test_mark_almost_alternating(aa_trefoil, trefoil):
         mark_almost_alternating(trefoil, 0)
 
 
+@pytest.mark.parametrize("index", [-1, -2, 3])
+def test_mark_almost_alternating_refuses_index_out_of_range(aa_trefoil, index):
+    # a negative index must not mark crossing c + index under another name
+    with pytest.raises(DiagramError, match=r"not in 0\.\.2"):
+        mark_almost_alternating(aa_trefoil, index)
+
+
+def test_aa_helpers_refuse_hand_built_marking():
+    """A marking built by hand on a crossing that is not the dealternator,
+    or on a negative index, is refused: its smoothings are not alternating,
+    or the index names no crossing."""
+    d, deal = random_almost_alternating_diagram(9, random.Random(3))
+    fs = validate(d)
+    for ci in [*range(d.crossing_count), -1]:
+        if ci == deal:
+            continue
+        v1, u1, v2, u2 = fs.face_of[4 * (ci % d.crossing_count):][:4]
+        with pytest.raises(DiagramError, match="bad dealternator marking"):
+            aa_extreme_coefficients(AAMarkedDiagram(d, ci, u1, u2, v1, v2, fs))
+
+
 def test_aa_closures_smoothings(aa_trefoil):
     aa = mark_almost_alternating(aa_trefoil, 2)
     dr, nr = aa_closures(aa)
     assert dr.crossing_count == nr.crossing_count == 2
-    from knotinv import nonalternating_edges
-
     assert not nonalternating_edges(dr) and not nonalternating_edges(nr)
 
 
@@ -286,21 +292,87 @@ def test_aa_generated_predictions():
         assert br.max_exponent() <= e0 and br.min_exponent() >= ek
         assert all((e0 - e) % 4 == 0 for e, _ in br.terms())
         # the face count equals the parallel-edge collapse in the state graphs
-        dr, nr = _check_aa_reduced(aa)
+        dr, nr = aa_closures(aa)
         assert adj_u == state_graph(nr, "A").reduced_edge_count - state_graph(dr, "A").reduced_edge_count
         assert adj_v == state_graph(dr, "B").reduced_edge_count - state_graph(nr, "B").reduced_edge_count
 
 
 def test_aa_helpers_validate_each_diagram_once(monkeypatch):
-    """Marking validates the diagram, the extreme-coefficient prediction
-    validates its two smoothings, and nothing is validated twice."""
+    """Marking validates the diagram, and the extreme-coefficient
+    prediction reads both smoothings off its face structure."""
     d, deal = random_almost_alternating_diagram(10, random.Random(7))
     validations = _count_calls(monkeypatch, validate)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         aa_extreme_coefficients(mark_almost_alternating(d, deal))
-    assert len(validations) == 3
-    assert len({id(g) for (g,) in validations}) == 3
+    assert len(validations) == 1
+    assert validations[0][0] is d
+
+
+def _refused(check, *args) -> bool:
+    try:
+        check(*args)
+    except DiagramError:
+        return True
+    return False
+
+
+def _check_built_smoothings(dr, nr) -> None:
+    """The reducedness check as it was, on D(R) and N(R) built by splicing."""
+    for g in (dr, nr):
+        fs = validate(g)
+        if nonalternating_edges(g) or not is_reduced(g, fs):
+            raise DiagramError("not reduced")
+
+
+def test_aa_check_matches_built_smoothings(monkeypatch):
+    """On 1500+ marked candidate draws of the almost-alternating sampler,
+    refused ones kept, the face-read reducedness check refuses exactly when
+    the built D(R) or N(R) is refused, and the loop walk gives s_B(D(R))
+    without building it."""
+    draws = []
+
+    def keep_drawing(aa):
+        draws.append(aa)
+        raise DiagramError("keep drawing")
+
+    monkeypatch.setattr(invariants, "_check_aa_reduced", keep_drawing)
+    rng = random.Random(16)
+    for n in range(3, 12):
+        with pytest.raises(DiagramError, match="no reduced"):
+            random_almost_alternating_diagram(n, rng, max_tries=170)
+    monkeypatch.undo()
+    assert len(draws) >= 1500
+    accepted = 0
+    for aa in draws:
+        dr, nr = aa_closures(aa)
+        refused = _refused(_check_aa_reduced, aa)
+        assert refused == _refused(_check_built_smoothings, dr, nr), aa
+        accepted += not refused
+        d = aa.diagram
+        flips = [3] * d.crossing_count
+        flips[aa.dealternator] = 1
+        assert s_A(d) == s_A(dr)
+        assert _state_loops(d, flips)[1] == s_B(dr)
+    assert 100 <= accepted <= len(draws) - 100  # both verdicts well covered
+
+
+def test_state_loops_match_union_find():
+    """On mixed random states, the walk's loops are the union-find's classes
+    of edge labels."""
+    rng = random.Random(17)
+    for i in range(300):
+        make = (random_diagram, random_alternating_diagram)[i % 2]
+        d = make(rng.randint(1, 14), rng)
+        if i % 3 == 0:
+            d = _add_curl(d, rng)
+        state = [rng.choice("AB") for _ in d.crossings]
+        loop, count = _state_loops(d, [1 if x == "A" else 3 for x in state])
+        assert count == resolve_loops(d, state)
+        labels = [e for x in d.crossings for e in x.ends]
+        uf = _loops_uf(d, state)
+        pairs = {(loop[a], uf.find(e)) for a, e in enumerate(labels)}
+        assert len(pairs) == len({lp for lp, _ in pairs}) == len({r for _, r in pairs}) == count
 
 
 def test_adj_duality():

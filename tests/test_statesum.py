@@ -24,8 +24,6 @@ from knotinv import (
 )
 from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
 from knotinv import statesum
-from knotinv.statesum import resolve_loops
-from test_invariants import _add_curl
 
 from conftest import (
     HOPF_PD,
@@ -36,7 +34,9 @@ from conftest import (
     det_from_jones,
     fraction_det_signature,
     full_twist_pd,
+    _add_curl,
     nested_det_signatures_reference,
+    resolve_loops,
     sweep_order_reference,
 )
 
