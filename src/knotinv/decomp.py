@@ -83,8 +83,7 @@ def nonalternating_edges(d: Diagram) -> set[int]:
     """Edges whose two ends are both over-passes or both under-passes: the
     labels of the darts ``a`` whose ``mate[a]`` has the same slot parity."""
     mate = d.mate
-    labels = (e for x in d.crossings for e in x.ends)
-    return {e for a, e in enumerate(labels) if not (a ^ mate[a]) & 1}
+    return {e for a, e in enumerate(d.labels) if not (a ^ mate[a]) & 1}
 
 
 @dataclass(frozen=True)
@@ -272,8 +271,7 @@ def alternating_decomposition(
     if not nonalt:
         tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False, parent=d)
         return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
-    mate = d.mate
-    labels = [e for x in d.crossings for e in x.ends]
+    mate, labels = d.mate, d.labels
 
     # arcs inside each face: a step of the face along a non-alternating edge
     # is a block from its departure dart to its arrival dart (the next
@@ -374,14 +372,14 @@ def _joins(t: Tangle, which: str) -> tuple[tuple[MarkedPoint, MarkedPoint], ...]
     return ((p0, p1), (p2, p3)) if which == "numerator" else ((p1, p2), (p3, p0))
 
 
-def _close(t: Tangle, which: str) -> tuple[Diagram, dict[int, int]]:
+def _close(t: Tangle, which: str) -> Diagram:
     """Splice the parent's crossings of ``t`` on the parent's labels,
     joining the boundary edges in the pairs of the ``which`` closure.
 
-    Returns the closure, not yet validated, and splice's map from each
-    parent label the closure keeps to its edge there.  Every joined label
-    is a boundary edge that the tangle's crossings use, so the closure has
-    no free loop; the parent's other labels are dropped.
+    Returns the closure, not yet validated, with the tangle's crossings in
+    order.  Every joined label is a boundary edge that the tangle's
+    crossings use, so the closure has no free loop; the parent's other
+    labels are dropped.
     """
     joins = tuple((a[0], b[0]) for a, b in _joins(t, which))
     crossings = tuple(t.parent.crossings[ci] for ci in t.crossing_indices)
@@ -397,7 +395,7 @@ def closures(t: Tangle) -> tuple[Diagram, Diagram]:
     closure determinants and signatures off the decomposition's arcs, and
     these closures are that route's test oracle.
     """
-    return _close(t, "numerator")[0], _close(t, "denominator")[0]
+    return _close(t, "numerator"), _close(t, "denominator")
 
 
 def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiagram:
@@ -408,13 +406,12 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
     Raises DiagramError when the orientation does not extend, that is when
     a joined pair of boundary edges does not have one end flowing in.
     """
-    for pair in _joins(t, which):
-        if sum(od.head[e] == pos for e, pos in pair) != 1:
+    into = od.into
+    for (_, p), (_, q) in _joins(t, which):
+        if into[4 * p[0] + p[1]] == into[4 * q[0] + q[1]]:
             raise DiagramError("ambient orientation does not extend to this closure")
-    diag, edge_of = _close(t, which)
-    local_of = {ci: i for i, ci in enumerate(t.crossing_indices)}
-    heads = {edge_of[e]: (local_of[ci], s) for e, (ci, s) in od.head.items() if ci in local_of}
-    return orient(diag, head=heads)
+    bits = tuple(b for ci in t.crossing_indices for b in into[4 * ci:4 * ci + 4])
+    return orient(_close(t, which), into=bits)
 
 
 def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None:
@@ -482,15 +479,11 @@ def classify_orientation(gs: GenusOneStructure, od: OrientedDiagram) -> str:
     """Whether the ambient orientation matches the numerator closures, the
     denominator closures, or both."""
 
-    def pair_ok(t: Tangle, a: int, b: int) -> bool:
-        flows_in = []
-        for k in (a, b):
-            e, pos = t.boundary_points[k]
-            flows_in.append(od.head[e] == pos)
-        return flows_in[0] != flows_in[1]
-
-    n_ok = all(pair_ok(t, 0, 1) and pair_ok(t, 2, 3) for t in gs.tangles)
-    d_ok = all(pair_ok(t, 1, 2) and pair_ok(t, 3, 0) for t in gs.tangles)
+    into = od.into
+    # the arrival bit of each tangle's boundary darts, place by place
+    bits = [[into[4 * ci + s] for _, (ci, s) in t.boundary_points] for t in gs.tangles]
+    n_ok = all(b0 != b1 and b2 != b3 for b0, b1, b2, b3 in bits)
+    d_ok = all(b1 != b2 and b3 != b0 for b0, b1, b2, b3 in bits)
     if n_ok and d_ok:
         return "both"
     if n_ok:

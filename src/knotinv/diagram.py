@@ -13,7 +13,9 @@ a dart: ``a >> 2`` is its crossing, ``a & 3`` its slot, ``a ^ 2`` the dart
 across the crossing on the same strand, and ``a ^ 1`` / ``a ^ 3`` the dart
 the A- / B-smoothing joins it to.  Faces are the orbits of
 ``a -> mate[next slot of a]`` (Lando-Zvonkin, *Graphs on Surfaces and Their
-Applications*, ch. 1).
+Applications*, ch. 1), and strands those of ``a -> mate[a ^ 2]``.  An
+orientation is one arrival bit per dart: ``OrientedDiagram.into[a]`` is 1
+when the edge at dart ``a`` flows into its crossing there.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ class DiagramError(ValueError):
     """Structurally invalid diagram (bad labels, non-planar, split, ...)."""
 
 
-# An edge end: (crossing index, slot 0..3).
-Position = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class Crossing:
     ends: tuple[int, int, int, int]
@@ -67,9 +65,9 @@ class Diagram:
 
     ``mate`` is the dart table, built with the label check: ``mate[a]`` is
     the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
-    ``s`` of crossing ``ci``), so ``mate[mate[a]] == a``.  It is derived
-    from ``crossings``, so it is not a field: it is neither compared nor
-    shown in the repr.
+    ``s`` of crossing ``ci``), so ``mate[mate[a]] == a``; ``labels[a]`` is
+    that edge's label.  Both are derived from ``crossings``, so neither is a
+    field: they are neither compared nor shown in the repr.
     """
 
     crossings: tuple[Crossing, ...]
@@ -79,30 +77,28 @@ class Diagram:
     def __post_init__(self):
         n = self.edge_count
         first = [-1] * (n + 1)  # the first dart seen on each label
-        mate = [-1] * (4 * len(self.crossings))
+        labels = tuple(e for x in self.crossings for e in x.ends)
+        mate = [-1] * len(labels)
         bad = False
-        a = 0
-        for x in self.crossings:
-            for e in x.ends:
-                if not isinstance(e, int) or e < 1 or e > n:
-                    raise DiagramError(f"edge label {e!r} out of range 1..{n}")
-                b = first[e]
-                if b < 0:
-                    first[e] = a
-                else:
-                    bad |= mate[b] >= 0  # a third end of the label
-                    mate[a] = b
-                    mate[b] = a
-                a += 1
+        for a, e in enumerate(labels):
+            if not isinstance(e, int) or e < 1 or e > n:
+                raise DiagramError(f"edge label {e!r} out of range 1..{n}")
+            b = first[e]
+            if b < 0:
+                first[e] = a
+            else:
+                bad |= mate[b] >= 0  # a third end of the label
+                mate[a] = b
+                mate[b] = a
         if bad or -1 in mate or len(mate) != 2 * n:  # some label not used twice
             seen: dict[int, int] = {}
-            for x in self.crossings:
-                for e in x.ends:
-                    seen[e] = seen.get(e, 0) + 1
+            for e in labels:
+                seen[e] = seen.get(e, 0) + 1
             for e in range(1, n + 1):
                 if seen.get(e, 0) != 2:
                     raise DiagramError(f"edge {e} appears {seen.get(e, 0)} times, expected 2")
         object.__setattr__(self, "mate", tuple(mate))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def crossing_count(self) -> int:
@@ -134,7 +130,7 @@ class UnionFind:
 
 def splice(
     crossings: tuple[Crossing, ...], label_count: int, joins: tuple[tuple[int, int], ...]
-) -> tuple[Diagram, dict[int, int]]:
+) -> Diagram:
     """Join label pairs of a partial diagram and relabel it.
 
     ``crossings`` use labels in 1..label_count, and each pair in ``joins``
@@ -144,21 +140,19 @@ def splice(
     loop; a label that is neither used nor joined is dropped, so some of a
     diagram's crossings can be spliced on that diagram's own labels.  It
     builds tangle closures and kink removals (a smoothing of the crossing
-    left out of ``crossings``).  Returns the diagram, not yet validated, and
-    the map from each label on a used run to its edge.
+    left out of ``crossings``).  The crossings keep their order and slots,
+    so dart ``a`` of the result is dart ``a`` of ``crossings``.  Returns the
+    diagram, not yet validated.
     """
     uf = UnionFind(label_count + 1)
     for a, b in joins:
         uf.union(a, b)
     find = uf.find
     roots = sorted({find(e) for x in crossings for e in x.ends})
-    edge_of_root = {r: i for i, r in enumerate(roots, 1)}
-    edge_of = {
-        e: edge_of_root[r] for e in range(1, label_count + 1) if (r := find(e)) in edge_of_root
-    }
-    closed = tuple(Crossing(ends=tuple(edge_of[e] for e in x.ends)) for x in crossings)
-    loops = {find(e) for pair in joins for e in pair} - edge_of_root.keys()
-    return Diagram(closed, len(roots), len(loops)), edge_of
+    edge_of = {r: i for i, r in enumerate(roots, 1)}
+    closed = tuple(Crossing(ends=tuple(edge_of[find(e)] for e in x.ends)) for x in crossings)
+    loops = {find(e) for pair in joins for e in pair} - edge_of.keys()
+    return Diagram(closed, len(roots), len(loops))
 
 
 # X[a,b,c,d], X(a,b,c,d), [a,b,c,d] or (a,b,c,d), brackets matched: the
@@ -315,90 +309,57 @@ def validate(d: Diagram) -> FaceStructure:
 class OrientedDiagram:
     """A diagram with a direction chosen on every edge.
 
-    ``head`` maps each edge to the end position it points into; the tail is
-    the other end.  ``fs`` is the diagram's face structure when
-    :func:`orient` built it, so that it need not be validated again.
+    ``into[a]`` is 1 when the edge at dart ``a`` flows into crossing
+    ``a >> 2`` there and 0 when it flows out, so ``into[a] != into[mate[a]]``
+    and ``into[a] != into[a ^ 2]``.  ``fs`` is the diagram's face structure
+    when :func:`orient` built it, so that it need not be validated again.
     """
 
     diagram: Diagram
-    head: dict[int, Position] = field(repr=False, default_factory=dict)
-    component_of: dict[int, int] = field(repr=False, default_factory=dict)
+    into: tuple[int, ...] = field(repr=False, default=())
     component_count: int = 1
     fs: FaceStructure | None = field(repr=False, compare=False, default=None)
 
 
-def _strand_components(d: Diagram) -> list[list[int]]:
-    """Group edges into strand cycles, each the orbit of the arrival darts
-    ``a -> mate[a ^ 2]`` (under: slots 0-2, over: slots 1-3) in one
-    direction, sorted by lowest label."""
-    mate = d.mate
-    seen = [False] * len(mate)
-    comps = []
-    for first in range(len(mate)):
-        if seen[first]:
-            continue
-        comp = []
-        a = first
-        while not seen[a]:
-            seen[a] = seen[mate[a]] = True
-            comp.append(d.crossings[a >> 2].ends[a & 3])
-            a = mate[a ^ 2]
-        comps.append(sorted(comp))
-    return sorted(comps)
-
-
 def orient(
-    d: Diagram, head: dict[int, Position] | None = None, fs: FaceStructure | None = None
+    d: Diagram, into: tuple[int, ...] | None = None, fs: FaceStructure | None = None
 ) -> OrientedDiagram:
     """Orient every component; the lowest edge of each component is directed
     from its scan-order first end to its second.
 
-    A precomputed ``head`` map (edge -> head position) may be supplied to
-    impose an induced orientation instead of the default one.  ``fs``, the
-    face structure :func:`validate` returned for ``d``, spares validating
-    the diagram again.  The result carries the face structure.
+    Each component is one walk ``a -> mate[a ^ 2]`` over its arrival darts
+    from the second dart of its lowest label.  An imposed ``into``, one bit
+    per dart as :class:`OrientedDiagram` keeps it, replaces the default
+    orientation; it is checked to be coherent.  ``fs``, the face structure
+    :func:`validate` returned for ``d``, spares validating the diagram
+    again.  The result carries the face structure.
     """
     if fs is None:
         fs = validate(d)
-    mate = d.mate
-    labels = [e for x in d.crossings for e in x.ends]
-    dart_of = [0] * (d.edge_count + 1)  # the second end of each label
-    for a, e in enumerate(labels):
-        dart_of[e] = a
-    comps = _strand_components(d)
-    component_of: dict[int, int] = {}
-    heads: dict[int, Position] = {}
-    for idx, comp in enumerate(comps):
-        for e in comp:
-            component_of[e] = idx
-        if head is not None:
-            continue
-        e0 = comp[0]
-        a = dart_of[e0]  # head of the lowest edge: its second end
-        while True:
-            e = labels[a]
-            heads[e] = (a >> 2, a & 3)
-            a = mate[a ^ 2]
-            if labels[a] == e0:
-                break
-    if head is not None:
-        heads = dict(head)
-        for e in range(1, d.edge_count + 1):
-            a = dart_of[e]
-            if heads.get(e) not in ((a >> 2, a & 3), divmod(mate[a], 4)):
-                raise DiagramError(f"bad head position for edge {e}")
-    # two-in / two-out check at every crossing, paired under/under over/over
-    for ci, x in enumerate(d.crossings):
-        under_in = sum(1 for s in (0, 2) if heads[x.ends[s]] == (ci, s))
-        over_in = sum(1 for s in (1, 3) if heads[x.ends[s]] == (ci, s))
-        if d.edge_count and (under_in != 1 or over_in != 1):
-            raise DiagramError(f"incoherent orientation at crossing {ci}")
+    mate, labels = d.mate, d.labels
+    if into is not None:
+        if len(into) != len(mate) or not {*into} <= {0, 1}:
+            raise DiagramError(f"an orientation needs one 0/1 bit per dart, {len(mate)} in all")
+        for a, bit in enumerate(into):
+            if bit == into[mate[a]]:
+                raise DiagramError(f"edge {labels[a]} needs one head and one tail")
+            if bit == into[a ^ 2]:
+                raise DiagramError(f"strand through crossing {a >> 2} needs one end in and one out")
+    bits = [-1] * len(mate)
+    last = dict(zip(labels, range(len(labels))))  # the second dart of each label
+    strands = 0
+    for e in range(1, d.edge_count + 1):
+        a = last[e]
+        if bits[a] < 0:
+            strands += 1
+            if into is not None and not into[a]:
+                a = mate[a]
+            while bits[a] < 0:
+                bits[a] = 1
+                bits[mate[a]] = 0
+                a = mate[a ^ 2]
     return OrientedDiagram(
-        diagram=d,
-        head=heads,
-        component_of=component_of,
-        component_count=len(comps) + d.free_loops,
-        fs=fs,
+        diagram=d, into=tuple(bits), component_count=strands + d.free_loops, fs=fs
     )
 
 
@@ -406,19 +367,14 @@ def crossing_signs(od: OrientedDiagram) -> tuple[tuple[int, ...], int, int, int]
     """Per-crossing signs plus (c_plus, c_minus, writhe).
 
     The sign is +1 when the under-strand direction is the over-strand
-    direction rotated a quarter turn counterclockwise.
+    direction rotated a quarter turn counterclockwise: exactly when one of
+    the darts at slots 0 and 1 is an arrival and the other a departure.
     """
-    d = od.diagram
-    signs = []
-    for ci, x in enumerate(d.crossings):
-        # under direction: entering at S (slot 0) means heading north
-        u = (0, 1) if od.head[x.ends[0]] == (ci, 0) else (0, -1)
-        o = (-1, 0) if od.head[x.ends[1]] == (ci, 1) else (1, 0)
-        det = o[0] * u[1] - o[1] * u[0]
-        signs.append(1 if det > 0 else -1)
+    into = od.into
+    signs = tuple(-1 if u == o else 1 for u, o in zip(into[::4], into[1::4]))
     c_plus = signs.count(1)
-    c_minus = signs.count(-1)
-    return tuple(signs), c_plus, c_minus, c_plus - c_minus
+    c_minus = len(signs) - c_plus
+    return signs, c_plus, c_minus, c_plus - c_minus
 
 
 def mirror(d: Diagram) -> Diagram:

@@ -76,8 +76,7 @@ def is_reduced(d: Diagram, fs: FaceStructure | None = None) -> bool:
 
 def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
     """Remove Reidemeister-1 kinks, preserving the orientation."""
-    d = od.diagram
-    heads = od.head
+    d, into = od.diagram, od.into
     while True:
         kink = next(
             ((ci, s) for ci, x in enumerate(d.crossings) for s in range(4)
@@ -87,14 +86,13 @@ def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
         if kink is None:
             if d is od.diagram:
                 return od
-            return orient(d, head=heads) if d.crossings else orient(d)
+            return orient(d, into=into)
         # a kink at slots (s, s+1) goes by the smoothing that joins (s+1, s+2)
-        # and (s+3, s): its loop merges into the strand through the crossing
+        # and (s+3, s): its loop merges into the strand through the crossing,
+        # and the other crossings keep their darts and bits
         ci, s = kink
-        d, edge_of = _smooth(d, ci, "A" if s % 2 else "B")
-        heads = {
-            edge_of[e]: (hc - (hc > ci), hs) for e, (hc, hs) in heads.items() if hc != ci
-        }
+        d = _smooth(d, ci, "A" if s % 2 else "B")
+        into = into[:4 * ci] + into[4 * ci + 4:]
 
 
 def traczyk_signature(od: OrientedDiagram, analysis: DiagramAnalysis | None = None) -> int:
@@ -248,9 +246,9 @@ def _is_dealternator(d: Diagram, ci: int) -> bool:
     return len(ends) == 4 and nonalternating_edges(d) == ends
 
 
-def _smooth(d: Diagram, ci: int, choice: str) -> tuple[Diagram, dict[int, int]]:
-    """Replace crossing ci by its A- or B-smoothing; returns the smoothed
-    diagram and its label map, as :func:`~knotinv.diagram.splice` does."""
+def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
+    """Replace crossing ci by its A- or B-smoothing; the other crossings keep
+    their order, as :func:`~knotinv.diagram.splice` does."""
     e1, e2, e3, e4 = d.crossings[ci].ends
     joins = ((e1, e2), (e3, e4)) if choice == "A" else ((e2, e3), (e4, e1))
     return splice(d.crossings[:ci] + d.crossings[ci + 1:], d.edge_count, joins)

@@ -274,15 +274,9 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     return LaurentPoly("A", _over_delta(_unpack(poly, bits, offset)))
 
 
-def jones(od: OrientedDiagram, bracket: LaurentPoly | None = None) -> LaurentPoly:
-    """V = (-A^3)^(-writhe) * <D> with A = t^(-1/4), in half-powers of t.
-
-    ``bracket``, when given, is the diagram's Kauffman bracket already
-    computed; the sweep then does not run again.
-    """
-    if bracket is None:
-        bracket = kauffman_bracket(od.diagram)
-    return _jones_from_bracket(bracket, crossing_signs(od)[3])
+def jones(od: OrientedDiagram) -> LaurentPoly:
+    """V = (-A^3)^(-writhe) * <D> with A = t^(-1/4), in half-powers of t."""
+    return _jones_from_bracket(kauffman_bracket(od.diagram), crossing_signs(od)[3])
 
 
 def _jones_from_bracket(bracket: LaurentPoly, writhe: int) -> LaurentPoly:

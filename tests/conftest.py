@@ -39,6 +39,55 @@ K12N888_MIRROR_PD = (
 )
 
 
+# Frozen full state tables: (assignment, resulting loop count).  Assignment
+# character i is the smoothing at crossing i; the loop counts were checked
+# by tracing the joined edge identifications by hand.
+TREFOIL_STATES = [
+    ("AAA", 3), ("AAB", 2), ("ABA", 2), ("ABB", 1),
+    ("BAA", 2), ("BAB", 1), ("BBA", 1), ("BBB", 2),
+]
+HOPF_STATES = [("AA", 2), ("AB", 1), ("BA", 1), ("BB", 2)]
+FIG8_STATES = [
+    ("AAAA", 3), ("AAAB", 2), ("AABA", 2), ("AABB", 3),
+    ("ABAA", 2), ("ABAB", 1), ("ABBA", 1), ("ABBB", 2),
+    ("BAAA", 2), ("BAAB", 1), ("BABA", 1), ("BABB", 2),
+    ("BBAA", 1), ("BBAB", 2), ("BBBA", 2), ("BBBB", 3),
+]
+
+
+def bracket_from_table(table):
+    """Independent oracle: sum A^(a-b) * (-A^2 - A^-2)^(loops-1) directly."""
+    delta = LaurentPoly("A", {2: -1, -2: -1})
+    total = LaurentPoly("A", {})
+    for state, loops in table:
+        term = LaurentPoly("A", {state.count("A") - state.count("B"): 1})
+        for _ in range(loops - 1):
+            term = term * delta
+        total = total + term
+    return total
+
+
+def _rebind(monkeypatch, fn, replacement) -> None:
+    """Put ``replacement`` in place of ``fn`` in every knotinv module that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name == "knotinv" or name.startswith("knotinv."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls of ``fn`` through every knotinv module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    _rebind(monkeypatch, fn, counted)
+    return calls
+
+
 def det_from_jones(v) -> int:
     """|V(-1)|, with t^(1/2) = i in the Gaussian integers: the state-sum
     route to the determinant, kept as an oracle for ``determinant``."""
@@ -87,9 +136,7 @@ def aa_closures(aa) -> tuple[Diagram, Diagram]:
     """(D(R), N(R)): the A- and B-smoothings of the dealternator, built by
     splicing; the oracle for the almost-alternating helpers, which read both
     off the marked diagram's own tables."""
-    dr, _ = _smooth(aa.diagram, aa.dealternator, "A")
-    nr, _ = _smooth(aa.diagram, aa.dealternator, "B")
-    return dr, nr
+    return _smooth(aa.diagram, aa.dealternator, "A"), _smooth(aa.diagram, aa.dealternator, "B")
 
 
 def _add_curl(d: Diagram, rng: random.Random) -> Diagram:

@@ -1,7 +1,5 @@
 """Acceptance suite: one test per criterion, each printing a PASS line."""
 
-import itertools
-import json
 import random
 import time
 import warnings
@@ -33,13 +31,11 @@ from knotinv import (
     s_A,
     s_B,
     signature_bounds,
-    state_graph,
     tangle_sum_signature,
     traczyk_signature,
     turaev_genus,
     validate,
 )
-from knotinv.cli import main
 from knotinv.decomp import closures
 from knotinv.sampling import (
     random_almost_alternating_diagram,
@@ -47,8 +43,15 @@ from knotinv.sampling import (
     random_diagram,
 )
 
-from conftest import K12N888_MIRROR_PD, det_from_jones, full_twist_pd, resolve_loops
-from test_statesum import FIG8_STATES, HOPF_STATES, TREFOIL_STATES, bracket_from_table
+from conftest import (
+    FIG8_STATES,
+    HOPF_STATES,
+    TREFOIL_STATES,
+    bracket_from_table,
+    det_from_jones,
+    full_twist_pd,
+    resolve_loops,
+)
 
 TABLE_POLYS = {
     "12n253": "-2t^{-8}+ 4t^{-7}-7t^{-6}+ 9t^{-5}-9t^{-4}+ 10t^{-3}-7t^{-2}+ 5t^{-1}-2",
@@ -148,9 +151,9 @@ def test_criterion_5_random_corpus():
         assert (2 + d.crossing_count - s_A(d) - s_B(d)) % 2 == 0
         m = mirror(d)
         assert kauffman_bracket(m) == kauffman_bracket(d).mirror()
-        # carry the orientation across the mirror (slot s maps to s-1)
-        heads_m = {e: (ci, (s - 1) % 4) for e, (ci, s) in od.head.items()}
-        assert jones(orient(m, head=heads_m)) == jones(od).mirror()
+        # carry the orientation across the mirror (slot s is slot s+1 of d)
+        into_m = tuple(od.into[a & ~3 | (a + 1) & 3] for a in range(len(od.into)))
+        assert jones(orient(m, into=into_m)) == jones(od).mirror()
         assert (s_A(m), s_B(m)) == (s_B(d), s_A(d))
         assert determinant(od) == goeritz_determinant(d) == det_from_jones(jones(od))
         count += 1

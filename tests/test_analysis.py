@@ -1,5 +1,4 @@
 import random
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,28 +7,7 @@ from knotinv.cli import KnotRecord, analyze_record, decompose_record
 from knotinv.sampling import random_genus_one_diagram
 from knotinv.textio import read_pd_file
 
-from conftest import K12N888_MIRROR_PD, recognize_genus_one_reference
-
-
-def _rebind(monkeypatch, fn, replacement) -> None:
-    """Put ``replacement`` in place of ``fn`` in every knotinv module that binds it."""
-    for name, mod in list(sys.modules.items()):
-        if name == "knotinv" or name.startswith("knotinv."):
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, replacement)
-
-
-def _count_calls(monkeypatch, fn) -> list:
-    """Count calls of ``fn`` through every knotinv module that binds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    _rebind(monkeypatch, fn, counted)
-    return calls
+from conftest import K12N888_MIRROR_PD, _count_calls, _rebind, recognize_genus_one_reference
 
 
 def test_analyze_record_brackets_once(monkeypatch):

@@ -306,9 +306,8 @@ def test_closure_signatures_match_closures(k12n888_mirror):
             else:
                 unreduced += 1
         # slot s of a crossing is slot s - 1 of its mirror image
-        mirrored_od = orient(
-            mirror(d), head={e: (ci, (s - 1) % 4) for e, (ci, s) in od.head.items()}
-        )
+        into_m = tuple(od.into[a & ~3 | (a + 1) & 3] for a in range(len(od.into)))
+        mirrored_od = orient(mirror(d), into=into_m)
         mirrored = _closure_signatures(mirror(d), mirrored_od)
         assert mirrored.keys() == sigs.keys()
         assert all(mirrored[key][2] == -sig for key, (_, _, sig) in sigs.items())

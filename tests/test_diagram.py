@@ -17,8 +17,13 @@ from knotinv import (
     serialize_pd,
     validate,
 )
-from knotinv.diagram import splice
-from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
+from knotinv.diagram import UnionFind, splice
+from knotinv.sampling import (
+    random_almost_alternating_diagram,
+    random_alternating_diagram,
+    random_diagram,
+    random_genus_one_diagram,
+)
 
 from conftest import AA_TREFOIL_PD, TREFOIL_PD, FIG8_PD, HOPF_PD, _add_curl, faces_reference
 
@@ -195,12 +200,72 @@ def test_checkerboard_proper(trefoil, aa_trefoil):
             assert fs.checkerboard_color[f1] != fs.checkerboard_color[f2]
 
 
-def test_orientation_two_in_two_out(trefoil, fig8, hopf):
-    for d in (trefoil, fig8, hopf):
+def test_orientation_two_in_two_out():
+    """On seeded diagrams from all four samplers, every edge has one head and
+    one tail, and each strand through a crossing one end in and one out.
+    The components are the strand cycles: half the cycles of
+    ``a -> mate[a ^ 2]``, one for each direction, and as many as the classes
+    of labels joined across each crossing.  The lowest label of each
+    component flows into its second end."""
+    rng = random.Random(71)
+    diagrams = [parse_pd(pd) for pd in (TREFOIL_PD, FIG8_PD, HOPF_PD)]
+    for i in range(30):
+        diagrams.append(random_diagram(rng.randint(1, 16), rng))
+        diagrams.append(random_alternating_diagram(rng.randint(1, 16), rng))
+        diagrams.append(random_genus_one_diagram(1 + i % 3, rng))
+        diagrams.append(random_almost_alternating_diagram(rng.randint(6, 16), rng)[0])
+    for d in diagrams:
         od = orient(d)
-        for ci, x in enumerate(d.crossings):
-            inbound = sum(1 for s in range(4) if od.head[x.ends[s]] == (ci, s))
-            assert inbound == 2
+        into, mate, labels = od.into, d.mate, d.labels
+        assert len(into) == len(mate) and set(into) <= {0, 1}
+        assert all(into[a] != into[mate[a]] and into[a] != into[a ^ 2] for a in range(len(mate)))
+        seen, cycles = set(), 0
+        for first in range(len(mate)):
+            if first not in seen:
+                cycles += 1
+                a = first
+                while a not in seen:
+                    seen.add(a)
+                    a = mate[a ^ 2]
+        assert cycles == 2 * od.component_count
+        uf = UnionFind(d.edge_count + 1)
+        for x in d.crossings:
+            uf.union(x.ends[0], x.ends[2])
+            uf.union(x.ends[1], x.ends[3])
+        assert uf.classes - 1 == od.component_count
+        lowest = {}
+        for e in range(1, d.edge_count + 1):
+            lowest.setdefault(uf.find(e), e)
+        for e in lowest.values():
+            assert into[max(a for a in range(len(mate)) if labels[a] == e)] == 1
+
+
+def test_orient_refuses_incoherent_bits(trefoil, hopf):
+    """An imposed orientation is one 0/1 bit per dart with one head per
+    edge and one end in per strand through each crossing."""
+    for d in (trefoil, hopf):
+        into = list(orient(d).into)
+        # reverse the strand through crossing 1: both of its edges there get
+        # two heads or two tails
+        two_heads = into.copy()
+        two_heads[4] ^= 1
+        two_heads[6] ^= 1
+        with pytest.raises(DiagramError, match="needs one head and one tail"):
+            orient(d, into=tuple(two_heads))
+        # reverse the edge at dart 4: the strands through both of its
+        # crossings enter twice or leave twice
+        entering_twice = into.copy()
+        entering_twice[4] ^= 1
+        entering_twice[d.mate[4]] ^= 1
+        with pytest.raises(DiagramError, match="needs one end in and one out"):
+            orient(d, into=tuple(entering_twice))
+        for bad in (into[:-1], into + [0], into[:-1] + [2]):
+            with pytest.raises(DiagramError, match="one 0/1 bit per dart"):
+                orient(d, into=tuple(bad))
+        # the orientation reversed on every component is coherent
+        flipped = orient(d, into=tuple(1 - b for b in into))
+        assert flipped.into == tuple(1 - b for b in into)
+        assert flipped.component_count == orient(d).component_count
 
 
 def test_component_counts(trefoil, hopf):
@@ -244,12 +309,11 @@ def test_splice_free_loops():
     """A joined run that no crossing uses is a free loop; a label neither
     used nor joined is dropped, so some of a diagram's crossings can be
     spliced on that diagram's own labels."""
-    d, edge_of = splice((Crossing((1, 2, 3, 4)),), 8, ((1, 2), (3, 4), (5, 6)))
+    d = splice((Crossing((1, 2, 3, 4)),), 8, ((1, 2), (3, 4), (5, 6)))
     assert d == Diagram((Crossing((1, 1, 2, 2)),), 2, 1)  # run {5, 6}; 7 and 8 dropped
-    assert edge_of == {1: 1, 2: 1, 3: 2, 4: 2}
     # two crossingless vertical strands: one circle closed one way, two the other
-    assert splice((), 2, ((1, 2), (2, 1))) == (Diagram((), 0, 1), {})
-    assert splice((), 2, ((1, 1), (2, 2))) == (Diagram((), 0, 2), {})
+    assert splice((), 2, ((1, 2), (2, 1))) == Diagram((), 0, 1)
+    assert splice((), 2, ((1, 1), (2, 2))) == Diagram((), 0, 2)
     # a tangle's closures, spliced on its parent's labels, drop the labels
     # of the other tangle rather than counting them as loops
     for t in recognize_genus_one(parse_pd(AA_TREFOIL_PD)).tangles:

@@ -29,6 +29,10 @@ from conftest import (
     HOPF_PD,
     TREFOIL_PD,
     bareiss_det,
+    FIG8_STATES,
+    HOPF_STATES,
+    TREFOIL_STATES,
+    bracket_from_table,
     bracket_state_sum,
     bracket_sweep_reference,
     det_from_jones,
@@ -39,34 +43,6 @@ from conftest import (
     resolve_loops,
     sweep_order_reference,
 )
-
-# Frozen full state tables: (assignment, resulting loop count).  Assignment
-# character i is the smoothing at crossing i; the loop counts were checked
-# by tracing the joined edge identifications by hand.
-TREFOIL_STATES = [
-    ("AAA", 3), ("AAB", 2), ("ABA", 2), ("ABB", 1),
-    ("BAA", 2), ("BAB", 1), ("BBA", 1), ("BBB", 2),
-]
-HOPF_STATES = [("AA", 2), ("AB", 1), ("BA", 1), ("BB", 2)]
-FIG8_STATES = [
-    ("AAAA", 3), ("AAAB", 2), ("AABA", 2), ("AABB", 3),
-    ("ABAA", 2), ("ABAB", 1), ("ABBA", 1), ("ABBB", 2),
-    ("BAAA", 2), ("BAAB", 1), ("BABA", 1), ("BABB", 2),
-    ("BBAA", 1), ("BBAB", 2), ("BBBA", 2), ("BBBB", 3),
-]
-
-
-def bracket_from_table(table):
-    """Independent oracle: sum A^(a-b) * (-A^2 - A^-2)^(loops-1) directly."""
-    delta = LaurentPoly("A", {2: -1, -2: -1})
-    total = LaurentPoly("A", {})
-    for state, loops in table:
-        term = LaurentPoly("A", {state.count("A") - state.count("B"): 1})
-        for _ in range(loops - 1):
-            term = term * delta
-        total = total + term
-    return total
-
 
 @pytest.mark.parametrize(
     "fixture,table",
