@@ -2,7 +2,6 @@
 diagrams given as PD codes."""
 
 from .diagram import (
-    Crossing,
     Diagram,
     DiagramError,
     FaceStructure,

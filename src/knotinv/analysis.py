@@ -79,7 +79,8 @@ class DiagramAnalysis:
         """The genus-one normal form, or None when the diagram is not in it.
 
         Its tangles' Goeritz forms, which give the closure determinants and
-        signatures with no closure built, are cached on the structure."""
+        signatures with no closure built, are read when it is recognized and
+        kept on the structure."""
         return decomp.recognize_genus_one(self.diagram, self)
 
     @cached_property

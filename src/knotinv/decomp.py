@@ -16,13 +16,16 @@ other tangle at adjacent places, the later becoming its place 0; after 2k
 steps the walk must be back where it began, having visited every tangle.
 For k = 1 the two ways to split the four edges between the tangles into
 channels swap each tangle's N and D; the split with the smaller sorted
-closure determinant pairs is kept, whatever the labels.
+closure determinant pairs is kept, and when the two splits tie the labels
+choose.
+
+Marked points, tangle boundaries and curves are darts of the parent
+diagram; they become ``[edge, [crossing, slot]]`` only in the JSON output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .diagram import (
@@ -31,7 +34,7 @@ from .diagram import (
     FaceStructure,
     OrientedDiagram,
     orient,
-    splice,
+    rejoin,
 )
 from .statesum import _goeritz_matrix, _nested_det_signatures
 
@@ -39,7 +42,6 @@ if TYPE_CHECKING:
     from .analysis import DiagramAnalysis
 
 __all__ = [
-    "MarkedPoint",
     "Tangle",
     "AltDecomposition",
     "GenusOneStructure",
@@ -51,11 +53,6 @@ __all__ = [
     "oriented_closure",
     "classify_orientation",
 ]
-
-# A marked point sits on a non-alternating edge near one of its two end
-# positions: (edge, (crossing, slot)).
-MarkedPoint = tuple[int, tuple[int, int]]
-
 
 def _analysis(d: Diagram, analysis: DiagramAnalysis | None) -> DiagramAnalysis:
     if analysis is not None:
@@ -91,15 +88,15 @@ class Tangle:
     """An alternating tangle region: a view on its parent diagram.
 
     ``crossing_indices`` are the parent's crossings in the region and
-    ``boundary_points`` the parent's marked points on its boundary, in
-    cyclic order, read as (nw, ne, se, sw); the numerator closure joins
-    points (0, 1) and (2, 3), the denominator closure (1, 2) and (3, 0).
-    Nothing is relabelled: :func:`closures` and :func:`oriented_closure`
-    splice the parent's crossings on the parent's edge labels.
+    ``boundary`` the parent's marked darts on its boundary, in cyclic order,
+    read as (nw, ne, se, sw); the numerator closure joins points (0, 1) and
+    (2, 3), the denominator closure (1, 2) and (3, 0).  Nothing is
+    relabelled: :func:`closures` and :func:`oriented_closure` rejoin the
+    parent's crossings past the other tangles.
     """
 
     crossing_indices: tuple[int, ...]
-    boundary_points: tuple[MarkedPoint, ...]
+    boundary: tuple[int, ...]
     proper: bool
     parent: Diagram = field(repr=False, compare=False)
 
@@ -110,12 +107,12 @@ class Tangle:
     @property
     def decorations(self) -> tuple[str, ...]:
         """'+' for a boundary point at an over-strand slot, '-' at an under-strand slot."""
-        return tuple("+" if pos[1] % 2 else "-" for _, pos in self.boundary_points)
+        return tuple("+" if b & 1 else "-" for b in self.boundary)
 
     def to_json(self) -> dict:
         return {
             "crossings": list(self.crossing_indices),
-            "boundary": [[e, list(pos)] for e, pos in self.boundary_points],
+            "boundary": _points_json(self.parent, self.boundary),
             "decorations": list(self.decorations),
             "proper": self.proper,
         }
@@ -133,17 +130,26 @@ class ArcRuns:
     interior: list[int]
 
 
+def _points_json(d: Diagram, darts: tuple[int, ...]) -> list:
+    """Each dart of ``d`` as ``[edge, [crossing, slot]]``."""
+    return [[d.labels[b], [b >> 2, b & 3]] for b in darts]
+
+
 @dataclass(frozen=True)
 class AltDecomposition:
+    """The non-alternating edges, the curves as cycles of marked darts, and
+    the tangles; ``arc_runs`` is None when every edge alternates."""
+
     nonalternating: frozenset[int]
-    curves: tuple[tuple[MarkedPoint, ...], ...]
+    curves: tuple[tuple[int, ...], ...]
     tangles: tuple[Tangle, ...]
     arc_runs: ArcRuns | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
+        parent = self.tangles[0].parent  # every decomposition has a tangle
         return {
             "nonalternating_edges": sorted(self.nonalternating),
-            "curves": [[[e, list(pos)] for e, pos in curve] for curve in self.curves],
+            "curves": [_points_json(parent, curve) for curve in self.curves],
             "tangles": [t.to_json() for t in self.tangles],
         }
 
@@ -154,88 +160,31 @@ class AltDecomposition:
 _S01, _S23 = -1, -3
 
 
+Forms = tuple[tuple[tuple[int, int], tuple[int, int], list[int]], ...]
+
+
 @dataclass(frozen=True)
 class GenusOneStructure:
     """2k proper alternating 2-tangles in a cycle; tangle i's boundary is
     rotated so points 1 and 2 are the stubs toward tangle i+1.
 
-    ``parent`` is the face structure and the alternating decomposition
-    whose arcs give each tangle's closure determinants and signatures.
+    ``forms`` holds, per tangle, (det, signature) of the Goeritz forms of
+    N(R_i) and D(R_i) and eta at each of its crossings (see :func:`_forms`).
     """
 
     tangles: tuple[Tangle, ...]
-    parent: tuple[FaceStructure, AltDecomposition] = field(repr=False, compare=False)
+    forms: Forms = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return len(self.tangles) // 2
 
-    @cached_property
-    def _forms(self) -> tuple[tuple[tuple[int, int], tuple[int, int], list[int]], ...]:
-        """Per tangle: (det, signature) of the Goeritz forms of N(R_i) and
-        D(R_i), and eta at each of its crossings, read off the
-        decomposition's arcs with no closure built.
-
-        The arcs cut each tangle's corners into its interior faces and four
-        *sectors*, S01, S12, S23 and S30 (see :meth:`_corners`).  On the
-        colour class of S01 and S23, the Goeritz graph of N(R_i) has the
-        interior faces of that colour plus S01 and S23 as vertices, and that
-        of D(R_i) the same with S01 and S23 merged.  So both forms come from
-        one Goeritz matrix: ground S01 for N(R_i), delete S23 as well for
-        D(R_i).  With S23 numbered last, one elimination gives both.
-        """
-        colour = self.parent[0].checkerboard_color
-        corner_key, interior, sector_face = self._corners()
-        forms = []
-        for i, t in enumerate(self.tangles):
-            # each closure has c_t crossings, 2 c_t edges and interior + 3
-            # faces, so it is planar exactly when interior = c_t - 1
-            if len(interior[i]) != t.crossing_count - 1:
-                raise DiagramError(f"tangle {i} does not close to planar diagrams")
-            cls = colour[sector_face[i][0]]
-            order = (_S01, *(fi for fi in interior[i] if colour[fi] == cls), _S23)
-            vertex = {key: v for v, key in enumerate(order)}
-            g, etas = _goeritz_matrix(
-                vertex, (corner_key[4 * ci:4 * ci + 4] for ci in t.crossing_indices)
-            )
-            # S23 last: with S01 grounded, the leading block is D(R_i)'s form
-            d_form, n_form = _nested_det_signatures(g, 1, len(g) - 2)
-            forms.append((n_form, d_form, etas))
-        return tuple(forms)
-
-    def _corners(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
-        """The key of every corner, indexed by dart (an interior face's
-        index, or its sector's key), each tangle's interior faces, and the
-        face each of its sectors 0..3 lies in.  Every non-alternating edge
-        joins two tangles, so each arc is one of a tangle's curve and its
-        run is the sector between the places of its ends."""
-        face_of, runs = self.parent[0].face_of, self.parent[1].arc_runs
-        owner = [0] * (len(face_of) // 4)
-        where = [0] * len(face_of)  # 4 i + j at the dart of tangle i's place j
-        for i, t in enumerate(self.tangles):
-            for ci in t.crossing_indices:
-                owner[ci] = i
-            for j, (_, (ci, s)) in enumerate(t.boundary_points):
-                where[4 * ci + s] = 4 * i + j
-        # an arc between places j and j + 1, either way round: sector j
-        sector_key = []
-        sector_face = [[0] * 4 for _ in self.tangles]
-        for p, q, fi in runs.arcs:
-            w = where[p] if (where[q] - where[p]) % 4 == 1 else where[q]
-            sector_face[w >> 2][w & 3] = fi
-            sector_key.append(-1 - (w & 3))
-        corner_key = [sector_key[r] if r >= 0 else fi for r, fi in zip(runs.run, face_of)]
-        interior: list[list[int]] = [[] for _ in self.tangles]
-        for a in runs.interior:
-            interior[owner[a >> 2]].append(face_of[a])
-        return corner_key, interior, sector_face
-
-    @cached_property
+    @property
     def closure_determinants(self) -> tuple[tuple[int, int], ...]:
         """(det N(R_i), det D(R_i)) for each tangle, by the matrix-tree
         theorem on its Goeritz form.  The closures that :func:`closures`
         builds are the test oracle of this route."""
-        return tuple((abs(n[0]), abs(dn[0])) for n, dn, _ in self._forms)
+        return tuple((abs(n[0]), abs(dn[0])) for n, dn, _ in self.forms)
 
     def closure_signatures(self, signs: tuple[int, ...], which: str) -> tuple[int, ...]:
         """sigma of each tangle's ``which`` closure, oriented as the parent
@@ -250,10 +199,72 @@ class GenusOneStructure:
         """
         k = 0 if which == "numerator" else 1
         sigs = []
-        for t, form in zip(self.tangles, self._forms):
+        for t, form in zip(self.tangles, self.forms):
             mu = sum(eta for ci, eta in zip(t.crossing_indices, form[2]) if signs[ci] == -eta)
             sigs.append(-form[k][1] + mu)
         return tuple(sigs)
+
+
+def _forms(fs: FaceStructure, runs: ArcRuns, tangles: tuple[Tangle, ...]) -> Forms:
+    """Per tangle: (det, signature) of the Goeritz forms of N(R_i) and
+    D(R_i), and eta at each of its crossings, read off the decomposition's
+    arcs with no closure built.
+
+    The arcs cut each tangle's corners into its interior faces and four
+    *sectors*, S01, S12, S23 and S30 (see :func:`_corners`).  On the
+    colour class of S01 and S23, the Goeritz graph of N(R_i) has the
+    interior faces of that colour plus S01 and S23 as vertices, and that
+    of D(R_i) the same with S01 and S23 merged.  So both forms come from
+    one Goeritz matrix: ground S01 for N(R_i), delete S23 as well for
+    D(R_i).  With S23 numbered last, one elimination gives both.
+    """
+    colour = fs.checkerboard_color
+    corner_key, interior, sector_face = _corners(fs.face_of, runs, tangles)
+    forms = []
+    for i, t in enumerate(tangles):
+        # each closure has c_t crossings, 2 c_t edges and interior + 3
+        # faces, so it is planar exactly when interior = c_t - 1
+        if len(interior[i]) != t.crossing_count - 1:
+            raise DiagramError(f"tangle {i} does not close to planar diagrams")
+        cls = colour[sector_face[i][0]]
+        order = (_S01, *(fi for fi in interior[i] if colour[fi] == cls), _S23)
+        vertex = {key: v for v, key in enumerate(order)}
+        g, etas = _goeritz_matrix(
+            vertex, (corner_key[4 * ci:4 * ci + 4] for ci in t.crossing_indices)
+        )
+        # S23 last: with S01 grounded, the leading block is D(R_i)'s form
+        d_form, n_form = _nested_det_signatures(g, 1, len(g) - 2)
+        forms.append((n_form, d_form, etas))
+    return tuple(forms)
+
+
+def _corners(
+    face_of: list[int], runs: ArcRuns, tangles: tuple[Tangle, ...]
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The key of every corner, indexed by dart (an interior face's
+    index, or its sector's key), each tangle's interior faces, and the
+    face each of its sectors 0..3 lies in.  Every non-alternating edge
+    joins two tangles, so each arc is one of a tangle's curve and its
+    run is the sector between the places of its ends."""
+    owner = [0] * (len(face_of) // 4)
+    where = [0] * len(face_of)  # 4 i + j at the dart of tangle i's place j
+    for i, t in enumerate(tangles):
+        for ci in t.crossing_indices:
+            owner[ci] = i
+        for j, b in enumerate(t.boundary):
+            where[b] = 4 * i + j
+    # an arc between places j and j + 1, either way round: sector j
+    sector_key = []
+    sector_face = [[0] * 4 for _ in tangles]
+    for p, q, fi in runs.arcs:
+        w = where[p] if (where[q] - where[p]) % 4 == 1 else where[q]
+        sector_face[w >> 2][w & 3] = fi
+        sector_key.append(-1 - (w & 3))
+    corner_key = [sector_key[r] if r >= 0 else fi for r, fi in zip(runs.run, face_of)]
+    interior: list[list[int]] = [[] for _ in tangles]
+    for a in runs.interior:
+        interior[owner[a >> 2]].append(face_of[a])
+    return corner_key, interior, sector_face
 
 
 def alternating_decomposition(
@@ -263,8 +274,7 @@ def alternating_decomposition(
     face structure and the non-alternating edges when given.
 
     A marked point is a dart on a non-alternating edge, one whose ``mate``
-    has the same slot parity; it is turned into a :data:`MarkedPoint` only
-    for the output."""
+    has the same slot parity."""
     a = _analysis(d, analysis)
     fs = a.fs
     nonalt = a.nonalternating
@@ -309,7 +319,6 @@ def alternating_decomposition(
         way.setdefault(p, succ)
         way.setdefault(q, pred)
     marked = sorted(succ, key=lambda b: (labels[b], b))
-    point = {b: (labels[b], divmod(b, 4)) for b in marked}
     curve_of: dict[int, int] = {}
     curves: list[list[int]] = []
     for start in marked:
@@ -354,36 +363,33 @@ def alternating_decomposition(
                 ordered = curve
                 p0, p1, p2, p3 = (b & 1 for b in curve)
                 proper = p0 != p1 != p2 != p3
-        tangles.append(Tangle(tuple(region), tuple(map(point.get, ordered)), proper, d))
+        tangles.append(Tangle(tuple(region), tuple(ordered), proper, d))
 
     return AltDecomposition(
         nonalternating=frozenset(nonalt),
-        curves=tuple(tuple(map(point.get, curve)) for curve in curves),
+        curves=tuple(map(tuple, curves)),
         tangles=tuple(tangles),
         arc_runs=ArcRuns(run, arcs, interior),
     )
 
 
-def _joins(t: Tangle, which: str) -> tuple[tuple[MarkedPoint, MarkedPoint], ...]:
-    """The boundary point pairs the ``which`` closure of ``t`` joins."""
-    if len(t.boundary_points) != 4:
-        raise DiagramError(f"not a 2-tangle: {len(t.boundary_points)} boundary strands")
-    p0, p1, p2, p3 = t.boundary_points
+def _joins(t: Tangle, which: str) -> tuple[tuple[int, int], ...]:
+    """The boundary dart pairs the ``which`` closure of ``t`` joins."""
+    if len(t.boundary) != 4:
+        raise DiagramError(f"not a 2-tangle: {len(t.boundary)} boundary strands")
+    p0, p1, p2, p3 = t.boundary
     return ((p0, p1), (p2, p3)) if which == "numerator" else ((p1, p2), (p3, p0))
 
 
 def _close(t: Tangle, which: str) -> Diagram:
-    """Splice the parent's crossings of ``t`` on the parent's labels,
-    joining the boundary edges in the pairs of the ``which`` closure.
-
-    Returns the closure, not yet validated, with the tangle's crossings in
-    order.  Every joined label is a boundary edge that the tangle's
-    crossings use, so the closure has no free loop; the parent's other
-    labels are dropped.
-    """
-    joins = tuple((a[0], b[0]) for a, b in _joins(t, which))
-    crossings = tuple(t.parent.crossings[ci] for ci in t.crossing_indices)
-    return splice(crossings, t.parent.edge_count, joins)
+    """The parent's crossings of ``t``, in order, with the boundary edges
+    rejoined past the other tangles in the pairs of the ``which`` closure;
+    not yet validated.  Each boundary edge leaves the tangle, so the
+    closure has no free loop."""
+    mate, through = t.parent.mate, {}
+    for p, q in _joins(t, which):
+        through[mate[p]], through[mate[q]] = mate[q], mate[p]
+    return rejoin(t.parent, t.crossing_indices, through)
 
 
 def closures(t: Tangle) -> tuple[Diagram, Diagram]:
@@ -407,8 +413,8 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
     a joined pair of boundary edges does not have one end flowing in.
     """
     into = od.into
-    for (_, p), (_, q) in _joins(t, which):
-        if into[4 * p[0] + p[1]] == into[4 * q[0] + q[1]]:
+    for p, q in _joins(t, which):
+        if into[p] == into[q]:
             raise DiagramError("ambient orientation does not extend to this closure")
     bits = tuple(b for ci in t.crossing_indices for b in into[4 * ci:4 * ci + 4])
     return orient(_close(t, which), into=bits)
@@ -426,7 +432,7 @@ def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None
         r = p if (p - q) % 4 == 1 else q  # the later place
     if (i, r) != walked[0] or len({i for i, _ in walked}) != len(tangles):
         return None
-    turns = ((tangles[i], tangles[i].boundary_points, r) for i, r in walked)
+    turns = ((tangles[i], tangles[i].boundary, r) for i, r in walked)
     return tuple(Tangle(t.crossing_indices, b[r:] + b[:r], t.proper, t.parent) for t, b, r in turns)
 
 
@@ -441,6 +447,7 @@ def recognize_genus_one(
     boundary-dart walk of the module docstring, leaving tangle 0 through
     places (0, 1) when both reach one tangle, else through (3, 0); for k = 1
     through (3, 0) when the sorted (d, n) pairs are below the sorted (n, d).
+    Raises DiagramError when a tangle does not close to planar diagrams.
     """
     a = _analysis(d, analysis)
     if a.turaev_genus != 1:
@@ -450,28 +457,25 @@ def recognize_genus_one(
     if m < 2 or m % 2 or len(dec.curves) != m:
         return None
     if not all(
-        t.proper and t.crossing_count >= 1 and len(t.boundary_points) == 4 for t in dec.tangles
+        t.proper and t.crossing_count >= 1 and len(t.boundary) == 4 for t in dec.tangles
     ):
         return None
     # every dart of a non-alternating edge is a boundary dart: its (tangle,
     # place), and far[i][p] that of the mate of tangle i's dart at place p
-    darts = [[4 * ci + s for _, (ci, s) in t.boundary_points] for t in dec.tangles]
-    at = {b: (i, p) for i, ds in enumerate(darts) for p, b in enumerate(ds)}
-    far = [[at[d.mate[b]] for b in ds] for ds in darts]
+    at = {b: (i, p) for i, t in enumerate(dec.tangles) for p, b in enumerate(t.boundary)}
+    far = [[at[d.mate[b]] for b in t.boundary] for t in dec.tangles]
     # with place 3 as place 0, places (0, 1) sit at 1 and 2; with place 2, (3, 0)
     arranged = _walk(dec.tangles, far, 3 if far[0][0][0] == far[0][1][0] else 2)
     if arranged is None:
         return None
-    gs = GenusOneStructure(tangles=arranged, parent=(a.fs, dec))
+    gs = GenusOneStructure(arranged, _forms(a.fs, dec.arc_runs, arranged))
     if m == 2:
         # the other split turns each tangle a place, swapping N and D: it takes
         # these forms swapped (their colour class gives the same invariants)
         dets = gs.closure_determinants
         other = sorted(p[::-1] for p in dets) < sorted(dets) and _walk(dec.tangles, far, 2)
         if other:
-            swapped = tuple((dn, n, etas) for n, dn, etas in gs._forms)
-            gs = GenusOneStructure(tangles=other, parent=gs.parent)
-            vars(gs)["_forms"] = swapped  # where the cached property keeps it
+            gs = GenusOneStructure(other, tuple((dn, n, etas) for n, dn, etas in gs.forms))
     return gs
 
 
@@ -481,7 +485,7 @@ def classify_orientation(gs: GenusOneStructure, od: OrientedDiagram) -> str:
 
     into = od.into
     # the arrival bit of each tangle's boundary darts, place by place
-    bits = [[into[4 * ci + s] for _, (ci, s) in t.boundary_points] for t in gs.tangles]
+    bits = [[into[b] for b in t.boundary] for t in gs.tangles]
     n_ok = all(b0 != b1 and b2 != b3 for b0, b1, b2, b3 in bits)
     d_ok = all(b1 != b2 and b3 != b0 for b0, b1, b2, b3 in bits)
     if n_ok and d_ok:

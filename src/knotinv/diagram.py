@@ -26,7 +26,6 @@ import re
 __all__ = [
     "PDSyntaxError",
     "DiagramError",
-    "Crossing",
     "Diagram",
     "FaceStructure",
     "OrientedDiagram",
@@ -48,20 +47,12 @@ class DiagramError(ValueError):
 
 
 @dataclass(frozen=True)
-class Crossing:
-    ends: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.ends) != 4:
-            raise DiagramError(f"crossing needs 4 ends, got {self.ends!r}")
-
-
-@dataclass(frozen=True)
 class Diagram:
     """An unoriented PD-coded diagram.
 
-    ``free_loops`` counts crossingless circle components; the empty diagram
-    with one free loop is the 0-crossing unknot.
+    Each crossing is a 4-tuple of edge labels.  ``free_loops`` counts
+    crossingless circle components; the empty diagram with one free loop is
+    the 0-crossing unknot.
 
     ``mate`` is the dart table, built with the label check: ``mate[a]`` is
     the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
@@ -70,14 +61,17 @@ class Diagram:
     field: they are neither compared nor shown in the repr.
     """
 
-    crossings: tuple[Crossing, ...]
+    crossings: tuple[tuple[int, int, int, int], ...]
     edge_count: int
     free_loops: int = 0
 
     def __post_init__(self):
+        for x in self.crossings:
+            if len(x) != 4:
+                raise DiagramError(f"crossing needs 4 ends, got {x!r}")
         n = self.edge_count
         first = [-1] * (n + 1)  # the first dart seen on each label
-        labels = tuple(e for x in self.crossings for e in x.ends)
+        labels = tuple(e for x in self.crossings for e in x)
         mate = [-1] * len(labels)
         bad = False
         for a, e in enumerate(labels):
@@ -105,54 +99,44 @@ class Diagram:
         return len(self.crossings)
 
 
-class UnionFind:
-    """Union-find over 0..n-1 that counts its classes."""
+def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagram:
+    """The crossings ``keep`` of ``d``, in that order, rejoined past the rest.
 
-    __slots__ = ("parent", "classes")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.classes = n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.classes -= 1
-
-
-def splice(
-    crossings: tuple[Crossing, ...], label_count: int, joins: tuple[tuple[int, int], ...]
-) -> Diagram:
-    """Join label pairs of a partial diagram and relabel it.
-
-    ``crossings`` use labels in 1..label_count, and each pair in ``joins``
-    glues two of them into one strand.  Every run of glued labels that a
-    crossing uses becomes one edge, numbered in the order of the runs'
-    union-find roots.  A joined run that no crossing uses becomes a free
-    loop; a label that is neither used nor joined is dropped, so some of a
-    diagram's crossings can be spliced on that diagram's own labels.  It
-    builds tangle closures and kink removals (a smoothing of the crossing
-    left out of ``crossings``).  The crossings keep their order and slots,
-    so dart ``a`` of the result is dart ``a`` of ``crossings``.  Returns the
-    diagram, not yet validated.
+    Dart ``4 * i + s`` of the result is dart ``4 * keep[i] + s`` of ``d``.
+    An edge that reaches a dropped dart ``b`` continues from ``through[b]``
+    along that dart's edge, so ``through`` pairs up the dropped darts a walk
+    can reach; a closed walk through dropped darts alone becomes a free
+    loop.  Edges are numbered in dart order.  It builds tangle closures
+    (the boundary edges rejoined past the other tangles) and smoothings (a
+    crossing's darts rejoined in pairs).  Returns the diagram, not yet
+    validated.
     """
-    uf = UnionFind(label_count + 1)
-    for a, b in joins:
-        uf.union(a, b)
-    find = uf.find
-    roots = sorted({find(e) for x in crossings for e in x.ends})
-    edge_of = {r: i for i, r in enumerate(roots, 1)}
-    closed = tuple(Crossing(ends=tuple(edge_of[find(e)] for e in x.ends)) for x in crossings)
-    loops = {find(e) for pair in joins for e in pair} - edge_of.keys()
-    return Diagram(closed, len(roots), len(loops))
+    mate = d.mate
+    at = [-1] * d.crossing_count  # each kept crossing's place in ``keep``
+    for i, ci in enumerate(keep):
+        at[ci] = i
+    seen = set()  # the dropped darts walked through
+    ends = []
+    for ci in keep:
+        for b in mate[4 * ci:4 * ci + 4]:
+            while at[b >> 2] < 0:
+                seen.add(b)
+                b = mate[through[b]]
+            ends.append(4 * at[b >> 2] + (b & 3))
+    labels = [0] * len(ends)
+    n = 0
+    for a, b in enumerate(ends):
+        if not labels[a]:
+            n += 1
+            labels[a] = labels[b] = n
+    loops = 0
+    for b in through:
+        if b not in seen:
+            loops += 1
+            while b not in seen:
+                seen.update((b, through[b]))
+                b = mate[through[b]]
+    return Diagram(tuple(tuple(labels[a:a + 4]) for a in range(0, len(labels), 4)), n, loops)
 
 
 # X[a,b,c,d], X(a,b,c,d), [a,b,c,d] or (a,b,c,d), brackets matched: the
@@ -191,7 +175,7 @@ def parse_pd(text: str) -> Diagram:
     tokens = text.split()
     if not tokens:
         return Diagram(crossings=(), edge_count=0, free_loops=1)
-    crossings: list[Crossing] = []
+    crossings: list[tuple[int, ...]] = []
     free_loops = 0
     match = _TOKEN_RE.fullmatch
     for tok in tokens:
@@ -202,16 +186,15 @@ def parse_pd(text: str) -> Diagram:
         if not m:
             raise _token_error(tok)
         try:
-            ends = tuple(map(int, m.group(2, 3, 4, 5)))
+            crossings.append(tuple(map(int, m.group(2, 3, 4, 5))))
         except ValueError:  # past the interpreter's int-string digit limit
             raise PDSyntaxError(f"label too long to convert in token {tok[:16]!r}...") from None
-        crossings.append(Crossing(ends=ends))
-    edge_count = max((e for x in crossings for e in x.ends), default=0)
+    edge_count = max((e for x in crossings for e in x), default=0)
     return Diagram(crossings=tuple(crossings), edge_count=edge_count, free_loops=free_loops)
 
 
 def serialize_pd(d: Diagram) -> str:
-    toks = ["X[%d,%d,%d,%d]" % x.ends for x in d.crossings]
+    toks = ["X[%d,%d,%d,%d]" % x for x in d.crossings]
     toks.extend("U" for _ in range(d.free_loops))
     return " ".join(toks)
 
@@ -380,7 +363,7 @@ def crossing_signs(od: OrientedDiagram) -> tuple[tuple[int, ...], int, int, int]
 def mirror(d: Diagram) -> Diagram:
     """Swap over/under everywhere by rotating each crossing tuple one slot."""
     return Diagram(
-        crossings=tuple(Crossing(ends=(x.ends[1], x.ends[2], x.ends[3], x.ends[0])) for x in d.crossings),
+        crossings=tuple((b, c, e, a) for a, b, c, e in d.crossings),
         edge_count=d.edge_count,
         free_loops=d.free_loops,
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import warnings
 
-from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, orient, splice, validate
+from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, orient, rejoin, validate
 from .statesum import _state_loops, s_A, state_graph
 from .decomp import GenusOneStructure, classify_orientation, nonalternating_edges
 from .analysis import DiagramAnalysis
@@ -80,7 +80,7 @@ def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
     while True:
         kink = next(
             ((ci, s) for ci, x in enumerate(d.crossings) for s in range(4)
-             if x.ends[s] == x.ends[(s + 1) % 4]),
+             if x[s] == x[(s + 1) % 4]),
             None,
         )
         if kink is None:
@@ -242,16 +242,17 @@ def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
 def _is_dealternator(d: Diagram, ci: int) -> bool:
     """Crossing ci's four edges are distinct and D's only non-alternating
     ones, so each smoothing joins under to over: both are alternating."""
-    ends = set(d.crossings[ci].ends)
+    ends = set(d.crossings[ci])
     return len(ends) == 4 and nonalternating_edges(d) == ends
 
 
 def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
-    """Replace crossing ci by its A- or B-smoothing; the other crossings keep
-    their order, as :func:`~knotinv.diagram.splice` does."""
-    e1, e2, e3, e4 = d.crossings[ci].ends
-    joins = ((e1, e2), (e3, e4)) if choice == "A" else ((e2, e3), (e4, e1))
-    return splice(d.crossings[:ci] + d.crossings[ci + 1:], d.edge_count, joins)
+    """Replace crossing ci by its A- or B-smoothing, which joins dart a to
+    ``a ^ 1`` or ``a ^ 3`` as in ``statesum._state_loops``; the other
+    crossings keep their order, as :func:`~knotinv.diagram.rejoin` does."""
+    flip = 1 if choice == "A" else 3
+    keep = tuple(cj for cj in range(d.crossing_count) if cj != ci)
+    return rejoin(d, keep, {a: a ^ flip for a in range(4 * ci, 4 * ci + 4)})
 
 
 def _check_aa_reduced(aa: AAMarkedDiagram) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Crossing, Diagram, DiagramError
+from .diagram import Diagram, DiagramError
 
 __all__ = [
     "TangleSketch",
@@ -130,7 +130,7 @@ def assemble(vertex_count: int, joins: list[tuple[Port, Port]],
         edge_of[a] = label
         edge_of[b] = label
     crossings = tuple(
-        Crossing(ends=tuple(edge_of[(v, (s + offset[v]) % 4)] for s in range(4)))
+        tuple(edge_of[(v, (s + offset[v]) % 4)] for s in range(4))
         for v in range(vertex_count)
     )
     return Diagram(crossings=crossings, edge_count=len(joins), free_loops=0)

@@ -142,7 +142,7 @@ def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int]:
     for _ in range(len(count)):
         ci = count.index(max(count))
         count[ci] = -1
-        order.append(d.crossings[ci].ends)
+        order.append(d.crossings[ci])
         for a in range(4 * ci, 4 * ci + 4):
             cj = mate[a] >> 2
             if count[cj] >= 0:

@@ -12,8 +12,8 @@ import pytest
 
 from knotinv import LaurentPoly, crossing_signs, parse_pd, serialize_pd, validate
 from knotinv.analysis import DiagramAnalysis
-from knotinv.decomp import GenusOneStructure, Tangle, _analysis
-from knotinv.diagram import Crossing, Diagram, DiagramError, UnionFind
+from knotinv.decomp import GenusOneStructure, Tangle, _analysis, _forms
+from knotinv.diagram import Diagram, DiagramError
 from knotinv.invariants import _smooth
 from knotinv.sampling import (
     random_almost_alternating_diagram,
@@ -106,6 +106,29 @@ def det_from_jones(v) -> int:
     return abs(re) + abs(im)
 
 
+class UnionFind:
+    """Union-find over 0..n-1 that counts its classes."""
+
+    __slots__ = ("parent", "classes")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.classes = n
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.classes -= 1
+
+
 def _state_pairs(ends: tuple[int, int, int, int], choice: str) -> tuple[tuple[int, int], tuple[int, int]]:
     e1, e2, e3, e4 = ends
     if choice == "A":
@@ -117,7 +140,7 @@ def _loops_uf(d: Diagram, s) -> UnionFind:
     """The state's loops as classes of edge labels (label 0 is unused)."""
     uf = UnionFind(d.edge_count + 1)
     for x, choice in zip(d.crossings, s):
-        for a, b in _state_pairs(x.ends, choice):
+        for a, b in _state_pairs(x, choice):
             uf.union(a, b)
     return uf
 
@@ -134,7 +157,7 @@ def resolve_loops(d: Diagram, s) -> int:
 
 def aa_closures(aa) -> tuple[Diagram, Diagram]:
     """(D(R), N(R)): the A- and B-smoothings of the dealternator, built by
-    splicing; the oracle for the almost-alternating helpers, which read both
+    rejoining; the oracle for the almost-alternating helpers, which read both
     off the marked diagram's own tables."""
     return _smooth(aa.diagram, aa.dealternator, "A"), _smooth(aa.diagram, aa.dealternator, "B")
 
@@ -145,15 +168,15 @@ def _add_curl(d: Diagram, rng: random.Random) -> Diagram:
     e's old second end.  The lowest edge of every component and its
     direction stay put, so the default orientation is unchanged."""
     e = rng.randint(1, d.edge_count)
-    first = [f for x in d.crossings for f in x.ends].index(e)
+    first = d.labels.index(e)
     ci, s = divmod(max(first, d.mate[first]), 4)  # e's second end in scan order
     loop, out = d.edge_count + 1, d.edge_count + 2
-    ends = [list(x.ends) for x in d.crossings]
+    ends = [list(x) for x in d.crossings]
     ends[ci][s] = out
     curl = (e, loop, loop, out)
     r = rng.randrange(4)  # which slot is the incoming under-strand
     ends.append(curl[r:] + curl[:r])
-    return Diagram(tuple(Crossing(tuple(x)) for x in ends), d.edge_count + 2)
+    return Diagram(tuple(map(tuple, ends)), d.edge_count + 2)
 
 
 def bracket_state_sum(d) -> LaurentPoly:
@@ -278,7 +301,7 @@ def sweep_order_reference(d) -> tuple[list[tuple[int, int, int, int]], int]:
     order, and the most open ends the sweep holds at once; each next
     crossing is the one with the most ends on labels left open by the
     crossings before it."""
-    left = [x.ends for x in d.crossings]
+    left = list(d.crossings)
     order = []
     open_labels: set[int] = set()
     width = 0
@@ -303,7 +326,7 @@ def faces_reference(d) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """
     ends: dict[int, list[tuple[int, int]]] = {e: [] for e in range(1, d.edge_count + 1)}
     for ci, x in enumerate(d.crossings):
-        for s, e in enumerate(x.ends):
+        for s, e in enumerate(x):
             ends[e].append((ci, s))
     visited = [False] * (4 * d.crossing_count)
     faces = []
@@ -318,7 +341,7 @@ def faces_reference(d) -> tuple[list[list[tuple[int, int]]], list[int]]:
             ci, s = pos
             visited[4 * ci + s] = True
             dep = (ci, (s + 1) % 4)
-            edge = d.crossings[ci].ends[(s + 1) % 4]
+            edge = d.crossings[ci][(s + 1) % 4]
             p, q = ends[edge]
             pos = q if p == dep else p
             if pos == start:
@@ -328,7 +351,7 @@ def faces_reference(d) -> tuple[list[list[tuple[int, int]]], list[int]]:
     edge_sides: dict[int, list[int]] = {e: [] for e in range(1, d.edge_count + 1)}
     for fi, orbit in enumerate(faces):
         for ci, s in orbit:
-            edge_sides[d.crossings[ci].ends[(s + 1) % 4]].append(fi)
+            edge_sides[d.crossings[ci][(s + 1) % 4]].append(fi)
     neighbors: dict[int, list[int]] = {fi: [] for fi in range(len(faces))}
     for f1, f2 in edge_sides.values():
         neighbors[f1].append(f2)
@@ -643,7 +666,7 @@ def recognize_genus_one_reference(
     if m < 2 or m % 2 or len(dec.curves) != m:
         return None
     if not all(
-        t.proper and t.crossing_count >= 1 and len(t.boundary_points) == 4 for t in dec.tangles
+        t.proper and t.crossing_count >= 1 and len(t.boundary) == 4 for t in dec.tangles
     ):
         return None
 
@@ -654,29 +677,30 @@ def recognize_genus_one_reference(
             region_of[ci] = i
     # the two ends of each non-alternating edge are boundary points of the
     # tangles, and consecutive in (label, dart) order
-    ends = sorted(p for t in dec.tangles for p in t.boundary_points)
+    labels = d.labels
+    ends = sorted((b for t in dec.tangles for b in t.boundary), key=lambda b: (labels[b], b))
     edge_links: dict[tuple[int, int], list[int]] = {}
-    for (e, (c1, _)), (_, (c2, _)) in zip(ends[::2], ends[1::2]):
-        i, j = region_of[c1], region_of[c2]
+    for b1, b2 in zip(ends[::2], ends[1::2]):
+        i, j = region_of[b1 >> 2], region_of[b2 >> 2]
         if i == j:
             return None
         key = (min(i, j), max(i, j))
-        edge_links.setdefault(key, []).append(e)
+        edge_links.setdefault(key, []).append(labels[b1])
 
     order = _region_cycle_reference(dec.tangles, edge_links)
     if order is None:
         return None
 
     def stub_edge(t: Tangle, k: int) -> int:
-        return t.boundary_points[k][0]
+        return labels[t.boundary[k]]
 
     def rotate(t: Tangle, to_next: set[int]) -> Tangle | None:
         """Rotate boundary so positions (1, 2) carry the to_next edges."""
         edges = [stub_edge(t, k) for k in range(4)]
         for r in range(4):
             if {edges[(1 + r) % 4], edges[(2 + r) % 4]} == to_next:
-                points = t.boundary_points
-                return replace(t, boundary_points=points[r:] + points[:r])
+                points = t.boundary
+                return replace(t, boundary=points[r:] + points[:r])
         return None
 
     arranged: list[Tangle] = []
@@ -707,7 +731,8 @@ def recognize_genus_one_reference(
             if r is None:
                 return None
             arranged.append(r)
-    return GenusOneStructure(tangles=tuple(arranged), parent=(a.fs, dec))
+    arranged = tuple(arranged)
+    return GenusOneStructure(arranged, _forms(a.fs, dec.arc_runs, arranged))
 
 
 def _sector_reference(a: int | None, b: int | None) -> int | None:
@@ -725,7 +750,7 @@ def _sector_reference(a: int | None, b: int | None) -> int | None:
 def tangle_faces_reference(d: Diagram, fs, tangles: tuple[Tangle, ...]):
     """``decomp._tangle_faces`` as it was before the corners were read off
     the decomposition's arcs, kept verbatim with its helper
-    ``_sector_reference`` as the oracle of ``GenusOneStructure._corners``:
+    ``_sector_reference`` as the oracle of ``decomp._corners``:
     it walks every parent face again and cuts it where the tangle changes.
 
     Split the parent's face orbits into runs of corners by tangle.
@@ -742,8 +767,8 @@ def tangle_faces_reference(d: Diagram, fs, tangles: tuple[Tangle, ...]):
     for i, t in enumerate(tangles):
         for ci in t.crossing_indices:
             owner[ci] = i
-        for k, (_, (ci, s)) in enumerate(t.boundary_points):
-            point[4 * ci + s] = k
+        for k, b in enumerate(t.boundary):
+            point[b] = k
     corner_key = [0] * (4 * d.crossing_count)
     interior: list[list[int]] = [[] for _ in tangles]
     sector_face: list[dict[int, int]] = [{} for _ in tangles]

@@ -19,12 +19,12 @@ def test_analyze_record_brackets_once(monkeypatch):
 
 def test_decompose_record_validates_each_diagram_once(monkeypatch):
     validations = _count_calls(monkeypatch, diagram.validate)
-    splices = _count_calls(monkeypatch, diagram.splice)
+    rejoins = _count_calls(monkeypatch, diagram.rejoin)
     rep = decompose_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
     assert rep["recognized"] and rep["k"] == 1
     # the diagram itself only: the closure determinants are read off its
     # faces, and no closure is built
-    assert splices == []
+    assert rejoins == []
     assert len(validations) == 1
     assert len({id(d) for (d,) in validations}) == 1
 
@@ -72,12 +72,12 @@ def test_other_channel_split_eliminates_each_tangle_once(monkeypatch):
 
 def test_analyze_record_validates_each_diagram_once(monkeypatch):
     validations = _count_calls(monkeypatch, diagram.validate)
-    splices = _count_calls(monkeypatch, diagram.splice)
+    rejoins = _count_calls(monkeypatch, diagram.rejoin)
     rep = analyze_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
     assert rep["fields"]["decomposition"]["status"] == "ok"
     # the diagram itself only: the closure determinants and signatures are
     # read off its faces, and no closure is built
-    assert splices == []
+    assert rejoins == []
     assert len(validations) == 1
 
 

@@ -1,7 +1,6 @@
 import random
 
 from knotinv import (
-    Crossing,
     Diagram,
     DiagramAnalysis,
     alternating_decomposition,
@@ -21,6 +20,7 @@ from knotinv import (
     traczyk_signature,
     turaev_genus,
 )
+from knotinv.decomp import _corners
 from knotinv.sampling import random_alternating_diagram, random_genus_one_diagram
 
 from conftest import gordon_litherland, recognize_genus_one_reference, tangle_faces_reference
@@ -114,8 +114,8 @@ def _switched(d, rng):
     by a slot), so some genus-one diagrams leave the normal form."""
     xs = list(d.crossings)
     for ci in rng.sample(range(len(xs)), min(len(xs), rng.randint(1, 3))):
-        e = xs[ci].ends
-        xs[ci] = Crossing((e[1], e[2], e[3], e[0]))
+        a, b, c, e = xs[ci]
+        xs[ci] = (b, c, e, a)
     return Diagram(tuple(xs), d.edge_count)
 
 
@@ -144,9 +144,7 @@ def test_walk_matches_reference_recognition():
         assert gs.k == ref.k
         assert [t.crossing_indices for t in gs.tangles] == [t.crossing_indices for t in ref.tangles]
         if gs.k > 1:
-            assert [t.boundary_points for t in gs.tangles] == [
-                t.boundary_points for t in ref.tangles
-            ]
+            assert [t.boundary for t in gs.tangles] == [t.boundary for t in ref.tangles]
         else:
             assert sorted(map(sorted, gs.closure_determinants)) == sorted(
                 map(sorted, ref.closure_determinants)
@@ -158,7 +156,7 @@ def _relabelled(d, rng):
     """``d`` with its edges relabelled and its crossings permuted at random."""
     label = list(range(1, d.edge_count + 1))
     rng.shuffle(label)
-    xs = [Crossing(tuple(label[e - 1] for e in x.ends)) for x in d.crossings]
+    xs = [tuple(label[e - 1] for e in x) for x in d.crossings]
     rng.shuffle(xs)
     return Diagram(tuple(xs), d.edge_count)
 
@@ -248,21 +246,22 @@ def test_arc_corners_match_face_walk_reference(k12n888_mirror):
     for d in corpus:
         a = DiagramAnalysis(d)
         gs = recognize_genus_one(d, a)
-        corner_key, interior, sector_face = gs._corners()
+        runs = a.decomposition.arc_runs
+        corner_key, interior, sector_face = _corners(a.fs.face_of, runs, gs.tangles)
         ref_key, ref_interior, ref_sector = tangle_faces_reference(d, a.fs, gs.tangles)
         assert corner_key == ref_key
         assert interior == ref_interior
         assert sector_face == [[sf[j] for j in range(4)] for sf in ref_sector]
         # for k = 1 the first split turns tangle 0 to its place 3, the other to 2
         if gs.k == 1:
-            first = a.decomposition.tangles[0].boundary_points
-            other_split += gs.tangles[0].boundary_points[0] == first[2]
+            first = a.decomposition.tangles[0].boundary
+            other_split += gs.tangles[0].boundary[0] == first[2]
     assert other_split > 10
 
 
 def _joined_edges(t, which: str) -> frozenset:
     """The pairs of parent edges the ``which`` closure of ``t`` joins."""
-    e0, e1, e2, e3 = (e for e, _ in t.boundary_points)
+    e0, e1, e2, e3 = (t.parent.labels[b] for b in t.boundary)
     pairs = ((e0, e1), (e2, e3)) if which == "numerator" else ((e1, e2), (e3, e0))
     return frozenset(frozenset(pair) for pair in pairs)
 

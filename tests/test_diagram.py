@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from knotinv import (
     Diagram,
-    Crossing,
     DiagramError,
     PDSyntaxError,
     closures,
@@ -17,7 +16,7 @@ from knotinv import (
     serialize_pd,
     validate,
 )
-from knotinv.diagram import UnionFind, splice
+from knotinv.diagram import rejoin
 from knotinv.sampling import (
     random_almost_alternating_diagram,
     random_alternating_diagram,
@@ -25,7 +24,15 @@ from knotinv.sampling import (
     random_genus_one_diagram,
 )
 
-from conftest import AA_TREFOIL_PD, TREFOIL_PD, FIG8_PD, HOPF_PD, _add_curl, faces_reference
+from conftest import (
+    AA_TREFOIL_PD,
+    FIG8_PD,
+    HOPF_PD,
+    TREFOIL_PD,
+    UnionFind,
+    _add_curl,
+    faces_reference,
+)
 
 
 def test_parse_round_trip():
@@ -127,17 +134,31 @@ def test_validate_messages(pd, message):
 
 def test_label_messages():
     with pytest.raises(DiagramError) as exc:
-        Diagram((Crossing((1, 2, 3, 4)), Crossing((1, 2, 3, 5))), 5)
+        Diagram(((1, 2, 3, 4), (1, 2, 3, 5)), 5)
     assert str(exc.value) == "edge 4 appears 1 times, expected 2"
     with pytest.raises(DiagramError) as exc:
-        Diagram((Crossing((1, 1, 1, 2)), Crossing((2, 3, 3, 4))), 4)
+        Diagram(((1, 1, 1, 2), (2, 3, 3, 4)), 4)
     assert str(exc.value) == "edge 1 appears 3 times, expected 2"
     with pytest.raises(DiagramError) as exc:
-        Diagram((Crossing((1, 1, 2, 2)),), 3)
+        Diagram(((1, 1, 2, 2),), 3)
     assert str(exc.value) == "edge 3 appears 0 times, expected 2"
     with pytest.raises(DiagramError) as exc:
-        Diagram((Crossing((1, 1, 2, 2)), Crossing((3, 3, 4, 7))), 4)
+        Diagram(((1, 1, 2, 2), (3, 3, 4, 7)), 4)
     assert str(exc.value) == "edge label 7 out of range 1..4"
+
+
+def test_crossing_needs_four_ends():
+    """A crossing of 3 or 5 labels is refused, even where the labels alone
+    would each be used twice."""
+    with pytest.raises(DiagramError) as exc:
+        Diagram(((1, 1, 2), (2, 3, 3, 4)), 4)
+    assert str(exc.value) == "crossing needs 4 ends, got (1, 1, 2)"
+    with pytest.raises(DiagramError) as exc:
+        Diagram(((1, 2, 3), (1, 2, 3, 4, 4)), 4)
+    assert str(exc.value) == "crossing needs 4 ends, got (1, 2, 3)"
+    with pytest.raises(DiagramError) as exc:
+        Diagram(((1, 1, 2, 2, 3), (3, 4, 4)), 4)
+    assert str(exc.value) == "crossing needs 4 ends, got (1, 1, 2, 2, 3)"
 
 
 def _dart_corpus():
@@ -161,7 +182,7 @@ def _dart_corpus():
 def test_mate_table():
     """mate pairs the two darts of every edge; it is no field of the diagram."""
     for d in _dart_corpus():
-        labels = [e for x in d.crossings for e in x.ends]
+        labels = [e for x in d.crossings for e in x]
         assert sorted(d.mate) == list(range(4 * d.crossing_count))
         for a, b in enumerate(d.mate):
             assert a != b and d.mate[b] == a and labels[a] == labels[b]
@@ -195,7 +216,7 @@ def test_checkerboard_proper(trefoil, aa_trefoil):
         for fi, face in enumerate(fs.faces):
             for a in face:
                 ci, s = divmod(a, 4)
-                sides[d.crossings[ci].ends[(s + 1) % 4]].append(fi)
+                sides[d.crossings[ci][(s + 1) % 4]].append(fi)
         for f1, f2 in sides.values():
             assert fs.checkerboard_color[f1] != fs.checkerboard_color[f2]
 
@@ -230,8 +251,8 @@ def test_orientation_two_in_two_out():
         assert cycles == 2 * od.component_count
         uf = UnionFind(d.edge_count + 1)
         for x in d.crossings:
-            uf.union(x.ends[0], x.ends[2])
-            uf.union(x.ends[1], x.ends[3])
+            uf.union(x[0], x[2])
+            uf.union(x[1], x[3])
         assert uf.classes - 1 == od.component_count
         lowest = {}
         for e in range(1, d.edge_count + 1):
@@ -285,7 +306,7 @@ def test_mirror_involution(trefoil, fig8):
     for d in (trefoil, fig8):
         mm = mirror(mirror(d))
         for x, y in zip(mm.crossings, d.crossings):
-            assert x.ends in (y.ends, y.ends[2:] + y.ends[:2])
+            assert x in (y, y[2:] + y[:2])
 
 
 def test_mirror_flips_signs(trefoil):
@@ -299,23 +320,24 @@ def test_relabel_invariance(perm):
     d = parse_pd(TREFOIL_PD)
     sub = {old: new for old, new in zip(range(1, 7), perm)}
     relabeled = Diagram(
-        crossings=tuple(Crossing(ends=tuple(sub[e] for e in x.ends)) for x in d.crossings),
+        crossings=tuple(tuple(sub[e] for e in x) for x in d.crossings),
         edge_count=6,
     )
     assert validate(relabeled).face_count == 5
 
 
-def test_splice_free_loops():
-    """A joined run that no crossing uses is a free loop; a label neither
-    used nor joined is dropped, so some of a diagram's crossings can be
-    spliced on that diagram's own labels."""
-    d = splice((Crossing((1, 2, 3, 4)),), 8, ((1, 2), (3, 4), (5, 6)))
-    assert d == Diagram((Crossing((1, 1, 2, 2)),), 2, 1)  # run {5, 6}; 7 and 8 dropped
-    # two crossingless vertical strands: one circle closed one way, two the other
-    assert splice((), 2, ((1, 2), (2, 1))) == Diagram((), 0, 1)
-    assert splice((), 2, ((1, 1), (2, 2))) == Diagram((), 0, 2)
-    # a tangle's closures, spliced on its parent's labels, drop the labels
-    # of the other tangle rather than counting them as loops
+def test_rejoin_free_loops():
+    """A closed walk through dropped darts alone is a free loop: the curl
+    X[1,1,2,2] dropped, its darts rejoined by the A-smoothing (a ^ 1), is
+    two circles, and by the B-smoothing (a ^ 3) one."""
+    curl = parse_pd("X[1,1,2,2]")
+    assert rejoin(curl, (), {a: a ^ 1 for a in range(4)}) == Diagram((), 0, 2)
+    assert rejoin(curl, (), {a: a ^ 3 for a in range(4)}) == Diagram((), 0, 1)
+    # a kept crossing keeps its darts; edges are numbered in dart order
+    two = parse_pd("X[1,2,3,4] X[4,3,2,1]")
+    assert rejoin(two, (1,), {a: a ^ 1 for a in range(4)}) == Diagram(((1, 1, 2, 2),), 2)
+    # a tangle's closures, rejoined past the other tangle, take none of its
+    # darts as loops
     for t in recognize_genus_one(parse_pd(AA_TREFOIL_PD)).tangles:
         for c in closures(t):
             assert c.free_loops == 0 and c.edge_count == 2 * c.crossing_count

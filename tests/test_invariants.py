@@ -375,7 +375,7 @@ def test_state_loops_match_union_find():
         state = [rng.choice("AB") for _ in d.crossings]
         loop, count = _state_loops(d, [1 if x == "A" else 3 for x in state])
         assert count == resolve_loops(d, state)
-        labels = [e for x in d.crossings for e in x.ends]
+        labels = d.labels
         uf = _loops_uf(d, state)
         pairs = {(loop[a], uf.find(e)) for a, e in enumerate(labels)}
         assert len(pairs) == len({lp for lp, _ in pairs}) == len({r for _, r in pairs}) == count

@@ -57,7 +57,7 @@ def test_aa_generator():
         d, deal = random_almost_alternating_diagram(rng.randint(5, 10), rng)
         validate(d)
         bad = nonalternating_edges(d)
-        assert bad == set(d.crossings[deal].ends)
+        assert bad == set(d.crossings[deal])
         assert turaev_genus(d) == 1
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotinv import (
-    Crossing,
     CrossingLimitError,
     Diagram,
     LaurentPoly,
@@ -350,7 +349,7 @@ def test_packed_sweep_digit_bound_on_split_diagram(trefoil):
     bound's r = 8 components of the crossing graph and f = 2 free loops,
     and coefficients in the thousands, decoded whole."""
     copies = tuple(
-        Crossing(tuple(e + 6 * i for e in x.ends)) for i in range(8) for x in trefoil.crossings
+        tuple(e + 6 * i for e in x) for i in range(8) for x in trefoil.crossings
     )
     d = Diagram(copies, 48, free_loops=2)
     got = kauffman_bracket(d)
