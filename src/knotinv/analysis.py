@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import decomp, statesum
-from .diagram import Diagram, FaceStructure, OrientedDiagram, crossing_signs, orient, validate
+from .diagram import Diagram, OrientedDiagram, crossing_signs, orient
 from .laurent import LaurentPoly
 
 __all__ = ["DiagramAnalysis"]
@@ -26,28 +26,20 @@ class DiagramAnalysis:
     """Lazily computed invariants of one diagram.
 
     ``od`` imposes an orientation; without it the default orientation of
-    :func:`~knotinv.diagram.orient` is used; the face structure ``od``
-    carries is reused, so the diagram is not validated again.
-    Reading ``bracket`` or ``jones`` raises
-    :class:`~knotinv.statesum.CrossingLimitError` when the bracket's sweep
-    would be too wide; every other field is polynomial in the crossing count.
+    :func:`~knotinv.diagram.orient` is used.  Reading ``bracket`` or
+    ``jones`` raises :class:`~knotinv.statesum.CrossingLimitError` when the
+    bracket's sweep would be too wide; every other field is polynomial in
+    the crossing count.
     """
 
     def __init__(self, d: Diagram, od: OrientedDiagram | None = None):
         self.diagram = d
         if od is not None:
             self.od = od
-            if od.fs is not None and od.diagram is d:
-                self.fs = od.fs
-
-    @cached_property
-    def fs(self) -> FaceStructure:
-        """Face structure; reading it validates the diagram."""
-        return validate(self.diagram)
 
     @cached_property
     def od(self) -> OrientedDiagram:
-        return orient(self.diagram, fs=self.fs)
+        return orient(self.diagram)
 
     @cached_property
     def signs(self) -> tuple[tuple[int, ...], int, int, int]:
@@ -86,7 +78,7 @@ class DiagramAnalysis:
     @cached_property
     def goeritz(self) -> tuple[int, int, list[int]]:
         """(det, signature, eta per crossing) of the Goeritz form G."""
-        return statesum._goeritz_form(self.diagram, self.fs)
+        return statesum._goeritz_form(self.diagram)
 
     @cached_property
     def det(self) -> int:

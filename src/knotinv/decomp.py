@@ -66,10 +66,10 @@ def turaev_genus(d: Diagram, analysis: DiagramAnalysis | None = None) -> int:
     """g_T(D) = (2 + c - s_A - s_B) / 2 for a connected diagram.
 
     ``analysis``, the diagram's :class:`~knotinv.analysis.DiagramAnalysis`,
-    supplies its validation and state counts when given.
+    supplies its state counts when given.
     """
     a = _analysis(d, analysis)
-    a.fs  # validates the diagram
+    d.fs  # validates the diagram
     doubled = 2 + d.crossing_count - a.s_A - a.s_B
     if doubled % 2 or doubled < 0:
         raise DiagramError(f"impossible genus value {doubled}/2 (convention bug)")
@@ -271,13 +271,12 @@ def alternating_decomposition(
     d: Diagram, analysis: DiagramAnalysis | None = None
 ) -> AltDecomposition:
     """Curve system and alternating tangles; ``analysis`` supplies the
-    face structure and the non-alternating edges when given.
+    non-alternating edges when given.
 
     A marked point is a dart on a non-alternating edge, one whose ``mate``
     has the same slot parity."""
-    a = _analysis(d, analysis)
-    fs = a.fs
-    nonalt = a.nonalternating
+    fs = d.fs
+    nonalt = _analysis(d, analysis).nonalternating
     if not nonalt:
         tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False, parent=d)
         return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
@@ -468,7 +467,7 @@ def recognize_genus_one(
     arranged = _walk(dec.tangles, far, 3 if far[0][0][0] == far[0][1][0] else 2)
     if arranged is None:
         return None
-    gs = GenusOneStructure(arranged, _forms(a.fs, dec.arc_runs, arranged))
+    gs = GenusOneStructure(arranged, _forms(d.fs, dec.arc_runs, arranged))
     if m == 2:
         # the other split turns each tangle a place, swapping N and D: it takes
         # these forms swapped (their colour class gives the same invariants)

@@ -21,6 +21,7 @@ when the edge at dart ``a`` flows into its crossing there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import re
 
 __all__ = [
@@ -57,8 +58,10 @@ class Diagram:
     ``mate`` is the dart table, built with the label check: ``mate[a]`` is
     the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
     ``s`` of crossing ``ci``), so ``mate[mate[a]] == a``; ``labels[a]`` is
-    that edge's label.  Both are derived from ``crossings``, so neither is a
-    field: they are neither compared nor shown in the repr.
+    that edge's label.  ``fs`` is the face structure; the first read
+    validates the diagram and the result is kept.  All three are derived
+    from ``crossings``, so none is a field: they are neither compared nor
+    shown in the repr.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -97,6 +100,12 @@ class Diagram:
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
+
+    @cached_property
+    def fs(self) -> FaceStructure:
+        """Face structure; the first read validates the diagram, which
+        raises DiagramError on every read while the diagram is invalid."""
+        return validate(self)
 
 
 def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagram:
@@ -294,31 +303,25 @@ class OrientedDiagram:
 
     ``into[a]`` is 1 when the edge at dart ``a`` flows into crossing
     ``a >> 2`` there and 0 when it flows out, so ``into[a] != into[mate[a]]``
-    and ``into[a] != into[a ^ 2]``.  ``fs`` is the diagram's face structure
-    when :func:`orient` built it, so that it need not be validated again.
+    and ``into[a] != into[a ^ 2]``.
     """
 
     diagram: Diagram
     into: tuple[int, ...] = field(repr=False, default=())
     component_count: int = 1
-    fs: FaceStructure | None = field(repr=False, compare=False, default=None)
 
 
-def orient(
-    d: Diagram, into: tuple[int, ...] | None = None, fs: FaceStructure | None = None
-) -> OrientedDiagram:
+def orient(d: Diagram, into: tuple[int, ...] | None = None) -> OrientedDiagram:
     """Orient every component; the lowest edge of each component is directed
     from its scan-order first end to its second.
 
     Each component is one walk ``a -> mate[a ^ 2]`` over its arrival darts
     from the second dart of its lowest label.  An imposed ``into``, one bit
     per dart as :class:`OrientedDiagram` keeps it, replaces the default
-    orientation; it is checked to be coherent.  ``fs``, the face structure
-    :func:`validate` returned for ``d``, spares validating the diagram
-    again.  The result carries the face structure.
+    orientation; it is checked to be coherent.  The diagram is validated
+    first.
     """
-    if fs is None:
-        fs = validate(d)
+    d.fs  # validates the diagram
     mate, labels = d.mate, d.labels
     if into is not None:
         if len(into) != len(mate) or not {*into} <= {0, 1}:
@@ -341,9 +344,7 @@ def orient(
                 bits[a] = 1
                 bits[mate[a]] = 0
                 a = mate[a ^ 2]
-    return OrientedDiagram(
-        diagram=d, into=tuple(bits), component_count=strands + d.free_loops, fs=fs
-    )
+    return OrientedDiagram(diagram=d, into=tuple(bits), component_count=strands + d.free_loops)
 
 
 def crossing_signs(od: OrientedDiagram) -> tuple[tuple[int, ...], int, int, int]:

@@ -3,10 +3,10 @@ predictions for almost-alternating and genus-one diagrams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import warnings
 
-from .diagram import Diagram, DiagramError, FaceStructure, OrientedDiagram, orient, rejoin, validate
+from .diagram import Diagram, DiagramError, OrientedDiagram, orient, rejoin
 from .statesum import _state_loops, s_A, state_graph
 from .decomp import GenusOneStructure, classify_orientation, nonalternating_edges
 from .analysis import DiagramAnalysis
@@ -67,11 +67,9 @@ class ObstructionVerdict:
         }
 
 
-def is_reduced(d: Diagram, fs: FaceStructure | None = None) -> bool:
+def is_reduced(d: Diagram) -> bool:
     """No nugatory crossing: no face touches the same crossing twice."""
-    if fs is None:
-        fs = validate(d)
-    return all(len({a >> 2 for a in face}) == len(face) for face in fs.faces)
+    return all(len({a >> 2 for a in face}) == len(face) for face in d.fs.faces)
 
 
 def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
@@ -115,7 +113,7 @@ def signature_bounds(
     od: OrientedDiagram, analysis: DiagramAnalysis | None = None
 ) -> SignatureReport:
     a = analysis or DiagramAnalysis(od.diagram, od)
-    a.fs  # validates the diagram
+    od.diagram.fs  # validates the diagram
     _, c_plus, c_minus, _ = a.signs
     return SignatureReport(lower=a.s_A - c_plus - 1, upper=-a.s_B + c_minus + 1)
 
@@ -187,10 +185,10 @@ def conway_determinant(gs: GenusOneStructure) -> int:
 def dl_coefficients(d: Diagram) -> tuple[tuple[int, int], ...]:
     """Predicted first two and last two terms of the bracket of a reduced
     alternating diagram, as (exponent, coefficient) pairs."""
-    fs = validate(d)
+    d.fs  # validates the diagram
     if nonalternating_edges(d):
         raise DiagramError("extreme term formula requires an alternating diagram")
-    if not is_reduced(d, fs):
+    if not is_reduced(d):
         raise DiagramError("extreme term formula requires a reduced diagram")
     c = d.crossing_count
     if c < 1:
@@ -214,8 +212,7 @@ class AAMarkedDiagram:
 
     u1, u2 are the faces at the dealternator corners merged by its
     A-smoothing D(R) (corners 1 and 3); v1, v2 the faces merged by its
-    B-smoothing N(R) (corners 0 and 2).  ``fs`` is the diagram's face
-    structure when the marking has it, so the diagram is not validated again.
+    B-smoothing N(R) (corners 0 and 2).
     """
 
     diagram: Diagram
@@ -224,19 +221,18 @@ class AAMarkedDiagram:
     u2: int
     v1: int
     v2: int
-    fs: FaceStructure | None = field(default=None, repr=False, compare=False)
 
 
 def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
     if not 0 <= dealternator < d.crossing_count:
         raise DiagramError(f"crossing {dealternator} is not in 0..{d.crossing_count - 1}")
-    fs = validate(d)
+    fs = d.fs
     if not _is_dealternator(d, dealternator):
         raise DiagramError("marked crossing is not a dealternator with four distinct non-alternating edges")
     v1, u1, v2, u2 = fs.face_of[4 * dealternator:4 * dealternator + 4]
     if len({u1, u2, v1, v2}) != 4:
         raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
-    return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2, fs=fs)
+    return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2)
 
 
 def _is_dealternator(d: Diagram, ci: int) -> bool:
@@ -265,7 +261,7 @@ def _check_aa_reduced(aa: AAMarkedDiagram) -> None:
     d, deal = aa.diagram, aa.dealternator
     if not (0 <= deal < d.crossing_count and _is_dealternator(d, deal)):
         raise DiagramError("D(R) is not alternating (bad dealternator marking)")
-    face_of = (aa.fs or validate(d)).face_of
+    face_of = d.fs.face_of
     corners = [face_of[a:a + 4] for a in range(0, len(face_of), 4)]
     del corners[deal]
     for name, keep, merged in (("D(R)", aa.u1, aa.u2), ("N(R)", aa.v1, aa.v2)):
@@ -289,7 +285,7 @@ def _adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
     """:func:`aa_adjacency` once both smoothings are known to be reduced.
     Faces of one colour meet at a crossing only at opposite corners a and
     a ^ 2, so the faces counted are those opposite both u1 and u2 (v1, v2)."""
-    face_of = (aa.fs or validate(aa.diagram)).face_of
+    face_of = aa.diagram.fs.face_of
     opposite: dict[int, set[int]] = {f: set() for f in (aa.u1, aa.u2, aa.v1, aa.v2)}
     for a, f in enumerate(face_of):
         if f in opposite:

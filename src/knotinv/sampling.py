@@ -202,7 +202,12 @@ def random_almost_alternating_diagram(
 ) -> tuple[Diagram, int]:
     """An almost-alternating diagram: alternating tangle plus a flipped
     clasp crossing closing it.  Returns (diagram, dealternator index);
-    retries until both smoothings of the dealternator are reduced."""
+    retries until both smoothings of the dealternator are reduced.
+
+    Needs n >= 5.  D(R) and N(R) are the two closures of the n - 1 crossing
+    tangle, and with n - 1 <= 3 the tangle's top-level sum has a
+    one-crossing summand, which leaves a kink in one closure; a smaller n
+    spends all ``max_tries`` and raises DiagramError."""
     from .invariants import mark_almost_alternating, _check_aa_reduced
 
     for _ in range(max_tries):

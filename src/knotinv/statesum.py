@@ -29,10 +29,8 @@ from dataclasses import dataclass
 from .diagram import (
     Diagram,
     DiagramError,
-    FaceStructure,
     OrientedDiagram,
     crossing_signs,
-    validate,
 )
 from .laurent import LaurentPoly
 
@@ -388,9 +386,10 @@ def _nested_det_signatures(
     return forms[0], forms[1]
 
 
-def _goeritz_form(d: Diagram, fs: FaceStructure) -> tuple[int, int, list[int]]:
+def _goeritz_form(d: Diagram) -> tuple[int, int, list[int]]:
     """(det, signature, eta per crossing) of the Goeritz form on the faces of
     colour 0, the first deleted; with no crossing, the empty form (1, 0)."""
+    fs = d.fs
     white = [fi for fi, col in enumerate(fs.checkerboard_color) if col == 0]
     g, etas = _goeritz_matrix(
         {fi: i for i, fi in enumerate(white)},
@@ -400,13 +399,13 @@ def _goeritz_form(d: Diagram, fs: FaceStructure) -> tuple[int, int, list[int]]:
     return det, sig, etas
 
 
-def goeritz_determinant(d: Diagram, fs: FaceStructure | None = None) -> int:
+def goeritz_determinant(d: Diagram) -> int:
     """|det| of the Goeritz matrix on one checkerboard color class.
 
     Polynomial in the crossing count.  The tests check it against |V(-1)|
     from the state sum on random diagrams.
     """
-    return abs(_goeritz_form(d, validate(d) if fs is None else fs)[0])
+    return abs(_goeritz_form(d)[0])
 
 
 def determinant(od: OrientedDiagram) -> int:

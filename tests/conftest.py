@@ -732,7 +732,7 @@ def recognize_genus_one_reference(
                 return None
             arranged.append(r)
     arranged = tuple(arranged)
-    return GenusOneStructure(arranged, _forms(a.fs, dec.arc_runs, arranged))
+    return GenusOneStructure(arranged, _forms(d.fs, dec.arc_runs, arranged))
 
 
 def _sector_reference(a: int | None, b: int | None) -> int | None:

@@ -1,10 +1,23 @@
 import random
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from knotinv import diagram, parse_pd, recognize_genus_one, serialize_pd, statesum
+from knotinv import (
+    aa_extreme_coefficients,
+    diagram,
+    goeritz_determinant,
+    is_reduced,
+    mark_almost_alternating,
+    orient,
+    parse_pd,
+    recognize_genus_one,
+    serialize_pd,
+    statesum,
+)
+from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record
-from knotinv.sampling import random_genus_one_diagram
+from knotinv.sampling import random_almost_alternating_diagram, random_genus_one_diagram
 from knotinv.textio import read_pd_file
 
 from conftest import K12N888_MIRROR_PD, _count_calls, _rebind, recognize_genus_one_reference
@@ -27,6 +40,24 @@ def test_decompose_record_validates_each_diagram_once(monkeypatch):
     assert rejoins == []
     assert len(validations) == 1
     assert len({id(d) for (d,) in validations}) == 1
+
+
+def test_diagram_validates_once_across_entry_points(monkeypatch):
+    """A parsed diagram keeps its face structure, so orienting it, its
+    Goeritz determinant, the reducedness check, an analysis of it and the
+    almost-alternating prediction validate it once between them."""
+    drawn, deal = random_almost_alternating_diagram(10, random.Random(7))
+    d = parse_pd(serialize_pd(drawn))
+    validations = _count_calls(monkeypatch, diagram.validate)
+    orient(d)
+    goeritz_determinant(d)
+    is_reduced(d)
+    DiagramAnalysis(d).det
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        aa_extreme_coefficients(mark_almost_alternating(d, deal))
+    assert len(validations) == 1
+    assert validations[0][0] is d
 
 
 def test_decompose_record_walks_the_faces_once(monkeypatch):

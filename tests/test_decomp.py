@@ -247,8 +247,8 @@ def test_arc_corners_match_face_walk_reference(k12n888_mirror):
         a = DiagramAnalysis(d)
         gs = recognize_genus_one(d, a)
         runs = a.decomposition.arc_runs
-        corner_key, interior, sector_face = _corners(a.fs.face_of, runs, gs.tangles)
-        ref_key, ref_interior, ref_sector = tangle_faces_reference(d, a.fs, gs.tangles)
+        corner_key, interior, sector_face = _corners(d.fs.face_of, runs, gs.tangles)
+        ref_key, ref_interior, ref_sector = tangle_faces_reference(d, d.fs, gs.tangles)
         assert corner_key == ref_key
         assert interior == ref_interior
         assert sector_face == [[sf[j] for j in range(4)] for sf in ref_sector]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -104,6 +105,21 @@ def test_edge_labels_twice_each():
         parse_pd("X[1,1,1,2]")
     with pytest.raises(DiagramError):
         parse_pd("X[1,2,3,4] X[1,2,3,5]")
+
+
+def test_face_structure_is_kept_and_not_a_field():
+    """``Diagram.fs`` is kept after its first read, yet a validated diagram
+    equals, hashes and prints like one never validated; an invalid diagram
+    raises the same error on every read."""
+    d = parse_pd(TREFOIL_PD)
+    assert d.fs is d.fs
+    fresh = Diagram(d.crossings, d.edge_count)
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    assert "fs" not in {f.name for f in fields(Diagram)}
+    split = parse_pd("X[1,3,2,4] X[3,1,4,2] U")
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="split diagram: free loops alongside crossings"):
+            split.fs
 
 
 def test_split_diagram_rejected():

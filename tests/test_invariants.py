@@ -5,6 +5,7 @@ import pytest
 
 from knotinv import (
     AAMarkedDiagram,
+    Diagram,
     DiagramError,
     LaurentPoly,
     aa_adjacency,
@@ -260,13 +261,13 @@ def test_aa_helpers_refuse_hand_built_marking():
     or on a negative index, is refused: its smoothings are not alternating,
     or the index names no crossing."""
     d, deal = random_almost_alternating_diagram(9, random.Random(3))
-    fs = validate(d)
+    fs = d.fs
     for ci in [*range(d.crossing_count), -1]:
         if ci == deal:
             continue
         v1, u1, v2, u2 = fs.face_of[4 * (ci % d.crossing_count):][:4]
         with pytest.raises(DiagramError, match="bad dealternator marking"):
-            aa_extreme_coefficients(AAMarkedDiagram(d, ci, u1, u2, v1, v2, fs))
+            aa_extreme_coefficients(AAMarkedDiagram(d, ci, u1, u2, v1, v2))
 
 
 def test_aa_closures_smoothings(aa_trefoil):
@@ -305,8 +306,10 @@ def test_aa_generated_predictions():
 
 def test_aa_helpers_validate_each_diagram_once(monkeypatch):
     """Marking validates the diagram, and the extreme-coefficient
-    prediction reads both smoothings off its face structure."""
-    d, deal = random_almost_alternating_diagram(10, random.Random(7))
+    prediction reads both smoothings off its face structure.  The sampler
+    has already validated its own diagram, so the count is on a fresh copy."""
+    drawn, deal = random_almost_alternating_diagram(10, random.Random(7))
+    d = Diagram(drawn.crossings, drawn.edge_count)
     validations = _count_calls(monkeypatch, validate)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -326,8 +329,7 @@ def _refused(check, *args) -> bool:
 def _check_built_smoothings(dr, nr) -> None:
     """The reducedness check as it was, on D(R) and N(R) built by splicing."""
     for g in (dr, nr):
-        fs = validate(g)
-        if nonalternating_edges(g) or not is_reduced(g, fs):
+        if nonalternating_edges(g) or not is_reduced(g):
             raise DiagramError("not reduced")
 
 
