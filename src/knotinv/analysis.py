@@ -7,8 +7,8 @@ record; nothing is cached beyond it, so memory does not grow with the number
 of records.
 
 The public functions of :mod:`knotinv.decomp` and :mod:`knotinv.invariants`
-that need these fields take an optional ``analysis`` argument.  Without it
-they build their own, so each can still be called on a bare diagram.
+that need these fields take the analysis as their one argument, so this is
+the one module that puts them together.
 """
 
 from __future__ import annotations
@@ -25,21 +25,22 @@ __all__ = ["DiagramAnalysis"]
 class DiagramAnalysis:
     """Lazily computed invariants of one diagram.
 
-    ``od`` imposes an orientation; without it the default orientation of
-    :func:`~knotinv.diagram.orient` is used.  Reading ``bracket`` or
-    ``jones`` raises :class:`~knotinv.statesum.CrossingLimitError` when the
-    bracket's sweep would be too wide; every other field is polynomial in
-    the crossing count.
+    ``into`` imposes an orientation as arrival bits, as
+    :func:`~knotinv.diagram.orient` takes them, and is checked by it on the
+    first read of ``od``; without it the default orientation is used.
+    Reading ``bracket`` or ``jones`` raises
+    :class:`~knotinv.statesum.CrossingLimitError` when the bracket's sweep
+    would be too wide; every other field is polynomial in the crossing
+    count.
     """
 
-    def __init__(self, d: Diagram, od: OrientedDiagram | None = None):
+    def __init__(self, d: Diagram, into: tuple[int, ...] | None = None):
         self.diagram = d
-        if od is not None:
-            self.od = od
+        self.into = into
 
     @cached_property
     def od(self) -> OrientedDiagram:
-        return orient(self.diagram)
+        return orient(self.diagram, self.into)
 
     @cached_property
     def signs(self) -> tuple[tuple[int, ...], int, int, int]:
@@ -56,7 +57,7 @@ class DiagramAnalysis:
 
     @cached_property
     def turaev_genus(self) -> int:
-        return decomp.turaev_genus(self.diagram, self)
+        return decomp.turaev_genus(self)
 
     @cached_property
     def nonalternating(self) -> set[int]:
@@ -64,7 +65,7 @@ class DiagramAnalysis:
 
     @cached_property
     def decomposition(self) -> decomp.AltDecomposition:
-        return decomp.alternating_decomposition(self.diagram, self)
+        return decomp.alternating_decomposition(self)
 
     @cached_property
     def genus_one(self) -> decomp.GenusOneStructure | None:
@@ -73,7 +74,7 @@ class DiagramAnalysis:
         Its tangles' Goeritz forms, which give the closure determinants and
         signatures with no closure built, are read when it is recognized and
         kept on the structure."""
-        return decomp.recognize_genus_one(self.diagram, self)
+        return decomp.recognize_genus_one(self)
 
     @cached_property
     def goeritz(self) -> tuple[int, int, list[int]]:

@@ -53,12 +53,12 @@ def _signature_field(a: DiagramAnalysis) -> dict:
     od, sig, det = a.od, a.signature, a.det
     try:
         if not a.nonalternating:
-            t = traczyk_signature(od, a)
+            t = traczyk_signature(a)
             rep = SignatureReport(t, t, t, "traczyk")
         elif a.turaev_genus == 1 and od.component_count == 1:
-            rep = genus_one_knot_signature(od, a)
+            rep = genus_one_knot_signature(a)
         else:
-            b = signature_bounds(od, a)
+            b = signature_bounds(a)
             rep = SignatureReport(b.lower, b.upper, sig, "gordon_litherland")
         _check(rep, sig)
         mod4 = giller_mod4_check(sig, det) if det % 2 else None
@@ -75,7 +75,7 @@ def _decomposition_field(a: DiagramAnalysis) -> dict:
     gs = a.genus_one
     if gs is None:
         return _SKIP
-    rep = _check(tangle_sum_signature(gs, a.od, a), a.signature)
+    rep = _check(tangle_sum_signature(a), a.signature)
     summary = {
         "k": gs.k,
         "closure_determinants": _closure_determinants(gs),

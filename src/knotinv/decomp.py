@@ -54,21 +54,10 @@ __all__ = [
     "classify_orientation",
 ]
 
-def _analysis(d: Diagram, analysis: DiagramAnalysis | None) -> DiagramAnalysis:
-    if analysis is not None:
-        return analysis
-    from .analysis import DiagramAnalysis  # analysis is built on this module
 
-    return DiagramAnalysis(d)
-
-
-def turaev_genus(d: Diagram, analysis: DiagramAnalysis | None = None) -> int:
-    """g_T(D) = (2 + c - s_A - s_B) / 2 for a connected diagram.
-
-    ``analysis``, the diagram's :class:`~knotinv.analysis.DiagramAnalysis`,
-    supplies its state counts when given.
-    """
-    a = _analysis(d, analysis)
+def turaev_genus(a: DiagramAnalysis) -> int:
+    """g_T(D) = (2 + c - s_A - s_B) / 2 for the connected diagram of ``a``."""
+    d = a.diagram
     d.fs  # validates the diagram
     doubled = 2 + d.crossing_count - a.s_A - a.s_B
     if doubled % 2 or doubled < 0:
@@ -267,16 +256,14 @@ def _corners(
     return corner_key, interior, sector_face
 
 
-def alternating_decomposition(
-    d: Diagram, analysis: DiagramAnalysis | None = None
-) -> AltDecomposition:
-    """Curve system and alternating tangles; ``analysis`` supplies the
-    non-alternating edges when given.
+def alternating_decomposition(a: DiagramAnalysis) -> AltDecomposition:
+    """Curve system and alternating tangles of the diagram of ``a``.
 
     A marked point is a dart on a non-alternating edge, one whose ``mate``
     has the same slot parity."""
+    d = a.diagram
     fs = d.fs
-    nonalt = _analysis(d, analysis).nonalternating
+    nonalt = a.nonalternating
     if not nonalt:
         tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False, parent=d)
         return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
@@ -435,23 +422,20 @@ def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None
     return tuple(Tangle(t.crossing_indices, b[r:] + b[:r], t.proper, t.parent) for t, b, r in turns)
 
 
-def recognize_genus_one(
-    d: Diagram, analysis: DiagramAnalysis | None = None
-) -> GenusOneStructure | None:
+def recognize_genus_one(a: DiagramAnalysis) -> GenusOneStructure | None:
     """Recognize the normal form: 2k proper alternating 2-tangles in a cycle.
 
-    Returns None when the diagram is not presented in that form (including
-    every diagram whose own Turaev genus is not one).  ``analysis`` supplies
-    the Turaev genus and the decomposition when given.  The cycle is the
-    boundary-dart walk of the module docstring, leaving tangle 0 through
-    places (0, 1) when both reach one tangle, else through (3, 0); for k = 1
-    through (3, 0) when the sorted (d, n) pairs are below the sorted (n, d).
+    Returns None when the diagram of ``a`` is not presented in that form
+    (including every diagram whose own Turaev genus is not one).  The cycle
+    is the boundary-dart walk of the module docstring, leaving tangle 0
+    through places (0, 1) when both reach one tangle, else through (3, 0);
+    for k = 1 through (3, 0) when the sorted (d, n) pairs are below the
+    sorted (n, d).
     Raises DiagramError when a tangle does not close to planar diagrams.
     """
-    a = _analysis(d, analysis)
     if a.turaev_genus != 1:
         return None
-    dec = a.decomposition
+    d, dec = a.diagram, a.decomposition
     m = len(dec.tangles)
     if m < 2 or m % 2 or len(dec.curves) != m:
         return None

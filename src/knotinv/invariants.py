@@ -4,12 +4,15 @@ predictions for almost-alternating and genus-one diagrams."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 import warnings
 
 from .diagram import Diagram, DiagramError, OrientedDiagram, orient, rejoin
 from .statesum import _state_loops, s_A, state_graph
 from .decomp import GenusOneStructure, classify_orientation, nonalternating_edges
-from .analysis import DiagramAnalysis
+
+if TYPE_CHECKING:
+    from .analysis import DiagramAnalysis
 
 __all__ = [
     "SignatureReport",
@@ -93,27 +96,19 @@ def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
         into = into[:4 * ci] + into[4 * ci + 4:]
 
 
-def traczyk_signature(od: OrientedDiagram, analysis: DiagramAnalysis | None = None) -> int:
-    """Signature of an alternating connected diagram, s_A - c_plus - 1.
+def traczyk_signature(a: DiagramAnalysis) -> int:
+    """Signature of an alternating connected diagram, s_A - c_plus - 1,
+    oriented as ``a.od``.
 
     Traczyk states it for reduced diagrams; untwisting a nugatory crossing
     changes s_A and c_plus alike, so it holds on every alternating diagram.
-
-    ``analysis``, the :class:`DiagramAnalysis` of ``od``, supplies the
-    quantities it has already computed; the other signature functions take
-    it the same way.
     """
-    a = analysis or DiagramAnalysis(od.diagram, od)
     if a.nonalternating:
         raise DiagramError("signature formula requires an alternating diagram")
     return a.s_A - a.signs[1] - 1
 
 
-def signature_bounds(
-    od: OrientedDiagram, analysis: DiagramAnalysis | None = None
-) -> SignatureReport:
-    a = analysis or DiagramAnalysis(od.diagram, od)
-    od.diagram.fs  # validates the diagram
+def signature_bounds(a: DiagramAnalysis) -> SignatureReport:
     _, c_plus, c_minus, _ = a.signs
     return SignatureReport(lower=a.s_A - c_plus - 1, upper=-a.s_B + c_minus + 1)
 
@@ -136,12 +131,9 @@ def _mod4_choice(m: int, det: int) -> int:
     return m - 1 if lo else m + 1
 
 
-def genus_one_knot_signature(
-    od: OrientedDiagram, analysis: DiagramAnalysis | None = None
-) -> SignatureReport:
+def genus_one_knot_signature(a: DiagramAnalysis) -> SignatureReport:
     """Theorem 1: sigma = s_A - c_plus +- 1, the sign fixed by the determinant mod 4."""
-    a = analysis or DiagramAnalysis(od.diagram, od)
-    if od.component_count != 1:
+    if a.od.component_count != 1:
         raise DiagramError("exact signature needs a one-component diagram")
     if a.turaev_genus != 1:
         raise DiagramError("exact signature formula needs a genus-one diagram")
@@ -149,11 +141,9 @@ def genus_one_knot_signature(
     return SignatureReport(m - 1, m + 1, _mod4_choice(m, a.det), "theorem1", a.det, True)
 
 
-def tangle_sum_signature(
-    gs: GenusOneStructure, od: OrientedDiagram, analysis: DiagramAnalysis | None = None
-) -> SignatureReport:
-    """Theorem 2: the signatures of the closures the orientation extends to,
-    summed, +- 1 by the determinant mod 4.
+def tangle_sum_signature(a: DiagramAnalysis) -> SignatureReport:
+    """Theorem 2: the signatures of the closures the orientation ``a.od``
+    extends to, summed, +- 1 by the determinant mod 4.
 
     The closure signatures are read off the decomposition's arcs by
     Gordon-Litherland (:meth:`GenusOneStructure.closure_signatures`), so no
@@ -161,11 +151,13 @@ def tangle_sum_signature(
     special case.  Traczyk on the reduced oriented closures is the test
     oracle.
     """
-    a = analysis or DiagramAnalysis(od.diagram, od)
-    cls = classify_orientation(gs, od)
+    gs = a.genus_one
+    if gs is None:
+        raise DiagramError("Theorem 2 needs a diagram in genus-one normal form")
+    cls = classify_orientation(gs, a.od)
     which = "numerator" if cls in ("numerator", "both") else "denominator"
     total = sum(gs.closure_signatures(a.signs[0], which))
-    knot = od.component_count == 1  # a link's Theorem 2 gives bounds only
+    knot = a.od.component_count == 1  # a link's Theorem 2 gives bounds only
     sig = _mod4_choice(total, a.det) if knot else None
     return SignatureReport(total - 1, total + 1, sig, "theorem2", a.det, knot or None)
 

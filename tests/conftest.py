@@ -12,7 +12,7 @@ import pytest
 
 from knotinv import LaurentPoly, crossing_signs, parse_pd, serialize_pd, validate
 from knotinv.analysis import DiagramAnalysis
-from knotinv.decomp import GenusOneStructure, Tangle, _analysis, _forms
+from knotinv.decomp import GenusOneStructure, Tangle, _forms
 from knotinv.diagram import Diagram, DiagramError
 from knotinv.invariants import _smooth
 from knotinv.sampling import (
@@ -645,23 +645,19 @@ def _region_cycle_reference(tangles, edge_links):
     return order
 
 
-def recognize_genus_one_reference(
-    d: Diagram, analysis: DiagramAnalysis | None = None
-) -> GenusOneStructure | None:
+def recognize_genus_one_reference(a: DiagramAnalysis) -> GenusOneStructure | None:
     """``decomp.recognize_genus_one`` as it was before it walked the
     boundary darts, kept verbatim with its helper ``_region_cycle_reference``
     as the walk's oracle: edges are paired by sorting the boundary points by
     label, the tangle cycle is read off their links, and the k = 1 channel
     split is the first of (0, 1) and (1, 2) on tangle 0 that fits.
 
-    Returns None when the diagram is not presented in that form (including
-    every diagram whose own Turaev genus is not one).  ``analysis`` supplies
-    the Turaev genus and the decomposition when given.
+    Returns None when the diagram of ``a`` is not presented in that form
+    (including every diagram whose own Turaev genus is not one).
     """
-    a = _analysis(d, analysis)
     if a.turaev_genus != 1:
         return None
-    dec = a.decomposition
+    d, dec = a.diagram, a.decomposition
     m = len(dec.tangles)
     if m < 2 or m % 2 or len(dec.curves) != m:
         return None

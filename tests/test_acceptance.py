@@ -8,6 +8,7 @@ import pytest
 
 from knotinv import (
     CrossingLimitError,
+    DiagramAnalysis,
     LaurentPoly,
     aa_adjacency,
     aa_extreme_coefficients,
@@ -98,11 +99,12 @@ def test_criterion_3_12n888_pipeline(k12n888_mirror):
 
     _, c_plus, _, _ = crossing_signs(od)
     assert c_plus == 0
-    assert turaev_genus(d) == 1
+    a = DiagramAnalysis(d)
+    assert turaev_genus(a) == 1
     assert determinant(od) == 45
-    rep = genus_one_knot_signature(od)
+    rep = genus_one_knot_signature(a)
     assert rep.exact == 8 and rep.method == "theorem1"
-    gs = recognize_genus_one(d)
+    gs = recognize_genus_one(a)
     assert gs is not None and gs.k == 1
     dets = []
     for t in gs.tangles:
@@ -111,7 +113,7 @@ def test_criterion_3_12n888_pipeline(k12n888_mirror):
         dets.append(determinant(orient(den)))
     assert sorted(dets) == [6, 6, 9, 9]
     assert conway_determinant(gs) == 45
-    rep2 = tangle_sum_signature(gs, od)
+    rep2 = tangle_sum_signature(a)
     assert rep2.exact == 8
     elapsed = time.time() - start
     assert elapsed < 1.0, elapsed
@@ -145,8 +147,9 @@ def test_criterion_5_random_corpus():
         d = random_diagram(rng.randint(1, 12), rng)
         validate(d)
         od = orient(d)
-        g = turaev_genus(d)
-        rep = signature_bounds(od)
+        a = DiagramAnalysis(d)
+        g = turaev_genus(a)
+        rep = signature_bounds(a)
         assert rep.upper - rep.lower == 2 * g
         assert (2 + d.crossing_count - s_A(d) - s_B(d)) % 2 == 0
         m = mirror(d)
@@ -220,10 +223,11 @@ def test_criterion_8_mod4_consistency(trefoil, fig8, k12n888_mirror):
         if od.component_count != 1:
             continue
         try:
+            a = DiagramAnalysis(d)
             if not nonalternating_edges(d) and is_reduced(d):
-                sig = traczyk_signature(od)
-            elif turaev_genus(d) == 1:
-                sig = genus_one_knot_signature(od).exact
+                sig = traczyk_signature(a)
+            elif turaev_genus(a) == 1:
+                sig = genus_one_knot_signature(a).exact
             else:
                 continue
         except Exception:

@@ -3,9 +3,14 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from knotinv import (
+    DiagramError,
     aa_extreme_coefficients,
+    decomp,
     diagram,
+    genus_one_knot_signature,
     goeritz_determinant,
     is_reduced,
     mark_almost_alternating,
@@ -13,11 +18,19 @@ from knotinv import (
     parse_pd,
     recognize_genus_one,
     serialize_pd,
+    signature_bounds,
     statesum,
+    tangle_sum_signature,
+    traczyk_signature,
 )
 from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record
-from knotinv.sampling import random_almost_alternating_diagram, random_genus_one_diagram
+from knotinv.sampling import (
+    random_almost_alternating_diagram,
+    random_alternating_diagram,
+    random_diagram,
+    random_genus_one_diagram,
+)
 from knotinv.textio import read_pd_file
 
 from conftest import K12N888_MIRROR_PD, _count_calls, _rebind, recognize_genus_one_reference
@@ -91,8 +104,8 @@ def test_other_channel_split_eliminates_each_tangle_once(monkeypatch):
     rng = random.Random(64)
     while True:
         pd = serialize_pd(random_genus_one_diagram(1, rng, [rng.randint(2, 6) for _ in "ab"]))
-        d = parse_pd(pd)
-        if recognize_genus_one(d).tangles != recognize_genus_one_reference(d).tangles:
+        a = DiagramAnalysis(parse_pd(pd))
+        if recognize_genus_one(a).tangles != recognize_genus_one_reference(a).tangles:
             break
     eliminations = _count_calls(monkeypatch, statesum._nested_det_signatures)
     for entry, count in ((decompose_record, 2), (analyze_record, 3)):
@@ -140,3 +153,55 @@ def test_theorem2_with_nugatory_closures():
     assert theorem2["method"] == "theorem2" and theorem2["exact"] == -4
     assert f["signature"]["value"]["method"] == "theorem1"
     assert f["signature"]["value"]["exact"] == -4
+
+
+def test_steps_share_one_analysis(monkeypatch, k12n888_mirror, trefoil):
+    """Recognition, the bounds, Theorem 1, Theorem 2 and Gordon-Litherland
+    on one analysis validate the diagram once, count each state's loops
+    once and decompose once; each step reads what the others computed."""
+    validations = _count_calls(monkeypatch, diagram.validate)
+    loops = _count_calls(monkeypatch, statesum._state_loops)
+    decompositions = _count_calls(monkeypatch, decomp.alternating_decomposition)
+    a = DiagramAnalysis(k12n888_mirror)
+    assert recognize_genus_one(a).k == 1
+    bounds = signature_bounds(a)
+    assert (bounds.lower, bounds.upper) == (8, 10)
+    assert genus_one_knot_signature(a).exact == 8
+    assert tangle_sum_signature(a).exact == 8
+    assert a.signature == 8
+    assert len(validations) == 1
+    assert len(loops) == 2  # s_A and s_B
+    assert len(decompositions) == 1
+    with pytest.raises(DiagramError, match="alternating diagram"):
+        traczyk_signature(a)
+    with pytest.raises(DiagramError, match="genus-one normal form"):
+        tangle_sum_signature(DiagramAnalysis(trefoil))
+
+
+def test_imposed_orientation_is_bits_of_the_diagram(trefoil, fig8):
+    """Reversing every strand keeps each crossing's sign, so an analysis
+    given the reversed bits keeps the signs and the signature; bits of
+    another diagram are refused when the orientation is first read."""
+    rng = random.Random(126)
+    knots = 0
+    while knots < 40:
+        draw = rng.randrange(3)
+        if draw == 0:
+            d = random_diagram(rng.randint(1, 12), rng)
+        elif draw == 1:
+            d = random_alternating_diagram(rng.randint(1, 12), rng)
+        else:
+            k = rng.randint(1, 2)
+            d = random_genus_one_diagram(k, rng, [rng.randint(1, 4) for _ in range(2 * k)])
+        plain = DiagramAnalysis(d)
+        if plain.od.component_count != 1:
+            continue
+        knots += 1
+        reversed_bits = tuple(1 - bit for bit in plain.od.into)
+        a = DiagramAnalysis(d, into=reversed_bits)
+        assert a.od.into == reversed_bits != plain.od.into
+        assert a.signs == plain.signs
+        assert a.signature == plain.signature
+    a = DiagramAnalysis(trefoil, into=orient(fig8).into)
+    with pytest.raises(DiagramError):
+        a.od

@@ -230,8 +230,8 @@ def test_closure_structure_error_is_typed(tmp_path, capsys, monkeypatch):
     # place of closure validation
     decompose = decomp.alternating_decomposition
 
-    def dropping_a_face(d, analysis=None):
-        dec = decompose(d, analysis)
+    def dropping_a_face(a):
+        dec = decompose(a)
         if dec.arc_runs is None:  # an alternating diagram has no arcs
             return dec
         runs = replace(dec.arc_runs, interior=dec.arc_runs.interior[1:])

@@ -27,11 +27,11 @@ from conftest import gordon_litherland, recognize_genus_one_reference, tangle_fa
 
 
 def test_turaev_genus_values(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):
-    assert turaev_genus(trefoil) == 0
-    assert turaev_genus(fig8) == 0
-    assert turaev_genus(hopf) == 0
-    assert turaev_genus(aa_trefoil) == 1
-    assert turaev_genus(k12n888_mirror) == 1
+    assert turaev_genus(DiagramAnalysis(trefoil)) == 0
+    assert turaev_genus(DiagramAnalysis(fig8)) == 0
+    assert turaev_genus(DiagramAnalysis(hopf)) == 0
+    assert turaev_genus(DiagramAnalysis(aa_trefoil)) == 1
+    assert turaev_genus(DiagramAnalysis(k12n888_mirror)) == 1
 
 
 def test_nonalternating_edges(trefoil, aa_trefoil):
@@ -40,7 +40,7 @@ def test_nonalternating_edges(trefoil, aa_trefoil):
 
 
 def test_alternating_decomposition_trivial(trefoil):
-    dec = alternating_decomposition(trefoil)
+    dec = alternating_decomposition(DiagramAnalysis(trefoil))
     assert dec.curves == ()
     assert len(dec.tangles) == 1
     assert dec.tangles[0].crossing_indices == (0, 1, 2)
@@ -48,7 +48,7 @@ def test_alternating_decomposition_trivial(trefoil):
 
 
 def test_decomposition_aa_trefoil(aa_trefoil):
-    dec = alternating_decomposition(aa_trefoil)
+    dec = alternating_decomposition(DiagramAnalysis(aa_trefoil))
     assert sorted(dec.nonalternating) == [2, 3, 5, 6]
     assert len(dec.curves) == 2
     assert all(len(c) == 4 for c in dec.curves)
@@ -63,7 +63,7 @@ def test_decomposition_aa_trefoil(aa_trefoil):
 
 
 def test_decomposition_json(aa_trefoil):
-    obj = alternating_decomposition(aa_trefoil).to_json()
+    obj = alternating_decomposition(DiagramAnalysis(aa_trefoil)).to_json()
     assert obj["nonalternating_edges"] == [2, 3, 5, 6]
     assert len(obj["curves"]) == 2
     assert len(obj["tangles"]) == 2
@@ -71,7 +71,7 @@ def test_decomposition_json(aa_trefoil):
 
 
 def test_recognize_aa_trefoil(aa_trefoil):
-    gs = recognize_genus_one(aa_trefoil)
+    gs = recognize_genus_one(DiagramAnalysis(aa_trefoil))
     assert gs is not None and gs.k == 1
     dets = set()
     for t in gs.tangles:
@@ -81,12 +81,12 @@ def test_recognize_aa_trefoil(aa_trefoil):
 
 
 def test_recognize_rejects_alternating(trefoil, fig8):
-    assert recognize_genus_one(trefoil) is None
-    assert recognize_genus_one(fig8) is None
+    assert recognize_genus_one(DiagramAnalysis(trefoil)) is None
+    assert recognize_genus_one(DiagramAnalysis(fig8)) is None
 
 
 def test_recognize_12n888(k12n888_mirror):
-    gs = recognize_genus_one(k12n888_mirror)
+    gs = recognize_genus_one(DiagramAnalysis(k12n888_mirror))
     assert gs is not None and gs.k == 1
     dets = []
     for t in gs.tangles:
@@ -102,9 +102,10 @@ def test_generated_cycles_recognized():
     for _ in range(12):
         k = rng.choice((1, 2))
         d = random_genus_one_diagram(k, rng)
-        gs = recognize_genus_one(d)
+        a = DiagramAnalysis(d)
+        gs = recognize_genus_one(a)
         assert gs is not None and gs.k == k
-        assert turaev_genus(d) == 1
+        assert turaev_genus(a) == 1
         seen_k.add(k)
     assert seen_k == {1, 2}
 
@@ -135,7 +136,7 @@ def test_walk_matches_reference_recognition():
             d = random_alternating_diagram(rng.randint(3, 16), rng)
         d = _switched(d, rng)
         a = DiagramAnalysis(d)
-        gs, ref = recognize_genus_one(d, a), recognize_genus_one_reference(d, a)
+        gs, ref = recognize_genus_one(a), recognize_genus_one_reference(a)
         genus_one += a.turaev_genus == 1
         assert (gs is None) == (ref is None)
         if gs is None:
@@ -171,15 +172,15 @@ def test_recognition_ignores_labelling():
     for i in range(120):
         k = 1 + i % 4
         d = random_genus_one_diagram(k, rng, [rng.randint(1, 6) for _ in range(2 * k)])
-        gs = recognize_genus_one(d)
+        gs = recognize_genus_one(DiagramAnalysis(d))
         want = (gs.k, sorted(gs.closure_determinants), conway_determinant(gs))
         for _ in range(3):
-            other = recognize_genus_one(_relabelled(d, rng))
+            other = recognize_genus_one(DiagramAnalysis(_relabelled(d, rng)))
             assert (other.k, sorted(other.closure_determinants), conway_determinant(other)) == want
 
 
 def test_oriented_closures_match_plain(aa_trefoil):
-    gs = recognize_genus_one(aa_trefoil)
+    gs = recognize_genus_one(DiagramAnalysis(aa_trefoil))
     od = orient(aa_trefoil)
     which = classify_orientation(gs, od)
     assert which in ("numerator", "denominator", "both")
@@ -192,7 +193,7 @@ def test_oriented_closures_match_plain(aa_trefoil):
 
 
 def test_classify_orientation_12n888(k12n888_mirror):
-    gs = recognize_genus_one(k12n888_mirror)
+    gs = recognize_genus_one(DiagramAnalysis(k12n888_mirror))
     od = orient(k12n888_mirror)
     assert classify_orientation(gs, od) in ("numerator", "denominator", "both")
 
@@ -210,9 +211,9 @@ def test_closure_determinants_match_closures(k12n888_mirror):
         sizes = [rng.randint(1, 30 // k) for _ in range(2 * k)]
         corpus.append(random_genus_one_diagram(k, rng, sizes))
     for d in corpus:
-        gs = recognize_genus_one(d)
+        gs = recognize_genus_one(DiagramAnalysis(d))
         assert conway_determinant(gs) == goeritz_determinant(d)
-        mirrored = recognize_genus_one(mirror(d))
+        mirrored = recognize_genus_one(DiagramAnalysis(mirror(d)))
         mirror_pairs = {
             t.crossing_indices: pair
             for t, pair in zip(mirrored.tangles, mirrored.closure_determinants)
@@ -245,7 +246,7 @@ def test_arc_corners_match_face_walk_reference(k12n888_mirror):
     other_split = 0
     for d in corpus:
         a = DiagramAnalysis(d)
-        gs = recognize_genus_one(d, a)
+        gs = recognize_genus_one(a)
         runs = a.decomposition.arc_runs
         corner_key, interior, sector_face = _corners(d.fs.face_of, runs, gs.tangles)
         ref_key, ref_interior, ref_sector = tangle_faces_reference(d, d.fs, gs.tangles)
@@ -269,7 +270,7 @@ def _joined_edges(t, which: str) -> frozenset:
 def _closure_signatures(d, od) -> dict:
     """Face-read signature of every closure ``od`` extends to, keyed by the
     tangle's crossings and the edges the closure joins."""
-    gs = recognize_genus_one(d)
+    gs = recognize_genus_one(DiagramAnalysis(d))
     cls = classify_orientation(gs, od)
     signs = crossing_signs(od)[0]
     out = {}
@@ -300,7 +301,7 @@ def test_closure_signatures_match_closures(k12n888_mirror):
             assert sig == gordon_litherland(oc)[0]
             red = reduce_kinks(oc)
             if is_reduced(red.diagram):
-                assert sig == traczyk_signature(red)
+                assert sig == traczyk_signature(DiagramAnalysis(red.diagram, red.into))
                 traczyk += 1
             else:
                 unreduced += 1

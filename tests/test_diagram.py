@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from knotinv import (
     Diagram,
+    DiagramAnalysis,
     DiagramError,
     PDSyntaxError,
     closures,
@@ -354,6 +355,6 @@ def test_rejoin_free_loops():
     assert rejoin(two, (1,), {a: a ^ 1 for a in range(4)}) == Diagram(((1, 1, 2, 2),), 2)
     # a tangle's closures, rejoined past the other tangle, take none of its
     # darts as loops
-    for t in recognize_genus_one(parse_pd(AA_TREFOIL_PD)).tangles:
+    for t in recognize_genus_one(DiagramAnalysis(parse_pd(AA_TREFOIL_PD))).tangles:
         for c in closures(t):
             assert c.free_loops == 0 and c.edge_count == 2 * c.crossing_count

@@ -58,24 +58,24 @@ from conftest import (
 
 
 def test_traczyk_trefoil(trefoil):
-    assert traczyk_signature(orient(trefoil)) == 2
-    assert traczyk_signature(orient(mirror(trefoil))) == -2
+    assert traczyk_signature(DiagramAnalysis(trefoil)) == 2
+    assert traczyk_signature(DiagramAnalysis(mirror(trefoil))) == -2
 
 
 def test_traczyk_fig8(fig8):
-    assert traczyk_signature(orient(fig8)) == 0
+    assert traczyk_signature(DiagramAnalysis(fig8)) == 0
 
 
 def test_traczyk_unknot():
-    assert traczyk_signature(orient(parse_pd(""))) == 0
-    # no crossing: the empty Goeritz form, det 1 and signature 0
     a = DiagramAnalysis(parse_pd(""))
+    assert traczyk_signature(a) == 0
+    # no crossing: the empty Goeritz form, det 1 and signature 0
     assert (a.goeritz, a.det, a.signature) == ((1, 0, []), 1, 0)
 
 
 def test_traczyk_rejects_nonalternating(aa_trefoil):
     with pytest.raises(DiagramError):
-        traczyk_signature(orient(aa_trefoil))
+        traczyk_signature(DiagramAnalysis(aa_trefoil))
 
 
 def test_traczyk_rejects_nugatory():
@@ -85,14 +85,14 @@ def test_traczyk_rejects_nugatory():
     kinked = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]")
     assert not is_reduced(kinked)
     with pytest.raises(DiagramError):
-        traczyk_signature(orient(kinked))
+        traczyk_signature(DiagramAnalysis(kinked))
 
 
 def test_reduce_kinks():
     kinked = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]")
     red = reduce_kinks(orient(kinked))
     assert red.diagram.crossing_count == 3
-    assert traczyk_signature(red) == 2
+    assert traczyk_signature(DiagramAnalysis(red.diagram, red.into)) == 2
     # a single kinked circle reduces to the unknot
     lone = reduce_kinks(orient(parse_pd("X[1,2,2,1]")))
     assert lone.diagram.crossing_count == 0 and lone.diagram.free_loops == 1
@@ -131,11 +131,11 @@ def test_smoothing_skein_relation():
 
 
 def test_signature_bounds(trefoil, aa_trefoil, k12n888_mirror):
-    rep = signature_bounds(orient(trefoil))
+    rep = signature_bounds(DiagramAnalysis(trefoil))
     assert rep.lower == rep.upper == 2
-    rep = signature_bounds(orient(aa_trefoil))
+    rep = signature_bounds(DiagramAnalysis(aa_trefoil))
     assert rep.upper - rep.lower == 2
-    rep = signature_bounds(orient(k12n888_mirror))
+    rep = signature_bounds(DiagramAnalysis(k12n888_mirror))
     assert (rep.lower, rep.upper) == (8, 10)
 
 
@@ -151,7 +151,7 @@ def test_giller():
 
 
 def test_theorem1_12n888(k12n888_mirror):
-    rep = genus_one_knot_signature(orient(k12n888_mirror))
+    rep = genus_one_knot_signature(DiagramAnalysis(k12n888_mirror))
     assert rep.exact == 8
     assert (rep.lower, rep.upper) == (8, 10)
     assert rep.det == 45 and rep.mod4_ok and rep.method == "theorem1"
@@ -159,13 +159,11 @@ def test_theorem1_12n888(k12n888_mirror):
 
 def test_theorem1_rejects_alternating(trefoil):
     with pytest.raises(DiagramError):
-        genus_one_knot_signature(orient(trefoil))
+        genus_one_knot_signature(DiagramAnalysis(trefoil))
 
 
 def test_theorem2_12n888(k12n888_mirror):
-    gs = recognize_genus_one(k12n888_mirror)
-    od = orient(k12n888_mirror)
-    rep = tangle_sum_signature(gs, od)
+    rep = tangle_sum_signature(DiagramAnalysis(k12n888_mirror))
     assert rep.exact == 8 and rep.method == "theorem2"
     assert rep.mod4_ok
 
@@ -191,22 +189,21 @@ def test_gordon_litherland_agrees_with_every_route():
         assert gordon_litherland(od, colour=1) == (sig, det)
         a = DiagramAnalysis(d)
         assert (a.signature, a.det) == (sig, det)
-        bounds = signature_bounds(od)
+        bounds = signature_bounds(a)
         assert bounds.lower <= sig <= bounds.upper
         if not nonalternating_edges(d):
-            assert traczyk_signature(od) == sig
+            assert traczyk_signature(a) == sig
             applied["traczyk"] += 1
             applied["nugatory"] += not is_reduced(d)
         knot = od.component_count == 1
         if knot:
             assert giller_mod4_check(sig, det)
             applied["knots"] += 1
-            if turaev_genus(d) == 1:
-                assert genus_one_knot_signature(od).exact == sig
+            if turaev_genus(a) == 1:
+                assert genus_one_knot_signature(a).exact == sig
                 applied["theorem1"] += 1
-        gs = recognize_genus_one(d)
-        if gs is not None:
-            rep = tangle_sum_signature(gs, od)
+        if a.genus_one is not None:
+            rep = tangle_sum_signature(a)
             assert rep.lower <= sig <= rep.upper
             if knot:
                 assert rep.exact == sig
@@ -215,7 +212,7 @@ def test_gordon_litherland_agrees_with_every_route():
 
 
 def test_conway_determinant_12n888(k12n888_mirror):
-    gs = recognize_genus_one(k12n888_mirror)
+    gs = recognize_genus_one(DiagramAnalysis(k12n888_mirror))
     assert conway_determinant(gs) == 45
     assert conway_determinant(gs) == determinant(orient(k12n888_mirror))
 

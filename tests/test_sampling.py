@@ -1,6 +1,7 @@
 import random
 
 from knotinv import (
+    DiagramAnalysis,
     determinant,
     jones,
     nonalternating_edges,
@@ -27,7 +28,7 @@ def test_alternating_generator():
         d = random_alternating_diagram(rng.randint(1, 10), rng)
         validate(d)
         assert not nonalternating_edges(d)
-        assert turaev_genus(d) == 0
+        assert turaev_genus(DiagramAnalysis(d)) == 0
 
 
 def test_random_generator_valid():
@@ -46,8 +47,9 @@ def test_genus_one_generator():
         k = rng.choice((1, 2))
         d = random_genus_one_diagram(k, rng)
         validate(d)
-        assert turaev_genus(d) == 1
-        gs = recognize_genus_one(d)
+        a = DiagramAnalysis(d)
+        assert turaev_genus(a) == 1
+        gs = recognize_genus_one(a)
         assert gs is not None and gs.k == k
 
 
@@ -58,7 +60,7 @@ def test_aa_generator():
         validate(d)
         bad = nonalternating_edges(d)
         assert bad == set(d.crossings[deal])
-        assert turaev_genus(d) == 1
+        assert turaev_genus(DiagramAnalysis(d)) == 1
 
 
 def test_determinism():
