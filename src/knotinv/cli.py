@@ -32,70 +32,68 @@ def _ok(value):
 
 
 def _err(exc):
+    """An error cell; after a record's name (and an ``invariants`` record's
+    empty ``fields``), the rest of an error record."""
     return {"status": "error", "message": str(exc)}
 
 
 _SKIP = {"status": "skipped"}
 
 
-def _check(rep: SignatureReport, sig: int) -> SignatureReport:
-    """``rep``, if its exact value (when it has one) is the Gordon-Litherland
-    signature ``sig`` and its bounds hold it."""
+def _signature_cell(a: DiagramAnalysis, rep: SignatureReport) -> dict:
+    """``rep`` with the determinant and the mod-4 rule, if its exact value
+    (when it has one) is the Gordon-Litherland signature and its bounds hold
+    it."""
+    sig, det = a.signature, a.det
     if rep.exact not in (None, sig) or not rep.lower <= sig <= rep.upper:
         raise DiagramError(
             f"{rep.method} gives {rep.exact} in [{rep.lower}, {rep.upper}], Gordon-Litherland {sig}"
         )
-    return rep
+    return {**rep.to_json(), "det": det, "mod4_ok": giller_mod4_check(sig, det) if det % 2 else None}
 
 
 def _signature_field(a: DiagramAnalysis) -> dict:
     """Gordon-Litherland, checked by the paper's formula that applies."""
-    od, sig, det = a.od, a.signature, a.det
     try:
         if not a.nonalternating:
             t = traczyk_signature(a)
             rep = SignatureReport(t, t, t, "traczyk")
-        elif a.turaev_genus == 1 and od.component_count == 1:
+        elif a.turaev_genus == 1 and a.od.component_count == 1:
             rep = genus_one_knot_signature(a)
         else:
             b = signature_bounds(a)
-            rep = SignatureReport(b.lower, b.upper, sig, "gordon_litherland")
-        _check(rep, sig)
-        mod4 = giller_mod4_check(sig, det) if det % 2 else None
-        return _ok({**rep.to_json(), "det": det, "mod4_ok": mod4})
+            rep = SignatureReport(b.lower, b.upper, a.signature, "gordon_litherland")
+        return _ok(_signature_cell(a, rep))
     except (DiagramError, ValueError) as exc:
         return _err(exc)
 
 
-def _closure_determinants(gs) -> list[dict]:
-    return [{"n_det": n, "d_det": d} for n, d in gs.closure_determinants]
+def _genus_one_summary(gs) -> dict:
+    return {
+        "k": gs.k,
+        "closure_determinants": [{"n_det": n, "d_det": d} for n, d in gs.closure_determinants],
+        "conway_determinant": conway_determinant(gs),
+    }
 
 
 def _decomposition_field(a: DiagramAnalysis) -> dict:
-    gs = a.genus_one
-    if gs is None:
-        return _SKIP
-    rep = _check(tangle_sum_signature(a), a.signature)
-    summary = {
-        "k": gs.k,
-        "closure_determinants": _closure_determinants(gs),
-        "conway_determinant": conway_determinant(gs),
-        "tangle_sum_signature": rep.to_json(),
-    }
-    return _ok(summary)
+    try:
+        gs = a.genus_one
+        if gs is None:
+            return _SKIP
+        cell = _signature_cell(a, tangle_sum_signature(a))
+        return _ok({**_genus_one_summary(gs), "tangle_sum_signature": cell})
+    except DiagramError as exc:
+        return _err(exc)
 
 
 def analyze_record(rec: KnotRecord) -> dict:
-    out = {"name": rec.name, "fields": {}}
-    f = out["fields"]
     try:
         a = DiagramAnalysis(parse_pd(rec.pd_text))
         od = a.od
     except (PDSyntaxError, DiagramError) as exc:
-        out["status"] = "error"
-        out["message"] = str(exc)
-        return out
-    out["status"] = "ok"
+        return {"name": rec.name, "fields": {}, **_err(exc)}
+    f = {}
     f["s_A"] = _ok(a.s_A)
     f["s_B"] = _ok(a.s_B)
     _, c_plus, c_minus, writhe = a.signs
@@ -115,83 +113,90 @@ def analyze_record(rec: KnotRecord) -> dict:
             f.setdefault(key, _err(exc))
     f["det"] = _ok(a.det)
     f["signature"] = _signature_field(a)
-    try:
-        f["decomposition"] = _decomposition_field(a)
-    except DiagramError as exc:
-        f["decomposition"] = _err(exc)
+    f["decomposition"] = _decomposition_field(a)
     if v is not None and not v.is_zero:
         f["obstruction"] = _ok(jones_obstruction(v).to_json())
     else:
         f["obstruction"] = _SKIP
-    return out
+    return {"name": rec.name, "fields": f, "status": "ok"}
 
 
 def decompose_record(rec: KnotRecord) -> dict:
-    out = {"name": rec.name}
     try:
         a = DiagramAnalysis(parse_pd(rec.pd_text))
-        dec = a.decomposition
-        fields = {"turaev_genus": a.turaev_genus, "decomposition": dec.to_json()}
+        out = {"name": rec.name, "status": "ok", "turaev_genus": a.turaev_genus,
+               "decomposition": a.decomposition.to_json()}
         gs = a.genus_one
-        fields["recognized"] = gs is not None
+        out["recognized"] = gs is not None
         if gs is not None:
-            fields["k"] = gs.k
-            fields["closure_determinants"] = _closure_determinants(gs)
-            fields["conway_determinant"] = conway_determinant(gs)
+            out.update(_genus_one_summary(gs))
     except (PDSyntaxError, DiagramError) as exc:
-        out["status"] = "error"
-        out["message"] = str(exc)
-        return out
-    out["status"] = "ok"
-    out.update(fields)
+        return {"name": rec.name, **_err(exc)}
     return out
 
 
 def obstruct_record(rec: KnotRecord) -> dict:
-    out = {"name": rec.name}
     try:
         given = parse_poly(rec.jones_text) if rec.jones_text else None
     except PolyParseError as exc:
-        out["status"] = "error"
-        out["message"] = str(exc)
-        return out
+        return {"name": rec.name, **_err(exc)}
     computed = None
     if rec.pd_text:
         try:
             computed = jones(orient(parse_pd(rec.pd_text)))
         except (PDSyntaxError, DiagramError, CrossingLimitError) as exc:
-            out["status"] = "error"
-            out["message"] = f"jones recomputation failed: {exc}"
-            return out
+            return {"name": rec.name, **_err(f"jones recomputation failed: {exc}")}
     if given is not None and computed is not None and given != computed:
-        out["status"] = "error"
-        out["message"] = (
-            f"jones mismatch: given {given.to_text()}, computed {computed.to_text()}"
-        )
-        return out
+        message = f"jones mismatch: given {given.to_text()}, computed {computed.to_text()}"
+        return {"name": rec.name, **_err(message)}
     poly = given if given is not None else computed
     if poly is None or poly.is_zero:
-        out["status"] = "error"
-        out["message"] = "no usable polynomial"
-        return out
-    out["status"] = "ok"
-    out["verdict"] = jones_obstruction(poly).to_json()
-    return out
+        return {"name": rec.name, **_err("no usable polynomial")}
+    return {"name": rec.name, "status": "ok", "verdict": jones_obstruction(poly).to_json()}
 
 
-def _print_invariants_text(reports):
-    for rep in reports:
-        print(rep["name"])
-        if rep["status"] == "error":
-            print(f"  error: {rep['message']}")
-            continue
-        for key, cell in rep["fields"].items():
-            if cell["status"] == "ok":
-                print(f"  {key} = {cell['value']}")
-            elif cell["status"] == "skipped":
-                print(f"  {key}: skipped")
-            else:
-                print(f"  {key}: error: {cell['message']}")
+def _invariants_text(rep: dict) -> str:
+    lines = [rep["name"]]
+    if rep["status"] == "error":
+        lines.append(f"  error: {rep['message']}")
+    for key, cell in rep["fields"].items():
+        if cell["status"] == "ok":
+            lines.append(f"  {key} = {cell['value']}")
+        elif cell["status"] == "skipped":
+            lines.append(f"  {key}: skipped")
+        else:
+            lines.append(f"  {key}: error: {cell['message']}")
+    return "\n".join(lines)
+
+
+def _decompose_text(rep: dict) -> str:
+    if rep["status"] == "error":
+        return f"{rep['name']}: error: {rep['message']}"
+    dec = rep["decomposition"]
+    line = (
+        f"{rep['name']}: g_T={rep['turaev_genus']}"
+        f" curves={len(dec['curves'])} tangles={len(dec['tangles'])}"
+    )
+    if rep["recognized"]:
+        dets = ", ".join(f"N={c['n_det']} D={c['d_det']}" for c in rep["closure_determinants"])
+        line += f" recognized k={rep['k']} [{dets}] conway_det={rep['conway_determinant']}"
+    return line
+
+
+def _obstruct_text(rep: dict) -> str:
+    if rep["status"] == "error":
+        return f"{rep['name']}: error: {rep['message']}"
+    v = rep["verdict"]
+    tail = " => " + ", ".join(v["implied"]) if v["fires"] else ""
+    return f"{rep['name']}: a_m={v['a_m']} a_M={v['a_M']} fires={str(v['fires']).lower()}{tail}"
+
+
+# each command's per-record function and its text form of one record
+_COMMANDS = {
+    "invariants": (analyze_record, _invariants_text),
+    "decompose": (decompose_record, _decompose_text),
+    "obstruct": (obstruct_record, _obstruct_text),
+}
 
 
 def _print_json(obj) -> None:
@@ -222,66 +227,27 @@ def main(argv=None) -> int:
     p_dec.add_argument("--json", action="store_true")
 
     args = parser.parse_args(argv)
+    entry, text = _COMMANDS[args.command]
 
     try:
-        if args.command == "invariants":
+        if args.command != "obstruct":
             records = read_pd_file(args.pd_file)
-            reports = [analyze_record(r) for r in records]
-            if args.json:
-                _print_json({"records": reports})
-            else:
-                _print_invariants_text(reports)
-            return 1 if any(r["status"] == "error" for r in reports) else 0
-
-        if args.command == "decompose":
-            records = read_pd_file(args.pd_file)
-            reports = [decompose_record(r) for r in records]
-            if args.json:
-                _print_json({"records": reports})
-            else:
-                for rep in reports:
-                    if rep["status"] == "error":
-                        print(f"{rep['name']}: error: {rep['message']}")
-                        continue
-                    dec = rep["decomposition"]
-                    line = (
-                        f"{rep['name']}: g_T={rep['turaev_genus']}"
-                        f" curves={len(dec['curves'])} tangles={len(dec['tangles'])}"
-                    )
-                    if rep["recognized"]:
-                        dets = ", ".join(
-                            f"N={c['n_det']} D={c['d_det']}"
-                            for c in rep["closure_determinants"]
-                        )
-                        line += (
-                            f" recognized k={rep['k']} [{dets}]"
-                            f" conway_det={rep['conway_determinant']}"
-                        )
-                    print(line)
-            return 1 if any(r["status"] == "error" for r in reports) else 0
-
-        # obstruct
-        if args.poly is not None:
+        elif args.poly is not None:
             records = [KnotRecord(name="poly", jones_text=args.poly)]
         else:
             records = read_csv(args.csv)
-        reports = [obstruct_record(r) for r in records]
-        fired = sum(1 for r in reports if r["status"] == "ok" and r["verdict"]["fires"])
-        checked = sum(1 for r in reports if r["status"] == "ok")
+        reports = [entry(r) for r in records]
+        doc = {"records": reports}
+        if args.command == "obstruct":
+            ok = [r for r in reports if r["status"] == "ok"]
+            doc["summary"] = {"fired": sum(1 for r in ok if r["verdict"]["fires"]), "checked": len(ok)}
         if args.json:
-            _print_json({"records": reports, "summary": {"fired": fired, "checked": checked}})
+            _print_json(doc)
         else:
             for rep in reports:
-                if rep["status"] == "error":
-                    print(f"{rep['name']}: error: {rep['message']}")
-                    continue
-                v = rep["verdict"]
-                tail = " => " + ", ".join(v["implied"]) if v["fires"] else ""
-                print(
-                    f"{rep['name']}: a_m={v['a_m']} a_M={v['a_M']}"
-                    f" fires={str(v['fires']).lower()}{tail}"
-                )
-            print(f"summary: fired {fired}/{checked}")
+                print(text(rep))
+            if "summary" in doc:
+                print("summary: fired {fired}/{checked}".format(**doc["summary"]))
         return 1 if any(r["status"] == "error" for r in reports) else 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,12 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignatureReport:
+    """Bounds on a signature, its exact value where the formula gives one,
+    and the formula's name."""
+
     lower: int
     upper: int
     exact: int | None = None
     method: str | None = None
-    det: int | None = None
-    mod4_ok: bool | None = None
 
     def to_json(self) -> dict:
         return {
@@ -49,8 +50,6 @@ class SignatureReport:
             "upper": self.upper,
             "exact": self.exact,
             "method": self.method,
-            "det": self.det,
-            "mod4_ok": self.mod4_ok,
         }
 
 
@@ -138,7 +137,7 @@ def genus_one_knot_signature(a: DiagramAnalysis) -> SignatureReport:
     if a.turaev_genus != 1:
         raise DiagramError("exact signature formula needs a genus-one diagram")
     m = a.s_A - a.signs[1]
-    return SignatureReport(m - 1, m + 1, _mod4_choice(m, a.det), "theorem1", a.det, True)
+    return SignatureReport(m - 1, m + 1, _mod4_choice(m, a.det), "theorem1")
 
 
 def tangle_sum_signature(a: DiagramAnalysis) -> SignatureReport:
@@ -159,7 +158,7 @@ def tangle_sum_signature(a: DiagramAnalysis) -> SignatureReport:
     total = sum(gs.closure_signatures(a.signs[0], which))
     knot = a.od.component_count == 1  # a link's Theorem 2 gives bounds only
     sig = _mod4_choice(total, a.det) if knot else None
-    return SignatureReport(total - 1, total + 1, sig, "theorem2", a.det, knot or None)
+    return SignatureReport(total - 1, total + 1, sig, "theorem2")
 
 
 def conway_determinant(gs: GenusOneStructure) -> int:

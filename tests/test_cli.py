@@ -58,6 +58,37 @@ def test_invariants_malformed_line(tmp_path, capsys):
     assert statuses == {"good": "ok", "bad": "error"}
 
 
+def test_error_records_and_lines(tmp_path, capsys):
+    """Every kind of per-record error, key order included, and how the
+    text output shows a malformed line next to a good one (exit code 1)."""
+    bad_pd = "malformed token 'X[1,2'"
+    cases = [
+        (analyze_record(KnotRecord("bad", "X[1,2")),
+         {"name": "bad", "fields": {}, "status": "error", "message": bad_pd}),
+        (decompose_record(KnotRecord("bad", "X[1,2")),
+         {"name": "bad", "status": "error", "message": bad_pd}),
+        (obstruct_record(KnotRecord("p", None, "2t^2 +* t")),
+         {"name": "p", "status": "error", "message": "malformed polynomial near '+*t'"}),
+        (obstruct_record(KnotRecord("fake", TREFOIL_PD, "t^2")),
+         {"name": "fake", "status": "error",
+          "message": "jones mismatch: given 1*t^2, computed 1*t^-1 + 1*t^-3 + -1*t^-4"}),
+        (obstruct_record(KnotRecord("zero", None, "0")),
+         {"name": "zero", "status": "error", "message": "no usable polynomial"}),
+    ]
+    for rep, expected in cases:
+        assert list(rep.items()) == list(expected.items())
+    f = tmp_path / "mixed.pd"
+    f.write_text(f"good: {TREFOIL_PD}\nbad: X[1,2\n")
+    assert main(["invariants", str(f)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "good" and lines[-2:] == ["bad", f"  error: {bad_pd}"]
+    assert "  decomposition: skipped" in lines
+    assert main(["decompose", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "good: g_T=0 curves=0 tangles=1", f"bad: error: {bad_pd}"
+    ]
+
+
 def test_invariants_missing_file(capsys):
     rc = main(["invariants", "/nonexistent/file.pd"])
     assert rc == 2
@@ -271,8 +302,12 @@ GOLDEN = Path(__file__).resolve().parent / "data"
          "obstruction_examples.obstruct.json"),
         (["invariants", str(GOLDEN / "signature_cases.pd"), "--json"],
          "signature_cases.invariants.json"),
+        (["invariants", "sample_knots.pd"], "sample_knots.invariants.txt"),
+        (["decompose", "sample_knots.pd"], "sample_knots.decompose.txt"),
+        (["obstruct", "--csv", "obstruction_examples.csv"], "obstruction_examples.obstruct.txt"),
     ],
-    ids=["invariants", "decompose", "obstruct", "signature-cases"],
+    ids=["invariants", "decompose", "obstruct", "signature-cases",
+         "invariants-text", "decompose-text", "obstruct-text"],
 )
 def test_golden_output(argv, golden, capsys):
     argv = [

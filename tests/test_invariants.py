@@ -38,6 +38,7 @@ from knotinv import (
 )
 from knotinv.analysis import DiagramAnalysis
 from knotinv import invariants
+from knotinv.cli import KnotRecord, analyze_record
 from knotinv.invariants import _check_aa_reduced, _smooth
 from knotinv.statesum import _state_loops
 from knotinv.sampling import (
@@ -48,6 +49,7 @@ from knotinv.sampling import (
 )
 
 from conftest import (
+    K12N888_MIRROR_PD,
     _add_curl,
     _count_calls,
     _loops_uf,
@@ -150,11 +152,18 @@ def test_giller():
         giller_mod4_check(0, 4)
 
 
+def _12n888_cells() -> dict:
+    return analyze_record(KnotRecord("12n888", K12N888_MIRROR_PD))["fields"]
+
+
 def test_theorem1_12n888(k12n888_mirror):
-    rep = genus_one_knot_signature(DiagramAnalysis(k12n888_mirror))
+    a = DiagramAnalysis(k12n888_mirror)
+    rep = genus_one_knot_signature(a)
     assert rep.exact == 8
     assert (rep.lower, rep.upper) == (8, 10)
-    assert rep.det == 45 and rep.mod4_ok and rep.method == "theorem1"
+    assert a.det == 45 and rep.method == "theorem1"
+    cell = _12n888_cells()["signature"]["value"]
+    assert (cell["method"], cell["det"], cell["mod4_ok"]) == ("theorem1", 45, True)
 
 
 def test_theorem1_rejects_alternating(trefoil):
@@ -163,9 +172,12 @@ def test_theorem1_rejects_alternating(trefoil):
 
 
 def test_theorem2_12n888(k12n888_mirror):
-    rep = tangle_sum_signature(DiagramAnalysis(k12n888_mirror))
+    a = DiagramAnalysis(k12n888_mirror)
+    rep = tangle_sum_signature(a)
     assert rep.exact == 8 and rep.method == "theorem2"
-    assert rep.mod4_ok
+    assert giller_mod4_check(rep.exact, a.det)
+    cell = _12n888_cells()["decomposition"]["value"]["tangle_sum_signature"]
+    assert (cell["method"], cell["det"], cell["mod4_ok"]) == ("theorem2", 45, True)
 
 
 def test_gordon_litherland_agrees_with_every_route():
