@@ -25,8 +25,7 @@ diagram; they become ``[edge, [crossing, slot]]`` only in the JSON output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .diagram import (
     Diagram,
@@ -36,6 +35,7 @@ from .diagram import (
     orient,
     rejoin,
 )
+from .frozen import Frozen
 from .statesum import _goeritz_matrix, _nested_det_signatures
 
 if TYPE_CHECKING:
@@ -72,8 +72,10 @@ def nonalternating_edges(d: Diagram) -> set[int]:
     return {e for a, e in enumerate(d.labels) if not (a ^ mate[a]) & 1}
 
 
-@dataclass(frozen=True)
-class Tangle:
+_set = object.__setattr__
+
+
+class Tangle(Frozen):
     """An alternating tangle region: a view on its parent diagram.
 
     ``crossing_indices`` are the parent's crossings in the region and
@@ -81,13 +83,35 @@ class Tangle:
     read as (nw, ne, se, sw); the numerator closure joins points (0, 1) and
     (2, 3), the denominator closure (1, 2) and (3, 0).  Nothing is
     relabelled: :func:`closures` and :func:`oriented_closure` rejoin the
-    parent's crossings past the other tangles.
+    parent's crossings past the other tangles.  ``parent`` is left out of
+    comparison, hashing and the repr.
     """
 
-    crossing_indices: tuple[int, ...]
-    boundary: tuple[int, ...]
-    proper: bool
-    parent: Diagram = field(repr=False, compare=False)
+    __slots__ = ("crossing_indices", "boundary", "proper", "parent")
+
+    def __init__(
+        self, crossing_indices: tuple[int, ...], boundary: tuple[int, ...], proper: bool, parent: Diagram
+    ):
+        _set(self, "crossing_indices", crossing_indices)
+        _set(self, "boundary", boundary)
+        _set(self, "proper", proper)
+        _set(self, "parent", parent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.crossing_indices, self.boundary, self.proper) == (
+            other.crossing_indices, other.boundary, other.proper
+        )
+
+    def __hash__(self):
+        return hash((self.crossing_indices, self.boundary, self.proper))
+
+    def __repr__(self) -> str:
+        return (
+            f"Tangle(crossing_indices={self.crossing_indices!r}, boundary={self.boundary!r},"
+            f" proper={self.proper!r})"
+        )
 
     @property
     def crossing_count(self) -> int:
@@ -107,8 +131,7 @@ class Tangle:
         }
 
 
-@dataclass(frozen=True)
-class ArcRuns:
+class ArcRuns(NamedTuple):
     """Arc ``r`` is ``arcs[r] = (p, q, face)``, from the marked dart ``p``
     where ``face`` arrives along a non-alternating edge to the one ``q`` it
     next leaves by.  ``run[a]`` is the arc whose run holds corner ``a``, or
@@ -124,15 +147,40 @@ def _points_json(d: Diagram, darts: tuple[int, ...]) -> list:
     return [[d.labels[b], [b >> 2, b & 3]] for b in darts]
 
 
-@dataclass(frozen=True)
-class AltDecomposition:
+class AltDecomposition(Frozen):
     """The non-alternating edges, the curves as cycles of marked darts, and
-    the tangles; ``arc_runs`` is None when every edge alternates."""
+    the tangles; ``arc_runs`` is None when every edge alternates, and is left
+    out of comparison, hashing and the repr."""
 
-    nonalternating: frozenset[int]
-    curves: tuple[tuple[int, ...], ...]
-    tangles: tuple[Tangle, ...]
-    arc_runs: ArcRuns | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("nonalternating", "curves", "tangles", "arc_runs")
+
+    def __init__(
+        self,
+        nonalternating: frozenset[int],
+        curves: tuple[tuple[int, ...], ...],
+        tangles: tuple[Tangle, ...],
+        arc_runs: ArcRuns | None = None,
+    ):
+        _set(self, "nonalternating", nonalternating)
+        _set(self, "curves", curves)
+        _set(self, "tangles", tangles)
+        _set(self, "arc_runs", arc_runs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nonalternating, self.curves, self.tangles) == (
+            other.nonalternating, other.curves, other.tangles
+        )
+
+    def __hash__(self):
+        return hash((self.nonalternating, self.curves, self.tangles))
+
+    def __repr__(self) -> str:
+        return (
+            f"AltDecomposition(nonalternating={self.nonalternating!r}, curves={self.curves!r},"
+            f" tangles={self.tangles!r})"
+        )
 
     def to_json(self) -> dict:
         parent = self.tangles[0].parent  # every decomposition has a tangle
@@ -152,17 +200,31 @@ _S01, _S23 = -1, -3
 Forms = tuple[tuple[tuple[int, int], tuple[int, int], list[int]], ...]
 
 
-@dataclass(frozen=True)
-class GenusOneStructure:
+class GenusOneStructure(Frozen):
     """2k proper alternating 2-tangles in a cycle; tangle i's boundary is
     rotated so points 1 and 2 are the stubs toward tangle i+1.
 
     ``forms`` holds, per tangle, (det, signature) of the Goeritz forms of
-    N(R_i) and D(R_i) and eta at each of its crossings (see :func:`_forms`).
+    N(R_i) and D(R_i) and eta at each of its crossings (see :func:`_forms`);
+    it is left out of comparison, hashing and the repr.
     """
 
-    tangles: tuple[Tangle, ...]
-    forms: Forms = field(repr=False, compare=False)
+    __slots__ = ("tangles", "forms")
+
+    def __init__(self, tangles: tuple[Tangle, ...], forms: Forms):
+        _set(self, "tangles", tangles)
+        _set(self, "forms", forms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tangles == other.tangles
+
+    def __hash__(self):
+        return hash((self.tangles,))
+
+    def __repr__(self) -> str:
+        return f"GenusOneStructure(tangles={self.tangles!r})"
 
     @property
     def k(self) -> int:

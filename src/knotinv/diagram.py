@@ -20,9 +20,11 @@ when the edge at dart ``a`` flows into its crossing there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 import re
+from typing import NamedTuple
+
+from .frozen import Frozen
 
 __all__ = [
     "PDSyntaxError",
@@ -47,8 +49,10 @@ class DiagramError(ValueError):
     """Structurally invalid diagram (bad labels, non-planar, split, ...)."""
 
 
-@dataclass(frozen=True)
-class Diagram:
+_set = object.__setattr__
+
+
+class Diagram(Frozen):
     """An unoriented PD-coded diagram.
 
     Each crossing is a 4-tuple of edge labels.  ``free_loops`` counts
@@ -60,21 +64,19 @@ class Diagram:
     ``s`` of crossing ``ci``), so ``mate[mate[a]] == a``; ``labels[a]`` is
     that edge's label.  ``fs`` is the face structure; the first read
     validates the diagram and the result is kept.  All three are derived
-    from ``crossings``, so none is a field: they are neither compared nor
-    shown in the repr.
+    from ``crossings``, so none is a constructor parameter: they are
+    neither compared nor shown in the repr.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    edge_count: int
-    free_loops: int = 0
-
-    def __post_init__(self):
-        for x in self.crossings:
+    def __init__(
+        self, crossings: tuple[tuple[int, int, int, int], ...], edge_count: int, free_loops: int = 0
+    ):
+        for x in crossings:
             if len(x) != 4:
                 raise DiagramError(f"crossing needs 4 ends, got {x!r}")
-        n = self.edge_count
+        n = edge_count
         first = [-1] * (n + 1)  # the first dart seen on each label
-        labels = tuple(e for x in self.crossings for e in x)
+        labels = tuple(e for x in crossings for e in x)
         mate = [-1] * len(labels)
         bad = False
         for a, e in enumerate(labels):
@@ -94,8 +96,30 @@ class Diagram:
             for e in range(1, n + 1):
                 if seen.get(e, 0) != 2:
                     raise DiagramError(f"edge {e} appears {seen.get(e, 0)} times, expected 2")
-        object.__setattr__(self, "mate", tuple(mate))
-        object.__setattr__(self, "labels", labels)
+        _set(self, "crossings", crossings)
+        _set(self, "edge_count", edge_count)
+        _set(self, "free_loops", free_loops)
+        _set(self, "mate", tuple(mate))
+        _set(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.crossings, self.edge_count, self.free_loops) == (
+            other.crossings, other.edge_count, other.free_loops
+        )
+
+    def __hash__(self):
+        return hash((self.crossings, self.edge_count, self.free_loops))
+
+    def __repr__(self) -> str:
+        return (
+            f"Diagram(crossings={self.crossings!r}, edge_count={self.edge_count!r},"
+            f" free_loops={self.free_loops!r})"
+        )
+
+    def __reduce__(self):
+        return Diagram, (self.crossings, self.edge_count, self.free_loops)
 
     @property
     def crossing_count(self) -> int:
@@ -208,8 +232,7 @@ def serialize_pd(d: Diagram) -> str:
     return " ".join(toks)
 
 
-@dataclass(frozen=True)
-class FaceStructure:
+class FaceStructure(NamedTuple):
     """Faces of the rotation system plus a proper checkerboard 2-coloring.
 
     Each face is a tuple of darts, starting at its lowest: dart ``a`` stands
@@ -217,16 +240,20 @@ class FaceStructure:
     next one counterclockwise, and the face runs from corner ``a`` along the
     edge at the next slot to corner ``Diagram.mate`` of that slot's dart.
     ``face_of[a]`` is the index of the face at corner ``a`` and
-    ``checkerboard_color[f]`` is 0 or 1.
+    ``checkerboard_color[f]`` is 0 or 1.  ``face_of`` is left out of the
+    repr; it is only read, so one empty list is every default.
     """
 
     faces: tuple[tuple[int, ...], ...]
     checkerboard_color: tuple[int, ...]
-    face_of: list[int] = field(repr=False, default_factory=list)
+    face_of: list[int] = []
 
     @property
     def face_count(self) -> int:
         return len(self.faces)
+
+    def __repr__(self) -> str:
+        return f"FaceStructure(faces={self.faces!r}, checkerboard_color={self.checkerboard_color!r})"
 
 
 def validate(d: Diagram) -> FaceStructure:
@@ -297,18 +324,20 @@ def validate(d: Diagram) -> FaceStructure:
     )
 
 
-@dataclass(frozen=True)
-class OrientedDiagram:
+class OrientedDiagram(NamedTuple):
     """A diagram with a direction chosen on every edge.
 
     ``into[a]`` is 1 when the edge at dart ``a`` flows into crossing
     ``a >> 2`` there and 0 when it flows out, so ``into[a] != into[mate[a]]``
-    and ``into[a] != into[a ^ 2]``.
+    and ``into[a] != into[a ^ 2]``.  ``into`` is left out of the repr.
     """
 
     diagram: Diagram
-    into: tuple[int, ...] = field(repr=False, default=())
+    into: tuple[int, ...] = ()
     component_count: int = 1
+
+    def __repr__(self) -> str:
+        return f"OrientedDiagram(diagram={self.diagram!r}, component_count={self.component_count!r})"
 
 
 def orient(d: Diagram, into: tuple[int, ...] | None = None) -> OrientedDiagram:

@@ -3,8 +3,7 @@ predictions for almost-alternating and genus-one diagrams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 import warnings
 
 from .diagram import Diagram, DiagramError, OrientedDiagram, orient, rejoin
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(NamedTuple):
     """Bounds on a signature, its exact value where the formula gives one,
     and the formula's name."""
 
@@ -53,8 +51,7 @@ class SignatureReport:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     a_m: int
     a_M: int
     fires: bool
@@ -197,8 +194,7 @@ def dl_coefficients(d: Diagram) -> tuple[tuple[int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class AAMarkedDiagram:
+class AAMarkedDiagram(NamedTuple):
     """An almost-alternating diagram with its dealternator marked.
 
     u1, u2 are the faces at the dealternator corners merged by its

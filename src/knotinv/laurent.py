@@ -7,19 +7,30 @@ exponent h stands for t**(h/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .frozen import Frozen
 
 __all__ = ["LaurentPoly"]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    variable: str
-    coeffs: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        cleaned = {e: c for e, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", cleaned)
+class LaurentPoly(Frozen):
+    """``coeffs`` maps each exponent to its coefficient; zero coefficients
+    are dropped.  Polynomials compare by value and are not hashable."""
+
+    __slots__ = ("variable", "coeffs")
+
+    def __init__(self, variable: str, coeffs: dict[int, int] = {}):  # the default is only read
+        _set(self, "variable", variable)
+        _set(self, "coeffs", {e: c for e, c in coeffs.items() if c != 0})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variable == other.variable and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly(variable={self.variable!r}, coeffs={self.coeffs!r})"
 
     @property
     def is_zero(self) -> bool:

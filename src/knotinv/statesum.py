@@ -24,7 +24,7 @@ bracket -A^-5 - A^3 + A^7 (the global mirror of the other chirality choice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     Diagram,
@@ -64,8 +64,7 @@ class CrossingLimitError(RuntimeError):
     ``MAX_OPEN_ENDS`` open edge ends at once."""
 
 
-@dataclass(frozen=True)
-class StateGraph:
+class StateGraph(NamedTuple):
     """Loops-as-vertices, traces-as-edges graph of a Kauffman state."""
 
     vertex_count: int

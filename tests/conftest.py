@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -696,7 +695,7 @@ def recognize_genus_one_reference(a: DiagramAnalysis) -> GenusOneStructure | Non
         for r in range(4):
             if {edges[(1 + r) % 4], edges[(2 + r) % 4]} == to_next:
                 points = t.boundary
-                return replace(t, boundary=points[r:] + points[:r])
+                return Tangle(t.crossing_indices, points[r:] + points[:r], t.proper, t.parent)
         return None
 
     arranged: list[Tangle] = []

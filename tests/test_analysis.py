@@ -1,6 +1,5 @@
 import random
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,7 +87,7 @@ def test_decompose_record_walks_the_faces_once(monkeypatch):
 
     def validate_counted(d):
         fs = validate(d)
-        return replace(fs, faces=CountedFaces(fs.faces))
+        return fs._replace(faces=CountedFaces(fs.faces))
 
     _rebind(monkeypatch, validate, validate_counted)
     rep = decompose_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))

@@ -1,15 +1,16 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from knotinv import decomp, goeritz_determinant, orient, parse_pd, serialize_pd
+from knotinv import AltDecomposition, decomp, goeritz_determinant, orient, parse_pd, serialize_pd
 from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
 from knotinv.sampling import random_almost_alternating_diagram
@@ -265,8 +266,8 @@ def test_closure_structure_error_is_typed(tmp_path, capsys, monkeypatch):
         dec = decompose(a)
         if dec.arc_runs is None:  # an alternating diagram has no arcs
             return dec
-        runs = replace(dec.arc_runs, interior=dec.arc_runs.interior[1:])
-        return replace(dec, arc_runs=runs)
+        runs = dec.arc_runs._replace(interior=dec.arc_runs.interior[1:])
+        return AltDecomposition(dec.nonalternating, dec.curves, dec.tangles, runs)
 
     monkeypatch.setattr(decomp, "alternating_decomposition", dropping_a_face)
     rec = KnotRecord(name="big", pd_text=K12N888_MIRROR_PD)
@@ -373,3 +374,17 @@ def test_signature_disagreement_is_an_error_cell(monkeypatch):
         "status": "error", "message": "theorem2 gives None in [1, 3], Gordon-Litherland 100"
     }
     assert all(cells["signature"]["status"] == "error" for cells in f.values())
+
+
+def test_cli_import_leaves_out_dataclasses():
+    """``import knotinv.cli`` loads none of ``dataclasses`` and the modules
+    it pulls in, which cost every run a third of its start-up.  The child
+    runs without ``site``, so no ``.pth`` file of the environment loads
+    them first."""
+    code = "import sys, knotinv.cli; print(sorted({*sys.argv[1:]} & {*sys.modules}))"
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, *heavy], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
