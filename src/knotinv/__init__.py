@@ -41,7 +41,6 @@ from .decomp import (
 )
 from .analysis import DiagramAnalysis
 from .invariants import (
-    AAMarkedDiagram,
     ObstructionVerdict,
     SignatureReport,
     aa_adjacency,
@@ -52,7 +51,6 @@ from .invariants import (
     giller_mod4_check,
     is_reduced,
     jones_obstruction,
-    mark_almost_alternating,
     reduce_kinks,
     signature_bounds,
     tangle_sum_signature,

@@ -49,7 +49,7 @@ def _signature_cell(a: DiagramAnalysis, rep: SignatureReport) -> dict:
         raise DiagramError(
             f"{rep.method} gives {rep.exact} in [{rep.lower}, {rep.upper}], Gordon-Litherland {sig}"
         )
-    return {**rep.to_json(), "det": det, "mod4_ok": giller_mod4_check(sig, det) if det % 2 else None}
+    return {**rep._asdict(), "det": det, "mod4_ok": giller_mod4_check(sig, det) if det % 2 else None}
 
 
 def _signature_field(a: DiagramAnalysis) -> dict:
@@ -125,7 +125,7 @@ def decompose_record(rec: KnotRecord) -> dict:
     try:
         a = DiagramAnalysis(parse_pd(rec.pd_text))
         out = {"name": rec.name, "status": "ok", "turaev_genus": a.turaev_genus,
-               "decomposition": a.decomposition.to_json()}
+               "decomposition": a.decomposition.to_json(a.diagram)}
         gs = a.genus_one
         out["recognized"] = gs is not None
         if gs is not None:

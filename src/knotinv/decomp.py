@@ -7,7 +7,8 @@ The resulting closed curves cut the diagram into maximal alternating
 regions; when those regions form a single cycle of proper alternating
 2-tangles the diagram is in the genus-one normal form (Armond-Lowrance 2017).
 The walk over the faces that finds the arcs records their runs of corners
-(:class:`ArcRuns`), from which the genus-one tangles' Goeritz forms are read.
+(:class:`ArcRuns`), kept on the analysis as ``DiagramAnalysis.arc_runs``;
+the curves and the genus-one tangles' Goeritz forms are read off them.
 
 Recognition is one walk over the boundary darts, with a tangle's places 0-3
 its curve's points from its lowest-labelled edge.  Each step turns the
@@ -20,7 +21,9 @@ closure determinant pairs is kept, and when the two splits tie the labels
 choose.
 
 Marked points, tangle boundaries and curves are darts of the parent
-diagram; they become ``[edge, [crossing, slot]]`` only in the JSON output.
+diagram, and every value here is its fields alone: the functions that read
+darts as edges or build closures take the parent diagram as an argument.
+Darts become ``[edge, [crossing, slot]]`` only in the JSON output.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .diagram import (
     orient,
     rejoin,
 )
-from .frozen import Frozen
 from .statesum import _goeritz_matrix, _nested_det_signatures
 
 if TYPE_CHECKING:
@@ -72,46 +74,20 @@ def nonalternating_edges(d: Diagram) -> set[int]:
     return {e for a, e in enumerate(d.labels) if not (a ^ mate[a]) & 1}
 
 
-_set = object.__setattr__
-
-
-class Tangle(Frozen):
-    """An alternating tangle region: a view on its parent diagram.
+class Tangle(NamedTuple):
+    """An alternating tangle region of a parent diagram.
 
     ``crossing_indices`` are the parent's crossings in the region and
     ``boundary`` the parent's marked darts on its boundary, in cyclic order,
     read as (nw, ne, se, sw); the numerator closure joins points (0, 1) and
     (2, 3), the denominator closure (1, 2) and (3, 0).  Nothing is
     relabelled: :func:`closures` and :func:`oriented_closure` rejoin the
-    parent's crossings past the other tangles.  ``parent`` is left out of
-    comparison, hashing and the repr.
+    parent's crossings past the other tangles.
     """
 
-    __slots__ = ("crossing_indices", "boundary", "proper", "parent")
-
-    def __init__(
-        self, crossing_indices: tuple[int, ...], boundary: tuple[int, ...], proper: bool, parent: Diagram
-    ):
-        _set(self, "crossing_indices", crossing_indices)
-        _set(self, "boundary", boundary)
-        _set(self, "proper", proper)
-        _set(self, "parent", parent)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.crossing_indices, self.boundary, self.proper) == (
-            other.crossing_indices, other.boundary, other.proper
-        )
-
-    def __hash__(self):
-        return hash((self.crossing_indices, self.boundary, self.proper))
-
-    def __repr__(self) -> str:
-        return (
-            f"Tangle(crossing_indices={self.crossing_indices!r}, boundary={self.boundary!r},"
-            f" proper={self.proper!r})"
-        )
+    crossing_indices: tuple[int, ...]
+    boundary: tuple[int, ...]
+    proper: bool
 
     @property
     def crossing_count(self) -> int:
@@ -122,10 +98,11 @@ class Tangle(Frozen):
         """'+' for a boundary point at an over-strand slot, '-' at an under-strand slot."""
         return tuple("+" if b & 1 else "-" for b in self.boundary)
 
-    def to_json(self) -> dict:
+    def to_json(self, d: Diagram) -> dict:
+        """The tangle with its boundary darts read on the parent ``d``."""
         return {
             "crossings": list(self.crossing_indices),
-            "boundary": _points_json(self.parent, self.boundary),
+            "boundary": _points_json(d, self.boundary),
             "decorations": list(self.decorations),
             "proper": self.proper,
         }
@@ -147,47 +124,20 @@ def _points_json(d: Diagram, darts: tuple[int, ...]) -> list:
     return [[d.labels[b], [b >> 2, b & 3]] for b in darts]
 
 
-class AltDecomposition(Frozen):
+class AltDecomposition(NamedTuple):
     """The non-alternating edges, the curves as cycles of marked darts, and
-    the tangles; ``arc_runs`` is None when every edge alternates, and is left
-    out of comparison, hashing and the repr."""
+    the tangles."""
 
-    __slots__ = ("nonalternating", "curves", "tangles", "arc_runs")
+    nonalternating: frozenset[int]
+    curves: tuple[tuple[int, ...], ...]
+    tangles: tuple[Tangle, ...]
 
-    def __init__(
-        self,
-        nonalternating: frozenset[int],
-        curves: tuple[tuple[int, ...], ...],
-        tangles: tuple[Tangle, ...],
-        arc_runs: ArcRuns | None = None,
-    ):
-        _set(self, "nonalternating", nonalternating)
-        _set(self, "curves", curves)
-        _set(self, "tangles", tangles)
-        _set(self, "arc_runs", arc_runs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nonalternating, self.curves, self.tangles) == (
-            other.nonalternating, other.curves, other.tangles
-        )
-
-    def __hash__(self):
-        return hash((self.nonalternating, self.curves, self.tangles))
-
-    def __repr__(self) -> str:
-        return (
-            f"AltDecomposition(nonalternating={self.nonalternating!r}, curves={self.curves!r},"
-            f" tangles={self.tangles!r})"
-        )
-
-    def to_json(self) -> dict:
-        parent = self.tangles[0].parent  # every decomposition has a tangle
+    def to_json(self, d: Diagram) -> dict:
+        """The decomposition with its darts read on its diagram ``d``."""
         return {
             "nonalternating_edges": sorted(self.nonalternating),
-            "curves": [_points_json(parent, curve) for curve in self.curves],
-            "tangles": [t.to_json() for t in self.tangles],
+            "curves": [_points_json(d, curve) for curve in self.curves],
+            "tangles": [t.to_json(d) for t in self.tangles],
         }
 
 
@@ -197,34 +147,19 @@ class AltDecomposition(Frozen):
 _S01, _S23 = -1, -3
 
 
-Forms = tuple[tuple[tuple[int, int], tuple[int, int], list[int]], ...]
+Forms = tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, ...]], ...]
 
 
-class GenusOneStructure(Frozen):
+class GenusOneStructure(NamedTuple):
     """2k proper alternating 2-tangles in a cycle; tangle i's boundary is
     rotated so points 1 and 2 are the stubs toward tangle i+1.
 
     ``forms`` holds, per tangle, (det, signature) of the Goeritz forms of
-    N(R_i) and D(R_i) and eta at each of its crossings (see :func:`_forms`);
-    it is left out of comparison, hashing and the repr.
+    N(R_i) and D(R_i) and eta at each of its crossings (see :func:`_forms`).
     """
 
-    __slots__ = ("tangles", "forms")
-
-    def __init__(self, tangles: tuple[Tangle, ...], forms: Forms):
-        _set(self, "tangles", tangles)
-        _set(self, "forms", forms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tangles == other.tangles
-
-    def __hash__(self):
-        return hash((self.tangles,))
-
-    def __repr__(self) -> str:
-        return f"GenusOneStructure(tangles={self.tangles!r})"
+    tangles: tuple[Tangle, ...]
+    forms: Forms
 
     @property
     def k(self) -> int:
@@ -285,7 +220,7 @@ def _forms(fs: FaceStructure, runs: ArcRuns, tangles: tuple[Tangle, ...]) -> For
         )
         # S23 last: with S01 grounded, the leading block is D(R_i)'s form
         d_form, n_form = _nested_det_signatures(g, 1, len(g) - 2)
-        forms.append((n_form, d_form, etas))
+        forms.append((n_form, d_form, tuple(etas)))
     return tuple(forms)
 
 
@@ -318,18 +253,10 @@ def _corners(
     return corner_key, interior, sector_face
 
 
-def alternating_decomposition(a: DiagramAnalysis) -> AltDecomposition:
-    """Curve system and alternating tangles of the diagram of ``a``.
-
-    A marked point is a dart on a non-alternating edge, one whose ``mate``
-    has the same slot parity."""
-    d = a.diagram
-    fs = d.fs
-    nonalt = a.nonalternating
-    if not nonalt:
-        tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False, parent=d)
-        return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
-    mate, labels = d.mate, d.labels
+def _arc_runs(d: Diagram) -> ArcRuns:
+    """The arcs of the decomposition of ``d`` and their runs of corners, in
+    one walk over its faces; read as ``DiagramAnalysis.arc_runs``."""
+    fs, mate = d.fs, d.mate
 
     # arcs inside each face: a step of the face along a non-alternating edge
     # is a block from its departure dart to its arrival dart (the next
@@ -354,6 +281,21 @@ def alternating_decomposition(a: DiagramAnalysis) -> AltDecomposition:
             if p == q:
                 raise DiagramError("degenerate alternating decomposition (self-arc)")
             arcs.append((p, q, fi))
+    return ArcRuns(run, arcs, interior)
+
+
+def alternating_decomposition(a: DiagramAnalysis) -> AltDecomposition:
+    """Curve system and alternating tangles of the diagram of ``a``.
+
+    A marked point is a dart on a non-alternating edge, one whose ``mate``
+    has the same slot parity."""
+    d = a.diagram
+    d.fs  # validates the diagram
+    nonalt = a.nonalternating
+    if not nonalt:
+        tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False)
+        return AltDecomposition(nonalternating=frozenset(), curves=(), tangles=(tangle,))
+    mate, labels = d.mate, d.labels
 
     # each marked dart starts one arc and ends one, so the curves are the
     # cycles of p -> q.  A curve starts at the first marked dart in (label,
@@ -361,7 +303,7 @@ def alternating_decomposition(a: DiagramAnalysis) -> AltDecomposition:
     succ: dict[int, int] = {}
     pred: dict[int, int] = {}
     way: dict[int, dict[int, int]] = {}
-    for p, q, _ in arcs:
+    for p, q, _ in a.arc_runs.arcs:
         succ[p] = q
         pred[q] = p
         way.setdefault(p, succ)
@@ -411,13 +353,12 @@ def alternating_decomposition(a: DiagramAnalysis) -> AltDecomposition:
                 ordered = curve
                 p0, p1, p2, p3 = (b & 1 for b in curve)
                 proper = p0 != p1 != p2 != p3
-        tangles.append(Tangle(tuple(region), tuple(ordered), proper, d))
+        tangles.append(Tangle(tuple(region), tuple(ordered), proper))
 
     return AltDecomposition(
         nonalternating=frozenset(nonalt),
         curves=tuple(map(tuple, curves)),
         tangles=tuple(tangles),
-        arc_runs=ArcRuns(run, arcs, interior),
     )
 
 
@@ -429,32 +370,32 @@ def _joins(t: Tangle, which: str) -> tuple[tuple[int, int], ...]:
     return ((p0, p1), (p2, p3)) if which == "numerator" else ((p1, p2), (p3, p0))
 
 
-def _close(t: Tangle, which: str) -> Diagram:
-    """The parent's crossings of ``t``, in order, with the boundary edges
-    rejoined past the other tangles in the pairs of the ``which`` closure;
-    not yet validated.  Each boundary edge leaves the tangle, so the
-    closure has no free loop."""
-    mate, through = t.parent.mate, {}
+def _close(t: Tangle, d: Diagram, which: str) -> Diagram:
+    """The crossings of ``t`` in its parent ``d``, in order, with the
+    boundary edges rejoined past the other tangles in the pairs of the
+    ``which`` closure; not yet validated.  Each boundary edge leaves the
+    tangle, so the closure has no free loop."""
+    mate, through = d.mate, {}
     for p, q in _joins(t, which):
         through[mate[p]], through[mate[q]] = mate[q], mate[p]
-    return rejoin(t.parent, t.crossing_indices, through)
+    return rejoin(d, t.crossing_indices, through)
 
 
-def closures(t: Tangle) -> tuple[Diagram, Diagram]:
-    """Numerator and denominator closures of a 2-tangle, built from the
-    parent diagram and not validated (``validate`` rejects a closure that
-    is not a planar diagram).
+def closures(t: Tangle, d: Diagram) -> tuple[Diagram, Diagram]:
+    """Numerator and denominator closures of a 2-tangle of ``d``, built
+    from ``d`` and not validated (``validate`` rejects a closure that is
+    not a planar diagram).
 
     Nothing in the CLI builds them: ``GenusOneStructure`` reads the
     closure determinants and signatures off the decomposition's arcs, and
     these closures are that route's test oracle.
     """
-    return _close(t, "numerator"), _close(t, "denominator")
+    return _close(t, d, "numerator"), _close(t, d, "denominator")
 
 
 def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiagram:
-    """The ``which`` closure of ``t``, built from the parent diagram, with
-    the orientation ``od`` of the parent induces; a test oracle, like
+    """The ``which`` closure of ``t``, built from its parent ``od.diagram``,
+    with the orientation ``od`` induces; a test oracle, like
     :func:`closures`.
 
     Raises DiagramError when the orientation does not extend, that is when
@@ -465,7 +406,7 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
         if into[p] == into[q]:
             raise DiagramError("ambient orientation does not extend to this closure")
     bits = tuple(b for ci in t.crossing_indices for b in into[4 * ci:4 * ci + 4])
-    return orient(_close(t, which), into=bits)
+    return orient(_close(t, od.diagram, which), into=bits)
 
 
 def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None:
@@ -481,7 +422,7 @@ def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None
     if (i, r) != walked[0] or len({i for i, _ in walked}) != len(tangles):
         return None
     turns = ((tangles[i], tangles[i].boundary, r) for i, r in walked)
-    return tuple(Tangle(t.crossing_indices, b[r:] + b[:r], t.proper, t.parent) for t, b, r in turns)
+    return tuple(t._replace(boundary=b[r:] + b[:r]) for t, b, r in turns)
 
 
 def recognize_genus_one(a: DiagramAnalysis) -> GenusOneStructure | None:
@@ -513,7 +454,7 @@ def recognize_genus_one(a: DiagramAnalysis) -> GenusOneStructure | None:
     arranged = _walk(dec.tangles, far, 3 if far[0][0][0] == far[0][1][0] else 2)
     if arranged is None:
         return None
-    gs = GenusOneStructure(arranged, _forms(d.fs, dec.arc_runs, arranged))
+    gs = GenusOneStructure(arranged, _forms(d.fs, a.arc_runs, arranged))
     if m == 2:
         # the other split turns each tangle a place, swapping N and D: it takes
         # these forms swapped (their colour class gives the same invariants)

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import warnings
 
 from .diagram import Diagram, DiagramError, OrientedDiagram, orient, rejoin
-from .statesum import _state_loops, s_A, state_graph
+from .statesum import _state_loops, state_graph
 from .decomp import GenusOneStructure, classify_orientation, nonalternating_edges
 
 if TYPE_CHECKING:
@@ -16,7 +16,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SignatureReport",
     "ObstructionVerdict",
-    "AAMarkedDiagram",
     "is_reduced",
     "reduce_kinks",
     "traczyk_signature",
@@ -25,7 +24,6 @@ __all__ = [
     "tangle_sum_signature",
     "conway_determinant",
     "dl_coefficients",
-    "mark_almost_alternating",
     "aa_adjacency",
     "aa_extreme_coefficients",
     "jones_obstruction",
@@ -42,14 +40,6 @@ class SignatureReport(NamedTuple):
     exact: int | None = None
     method: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "method": self.method,
-        }
-
 
 class ObstructionVerdict(NamedTuple):
     a_m: int
@@ -58,6 +48,7 @@ class ObstructionVerdict(NamedTuple):
     implied: tuple[str, ...]
 
     def to_json(self) -> dict:
+        """The fields, ``implied`` as a list, as JSON reads it back."""
         return {
             "a_m": self.a_m,
             "a_M": self.a_M,
@@ -194,41 +185,6 @@ def dl_coefficients(d: Diagram) -> tuple[tuple[int, int], ...]:
     )
 
 
-class AAMarkedDiagram(NamedTuple):
-    """An almost-alternating diagram with its dealternator marked.
-
-    u1, u2 are the faces at the dealternator corners merged by its
-    A-smoothing D(R) (corners 1 and 3); v1, v2 the faces merged by its
-    B-smoothing N(R) (corners 0 and 2).
-    """
-
-    diagram: Diagram
-    dealternator: int
-    u1: int
-    u2: int
-    v1: int
-    v2: int
-
-
-def mark_almost_alternating(d: Diagram, dealternator: int) -> AAMarkedDiagram:
-    if not 0 <= dealternator < d.crossing_count:
-        raise DiagramError(f"crossing {dealternator} is not in 0..{d.crossing_count - 1}")
-    fs = d.fs
-    if not _is_dealternator(d, dealternator):
-        raise DiagramError("marked crossing is not a dealternator with four distinct non-alternating edges")
-    v1, u1, v2, u2 = fs.face_of[4 * dealternator:4 * dealternator + 4]
-    if len({u1, u2, v1, v2}) != 4:
-        raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
-    return AAMarkedDiagram(diagram=d, dealternator=dealternator, u1=u1, u2=u2, v1=v1, v2=v2)
-
-
-def _is_dealternator(d: Diagram, ci: int) -> bool:
-    """Crossing ci's four edges are distinct and D's only non-alternating
-    ones, so each smoothing joins under to over: both are alternating."""
-    ends = set(d.crossings[ci])
-    return len(ends) == 4 and nonalternating_edges(d) == ends
-
-
 def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
     """Replace crossing ci by its A- or B-smoothing, which joins dart a to
     ``a ^ 1`` or ``a ^ 3`` as in ``statesum._state_loops``; the other
@@ -238,63 +194,74 @@ def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
     return rejoin(d, keep, {a: a ^ flip for a in range(4 * ci, 4 * ci + 4)})
 
 
-def _check_aa_reduced(aa: AAMarkedDiagram) -> None:
-    """Refuse a marking whose D(R) or N(R) is not reduced, read off D's faces.
+def _check_aa_reduced(a: DiagramAnalysis) -> tuple[int, int, int, int]:
+    """The faces (u1, u2, v1, v2) at the dealternator of ``a``: u1, u2 at
+    its corners 1 and 3, which its A-smoothing D(R) merges, and v1, v2 at
+    corners 0 and 2, which its B-smoothing N(R) merges.
 
-    A smoothing keeps D's faces, less their corners at the dealternator, but
-    merges two (u1, u2 for D(R); v1, v2 for N(R)), so it is reduced iff no
-    face meets another crossing twice, the merged two counted as one.  The
-    dealternator is checked again, as a marking can be built by hand."""
-    d, deal = aa.diagram, aa.dealternator
-    if not (0 <= deal < d.crossing_count and _is_dealternator(d, deal)):
-        raise DiagramError("D(R) is not alternating (bad dealternator marking)")
-    face_of = d.fs.face_of
-    corners = [face_of[a:a + 4] for a in range(0, len(face_of), 4)]
+    Refuses a diagram with no dealternator, with these faces not distinct,
+    or whose D(R) or N(R) is not reduced, read off D's faces.  A smoothing
+    keeps D's faces, less their corners at the dealternator, but merges two,
+    so it is reduced iff no face meets another crossing twice, the merged
+    two counted as one."""
+    deal = a.dealternator
+    if deal is None:
+        raise DiagramError("not almost alternating: no crossing has exactly the four non-alternating edges")
+    face_of = a.diagram.fs.face_of
+    v1, u1, v2, u2 = face_of[4 * deal:4 * deal + 4]
+    if len({u1, u2, v1, v2}) != 4:
+        raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
+    corners = [face_of[b:b + 4] for b in range(0, len(face_of), 4)]
     del corners[deal]
-    for name, keep, merged in (("D(R)", aa.u1, aa.u2), ("N(R)", aa.v1, aa.v2)):
+    for name, keep, merged in (("D(R)", u1, u2), ("N(R)", v1, v2)):
         if any(len({keep if f == merged else f for f in fs}) < 4 for fs in corners):
             raise DiagramError(f"{name} is not reduced (the diagram simplifies)")
+    return u1, u2, v1, v2
 
 
-def aa_adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
+def aa_adjacency(a: DiagramAnalysis) -> tuple[int, int]:
     """Faces inside the tangle adjacent to both u-faces / both v-faces.
 
     Only faces in the same checkerboard class count: each one is a vertex
     of the checkerboard graph containing u1, u2 (resp. v1, v2), and its two
     incident crossings are the pair of state-graph edges that become
     parallel when the closure identifies the marked faces.
+
+    Raises DiagramError when ``a.dealternator`` is None, when its four
+    faces are not distinct, or when D(R) or N(R) is not reduced.
     """
-    _check_aa_reduced(aa)
-    return _adjacency(aa)
+    return _adjacency(a, _check_aa_reduced(a))
 
 
-def _adjacency(aa: AAMarkedDiagram) -> tuple[int, int]:
-    """:func:`aa_adjacency` once both smoothings are known to be reduced.
-    Faces of one colour meet at a crossing only at opposite corners a and
-    a ^ 2, so the faces counted are those opposite both u1 and u2 (v1, v2)."""
-    face_of = aa.diagram.fs.face_of
-    opposite: dict[int, set[int]] = {f: set() for f in (aa.u1, aa.u2, aa.v1, aa.v2)}
-    for a, f in enumerate(face_of):
+def _adjacency(a: DiagramAnalysis, faces: tuple[int, int, int, int]) -> tuple[int, int]:
+    """:func:`aa_adjacency` on the dealternator's faces (u1, u2, v1, v2),
+    once both smoothings are known to be reduced.  Faces of one colour meet
+    at a crossing only at opposite corners a and a ^ 2, so the faces counted
+    are those opposite both u1 and u2 (v1, v2)."""
+    u1, u2, v1, v2 = faces
+    face_of = a.diagram.fs.face_of
+    opposite: dict[int, set[int]] = {f: set() for f in faces}
+    for b, f in enumerate(face_of):
         if f in opposite:
-            opposite[f].add(face_of[a ^ 2])
-    adj_u = len((opposite[aa.u1] & opposite[aa.u2]) - {aa.u1, aa.u2})
-    adj_v = len((opposite[aa.v1] & opposite[aa.v2]) - {aa.v1, aa.v2})
+            opposite[f].add(face_of[b ^ 2])
+    adj_u = len((opposite[u1] & opposite[u2]) - {u1, u2})
+    adj_v = len((opposite[v1] & opposite[v2]) - {v1, v2})
     if adj_u == 1 and adj_v == 1:
         warnings.warn("adj(u)=adj(v)=1: both extreme coefficient predictions vanish", stacklevel=3)
     return adj_u, adj_v
 
 
-def aa_extreme_coefficients(aa: AAMarkedDiagram) -> tuple[tuple[int, int], tuple[int, int]]:
+def aa_extreme_coefficients(a: DiagramAnalysis) -> tuple[tuple[int, int], tuple[int, int]]:
     """Predicted extreme bracket terms ((exp, α_0), (exp, α_k)).  D(R)'s
     all-A state is D's, and its all-B state D's with the dealternator's flip
-    set to A, so neither smoothing is built."""
-    _check_aa_reduced(aa)
-    adj_u, adj_v = _adjacency(aa)
-    d = aa.diagram
+    set to A, so neither smoothing is built.  Refuses what
+    :func:`aa_adjacency` refuses."""
+    adj_u, adj_v = _adjacency(a, _check_aa_reduced(a))
+    d = a.diagram
     c = d.crossing_count - 1  # crossings of the tangle
     flips = [3] * d.crossing_count
-    flips[aa.dealternator] = 1
-    v_d = s_A(d)
+    flips[a.dealternator] = 1
+    v_d = a.s_A
     vb_d = _state_loops(d, flips)[1]
     a0 = (1 - adj_u) * (1 if v_d % 2 == 0 else -1)
     ak = (1 - adj_v) * (1 if (vb_d - 1) % 2 == 0 else -1)

@@ -107,9 +107,5 @@ class LaurentPoly(Frozen):
     def from_json(cls, obj: dict) -> "LaurentPoly":
         return cls(obj["variable"], {int(e): int(c) for e, c in obj["terms"]})
 
-    @classmethod
-    def monomial(cls, variable: str, exponent: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(variable, {exponent: coeff})
-
     def __str__(self) -> str:
         return self.to_text()

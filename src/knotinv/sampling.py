@@ -204,12 +204,15 @@ def random_almost_alternating_diagram(
     clasp crossing closing it.  Returns (diagram, dealternator index);
     retries until both smoothings of the dealternator are reduced.
 
-    Needs n >= 5.  D(R) and N(R) are the two closures of the n - 1 crossing
-    tangle, and with n - 1 <= 3 the tangle's top-level sum has a
-    one-crossing summand, which leaves a kink in one closure; a smaller n
-    spends all ``max_tries`` and raises DiagramError."""
-    from .invariants import mark_almost_alternating, _check_aa_reduced
+    Needs n >= 5, and refuses a smaller n before any draw: D(R) and N(R)
+    are the two closures of the n - 1 crossing tangle, and with n - 1 <= 3
+    the tangle's top-level sum has a one-crossing summand, which leaves a
+    kink in one closure."""
+    from .analysis import DiagramAnalysis
+    from .invariants import _check_aa_reduced
 
+    if n < 5:
+        raise DiagramError(f"an almost-alternating sample needs n >= 5 crossings, got {n}")
     for _ in range(max_tries):
         t = random_tangle_sketch(n - 1, rng)
         x = crossing_sketch(base=n - 1)
@@ -219,8 +222,7 @@ def random_almost_alternating_diagram(
         ]
         d = assemble(n, joins, flips={n - 1}, mirror_all=rng.random() < 0.5)
         try:
-            aa = mark_almost_alternating(d, n - 1)
-            _check_aa_reduced(aa)
+            _check_aa_reduced(DiagramAnalysis(d))
         except DiagramError:
             continue
         return d, n - 1

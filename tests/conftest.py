@@ -154,11 +154,11 @@ def resolve_loops(d: Diagram, s) -> int:
     return _loops_uf(d, s).classes - 1 + d.free_loops
 
 
-def aa_closures(aa) -> tuple[Diagram, Diagram]:
-    """(D(R), N(R)): the A- and B-smoothings of the dealternator, built by
-    rejoining; the oracle for the almost-alternating helpers, which read both
-    off the marked diagram's own tables."""
-    return _smooth(aa.diagram, aa.dealternator, "A"), _smooth(aa.diagram, aa.dealternator, "B")
+def aa_closures(a) -> tuple[Diagram, Diagram]:
+    """(D(R), N(R)): the A- and B-smoothings of the dealternator of the
+    analysis ``a``, built by rejoining; the oracle for the almost-alternating
+    helpers, which read both off the diagram's own tables."""
+    return _smooth(a.diagram, a.dealternator, "A"), _smooth(a.diagram, a.dealternator, "B")
 
 
 def _add_curl(d: Diagram, rng: random.Random) -> Diagram:
@@ -695,7 +695,7 @@ def recognize_genus_one_reference(a: DiagramAnalysis) -> GenusOneStructure | Non
         for r in range(4):
             if {edges[(1 + r) % 4], edges[(2 + r) % 4]} == to_next:
                 points = t.boundary
-                return Tangle(t.crossing_indices, points[r:] + points[:r], t.proper, t.parent)
+                return t._replace(boundary=points[r:] + points[:r])
         return None
 
     arranged: list[Tangle] = []
@@ -727,7 +727,7 @@ def recognize_genus_one_reference(a: DiagramAnalysis) -> GenusOneStructure | Non
                 return None
             arranged.append(r)
     arranged = tuple(arranged)
-    return GenusOneStructure(arranged, _forms(d.fs, dec.arc_runs, arranged))
+    return GenusOneStructure(arranged, _forms(d.fs, a.arc_runs, arranged))
 
 
 def _sector_reference(a: int | None, b: int | None) -> int | None:

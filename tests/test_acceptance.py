@@ -22,7 +22,6 @@ from knotinv import (
     jones,
     jones_obstruction,
     kauffman_bracket,
-    mark_almost_alternating,
     mirror,
     nonalternating_edges,
     orient,
@@ -108,7 +107,7 @@ def test_criterion_3_12n888_pipeline(k12n888_mirror):
     assert gs is not None and gs.k == 1
     dets = []
     for t in gs.tangles:
-        num, den = closures(t)
+        num, den = closures(t, d)
         dets.append(determinant(orient(num)))
         dets.append(determinant(orient(den)))
     assert sorted(dets) == [6, 6, 9, 9]
@@ -191,7 +190,8 @@ def test_criterion_7_aa_corpus():
     count = 0
     while count < 100:
         d, deal = random_almost_alternating_diagram(rng.randint(5, 14), rng)
-        aa = mark_almost_alternating(d, deal)
+        aa = DiagramAnalysis(d)
+        assert aa.dealternator == deal
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             adj_u, adj_v = aa_adjacency(aa)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from knotinv import (
+    Diagram,
     DiagramError,
     aa_extreme_coefficients,
     decomp,
@@ -12,7 +13,8 @@ from knotinv import (
     genus_one_knot_signature,
     goeritz_determinant,
     is_reduced,
-    mark_almost_alternating,
+    mirror,
+    nonalternating_edges,
     orient,
     parse_pd,
     recognize_genus_one,
@@ -58,7 +60,7 @@ def test_diagram_validates_once_across_entry_points(monkeypatch):
     """A parsed diagram keeps its face structure, so orienting it, its
     Goeritz determinant, the reducedness check, an analysis of it and the
     almost-alternating prediction validate it once between them."""
-    drawn, deal = random_almost_alternating_diagram(10, random.Random(7))
+    drawn, _ = random_almost_alternating_diagram(10, random.Random(7))
     d = parse_pd(serialize_pd(drawn))
     validations = _count_calls(monkeypatch, diagram.validate)
     orient(d)
@@ -67,7 +69,7 @@ def test_diagram_validates_once_across_entry_points(monkeypatch):
     DiagramAnalysis(d).det
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        aa_extreme_coefficients(mark_almost_alternating(d, deal))
+        aa_extreme_coefficients(DiagramAnalysis(d))
     assert len(validations) == 1
     assert validations[0][0] is d
 
@@ -204,3 +206,44 @@ def test_imposed_orientation_is_bits_of_the_diagram(trefoil, fig8):
     a = DiagramAnalysis(trefoil, into=orient(fig8).into)
     with pytest.raises(DiagramError):
         a.od
+
+
+def test_dealternator_is_the_samplers_crossing():
+    """On 240 drawn almost-alternating diagrams the analysis finds the
+    crossing the sampler flipped, and the same crossing on the mirror."""
+    rng = random.Random(23)
+    for _ in range(240):
+        d, deal = random_almost_alternating_diagram(rng.randint(5, 16), rng)
+        assert DiagramAnalysis(d).dealternator == deal
+        assert DiagramAnalysis(mirror(d)).dealternator == deal
+
+
+def _switch(d: Diagram, ci: int) -> Diagram:
+    """``d`` with crossing ``ci`` switched, its tuple turned one slot."""
+    crossings = list(d.crossings)
+    x = crossings[ci]
+    crossings[ci] = x[1:] + x[:1]
+    return Diagram(tuple(crossings), d.edge_count, d.free_loops)
+
+
+def test_dealternator_matches_switch_oracle():
+    """On 400 random diagrams, half of them alternating ones with one
+    crossing switched, the dealternator is the crossing with four distinct
+    edges whose switch leaves no non-alternating edge, found by trying
+    every crossing, or None when there is no such crossing."""
+    rng = random.Random(24)
+    found = 0
+    for i in range(400):
+        n = rng.randint(3, 14)
+        if i % 2:
+            d = random_diagram(n, rng)
+        else:
+            d = _switch(random_alternating_diagram(n, rng), rng.randrange(n))
+        hits = [
+            ci for ci, x in enumerate(d.crossings)
+            if len(set(x)) == 4 and not nonalternating_edges(_switch(d, ci))
+        ]
+        assert len(hits) <= 1
+        assert DiagramAnalysis(d).dealternator == (hits[0] if hits else None)
+        found += bool(hits)
+    assert 100 <= found <= 300  # both answers well covered

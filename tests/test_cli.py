@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from knotinv import AltDecomposition, decomp, goeritz_determinant, orient, parse_pd, serialize_pd
+from knotinv import decomp, goeritz_determinant, orient, parse_pd, serialize_pd
 from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
 from knotinv.sampling import random_almost_alternating_diagram
@@ -260,16 +260,13 @@ def test_decompose_beyond_state_sum_limit(tmp_path, capsys):
 def test_closure_structure_error_is_typed(tmp_path, capsys, monkeypatch):
     # a tangle with one interior face too few fails the structural check in
     # place of closure validation
-    decompose = decomp.alternating_decomposition
+    arc_runs = decomp._arc_runs
 
-    def dropping_a_face(a):
-        dec = decompose(a)
-        if dec.arc_runs is None:  # an alternating diagram has no arcs
-            return dec
-        runs = dec.arc_runs._replace(interior=dec.arc_runs.interior[1:])
-        return AltDecomposition(dec.nonalternating, dec.curves, dec.tangles, runs)
+    def dropping_a_face(d):
+        runs = arc_runs(d)
+        return runs._replace(interior=runs.interior[1:])
 
-    monkeypatch.setattr(decomp, "alternating_decomposition", dropping_a_face)
+    monkeypatch.setattr(decomp, "_arc_runs", dropping_a_face)
     rec = KnotRecord(name="big", pd_text=K12N888_MIRROR_PD)
     out = decompose_record(rec)
     message = out.pop("message")

@@ -63,7 +63,7 @@ def test_decomposition_aa_trefoil(aa_trefoil):
 
 
 def test_decomposition_json(aa_trefoil):
-    obj = alternating_decomposition(DiagramAnalysis(aa_trefoil)).to_json()
+    obj = alternating_decomposition(DiagramAnalysis(aa_trefoil)).to_json(aa_trefoil)
     assert obj["nonalternating_edges"] == [2, 3, 5, 6]
     assert len(obj["curves"]) == 2
     assert len(obj["tangles"]) == 2
@@ -75,7 +75,7 @@ def test_recognize_aa_trefoil(aa_trefoil):
     assert gs is not None and gs.k == 1
     dets = set()
     for t in gs.tangles:
-        num, den = closures(t)
+        num, den = closures(t, aa_trefoil)
         dets.add((determinant(orient(num)), determinant(orient(den))))
     assert dets == {(1, 2), (1, 1)}
 
@@ -90,7 +90,7 @@ def test_recognize_12n888(k12n888_mirror):
     assert gs is not None and gs.k == 1
     dets = []
     for t in gs.tangles:
-        num, den = closures(t)
+        num, den = closures(t, k12n888_mirror)
         dets.append(determinant(orient(num)))
         dets.append(determinant(orient(den)))
     assert sorted(dets) == [6, 6, 9, 9]
@@ -187,7 +187,7 @@ def test_oriented_closures_match_plain(aa_trefoil):
     sel = "numerator" if which in ("numerator", "both") else "denominator"
     for t in gs.tangles:
         oc = oriented_closure(t, od, sel)
-        num, den = closures(t)
+        num, den = closures(t, aa_trefoil)
         expected = num if sel == "numerator" else den
         assert oc.diagram == expected
 
@@ -224,7 +224,7 @@ def test_closure_determinants_match_closures(k12n888_mirror):
         dets = gs.closure_determinants
         tie = gs.k == 1 and sorted(p[::-1] for p in dets) == sorted(dets)
         for t, pair in zip(gs.tangles, dets):
-            assert pair == tuple(goeritz_determinant(c) for c in closures(t))
+            assert pair == tuple(goeritz_determinant(c) for c in closures(t, d))
             if tie:
                 assert sorted(mirror_pairs[t.crossing_indices]) == sorted(pair)
             else:
@@ -247,7 +247,7 @@ def test_arc_corners_match_face_walk_reference(k12n888_mirror):
     for d in corpus:
         a = DiagramAnalysis(d)
         gs = recognize_genus_one(a)
-        runs = a.decomposition.arc_runs
+        runs = a.arc_runs
         corner_key, interior, sector_face = _corners(d.fs.face_of, runs, gs.tangles)
         ref_key, ref_interior, ref_sector = tangle_faces_reference(d, d.fs, gs.tangles)
         assert corner_key == ref_key
@@ -260,9 +260,9 @@ def test_arc_corners_match_face_walk_reference(k12n888_mirror):
     assert other_split > 10
 
 
-def _joined_edges(t, which: str) -> frozenset:
-    """The pairs of parent edges the ``which`` closure of ``t`` joins."""
-    e0, e1, e2, e3 = (t.parent.labels[b] for b in t.boundary)
+def _joined_edges(d, t, which: str) -> frozenset:
+    """The pairs of edges of ``d`` the ``which`` closure of its tangle ``t`` joins."""
+    e0, e1, e2, e3 = (d.labels[b] for b in t.boundary)
     pairs = ((e0, e1), (e2, e3)) if which == "numerator" else ((e1, e2), (e3, e0))
     return frozenset(frozenset(pair) for pair in pairs)
 
@@ -276,7 +276,7 @@ def _closure_signatures(d, od) -> dict:
     out = {}
     for which in ("numerator", "denominator") if cls == "both" else (cls,):
         for t, sig in zip(gs.tangles, gs.closure_signatures(signs, which)):
-            out[(t.crossing_indices, _joined_edges(t, which))] = (t, which, sig)
+            out[(t.crossing_indices, _joined_edges(d, t, which))] = (t, which, sig)
     return out
 
 

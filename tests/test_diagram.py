@@ -357,6 +357,7 @@ def test_rejoin_free_loops():
     assert rejoin(two, (1,), {a: a ^ 1 for a in range(4)}) == Diagram(((1, 1, 2, 2),), 2)
     # a tangle's closures, rejoined past the other tangle, take none of its
     # darts as loops
-    for t in recognize_genus_one(DiagramAnalysis(parse_pd(AA_TREFOIL_PD))).tangles:
-        for c in closures(t):
+    aa = parse_pd(AA_TREFOIL_PD)
+    for t in recognize_genus_one(DiagramAnalysis(aa)).tangles:
+        for c in closures(t, aa):
             assert c.free_loops == 0 and c.edge_count == 2 * c.crossing_count

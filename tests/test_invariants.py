@@ -4,7 +4,6 @@ import warnings
 import pytest
 
 from knotinv import (
-    AAMarkedDiagram,
     Diagram,
     DiagramError,
     LaurentPoly,
@@ -19,7 +18,6 @@ from knotinv import (
     jones,
     jones_obstruction,
     kauffman_bracket,
-    mark_almost_alternating,
     mirror,
     nonalternating_edges,
     orient,
@@ -251,36 +249,32 @@ def test_dl_rejects(aa_trefoil):
 
 
 def test_mark_almost_alternating(aa_trefoil, trefoil):
-    aa = mark_almost_alternating(aa_trefoil, 2)
-    assert aa.dealternator == 2
-    assert len({aa.u1, aa.u2, aa.v1, aa.v2}) == 4
-    with pytest.raises(DiagramError):
-        mark_almost_alternating(trefoil, 0)
+    """The analysis marks the dealternator, and the almost-alternating
+    helpers refuse a diagram that has none."""
+    a = DiagramAnalysis(aa_trefoil)
+    assert a.dealternator == 2
+    alternating = DiagramAnalysis(trefoil)
+    assert alternating.dealternator is None
+    for helper in (aa_adjacency, aa_extreme_coefficients):
+        with pytest.raises(DiagramError, match="not almost alternating"):
+            helper(alternating)
 
 
-@pytest.mark.parametrize("index", [-1, -2, 3])
-def test_mark_almost_alternating_refuses_index_out_of_range(aa_trefoil, index):
-    # a negative index must not mark crossing c + index under another name
-    with pytest.raises(DiagramError, match=r"not in 0\.\.2"):
-        mark_almost_alternating(aa_trefoil, index)
+# six crossings, the dealternator last, with adj(u) = adj(v) = 1
+AA_ADJ_ONE_PD = "X[1,2,3,4] X[5,1,4,6] X[7,3,8,9] X[10,7,9,11] X[6,10,11,12] X[5,12,8,2]"
 
 
-def test_aa_helpers_refuse_hand_built_marking():
-    """A marking built by hand on a crossing that is not the dealternator,
-    or on a negative index, is refused: its smoothings are not alternating,
-    or the index names no crossing."""
-    d, deal = random_almost_alternating_diagram(9, random.Random(3))
-    fs = d.fs
-    for ci in [*range(d.crossing_count), -1]:
-        if ci == deal:
-            continue
-        v1, u1, v2, u2 = fs.face_of[4 * (ci % d.crossing_count):][:4]
-        with pytest.raises(DiagramError, match="bad dealternator marking"):
-            aa_extreme_coefficients(AAMarkedDiagram(d, ci, u1, u2, v1, v2))
+def test_aa_vanishing_warning_names_the_caller():
+    """When adj(u) = adj(v) = 1 both helpers warn, at the caller's line."""
+    a = DiagramAnalysis(parse_pd(AA_ADJ_ONE_PD))
+    with pytest.warns(UserWarning, match=r"adj\(u\)=adj\(v\)=1") as record:
+        assert aa_adjacency(a) == (1, 1)
+        aa_extreme_coefficients(a)
+    assert [w.filename for w in record] == [__file__, __file__]
 
 
 def test_aa_closures_smoothings(aa_trefoil):
-    aa = mark_almost_alternating(aa_trefoil, 2)
+    aa = DiagramAnalysis(aa_trefoil)
     dr, nr = aa_closures(aa)
     assert dr.crossing_count == nr.crossing_count == 2
     assert not nonalternating_edges(dr) and not nonalternating_edges(nr)
@@ -288,7 +282,7 @@ def test_aa_closures_smoothings(aa_trefoil):
 
 def test_aa_trefoil_closures_unreduced(aa_trefoil):
     # both smoothings of the dealternator are kinked twists here
-    aa = mark_almost_alternating(aa_trefoil, 2)
+    aa = DiagramAnalysis(aa_trefoil)
     with pytest.raises(DiagramError):
         aa_adjacency(aa)
 
@@ -297,7 +291,7 @@ def test_aa_generated_predictions():
     rng = random.Random(4)
     for _ in range(25):
         d, deal = random_almost_alternating_diagram(rng.randint(5, 12), rng)
-        aa = mark_almost_alternating(d, deal)
+        aa = DiagramAnalysis(d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             adj_u, adj_v = aa_adjacency(aa)
@@ -314,15 +308,15 @@ def test_aa_generated_predictions():
 
 
 def test_aa_helpers_validate_each_diagram_once(monkeypatch):
-    """Marking validates the diagram, and the extreme-coefficient
-    prediction reads both smoothings off its face structure.  The sampler
+    """The extreme-coefficient prediction validates the diagram once and
+    reads both smoothings off its face structure.  The sampler
     has already validated its own diagram, so the count is on a fresh copy."""
-    drawn, deal = random_almost_alternating_diagram(10, random.Random(7))
+    drawn, _ = random_almost_alternating_diagram(10, random.Random(7))
     d = Diagram(drawn.crossings, drawn.edge_count)
     validations = _count_calls(monkeypatch, validate)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        aa_extreme_coefficients(mark_almost_alternating(d, deal))
+        aa_extreme_coefficients(DiagramAnalysis(d))
     assert len(validations) == 1
     assert validations[0][0] is d
 
@@ -343,9 +337,9 @@ def _check_built_smoothings(dr, nr) -> None:
 
 
 def test_aa_check_matches_built_smoothings(monkeypatch):
-    """On 1500+ marked candidate draws of the almost-alternating sampler,
-    refused ones kept, the face-read reducedness check refuses exactly when
-    the built D(R) or N(R) is refused, and the loop walk gives s_B(D(R))
+    """On 1500+ candidate draws of the almost-alternating sampler, refused
+    ones kept, the face-read reducedness check refuses exactly when the
+    built D(R) or N(R) is refused, and the loop walk gives s_B(D(R))
     without building it."""
     draws = []
 
@@ -355,7 +349,7 @@ def test_aa_check_matches_built_smoothings(monkeypatch):
 
     monkeypatch.setattr(invariants, "_check_aa_reduced", keep_drawing)
     rng = random.Random(16)
-    for n in range(3, 12):
+    for n in range(5, 14):
         with pytest.raises(DiagramError, match="no reduced"):
             random_almost_alternating_diagram(n, rng, max_tries=170)
     monkeypatch.undo()
@@ -396,7 +390,7 @@ def test_adj_duality():
     rng = random.Random(5)
     for _ in range(40):
         d, deal = random_almost_alternating_diagram(rng.randint(5, 12), rng)
-        aa = mark_almost_alternating(d, deal)
+        aa = DiagramAnalysis(d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             adj_u, adj_v = aa_adjacency(aa)

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from knotinv import (
+    DiagramError,
     DiagramAnalysis,
     determinant,
     jones,
@@ -61,6 +64,17 @@ def test_aa_generator():
         bad = nonalternating_edges(d)
         assert bad == set(d.crossings[deal])
         assert turaev_genus(DiagramAnalysis(d)) == 1
+
+
+def test_aa_generator_refuses_small_n_before_drawing():
+    """n <= 4 cannot pass the reducedness check, so it is refused at once,
+    naming the least n, and the generator draws nothing."""
+    for n in range(-1, 5):
+        rng = random.Random(8)
+        state = rng.getstate()
+        with pytest.raises(DiagramError, match="needs n >= 5"):
+            random_almost_alternating_diagram(n, rng)
+        assert rng.getstate() == state
 
 
 def test_determinism():

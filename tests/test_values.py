@@ -1,11 +1,11 @@
-"""The twelve value classes, against what they did as frozen dataclasses.
+"""The eleven value classes: nine NamedTuples, and ``Diagram`` and
+``LaurentPoly``, which derive from ``frozen.Frozen``.
 
-Each builds the same value from positional and from keyword arguments,
-fills the same defaults, refuses assignment and deletion, survives copy
-and pickle, and prints the repr that its dataclass printed; the repr
-strings were captured from the dataclasses.  ``Tangle.parent``,
-``AltDecomposition.arc_runs`` and ``GenusOneStructure.forms`` stay out of
-equality, hashing and the repr.
+Each is exactly its fields: it builds the same value from positional and
+from keyword arguments, fills its defaults, refuses assignment and
+deletion, survives copy and pickle, and prints every field in its repr.
+The repr strings were captured from the frozen dataclasses these classes
+once were, apart from ``GenusOneStructure``'s, which now shows ``forms``.
 """
 
 import copy
@@ -14,7 +14,6 @@ import pickle
 import pytest
 
 from knotinv import (
-    AAMarkedDiagram,
     AltDecomposition,
     Diagram,
     FaceStructure,
@@ -25,19 +24,16 @@ from knotinv import (
     SignatureReport,
     StateGraph,
     Tangle,
-    parse_pd,
 )
+from knotinv.analysis import DiagramAnalysis
 from knotinv.decomp import ArcRuns
-
-from conftest import FIG8_PD
+from knotinv.frozen import Frozen
 
 D = Diagram(((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)), 6)
 D_REPR = "Diagram(crossings=((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)), edge_count=6, free_loops=0)"
-FIG8 = parse_pd(FIG8_PD)
-TANGLE = Tangle((0, 2), (1, 4, 9, 6), True, D)
+TANGLE = Tangle((0, 2), (1, 4, 9, 6), True)
 TANGLE_REPR = "Tangle(crossing_indices=(0, 2), boundary=(1, 4, 9, 6), proper=True)"
-RUNS = ArcRuns([0, -1, 1], [(1, 4, 0), (9, 6, 2)], [1])
-FORMS = (((3, 1), (1, 0), [1, -1]),)
+FORMS = (((3, 1), (1, 0), (1, -1)),)
 
 # class, its fields and one value for each, the defaults, the repr
 CASES = [
@@ -68,7 +64,7 @@ CASES = [
     ),
     (
         Tangle,
-        {"crossing_indices": (0, 2), "boundary": (1, 4, 9, 6), "proper": True, "parent": D},
+        {"crossing_indices": (0, 2), "boundary": (1, 4, 9, 6), "proper": True},
         {},
         TANGLE_REPR,
     ),
@@ -84,9 +80,8 @@ CASES = [
             "nonalternating": frozenset({2, 5}),
             "curves": ((1, 4), (9, 6)),
             "tangles": (TANGLE,),
-            "arc_runs": RUNS,
         },
-        {"arc_runs": None},
+        {},
         "AltDecomposition(nonalternating=frozenset({2, 5}), curves=((1, 4), (9, 6)),"
         f" tangles=({TANGLE_REPR},))",
     ),
@@ -94,7 +89,7 @@ CASES = [
         GenusOneStructure,
         {"tangles": (TANGLE,), "forms": FORMS},
         {},
-        f"GenusOneStructure(tangles=({TANGLE_REPR},))",
+        f"GenusOneStructure(tangles=({TANGLE_REPR},), forms=(((3, 1), (1, 0), (1, -1)),))",
     ),
     (
         SignatureReport,
@@ -108,16 +103,10 @@ CASES = [
         {},
         "ObstructionVerdict(a_m=1, a_M=-1, fires=True, implied=('not alternating', 'Turaev genus >= 2'))",
     ),
-    (
-        AAMarkedDiagram,
-        {"diagram": D, "dealternator": 0, "u1": 1, "u2": 2, "v1": 3, "v2": 4},
-        {},
-        f"AAMarkedDiagram(diagram={D_REPR}, dealternator=0, u1=1, u2=2, v1=3, v2=4)",
-    ),
 ]
 NAMED_TUPLES = {
-    FaceStructure, OrientedDiagram, StateGraph, ArcRuns,
-    SignatureReport, ObstructionVerdict, AAMarkedDiagram,
+    FaceStructure, OrientedDiagram, StateGraph, Tangle, ArcRuns, AltDecomposition,
+    GenusOneStructure, SignatureReport, ObstructionVerdict,
 }
 UNHASHABLE = {FaceStructure, LaurentPoly, ArcRuns}  # a list or dict among the compared fields
 
@@ -149,22 +138,19 @@ def test_value_class_contract(cls, values, defaults, text):
         assert hash(by_position) == hash(by_keyword)
 
 
-@pytest.mark.parametrize(
-    "cls, values, ignored, other",
-    [
-        (Tangle, CASES[5][1], "parent", FIG8),
-        (AltDecomposition, CASES[7][1], "arc_runs", None),
-        (GenusOneStructure, CASES[8][1], "forms", ()),
-    ],
-    ids=["Tangle.parent", "AltDecomposition.arc_runs", "GenusOneStructure.forms"],
-)
-def test_left_out_fields(cls, values, ignored, other):
-    """Changing the left-out field keeps equality, hash and repr; changing
-    any other field breaks equality."""
-    base = cls(**values)
-    changed = cls(**{**values, ignored: other})
-    assert getattr(changed, ignored) is other
-    assert base == changed and hash(base) == hash(changed) and repr(base) == repr(changed)
-    for name in values:
-        if name != ignored:
-            assert base != cls(**{**values, name: ()})
+
+def test_value_classes_are_named_tuples_or_frozen():
+    """Nine NamedTuples, and two plain classes deriving from ``Frozen``."""
+    for cls, *_ in CASES:
+        assert issubclass(cls, tuple) == (cls in NAMED_TUPLES)
+    assert [cls for cls, *_ in CASES if cls not in NAMED_TUPLES] == [Diagram, LaurentPoly]
+    assert all(issubclass(cls, Frozen) for cls in (Diagram, LaurentPoly))
+
+
+def test_recognized_values_hash(k12n888_mirror):
+    """What recognition builds hashes with every field, the eta tuples of
+    ``forms`` included, and equals a copy built from its fields."""
+    a = DiagramAnalysis(k12n888_mirror)
+    for value in (a.decomposition, a.genus_one):
+        copy_ = value.__class__(*value)
+        assert value == copy_ and hash(value) == hash(copy_)
