@@ -3,8 +3,8 @@ import random
 import pytest
 
 from knotinv import (
-    DiagramError,
     DiagramAnalysis,
+    DiagramError,
     determinant,
     jones,
     nonalternating_edges,
