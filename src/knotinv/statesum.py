@@ -123,20 +123,22 @@ def adequacy(d: Diagram) -> dict[str, bool]:
     }
 
 
-def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Crossing ends in greedy frontier order, and the most open ends the
-    sweep holds at once: each next crossing is the one with the most ends on
-    labels left open by the crossings before it, the lowest such crossing
-    on a tie.
+def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int, int]:
+    """Crossing ends in greedy frontier order, the most open ends the sweep
+    holds at once, and the number of components of the crossing graph:
+    each next crossing is the one with the most ends on labels left open by
+    the crossings before it, the lowest such crossing on a tie.
 
     ``count`` keeps the open ends of each crossing not yet swept (-1 once it
     is swept): sweeping a crossing opens the far end of each of its edges
-    that leads to a crossing not yet swept, and closes the others."""
+    that leads to a crossing not yet swept, and closes the others.  A
+    crossing placed while no end is open starts a new component."""
     mate = d.mate
     count = [0] * len(d.crossings)
     order = []
-    width = open_ends = 0
+    width = open_ends = components = 0
     for _ in range(len(count)):
+        components += not open_ends
         ci = count.index(max(count))
         count[ci] = -1
         order.append(d.crossings[ci])
@@ -148,23 +150,7 @@ def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int]:
             elif cj != ci:
                 open_ends -= 1
         width = max(width, open_ends)
-    return order, width
-
-
-def _over_delta(p: dict[int, int]) -> dict[int, int]:
-    """The exact quotient p / delta, by synthetic division from the top."""
-    p = dict(p)
-    lo, hi = min(p), max(p)
-    q: dict[int, int] = {}
-    for top in range(hi, lo + 3, -1):
-        cf = p.pop(top, 0)
-        if cf:
-            # delta * (-cf A^(top-2)) = cf A^top + cf A^(top-4)
-            q[top - 2] = -cf
-            p[top - 4] = p.get(top - 4, 0) - cf
-    if any(p.values()):
-        raise DiagramError("diagram has no loops, so its bracket is undefined")
-    return q
+    return order, width, components
 
 
 def _unpack(packed: int, bits: int, offset: int) -> dict[int, int]:
@@ -208,7 +194,8 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     an exact right shift, by delta two shifts and a sum, and merging two
     partial states one addition.  ``bits`` and ``offset`` come from this
     bound, which needs no validated diagram.  Let r be the number of
-    components of the crossing graph and f = ``free_loops``.  Taking the
+    components of the crossing graph, which the sweep order counts, and
+    f = ``free_loops``.  Taking the
     loops of a state as disks and its crossings as bands gives a surface
     with Euler characteristic loops - c whose components, one per component
     of the crossing graph, each have boundary, so loops <= c + r.  A partial
@@ -219,19 +206,24 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     right shift is exact, and every coefficient has
     |c_e| <= 2^(2c + r + f) < 2^(bits - 1), so the signed digits read back
     uniquely.
+
+    The finished sum is delta times the bracket, and the delta is divided
+    out of the packed integer once, before it is unpacked: packing is a
+    ring homomorphism Z[A, A^-1] -> Z that sends delta * A^2 to
+    -(X^4 + 1), so when delta divides the sum, X^2 times its packed value
+    is -(X^4 + 1) times the packed quotient, and the integer division is
+    exact.  The quotient is a sum of the same terms with one delta fewer,
+    so the bound above covers its digits too.  Every state of a diagram
+    with a crossing or a free loop has a loop, so delta divides every sum
+    but the empty diagram's, whose packed value 1 leaves the remainder X^2:
+    the empty diagram raises :class:`DiagramError`, as it has no loops and
+    so no bracket.
     """
-    order, width = _sweep_order(d)
+    order, width, components = _sweep_order(d)
     if width > MAX_OPEN_ENDS:
         raise CrossingLimitError(
             f"sweep frontier of {width} open ends exceeds the bound of {MAX_OPEN_ENDS}"
         )
-    # r: a crossing met with no open end starts a component of the crossing
-    # graph; after j crossings no end is open when 2j labels have been seen
-    components = 0
-    seen: set[int] = set()
-    for j, ends in enumerate(order):
-        components += len(seen) == 2 * j
-        seen.update(ends)
     c, f = len(order), d.free_loops
     bits = 2 * c + components + f + 2
     offset = 3 * c + 2 * components + 2 * f
@@ -268,7 +260,11 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     (poly,) = states.values()
     for _ in range(f):
         poly = -(poly << two) - (poly >> two)
-    return LaurentPoly("A", _over_delta(_unpack(poly, bits, offset)))
+    # poly / delta = poly * X^2 / (delta * X^2), and delta * X^2 = -(X^4 + 1)
+    poly, rest = divmod(-(poly << two), (1 << 2 * two) + 1)
+    if rest:
+        raise DiagramError("diagram has no loops, so its bracket is undefined")
+    return LaurentPoly("A", _unpack(poly, bits, offset))
 
 
 def jones(od: OrientedDiagram) -> LaurentPoly:

@@ -23,7 +23,6 @@ from knotinv.sampling import (
 from knotinv.statesum import (
     MAX_OPEN_ENDS,
     CrossingLimitError,
-    _over_delta,
     _sweep_order,
 )
 from knotinv.textio import KnotRecord, PolyParseError
@@ -206,12 +205,29 @@ def _add_term(out: dict[int, int], p: dict[int, int], shift: int, loops: int) ->
     return out
 
 
+def _over_delta(p: dict[int, int]) -> dict[int, int]:
+    """The exact quotient p / delta, by synthetic division from the top."""
+    p = dict(p)
+    lo, hi = min(p), max(p)
+    q: dict[int, int] = {}
+    for top in range(hi, lo + 3, -1):
+        cf = p.pop(top, 0)
+        if cf:
+            # delta * (-cf A^(top-2)) = cf A^top + cf A^(top-4)
+            q[top - 2] = -cf
+            p[top - 4] = p.get(top - 4, 0) - cf
+    if any(p.values()):
+        raise DiagramError("diagram has no loops, so its bracket is undefined")
+    return q
+
+
 def bracket_sweep_reference(d) -> LaurentPoly:
     """``statesum.kauffman_bracket`` as it was before it packed matchings
     into label-indexed tuples and polynomials into integers, kept verbatim
     as its oracle: matchings as sorted (end, partner) items, polynomials as
-    {A-exponent: coeff} dicts."""
-    order, width = _sweep_order(d)
+    {A-exponent: coeff} dicts, and delta divided out of the finished dict
+    by ``_over_delta``."""
+    order, width, _ = _sweep_order(d)
     if width > MAX_OPEN_ENDS:
         raise CrossingLimitError(
             f"sweep frontier of {width} open ends exceeds the bound of {MAX_OPEN_ENDS}"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from knotinv import (
     CrossingLimitError,
     Diagram,
+    DiagramError,
     LaurentPoly,
     adequacy,
     determinant,
@@ -304,9 +305,9 @@ def test_sweep_width_bound_refuses(monkeypatch):
             raise AssertionError("a state was expanded")
 
     def order_probe(d):
-        _, width = sweep_order(d)
+        _, width, components = sweep_order(d)
         probed.append(width)
-        return Unswept(), width
+        return Unswept(), width, components
 
     monkeypatch.setattr(statesum, "_sweep_order", order_probe)
     with pytest.raises(CrossingLimitError, match="frontier of 18 open ends exceeds the bound of 16"):
@@ -365,6 +366,56 @@ def test_packed_sweep_counts_components_with_kinks():
     assert kauffman_bracket(d) == bracket_state_sum(d) == bracket_sweep_reference(d)
 
 
+def test_empty_diagram_has_no_bracket():
+    """No crossing and no free loop: the state sum has no loop to divide
+    delta out of, so the bracket is refused."""
+    with pytest.raises(DiagramError, match="^diagram has no loops, so its bracket is undefined$"):
+        kauffman_bracket(Diagram((), 0, 0))
+
+
+def _crossing_graph_components(d: Diagram) -> int:
+    """Components of the crossing graph, by a breadth-first search over
+    the dart table."""
+    mate = d.mate
+    seen = [False] * d.crossing_count
+    components = 0
+    for start in range(d.crossing_count):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start] = True
+        queue = [start]
+        for ci in queue:
+            for a in range(4 * ci, 4 * ci + 4):
+                cj = mate[a] >> 2
+                if not seen[cj]:
+                    seen[cj] = True
+                    queue.append(cj)
+    return components
+
+
+def test_sweep_counts_components_of_split_sums():
+    """300 split sums of 1-4 random or alternating diagrams of 1-8
+    crossings each, crossings shuffled, with 0-2 free loops: the sweep
+    counts the crossing graph's components, and the bracket, whose digit
+    bound reads that count, matches the dict sweep."""
+    rng = random.Random(24)
+    for i in range(300):
+        parts = [
+            rng.choice((random_diagram, random_alternating_diagram))(rng.randint(1, 8), rng)
+            for _ in range(rng.randint(1, 4))
+        ]
+        crossings = []
+        edges = 0
+        for p in parts:
+            crossings += [tuple(e + edges for e in x) for x in p.crossings]
+            edges += p.edge_count
+        rng.shuffle(crossings)
+        d = Diagram(tuple(crossings), edges, rng.randint(0, 2))
+        assert statesum._sweep_order(d)[2] == _crossing_graph_components(d) == len(parts), i
+        assert kauffman_bracket(d) == bracket_sweep_reference(d), i
+
+
 def test_s_A_s_B_match_resolve_loops():
     """The orbit counts of a -> mate[a ^ 1] and a -> mate[a ^ 3] are the
     loop counts of the all-A and all-B states."""
@@ -386,4 +437,4 @@ def test_sweep_order_matches_reference():
         shuffled = list(d.crossings)
         rng.shuffle(shuffled)
         for g in (d, Diagram(tuple(shuffled), d.edge_count, d.free_loops)):
-            assert statesum._sweep_order(g) == sweep_order_reference(g)
+            assert statesum._sweep_order(g)[:2] == sweep_order_reference(g)
