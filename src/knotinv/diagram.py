@@ -20,7 +20,7 @@ when the edge at dart ``a`` flows into its crossing there.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 import re
 from typing import NamedTuple
 
@@ -53,28 +53,28 @@ _set = object.__setattr__
 
 
 class Diagram(Frozen):
-    """An unoriented PD-coded diagram.
+    """An unoriented PD-coded diagram: its crossings and its free loops.
 
-    Each crossing is a 4-tuple of edge labels.  ``free_loops`` counts
-    crossingless circle components; the empty diagram with one free loop is
-    the 0-crossing unknot.
+    Each crossing is a 4-tuple of edge labels.  The c crossings have 4c
+    slots, so their labels are 1..2c, each used twice, and ``edge_count``
+    is ``2 * crossing_count``.  ``free_loops`` counts crossingless circle
+    components and is keyword-only; the empty diagram with one free loop
+    is the 0-crossing unknot.
 
     ``mate`` is the dart table, built with the label check: ``mate[a]`` is
     the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
     ``s`` of crossing ``ci``), so ``mate[mate[a]] == a``; ``labels[a]`` is
     that edge's label.  ``fs`` is the face structure; the first read
-    validates the diagram and the result is kept.  All three are derived
-    from ``crossings``, so none is a constructor parameter: they are
-    neither compared nor shown in the repr.
+    validates the diagram and the result is kept.  These and the counts
+    are derived from ``crossings``, so none is a constructor parameter:
+    they are neither compared nor shown in the repr.
     """
 
-    def __init__(
-        self, crossings: tuple[tuple[int, int, int, int], ...], edge_count: int, free_loops: int = 0
-    ):
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], *, free_loops: int = 0):
         for x in crossings:
             if len(x) != 4:
                 raise DiagramError(f"crossing needs 4 ends, got {x!r}")
-        n = edge_count
+        n = 2 * len(crossings)  # each label fills two of the 4c slots
         first = [-1] * (n + 1)  # the first dart seen on each label
         labels = tuple(e for x in crossings for e in x)
         mate = [-1] * len(labels)
@@ -89,7 +89,7 @@ class Diagram(Frozen):
                 bad |= mate[b] >= 0  # a third end of the label
                 mate[a] = b
                 mate[b] = a
-        if bad or -1 in mate or len(mate) != 2 * n:  # some label not used twice
+        if bad or -1 in mate:  # some label not used twice
             seen: dict[int, int] = {}
             for e in labels:
                 seen[e] = seen.get(e, 0) + 1
@@ -97,7 +97,6 @@ class Diagram(Frozen):
                 if seen.get(e, 0) != 2:
                     raise DiagramError(f"edge {e} appears {seen.get(e, 0)} times, expected 2")
         _set(self, "crossings", crossings)
-        _set(self, "edge_count", edge_count)
         _set(self, "free_loops", free_loops)
         _set(self, "mate", tuple(mate))
         _set(self, "labels", labels)
@@ -105,25 +104,24 @@ class Diagram(Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.crossings, self.edge_count, self.free_loops) == (
-            other.crossings, other.edge_count, other.free_loops
-        )
+        return (self.crossings, self.free_loops) == (other.crossings, other.free_loops)
 
     def __hash__(self):
-        return hash((self.crossings, self.edge_count, self.free_loops))
+        return hash((self.crossings, self.free_loops))
 
     def __repr__(self) -> str:
-        return (
-            f"Diagram(crossings={self.crossings!r}, edge_count={self.edge_count!r},"
-            f" free_loops={self.free_loops!r})"
-        )
+        return f"Diagram(crossings={self.crossings!r}, free_loops={self.free_loops!r})"
 
     def __reduce__(self):
-        return Diagram, (self.crossings, self.edge_count, self.free_loops)
+        return partial(Diagram, free_loops=self.free_loops), (self.crossings,)
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
+
+    @property
+    def edge_count(self) -> int:
+        return 2 * len(self.crossings)
 
     @cached_property
     def fs(self) -> FaceStructure:
@@ -139,10 +137,10 @@ def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagra
     An edge that reaches a dropped dart ``b`` continues from ``through[b]``
     along that dart's edge, so ``through`` pairs up the dropped darts a walk
     can reach; a closed walk through dropped darts alone becomes a free
-    loop.  Edges are numbered in dart order.  It builds tangle closures
-    (the boundary edges rejoined past the other tangles) and smoothings (a
-    crossing's darts rejoined in pairs).  Returns the diagram, not yet
-    validated.
+    loop.  Edges are numbered 1..2k in dart order, k = ``len(keep)``.  It
+    builds tangle closures (the boundary edges rejoined past the other
+    tangles) and smoothings (a crossing's darts rejoined in pairs).
+    Returns the diagram, not yet validated.
     """
     mate = d.mate
     at = [-1] * d.crossing_count  # each kept crossing's place in ``keep``
@@ -169,7 +167,8 @@ def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagra
             while b not in seen:
                 seen.update((b, through[b]))
                 b = mate[through[b]]
-    return Diagram(tuple(tuple(labels[a:a + 4]) for a in range(0, len(labels), 4)), n, loops)
+    crossings = tuple(tuple(labels[a:a + 4]) for a in range(0, len(labels), 4))
+    return Diagram(crossings, free_loops=loops)
 
 
 # X[a,b,c,d], X(a,b,c,d), [a,b,c,d] or (a,b,c,d), brackets matched: the
@@ -202,12 +201,14 @@ def parse_pd(text: str) -> Diagram:
     Also accepts ``X(a,b,c,d)`` and bare ``[a,b,c,d]`` / ``(a,b,c,d)``
     tuples; each ``U`` token adds one free unknotted loop.  Empty text is
     the 0-crossing unknot.  A label is an optionally negative run of ASCII
-    digits; a negative one is refused by the label range check, and one
-    with more digits than ``int`` converts raises ``PDSyntaxError``.
+    digits; c crossings take the labels 1..2c, so a label outside that
+    range (a negative one too) is refused by ``Diagram``'s label check,
+    and one with more digits than ``int`` converts raises
+    ``PDSyntaxError``.
     """
     tokens = text.split()
     if not tokens:
-        return Diagram(crossings=(), edge_count=0, free_loops=1)
+        return Diagram(crossings=(), free_loops=1)
     crossings: list[tuple[int, ...]] = []
     free_loops = 0
     match = _TOKEN_RE.fullmatch
@@ -222,8 +223,7 @@ def parse_pd(text: str) -> Diagram:
             crossings.append(tuple(map(int, m.group(2, 3, 4, 5))))
         except ValueError:  # past the interpreter's int-string digit limit
             raise PDSyntaxError(f"label too long to convert in token {tok[:16]!r}...") from None
-    edge_count = max((e for x in crossings for e in x), default=0)
-    return Diagram(crossings=tuple(crossings), edge_count=edge_count, free_loops=free_loops)
+    return Diagram(crossings=tuple(crossings), free_loops=free_loops)
 
 
 def serialize_pd(d: Diagram) -> str:
@@ -392,8 +392,4 @@ def crossing_signs(od: OrientedDiagram) -> tuple[tuple[int, ...], int, int, int]
 
 def mirror(d: Diagram) -> Diagram:
     """Swap over/under everywhere by rotating each crossing tuple one slot."""
-    return Diagram(
-        crossings=tuple((b, c, e, a) for a, b, c, e in d.crossings),
-        edge_count=d.edge_count,
-        free_loops=d.free_loops,
-    )
+    return Diagram(tuple((b, c, e, a) for a, b, c, e in d.crossings), free_loops=d.free_loops)

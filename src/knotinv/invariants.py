@@ -275,8 +275,8 @@ def jones_obstruction(v) -> ObstructionVerdict:
     c = v.coeffs
     if not c:
         raise ValueError("zero polynomial has no extreme coefficients")
-    a_m = c[min(c)]
-    a_M = c[max(c)]
+    a_m = next(iter(c.values()))  # coeffs run by ascending exponent
+    a_M = next(reversed(c.values()))
     fires = abs(a_m) >= 2 and abs(a_M) >= 2
     return ObstructionVerdict(
         a_m=a_m, a_M=a_M, fires=fires, implied=_IMPLIED if fires else ()

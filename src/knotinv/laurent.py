@@ -15,14 +15,16 @@ _set = object.__setattr__
 
 
 class LaurentPoly(Frozen):
-    """``coeffs`` maps each exponent to its coefficient; zero coefficients
-    are dropped.  Polynomials compare by value and are not hashable."""
+    """``coeffs`` maps each exponent to its nonzero coefficient, lowest
+    exponent first whatever order the terms were given in, so equal
+    polynomials have one repr and one pickle.  Polynomials compare by value
+    and are not hashable."""
 
     __slots__ = ("variable", "coeffs")
 
     def __init__(self, variable: str, coeffs: dict[int, int] = {}):  # the default is only read
         _set(self, "variable", variable)
-        _set(self, "coeffs", {e: c for e, c in coeffs.items() if c != 0})
+        _set(self, "coeffs", {e: c for e, c in sorted(coeffs.items()) if c})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -36,18 +38,19 @@ class LaurentPoly(Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def terms(self, ascending: bool = True) -> list[tuple[int, int]]:
-        return sorted(self.coeffs.items(), reverse=not ascending)
+    def terms(self) -> list[tuple[int, int]]:
+        """The (exponent, coefficient) pairs, lowest exponent first."""
+        return list(self.coeffs.items())
 
     def min_exponent(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no extreme exponents")
-        return min(self.coeffs)
+        return next(iter(self.coeffs))
 
     def max_exponent(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no extreme exponents")
-        return max(self.coeffs)
+        return next(reversed(self.coeffs))
 
     def coefficient(self, exponent: int) -> int:
         return self.coeffs.get(exponent, 0)
@@ -98,7 +101,7 @@ class LaurentPoly(Frozen):
         """Render as signed monomials sorted by descending exponent."""
         if self.is_zero:
             return "0"
-        return " + ".join(self._monomial_text(e, c) for e, c in self.terms(ascending=False))
+        return " + ".join(self._monomial_text(e, c) for e, c in reversed(self.coeffs.items()))
 
     def to_json(self) -> dict:
         return {"variable": self.variable, "terms": [[e, c] for e, c in self.terms()]}

@@ -133,7 +133,7 @@ def assemble(vertex_count: int, joins: list[tuple[Port, Port]],
         tuple(edge_of[(v, (s + offset[v]) % 4)] for s in range(4))
         for v in range(vertex_count)
     )
-    return Diagram(crossings=crossings, edge_count=len(joins), free_loops=0)
+    return Diagram(crossings)
 
 
 def _closed_joins(t: TangleSketch, closure: str) -> list[tuple[Port, Port]]:

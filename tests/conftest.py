@@ -174,7 +174,7 @@ def _add_curl(d: Diagram, rng: random.Random) -> Diagram:
     curl = (e, loop, loop, out)
     r = rng.randrange(4)  # which slot is the incoming under-strand
     ends.append(curl[r:] + curl[:r])
-    return Diagram(tuple(map(tuple, ends)), d.edge_count + 2)
+    return Diagram(tuple(map(tuple, ends)))
 
 
 def bracket_state_sum(d) -> LaurentPoly:

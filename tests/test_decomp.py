@@ -117,7 +117,7 @@ def _switched(d, rng):
     for ci in rng.sample(range(len(xs)), min(len(xs), rng.randint(1, 3))):
         a, b, c, e = xs[ci]
         xs[ci] = (b, c, e, a)
-    return Diagram(tuple(xs), d.edge_count)
+    return Diagram(tuple(xs))
 
 
 def test_walk_matches_reference_recognition():
@@ -159,7 +159,7 @@ def _relabelled(d, rng):
     rng.shuffle(label)
     xs = [tuple(label[e - 1] for e in x) for x in d.crossings]
     rng.shuffle(xs)
-    return Diagram(tuple(xs), d.edge_count)
+    return Diagram(tuple(xs))
 
 
 def test_recognition_ignores_labelling():

@@ -114,11 +114,11 @@ def test_face_structure_is_kept_and_not_a_field():
     raises the same error on every read."""
     d = parse_pd(TREFOIL_PD)
     assert d.fs is d.fs
-    fresh = Diagram(d.crossings, d.edge_count)
+    fresh = Diagram(d.crossings)
     assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
     assert "fs" not in inspect.signature(Diagram).parameters
     with pytest.raises(TypeError):
-        Diagram(d.crossings, d.edge_count, fs=d.fs)
+        Diagram(d.crossings, fs=d.fs)
     split = parse_pd("X[1,3,2,4] X[3,1,4,2] U")
     for _ in range(2):
         with pytest.raises(DiagramError, match="split diagram: free loops alongside crossings"):
@@ -152,17 +152,21 @@ def test_validate_messages(pd, message):
 
 
 def test_label_messages():
+    """c crossings take the labels 1..2c, each at two of the 4c slots."""
     with pytest.raises(DiagramError) as exc:
-        Diagram(((1, 2, 3, 4), (1, 2, 3, 5)), 5)
-    assert str(exc.value) == "edge 4 appears 1 times, expected 2"
+        Diagram(((1, 2, 3, 4), (1, 2, 3, 5)))
+    assert str(exc.value) == "edge label 5 out of range 1..4"
     with pytest.raises(DiagramError) as exc:
-        Diagram(((1, 1, 1, 2), (2, 3, 3, 4)), 4)
+        Diagram(((1, 2, 3, 4), (1, 2, 4, 4)))
+    assert str(exc.value) == "edge 3 appears 1 times, expected 2"
+    with pytest.raises(DiagramError) as exc:
+        Diagram(((1, 1, 1, 2), (2, 3, 3, 4)))
     assert str(exc.value) == "edge 1 appears 3 times, expected 2"
     with pytest.raises(DiagramError) as exc:
-        Diagram(((1, 1, 2, 2),), 3)
+        Diagram(((1, 1, 2, 2), (4, 4, 4, 4)))
     assert str(exc.value) == "edge 3 appears 0 times, expected 2"
     with pytest.raises(DiagramError) as exc:
-        Diagram(((1, 1, 2, 2), (3, 3, 4, 7)), 4)
+        Diagram(((1, 1, 2, 2), (3, 3, 4, 7)))
     assert str(exc.value) == "edge label 7 out of range 1..4"
 
 
@@ -170,13 +174,13 @@ def test_crossing_needs_four_ends():
     """A crossing of 3 or 5 labels is refused, even where the labels alone
     would each be used twice."""
     with pytest.raises(DiagramError) as exc:
-        Diagram(((1, 1, 2), (2, 3, 3, 4)), 4)
+        Diagram(((1, 1, 2), (2, 3, 3, 4)))
     assert str(exc.value) == "crossing needs 4 ends, got (1, 1, 2)"
     with pytest.raises(DiagramError) as exc:
-        Diagram(((1, 2, 3), (1, 2, 3, 4, 4)), 4)
+        Diagram(((1, 2, 3), (1, 2, 3, 4, 4)))
     assert str(exc.value) == "crossing needs 4 ends, got (1, 2, 3)"
     with pytest.raises(DiagramError) as exc:
-        Diagram(((1, 1, 2, 2, 3), (3, 4, 4)), 4)
+        Diagram(((1, 1, 2, 2, 3), (3, 4, 4)))
     assert str(exc.value) == "crossing needs 4 ends, got (1, 1, 2, 2, 3)"
 
 
@@ -207,7 +211,7 @@ def test_mate_table():
             assert a != b and d.mate[b] == a and labels[a] == labels[b]
     d = parse_pd(TREFOIL_PD)
     assert "mate" not in repr(d)
-    assert d == Diagram(d.crossings, d.edge_count)
+    assert d == Diagram(d.crossings)
 
 
 def test_faces_match_reference():
@@ -338,10 +342,7 @@ def test_relabel_invariance(perm):
     # relabeling edges keeps the trefoil valid with the same face count
     d = parse_pd(TREFOIL_PD)
     sub = {old: new for old, new in zip(range(1, 7), perm)}
-    relabeled = Diagram(
-        crossings=tuple(tuple(sub[e] for e in x) for x in d.crossings),
-        edge_count=6,
-    )
+    relabeled = Diagram(tuple(tuple(sub[e] for e in x) for x in d.crossings))
     assert validate(relabeled).face_count == 5
 
 
@@ -350,14 +351,14 @@ def test_rejoin_free_loops():
     X[1,1,2,2] dropped, its darts rejoined by the A-smoothing (a ^ 1), is
     two circles, and by the B-smoothing (a ^ 3) one."""
     curl = parse_pd("X[1,1,2,2]")
-    assert rejoin(curl, (), {a: a ^ 1 for a in range(4)}) == Diagram((), 0, 2)
-    assert rejoin(curl, (), {a: a ^ 3 for a in range(4)}) == Diagram((), 0, 1)
+    assert rejoin(curl, (), {a: a ^ 1 for a in range(4)}) == Diagram((), free_loops=2)
+    assert rejoin(curl, (), {a: a ^ 3 for a in range(4)}) == Diagram((), free_loops=1)
     # a kept crossing keeps its darts; edges are numbered in dart order
     two = parse_pd("X[1,2,3,4] X[4,3,2,1]")
-    assert rejoin(two, (1,), {a: a ^ 1 for a in range(4)}) == Diagram(((1, 1, 2, 2),), 2)
+    assert rejoin(two, (1,), {a: a ^ 1 for a in range(4)}) == Diagram(((1, 1, 2, 2),))
     # a tangle's closures, rejoined past the other tangle, take none of its
     # darts as loops
     aa = parse_pd(AA_TREFOIL_PD)
     for t in recognize_genus_one(DiagramAnalysis(aa)).tangles:
         for c in closures(t, aa):
-            assert c.free_loops == 0 and c.edge_count == 2 * c.crossing_count
+            assert c.free_loops == 0

@@ -312,7 +312,7 @@ def test_aa_helpers_validate_each_diagram_once(monkeypatch):
     reads both smoothings off its face structure.  The sampler
     has already validated its own diagram, so the count is on a fresh copy."""
     drawn, _ = random_almost_alternating_diagram(10, random.Random(7))
-    d = Diagram(drawn.crossings, drawn.edge_count)
+    d = Diagram(drawn.crossings)
     validations = _count_calls(monkeypatch, validate)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,7 +1,13 @@
+import pickle
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from knotinv import LaurentPoly
+from knotinv import LaurentPoly, jones, kauffman_bracket, mirror, orient, parse_poly
+from knotinv.sampling import random_alternating_diagram, random_diagram
+
+from conftest import bracket_state_sum
 
 
 def test_zero_stripping():
@@ -30,6 +36,40 @@ def test_extremes_and_mirror():
     assert p.mirror().coeffs == {-5: 2, 3: 7}
     with pytest.raises(ValueError):
         LaurentPoly("A", {}).min_exponent()
+
+
+def _assert_canonical(p, q):
+    """Equal polynomials print and pickle alike, and their extreme
+    exponents are those of their terms."""
+    assert p == q
+    assert repr(p) == repr(q) and pickle.dumps(p) == pickle.dumps(q)
+    assert list(p.coeffs) == sorted(p.coeffs)
+    assert p.min_exponent() == q.min_exponent() == min(q.coeffs)
+    assert p.max_exponent() == q.max_exponent() == max(q.coeffs)
+
+
+def test_equal_polynomials_have_one_repr():
+    """The terms are kept by ascending exponent whatever order they were
+    built in: from text, from the bracket and the Jones polynomial (built
+    descending by the writhe change) against their JSON round trips and
+    the state-sum oracle, and from sums and products taken both ways."""
+    for text in ("t^2 - t + 1", "1 - t + t^2", "-t + 1 + t^2", "t^2 + 1 - t"):
+        _assert_canonical(parse_poly(text), parse_poly("1 - t + t^2"))
+    text = "LaurentPoly(variable='t_half', coeffs={0: 1, 2: -1, 4: 1})"
+    assert repr(parse_poly("t^2 - t + 1")) == text
+    rng = random.Random(25)
+    for i in range(20):
+        d = (random_diagram, random_alternating_diagram)[i % 2](rng.randint(2, 8), rng)
+        bracket, v = kauffman_bracket(d), jones(orient(d))
+        _assert_canonical(bracket, bracket_state_sum(d))
+        _assert_canonical(kauffman_bracket(mirror(d)), bracket.mirror())
+        for p in (bracket, v, bracket.mirror()):
+            _assert_canonical(p, LaurentPoly.from_json(p.to_json()))
+    p = LaurentPoly("A", {4: 1, -2: 3, 0: -1})
+    q = LaurentPoly("A", {-6: 2, 6: -1, 1: 5})
+    _assert_canonical(p + q, q + p)
+    _assert_canonical(p * q, q * p)
+    _assert_canonical(p - q, -(q - p))
 
 
 def test_text_rendering():

@@ -257,7 +257,7 @@ def test_bracket_sweep_matches_state_sum():
         # the sweep order follows the crossing order; the bracket does not
         shuffled = list(d.crossings)
         rng.shuffle(shuffled)
-        assert kauffman_bracket(Diagram(tuple(shuffled), d.edge_count, d.free_loops)) == expected
+        assert kauffman_bracket(Diagram(tuple(shuffled), free_loops=d.free_loops)) == expected
 
 
 def test_bracket_full_size_cross_check():
@@ -347,12 +347,14 @@ def test_packed_sweep_matches_reference_curls(trefoil):
 
 def test_packed_sweep_digit_bound_on_split_diagram(trefoil):
     """An unvalidated split diagram, 8 trefoils and 2 free loops: the
-    bound's r = 8 components of the crossing graph and f = 2 free loops,
-    and coefficients in the thousands, decoded whole."""
+    bound's r = 8 components of the crossing graph, as the sweep counts
+    them, and f = 2 free loops, and coefficients in the thousands, decoded
+    whole."""
     copies = tuple(
         tuple(e + 6 * i for e in x) for i in range(8) for x in trefoil.crossings
     )
-    d = Diagram(copies, 48, free_loops=2)
+    d = Diagram(copies, free_loops=2)
+    assert statesum._sweep_order(d)[2] == 8
     got = kauffman_bracket(d)
     assert got == bracket_sweep_reference(d)
     assert max(abs(cf) for cf in got.coeffs.values()) == 3096
@@ -370,7 +372,7 @@ def test_empty_diagram_has_no_bracket():
     """No crossing and no free loop: the state sum has no loop to divide
     delta out of, so the bracket is refused."""
     with pytest.raises(DiagramError, match="^diagram has no loops, so its bracket is undefined$"):
-        kauffman_bracket(Diagram((), 0, 0))
+        kauffman_bracket(Diagram(()))
 
 
 def _crossing_graph_components(d: Diagram) -> int:
@@ -411,7 +413,7 @@ def test_sweep_counts_components_of_split_sums():
             crossings += [tuple(e + edges for e in x) for x in p.crossings]
             edges += p.edge_count
         rng.shuffle(crossings)
-        d = Diagram(tuple(crossings), edges, rng.randint(0, 2))
+        d = Diagram(tuple(crossings), free_loops=rng.randint(0, 2))
         assert statesum._sweep_order(d)[2] == _crossing_graph_components(d) == len(parts), i
         assert kauffman_bracket(d) == bracket_sweep_reference(d), i
 
@@ -436,5 +438,5 @@ def test_sweep_order_matches_reference():
     for d in corpus:
         shuffled = list(d.crossings)
         rng.shuffle(shuffled)
-        for g in (d, Diagram(tuple(shuffled), d.edge_count, d.free_loops)):
+        for g in (d, Diagram(tuple(shuffled), free_loops=d.free_loops)):
             assert statesum._sweep_order(g)[:2] == sweep_order_reference(g)

@@ -2,13 +2,16 @@
 ``LaurentPoly``, which derive from ``frozen.Frozen``.
 
 Each is exactly its fields: it builds the same value from positional and
-from keyword arguments, fills its defaults, refuses assignment and
-deletion, survives copy and pickle, and prints every field in its repr.
-The repr strings were captured from the frozen dataclasses these classes
-once were, apart from ``GenusOneStructure``'s, which now shows ``forms``.
+from keyword arguments (a keyword-only field, such as ``Diagram``'s
+``free_loops``, by keyword in both), fills its defaults, refuses
+assignment and deletion, survives copy and pickle, and prints every field
+in its repr.  The repr strings were captured from the frozen dataclasses
+these classes once were, apart from ``GenusOneStructure``'s, which now
+shows ``forms``, and ``Diagram``'s, which no longer shows an edge count.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -29,15 +32,15 @@ from knotinv.analysis import DiagramAnalysis
 from knotinv.decomp import ArcRuns
 from knotinv.frozen import Frozen
 
-D = Diagram(((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)), 6)
-D_REPR = "Diagram(crossings=((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)), edge_count=6, free_loops=0)"
+D = Diagram(((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)))
+D_REPR = "Diagram(crossings=((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)), free_loops=0)"
 TANGLE = Tangle((0, 2), (1, 4, 9, 6), True)
 TANGLE_REPR = "Tangle(crossing_indices=(0, 2), boundary=(1, 4, 9, 6), proper=True)"
 FORMS = (((3, 1), (1, 0), (1, -1)),)
 
 # class, its fields and one value for each, the defaults, the repr
 CASES = [
-    (Diagram, {"crossings": D.crossings, "edge_count": 6, "free_loops": 0}, {"free_loops": 0}, D_REPR),
+    (Diagram, {"crossings": D.crossings, "free_loops": 0}, {"free_loops": 0}, D_REPR),
     (
         FaceStructure,
         {"faces": ((0, 5), (1, 2)), "checkerboard_color": (0, 1), "face_of": [0, 1, 1, 0]},
@@ -113,13 +116,15 @@ UNHASHABLE = {FaceStructure, LaurentPoly, ArcRuns}  # a list or dict among the c
 
 @pytest.mark.parametrize("cls, values, defaults, text", CASES, ids=[c[0].__name__ for c in CASES])
 def test_value_class_contract(cls, values, defaults, text):
-    args = tuple(values.values())
-    by_position, by_keyword = cls(*args), cls(**values)
+    kinds = {name: p.kind for name, p in inspect.signature(cls).parameters.items()}
+    named = {name: v for name, v in values.items() if kinds[name] is inspect.Parameter.KEYWORD_ONLY}
+    args = tuple(v for name, v in values.items() if name not in named)
+    by_position, by_keyword = cls(*args, **named), cls(**values)
     assert by_position == by_keyword and repr(by_position) == repr(by_keyword) == text
     assert {name: getattr(by_position, name) for name in values} == values
     if cls in NAMED_TUPLES:
         assert tuple(by_position) == args
-    short = cls(*args[:len(args) - len(defaults)])
+    short = cls(*args[:len(values) - len(defaults)])
     assert {name: getattr(short, name) for name in defaults} == defaults
     for name in (*values, "extra"):
         with pytest.raises(AttributeError):
@@ -137,6 +142,24 @@ def test_value_class_contract(cls, values, defaults, text):
     else:
         assert hash(by_position) == hash(by_keyword)
 
+
+
+def test_diagram_is_its_crossings_and_free_loops():
+    """``free_loops`` is keyword-only, so a leftover edge count passed
+    positionally is refused rather than read as free loops; the edge count
+    is read off the crossings."""
+    params = inspect.signature(Diagram).parameters
+    assert list(params) == ["crossings", "free_loops"]
+    assert params["free_loops"].kind is inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(TypeError):
+        Diagram(D.crossings, 6)
+    assert D.edge_count == 6
+    with pytest.raises(AttributeError):
+        D.edge_count = 6
+    loops = Diagram(D.crossings, free_loops=2)
+    for clone in copy.copy(loops), copy.deepcopy(loops), pickle.loads(pickle.dumps(loops)):
+        assert clone == loops and clone.free_loops == 2 and repr(clone) == repr(loops)
+        assert clone.mate == loops.mate
 
 
 def test_value_classes_are_named_tuples_or_frozen():
