@@ -8,7 +8,6 @@ from .diagram import (
     OrientedDiagram,
     PDSyntaxError,
     crossing_signs,
-    mirror,
     orient,
     parse_pd,
     serialize_pd,

@@ -31,7 +31,9 @@ class DiagramAnalysis:
     Reading ``bracket`` or ``jones`` raises
     :class:`~knotinv.statesum.CrossingLimitError` when the bracket's sweep
     would be too wide; every other field is polynomial in the crossing
-    count.
+    count.  ``jones`` orients, and so validates, the diagram before it
+    sweeps, so an invalid diagram gets its
+    :class:`~knotinv.diagram.DiagramError` and never a sweep.
     """
 
     def __init__(self, d: Diagram, into: tuple[int, ...] | None = None):
@@ -116,5 +118,7 @@ class DiagramAnalysis:
 
     @cached_property
     def jones(self) -> LaurentPoly:
-        """Reads the writhe off ``signs``, so the signs are worked out once."""
-        return statesum._jones_from_bracket(self.bracket, self.signs[3])
+        """Reads the writhe off ``signs``, so the signs are worked out once,
+        and reads it first, so the diagram is validated before the sweep."""
+        writhe = self.signs[3]
+        return statesum._jones_from_bracket(self.bracket, writhe)

@@ -8,10 +8,10 @@ import json
 import sys
 
 from .analysis import DiagramAnalysis
-from .diagram import DiagramError, PDSyntaxError, orient, parse_pd
+from .diagram import DiagramError, PDSyntaxError, parse_pd
 # determinant is not called here (the analysis computes it), but it stays
 # bound on this module: bench/test_bench.py traces it through this name.
-from .statesum import CrossingLimitError, determinant, jones  # noqa: F401
+from .statesum import CrossingLimitError, determinant  # noqa: F401
 from .invariants import (
     SignatureReport,
     conway_determinant,
@@ -143,7 +143,7 @@ def obstruct_record(rec: KnotRecord) -> dict:
     computed = None
     if rec.pd_text:
         try:
-            computed = jones(orient(parse_pd(rec.pd_text)))
+            computed = DiagramAnalysis(parse_pd(rec.pd_text)).jones
         except (PDSyntaxError, DiagramError, CrossingLimitError) as exc:
             return {"name": rec.name, **_err(f"jones recomputation failed: {exc}")}
     if given is not None and computed is not None and given != computed:

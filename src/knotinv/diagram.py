@@ -37,7 +37,6 @@ __all__ = [
     "validate",
     "orient",
     "crossing_signs",
-    "mirror",
 ]
 
 
@@ -58,8 +57,9 @@ class Diagram(Frozen):
     Each crossing is a 4-tuple of edge labels.  The c crossings have 4c
     slots, so their labels are 1..2c, each used twice, and ``edge_count``
     is ``2 * crossing_count``.  ``free_loops`` counts crossingless circle
-    components and is keyword-only; the empty diagram with one free loop
-    is the 0-crossing unknot.
+    components, an ``int`` of at least 0 (``bool`` is refused), and is
+    keyword-only; the empty diagram with one free loop is the 0-crossing
+    unknot.
 
     ``mate`` is the dart table, built with the label check: ``mate[a]`` is
     the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
@@ -71,6 +71,8 @@ class Diagram(Frozen):
     """
 
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], *, free_loops: int = 0):
+        if not isinstance(free_loops, int) or isinstance(free_loops, bool) or free_loops < 0:
+            raise DiagramError(f"free_loops must be a non-negative int, got {free_loops!r}")
         for x in crossings:
             if len(x) != 4:
                 raise DiagramError(f"crossing needs 4 ends, got {x!r}")
@@ -248,10 +250,6 @@ class FaceStructure(NamedTuple):
     checkerboard_color: tuple[int, ...]
     face_of: list[int] = []
 
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
-
     def __repr__(self) -> str:
         return f"FaceStructure(faces={self.faces!r}, checkerboard_color={self.checkerboard_color!r})"
 
@@ -389,7 +387,3 @@ def crossing_signs(od: OrientedDiagram) -> tuple[tuple[int, ...], int, int, int]
     c_minus = len(signs) - c_plus
     return signs, c_plus, c_minus, c_plus - c_minus
 
-
-def mirror(d: Diagram) -> Diagram:
-    """Swap over/under everywhere by rotating each crossing tuple one slot."""
-    return Diagram(tuple((b, c, e, a) for a, b, c, e in d.crossings), free_loops=d.free_loops)

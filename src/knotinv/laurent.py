@@ -18,7 +18,8 @@ class LaurentPoly(Frozen):
     """``coeffs`` maps each exponent to its nonzero coefficient, lowest
     exponent first whatever order the terms were given in, so equal
     polynomials have one repr and one pickle.  Polynomials compare by value
-    and are not hashable."""
+    and are not hashable; they are built, compared and printed, and the
+    package does no arithmetic on them."""
 
     __slots__ = ("variable", "coeffs")
 
@@ -42,47 +43,6 @@ class LaurentPoly(Frozen):
         """The (exponent, coefficient) pairs, lowest exponent first."""
         return list(self.coeffs.items())
 
-    def min_exponent(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no extreme exponents")
-        return next(iter(self.coeffs))
-
-    def max_exponent(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no extreme exponents")
-        return next(reversed(self.coeffs))
-
-    def coefficient(self, exponent: int) -> int:
-        return self.coeffs.get(exponent, 0)
-
-    def mirror(self) -> "LaurentPoly":
-        """Negate every exponent (the effect of mirroring the diagram)."""
-        return LaurentPoly(self.variable, {-e: c for e, c in self.coeffs.items()})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if other.variable != self.variable:
-            raise ValueError("variable mismatch")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.variable, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.variable, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if other.variable != self.variable:
-            raise ValueError("variable mismatch")
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.variable, out)
-
     def _monomial_text(self, exponent: int, coeff: int) -> str:
         if self.variable == "t_half":
             var = "t"
@@ -105,10 +65,3 @@ class LaurentPoly(Frozen):
 
     def to_json(self) -> dict:
         return {"variable": self.variable, "terms": [[e, c] for e, c in self.terms()]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LaurentPoly":
-        return cls(obj["variable"], {int(e): int(c) for e, c in obj["terms"]})
-
-    def __str__(self) -> str:
-        return self.to_text()

@@ -53,16 +53,26 @@ FIG8_STATES = [
 ]
 
 
+def poly_mirror(p: LaurentPoly) -> LaurentPoly:
+    """``p`` with every exponent negated: what mirroring the diagram does to
+    its bracket, and to its Jones polynomial (t for 1/t)."""
+    return LaurentPoly(p.variable, {-e: c for e, c in p.coeffs.items()})
+
+
+def mirror(d: Diagram) -> Diagram:
+    """Swap over/under everywhere by rotating each crossing tuple one slot."""
+    return Diagram(tuple((b, c, e, a) for a, b, c, e in d.crossings), free_loops=d.free_loops)
+
+
 def bracket_from_table(table):
     """Independent oracle: sum A^(a-b) * (-A^2 - A^-2)^(loops-1) directly."""
-    delta = LaurentPoly("A", {2: -1, -2: -1})
-    total = LaurentPoly("A", {})
+    total: dict[int, int] = {}
     for state, loops in table:
-        term = LaurentPoly("A", {state.count("A") - state.count("B"): 1})
+        term = {state.count("A") - state.count("B"): 1}
         for _ in range(loops - 1):
-            term = term * delta
-        total = total + term
-    return total
+            term = _add_term({}, term, 0, 1)
+        _add_term(total, term, 0, 0)
+    return LaurentPoly("A", total)
 
 
 def _rebind(monkeypatch, fn, replacement) -> None:
@@ -182,14 +192,8 @@ def bracket_state_sum(d) -> LaurentPoly:
     A^(#A - #B) * (-A^2 - A^-2)^(loops - 1): the oracle for the sweep in
     ``kauffman_bracket``.  Only for small diagrams."""
     assert d.crossing_count <= 12, "the 2^c oracle is for at most 12 crossings"
-    delta = LaurentPoly("A", {2: -1, -2: -1})
-    total = LaurentPoly("A", {})
-    for state in itertools.product("AB", repeat=d.crossing_count):
-        term = LaurentPoly("A", {state.count("A") - state.count("B"): 1})
-        for _ in range(resolve_loops(d, state) - 1):
-            term = term * delta
-        total = total + term
-    return total
+    states = itertools.product("AB", repeat=d.crossing_count)
+    return bracket_from_table((s, resolve_loops(d, s)) for s in states)
 
 
 # delta^0, delta^1 and delta^2 as (exponent, coefficient) terms: one
@@ -198,7 +202,9 @@ _DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 
 
 def _add_term(out: dict[int, int], p: dict[int, int], shift: int, loops: int) -> dict[int, int]:
-    """out += A^shift * delta^loops * p, on {exponent: coeff} dicts."""
+    """out += A^shift * delta^loops * p, on {exponent: coeff} dicts: the
+    polynomial arithmetic of the bracket oracles and the skein test, which
+    the package itself does not do."""
     for e, cf in p.items():
         for off, mult in _DELTA_POWERS[loops]:
             out[e + shift + off] = out.get(e + shift + off, 0) + cf * mult

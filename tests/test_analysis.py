@@ -13,7 +13,6 @@ from knotinv import (
     genus_one_knot_signature,
     goeritz_determinant,
     is_reduced,
-    mirror,
     nonalternating_edges,
     orient,
     parse_pd,
@@ -34,7 +33,7 @@ from knotinv.sampling import (
 )
 from knotinv.textio import read_pd_file
 
-from conftest import K12N888_MIRROR_PD, _count_calls, _rebind, recognize_genus_one_reference
+from conftest import K12N888_MIRROR_PD, _count_calls, _rebind, mirror, recognize_genus_one_reference
 
 
 def test_analyze_record_brackets_once(monkeypatch):
@@ -42,6 +41,16 @@ def test_analyze_record_brackets_once(monkeypatch):
     rep = analyze_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
     assert rep["fields"]["decomposition"]["status"] == "ok"
     assert len(brackets) == 1
+
+
+def test_jones_validates_before_it_sweeps(monkeypatch):
+    """X[1,2,3,4] X[3,4,1,2] has well-paired labels but is not planar, so
+    reading ``jones`` raises the validation error and never sweeps."""
+    brackets = _count_calls(monkeypatch, statesum.kauffman_bracket)
+    a = DiagramAnalysis(parse_pd("X[1,2,3,4] X[3,4,1,2]"))
+    with pytest.raises(DiagramError, match="^not planar: "):
+        a.jones
+    assert brackets == []
 
 
 def test_decompose_record_validates_each_diagram_once(monkeypatch):

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from knotinv import decomp, goeritz_determinant, orient, parse_pd, serialize_pd
+from knotinv import (
+    CrossingLimitError, Diagram, DiagramError, decomp, goeritz_determinant, orient, parse_pd,
+    serialize_pd, validate,
+)
 from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
 from knotinv.sampling import random_almost_alternating_diagram
@@ -242,6 +245,22 @@ def test_invariants_beyond_sweep_width_bound(tmp_path, capsys):
 def test_obstruct_beyond_sweep_width_bound():
     assert obstruct_record(KnotRecord(name="t9", pd_text=full_twist_pd(9))) == {
         "name": "t9", "status": "error", "message": f"jones recomputation failed: {REFUSED}"
+    }
+
+
+def test_obstruct_validates_before_it_sweeps():
+    """The twist with two labels of different crossings exchanged is too
+    wide to sweep and not planar; its recomputation names the validation
+    error, since a diagram is validated before its sweep."""
+    crossings = [list(x) for x in parse_pd(full_twist_pd(9)).crossings]
+    crossings[0][0], crossings[2][2] = crossings[2][2], crossings[0][0]
+    d = Diagram(tuple(map(tuple, crossings)))
+    with pytest.raises(CrossingLimitError, match=REFUSED):
+        DiagramAnalysis(d).bracket
+    with pytest.raises(DiagramError) as invalid:
+        validate(d)
+    assert obstruct_record(KnotRecord(name="bad", pd_text=serialize_pd(d))) == {
+        "name": "bad", "status": "error", "message": f"jones recomputation failed: {invalid.value}"
     }
 
 

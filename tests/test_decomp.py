@@ -11,7 +11,6 @@ from knotinv import (
     determinant,
     goeritz_determinant,
     is_reduced,
-    mirror,
     nonalternating_edges,
     orient,
     oriented_closure,
@@ -23,7 +22,7 @@ from knotinv import (
 from knotinv.decomp import _corners
 from knotinv.sampling import random_alternating_diagram, random_genus_one_diagram
 
-from conftest import gordon_litherland, recognize_genus_one_reference, tangle_faces_reference
+from conftest import gordon_litherland, mirror, recognize_genus_one_reference, tangle_faces_reference
 
 
 def test_turaev_genus_values(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):

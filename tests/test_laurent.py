@@ -1,13 +1,12 @@
 import pickle
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
-from knotinv import LaurentPoly, jones, kauffman_bracket, mirror, orient, parse_poly
+from knotinv import LaurentPoly, jones, kauffman_bracket, orient, parse_poly
 from knotinv.sampling import random_alternating_diagram, random_diagram
 
-from conftest import bracket_state_sum
+from conftest import bracket_state_sum, mirror, poly_mirror
 
 
 def test_zero_stripping():
@@ -16,43 +15,19 @@ def test_zero_stripping():
     assert LaurentPoly("A", {0: 0}).is_zero
 
 
-def test_arithmetic():
-    p = LaurentPoly("A", {2: 1, 0: -1})
-    q = LaurentPoly("A", {2: -1, -2: 3})
-    assert (p + q).coeffs == {0: -1, -2: 3}
-    assert (p - p).is_zero
-    assert (p * q).coeffs == {4: -1, 2: 1, 0: 3, -2: -3}
-
-
-def test_variable_mismatch():
-    with pytest.raises(ValueError):
-        LaurentPoly("A", {0: 1}) + LaurentPoly("t_half", {0: 1})
-
-
-def test_extremes_and_mirror():
-    p = LaurentPoly("A", {5: 2, -3: 7})
-    assert p.max_exponent() == 5 and p.min_exponent() == -3
-    assert p.coefficient(5) == 2 and p.coefficient(0) == 0
-    assert p.mirror().coeffs == {-5: 2, 3: 7}
-    with pytest.raises(ValueError):
-        LaurentPoly("A", {}).min_exponent()
-
-
 def _assert_canonical(p, q):
-    """Equal polynomials print and pickle alike, and their extreme
-    exponents are those of their terms."""
+    """Equal polynomials print and pickle alike, and keep their terms by
+    ascending exponent."""
     assert p == q
     assert repr(p) == repr(q) and pickle.dumps(p) == pickle.dumps(q)
     assert list(p.coeffs) == sorted(p.coeffs)
-    assert p.min_exponent() == q.min_exponent() == min(q.coeffs)
-    assert p.max_exponent() == q.max_exponent() == max(q.coeffs)
 
 
 def test_equal_polynomials_have_one_repr():
     """The terms are kept by ascending exponent whatever order they were
-    built in: from text, from the bracket and the Jones polynomial (built
-    descending by the writhe change) against their JSON round trips and
-    the state-sum oracle, and from sums and products taken both ways."""
+    built in: from text, and from the bracket and the Jones polynomial
+    (built descending by the writhe change) against the state-sum oracle
+    and against themselves rebuilt from their terms in descending order."""
     for text in ("t^2 - t + 1", "1 - t + t^2", "-t + 1 + t^2", "t^2 + 1 - t"):
         _assert_canonical(parse_poly(text), parse_poly("1 - t + t^2"))
     text = "LaurentPoly(variable='t_half', coeffs={0: 1, 2: -1, 4: 1})"
@@ -62,14 +37,9 @@ def test_equal_polynomials_have_one_repr():
         d = (random_diagram, random_alternating_diagram)[i % 2](rng.randint(2, 8), rng)
         bracket, v = kauffman_bracket(d), jones(orient(d))
         _assert_canonical(bracket, bracket_state_sum(d))
-        _assert_canonical(kauffman_bracket(mirror(d)), bracket.mirror())
-        for p in (bracket, v, bracket.mirror()):
-            _assert_canonical(p, LaurentPoly.from_json(p.to_json()))
-    p = LaurentPoly("A", {4: 1, -2: 3, 0: -1})
-    q = LaurentPoly("A", {-6: 2, 6: -1, 1: 5})
-    _assert_canonical(p + q, q + p)
-    _assert_canonical(p * q, q * p)
-    _assert_canonical(p - q, -(q - p))
+        _assert_canonical(kauffman_bracket(mirror(d)), poly_mirror(bracket))
+        for p in (bracket, v, poly_mirror(bracket)):
+            _assert_canonical(p, LaurentPoly(p.variable, dict(reversed(p.terms()))))
 
 
 def test_text_rendering():
@@ -84,7 +54,7 @@ def test_json_round_trip():
     obj = p.to_json()
     assert obj["variable"] == "t_half"
     assert obj["terms"] == [[-6, 1], [0, 3], [4, -2]]  # ascending
-    assert LaurentPoly.from_json(obj) == p
+    assert LaurentPoly(obj["variable"], dict(obj["terms"])) == p
 
 
 coeff_dicts = st.dictionaries(st.integers(-30, 30), st.integers(-50, 50), max_size=8)
@@ -93,12 +63,7 @@ coeff_dicts = st.dictionaries(st.integers(-30, 30), st.integers(-50, 50), max_si
 @given(coeff_dicts)
 def test_json_round_trip_random(coeffs):
     p = LaurentPoly("A", coeffs)
-    assert LaurentPoly.from_json(p.to_json()) == p
+    obj = p.to_json()
+    assert obj["terms"] == sorted(obj["terms"])
+    assert LaurentPoly(obj["variable"], dict(obj["terms"])) == p
 
-
-@given(coeff_dicts, coeff_dicts)
-def test_ring_laws(c1, c2):
-    p, q = LaurentPoly("A", c1), LaurentPoly("A", c2)
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p - q) + q == p

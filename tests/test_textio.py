@@ -13,8 +13,7 @@ from conftest import parse_poly_reference
 def test_parse_table_row():
     p = parse_poly("-2t^{-8}+ 4t^{-7}-7t^{-6}+ 9t^{-5}-9t^{-4}+ 10t^{-3}-7t^{-2}+ 5t^{-1}-2")
     assert len(p.coeffs) == 9
-    assert p.coefficient(p.min_exponent()) == -2 and p.min_exponent() == -16
-    assert p.coefficient(p.max_exponent()) == -2 and p.max_exponent() == 0
+    assert p.terms()[0] == (-16, -2) and p.terms()[-1] == (0, -2)
 
 
 def test_parse_simple():

@@ -19,6 +19,7 @@ import pytest
 from knotinv import (
     AltDecomposition,
     Diagram,
+    DiagramError,
     FaceStructure,
     GenusOneStructure,
     LaurentPoly,
@@ -160,6 +161,16 @@ def test_diagram_is_its_crossings_and_free_loops():
     for clone in copy.copy(loops), copy.deepcopy(loops), pickle.loads(pickle.dumps(loops)):
         assert clone == loops and clone.free_loops == 2 and repr(clone) == repr(loops)
         assert clone.mate == loops.mate
+
+
+def test_free_loops_is_a_count():
+    """A free-loop count that is not an int of at least 0, a bool among
+    them, is refused when the diagram is built: with -1 the bracket's delta
+    factors once cancelled to the trefoil's own bracket."""
+    for bad in (-1, -5, True, 1.0):
+        with pytest.raises(DiagramError, match="^free_loops must be a non-negative int, got "):
+            Diagram(D.crossings, free_loops=bad)
+    assert [Diagram(D.crossings, free_loops=n).free_loops for n in (0, 2)] == [0, 2]
 
 
 def test_value_classes_are_named_tuples_or_frozen():
