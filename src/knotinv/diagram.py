@@ -54,9 +54,11 @@ _set = object.__setattr__
 class Diagram(Frozen):
     """An unoriented PD-coded diagram: its crossings and its free loops.
 
-    Each crossing is a 4-tuple of edge labels.  The c crossings have 4c
-    slots, so their labels are 1..2c, each used twice, and ``edge_count``
-    is ``2 * crossing_count``.  ``free_loops`` counts crossingless circle
+    Each crossing is a 4-tuple of edge labels, kept as tuples whatever
+    sequences it was given as; each label is exactly an ``int`` (a ``bool``
+    or other subclass is refused).  The c crossings have 4c slots, so their
+    labels are 1..2c, each used twice, and ``edge_count`` is
+    ``2 * crossing_count``.  ``free_loops`` counts crossingless circle
     components, an ``int`` of at least 0 (``bool`` is refused), and is
     keyword-only; the empty diagram with one free loop is the 0-crossing
     unknot.
@@ -73,6 +75,7 @@ class Diagram(Frozen):
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], *, free_loops: int = 0):
         if not isinstance(free_loops, int) or isinstance(free_loops, bool) or free_loops < 0:
             raise DiagramError(f"free_loops must be a non-negative int, got {free_loops!r}")
+        crossings = tuple(map(tuple, crossings))  # lists, as from JSON, compare and hash as tuples
         for x in crossings:
             if len(x) != 4:
                 raise DiagramError(f"crossing needs 4 ends, got {x!r}")
@@ -82,7 +85,9 @@ class Diagram(Frozen):
         mate = [-1] * len(labels)
         bad = False
         for a, e in enumerate(labels):
-            if not isinstance(e, int) or e < 1 or e > n:
+            if e.__class__ is not int or e < 1 or e > n:  # a bool is not an int here
+                if e.__class__ is not int:
+                    raise DiagramError(f"edge label {e!r} is not an int")
                 raise DiagramError(f"edge label {e!r} out of range 1..{n}")
             b = first[e]
             if b < 0:

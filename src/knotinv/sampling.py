@@ -11,6 +11,7 @@ almost-alternating, or genus-one cycle diagrams.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from .diagram import Diagram, DiagramError
 
@@ -31,15 +32,16 @@ __all__ = [
 Port = tuple[int, int]
 
 
-class TangleSketch:
+class TangleSketch(NamedTuple):
     """A planar 2-tangle under construction: vertices, internal joins, and
     four open boundary ports (nw, ne, se, sw)."""
 
-    def __init__(self, vertex_count: int, joins: list[tuple[Port, Port]],
-                 nw: Port, ne: Port, se: Port, sw: Port):
-        self.vertex_count = vertex_count
-        self.joins = joins
-        self.nw, self.ne, self.se, self.sw = nw, ne, se, sw
+    vertex_count: int
+    joins: list[tuple[Port, Port]]
+    nw: Port
+    ne: Port
+    se: Port
+    sw: Port
 
 
 def crossing_sketch(base: int = 0) -> TangleSketch:
@@ -145,12 +147,9 @@ def _closed_joins(t: TangleSketch, closure: str) -> list[tuple[Port, Port]]:
     return t.joins + [(t.ne, t.se), (t.nw, t.sw)]
 
 
-def random_alternating_diagram(n: int, rng: random.Random,
-                               closure: str | None = None) -> Diagram:
+def random_alternating_diagram(n: int, rng: random.Random) -> Diagram:
     t = random_tangle_sketch(n, rng)
-    if closure is None:
-        closure = rng.choice(("N", "D"))
-    joins = _closed_joins(t, closure)
+    joins = _closed_joins(t, rng.choice(("N", "D")))
     return assemble(t.vertex_count, joins, mirror_all=rng.random() < 0.5)
 
 

@@ -322,9 +322,12 @@ GOLDEN = Path(__file__).resolve().parent / "data"
         (["invariants", "sample_knots.pd"], "sample_knots.invariants.txt"),
         (["decompose", "sample_knots.pd"], "sample_knots.decompose.txt"),
         (["obstruct", "--csv", "obstruction_examples.csv"], "obstruction_examples.obstruct.txt"),
+        (["obstruct", "--csv", str(GOLDEN / "obstruct_with_pd.csv"), "--json"],
+         "obstruct_with_pd.obstruct.json"),
+        (["obstruct", "--csv", str(GOLDEN / "obstruct_with_pd.csv")], "obstruct_with_pd.obstruct.txt"),
     ],
     ids=["invariants", "decompose", "obstruct", "signature-cases",
-         "invariants-text", "decompose-text", "obstruct-text"],
+         "invariants-text", "decompose-text", "obstruct-text", "obstruct-pd", "obstruct-pd-text"],
 )
 def test_golden_output(argv, golden, capsys):
     argv = [
@@ -394,10 +397,11 @@ def test_signature_disagreement_is_an_error_cell(monkeypatch):
 
 def test_cli_import_leaves_out_dataclasses():
     """``import knotinv.cli`` loads none of ``dataclasses`` and the modules
-    it pulls in, which cost every run a third of its start-up.  The child
-    runs without ``site``, so no ``.pth`` file of the environment loads
-    them first."""
-    code = "import sys, knotinv.cli; print(sorted({*sys.argv[1:]} & {*sys.modules}))"
+    it pulls in, which cost every run a third of its start-up, and neither
+    does ``knotinv.sampling``, the one module the CLI does not load.  The
+    child runs without ``site``, so no ``.pth`` file of the environment
+    loads them first."""
+    code = "import sys, knotinv.cli, knotinv.sampling; print(sorted({*sys.argv[1:]} & {*sys.modules}))"
     heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run(

@@ -168,6 +168,18 @@ def test_label_messages():
     with pytest.raises(DiagramError) as exc:
         Diagram(((1, 1, 2, 2), (3, 3, 4, 7)))
     assert str(exc.value) == "edge label 7 out of range 1..4"
+    for bad in (1.0, True):
+        with pytest.raises(DiagramError) as exc:
+            Diagram(((bad, 1, 2, 2),))
+        assert str(exc.value) == f"edge label {bad!r} is not an int"
+
+
+def test_crossings_are_tuples():
+    """Crossings given as lists, as a PD code loaded from JSON is, make the
+    same diagram as tuples: equal, with one hash and one repr."""
+    lists = Diagram([[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2]])
+    tuples = Diagram(((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)))
+    assert lists == tuples and hash(lists) == hash(tuples) and repr(lists) == repr(tuples)
 
 
 def test_crossing_needs_four_ends():

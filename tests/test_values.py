@@ -148,9 +148,11 @@ def test_value_class_contract(cls, values, defaults, text):
 def test_diagram_is_its_crossings_and_free_loops():
     """``free_loops`` is keyword-only, so a leftover edge count passed
     positionally is refused rather than read as free loops; the edge count
-    is read off the crossings."""
+    is read off the crossings, and a polynomial's terms come in one order,
+    which no argument picks."""
     params = inspect.signature(Diagram).parameters
     assert list(params) == ["crossings", "free_loops"]
+    assert list(inspect.signature(LaurentPoly.terms).parameters) == ["self"]
     assert params["free_loops"].kind is inspect.Parameter.KEYWORD_ONLY
     with pytest.raises(TypeError):
         Diagram(D.crossings, 6)
