@@ -20,6 +20,7 @@ when the edge at dart ``a`` flows into its crossing there.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property, partial
 import re
 from typing import NamedTuple
@@ -75,7 +76,13 @@ class Diagram(Frozen):
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], *, free_loops: int = 0):
         if not isinstance(free_loops, int) or isinstance(free_loops, bool) or free_loops < 0:
             raise DiagramError(f"free_loops must be a non-negative int, got {free_loops!r}")
-        crossings = tuple(map(tuple, crossings))  # lists, as from JSON, compare and hash as tuples
+        try:
+            crossings = tuple(map(tuple, crossings))  # lists, as from JSON, compare and hash as tuples
+        except TypeError:
+            for x in crossings:
+                if not isinstance(x, Iterable):
+                    raise DiagramError(f"crossing needs 4 ends, got {x!r}") from None
+            raise
         for x in crossings:
             if len(x) != 4:
                 raise DiagramError(f"crossing needs 4 ends, got {x!r}")

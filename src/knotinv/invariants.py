@@ -194,20 +194,19 @@ def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
     return rejoin(d, keep, {a: a ^ flip for a in range(4 * ci, 4 * ci + 4)})
 
 
-def _check_aa_reduced(a: DiagramAnalysis) -> tuple[int, int, int, int]:
-    """The faces (u1, u2, v1, v2) at the dealternator of ``a``: u1, u2 at
-    its corners 1 and 3, which its A-smoothing D(R) merges, and v1, v2 at
-    corners 0 and 2, which its B-smoothing N(R) merges.
+def _check_aa_reduced(d: Diagram, deal: int | None) -> tuple[int, int, int, int]:
+    """The faces (u1, u2, v1, v2) at the dealternator ``deal`` of ``d``: u1,
+    u2 at its corners 1 and 3, which its A-smoothing D(R) merges, and v1, v2
+    at corners 0 and 2, which its B-smoothing N(R) merges.
 
-    Refuses a diagram with no dealternator, with these faces not distinct,
-    or whose D(R) or N(R) is not reduced, read off D's faces.  A smoothing
-    keeps D's faces, less their corners at the dealternator, but merges two,
-    so it is reduced iff no face meets another crossing twice, the merged
-    two counted as one."""
-    deal = a.dealternator
+    Refuses a diagram with no dealternator (``deal`` None), with these
+    faces not distinct, or whose D(R) or N(R) is not reduced, read off D's
+    faces.  A smoothing keeps D's faces, less their corners at the
+    dealternator, but merges two, so it is reduced iff no face meets
+    another crossing twice, the merged two counted as one."""
     if deal is None:
         raise DiagramError("not almost alternating: no crossing has exactly the four non-alternating edges")
-    face_of = a.diagram.fs.face_of
+    face_of = d.fs.face_of
     v1, u1, v2, u2 = face_of[4 * deal:4 * deal + 4]
     if len({u1, u2, v1, v2}) != 4:
         raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
@@ -230,7 +229,7 @@ def aa_adjacency(a: DiagramAnalysis) -> tuple[int, int]:
     Raises DiagramError when ``a.dealternator`` is None, when its four
     faces are not distinct, or when D(R) or N(R) is not reduced.
     """
-    return _adjacency(a, _check_aa_reduced(a))
+    return _adjacency(a, _check_aa_reduced(a.diagram, a.dealternator))
 
 
 def _adjacency(a: DiagramAnalysis, faces: tuple[int, int, int, int]) -> tuple[int, int]:
@@ -256,7 +255,7 @@ def aa_extreme_coefficients(a: DiagramAnalysis) -> tuple[tuple[int, int], tuple[
     all-A state is D's, and its all-B state D's with the dealternator's flip
     set to A, so neither smoothing is built.  Refuses what
     :func:`aa_adjacency` refuses."""
-    adj_u, adj_v = _adjacency(a, _check_aa_reduced(a))
+    adj_u, adj_v = _adjacency(a, _check_aa_reduced(a.diagram, a.dealternator))
     d = a.diagram
     c = d.crossing_count - 1  # crossings of the tangle
     flips = [3] * d.crossing_count

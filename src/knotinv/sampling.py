@@ -1,19 +1,23 @@
 """Random diagram generators for property tests.
 
 Tangles are grown by horizontal/vertical composition of single crossings,
-which keeps planarity and connectivity for free.  Ports are tracked
-abstractly; over/under data is assigned at the end by solving the
-alternation constraints (each edge must join an over-end to an under-end),
-after which individual crossings can be flipped to produce non-alternating,
+which keeps planarity and connectivity for free, and closed by joining
+their boundary ports.  Over/under data is assigned at the end from the
+checkerboard colouring of the closed sketch's faces, which turns each
+crossing so that every edge joins an over-end to an under-end; individual
+crossings can then be flipped to produce non-alternating,
 almost-alternating, or genus-one cycle diagrams.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate
 import random
 from typing import NamedTuple
 
 from .diagram import Diagram, DiagramError
+from .invariants import _check_aa_reduced
 
 __all__ = [
     "TangleSketch",
@@ -44,9 +48,9 @@ class TangleSketch(NamedTuple):
     sw: Port
 
 
-def crossing_sketch(base: int = 0) -> TangleSketch:
-    # fresh vertex: ports 0..3 counterclockwise; compass ne, nw, sw, se
-    return TangleSketch(1, [], nw=(base, 1), ne=(base, 0), se=(base, 3), sw=(base, 2))
+def crossing_sketch() -> TangleSketch:
+    # fresh vertex 0: ports 0..3 counterclockwise; compass ne, nw, sw, se
+    return TangleSketch(1, [], nw=(0, 1), ne=(0, 0), se=(0, 3), sw=(0, 2))
 
 
 def _shift(t: TangleSketch, by: int) -> TangleSketch:
@@ -75,6 +79,8 @@ def vsum(t1: TangleSketch, t2: TangleSketch) -> TangleSketch:
 
 
 def random_tangle_sketch(n: int, rng: random.Random) -> TangleSketch:
+    if n < 1:
+        raise DiagramError(f"a tangle sample needs n >= 1 crossings, got {n}")
     if n == 1:
         return crossing_sketch()
     n1 = rng.randint(1, n - 1)
@@ -82,59 +88,30 @@ def random_tangle_sketch(n: int, rng: random.Random) -> TangleSketch:
     return op(random_tangle_sketch(n1, rng), random_tangle_sketch(n - n1, rng))
 
 
-def _solve_phases(vertex_count: int, joins: list[tuple[Port, Port]]) -> list[int]:
-    """Choose a phase (rotation parity) per vertex so every join is
-    alternating: the two end slot parities must differ."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(vertex_count)}
-    for (v1, k1), (v2, k2) in joins:
-        # (k1 + p1) + (k2 + p2) must be odd
-        need = (1 - k1 - k2) % 2
-        adj[v1].append((v2, need))
-        adj[v2].append((v1, need))
-    phase = [-1] * vertex_count
-    for start in range(vertex_count):
-        if phase[start] != -1:
-            continue
-        phase[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, need in adj[v]:
-                want = (need - phase[v]) % 2
-                if phase[w] == -1:
-                    phase[w] = want
-                    stack.append(w)
-                elif phase[w] != want:
-                    raise DiagramError("no alternating assignment (non-planar sketch?)")
-    return phase
-
-
 def assemble(vertex_count: int, joins: list[tuple[Port, Port]],
              flips: set[int] = frozenset(), mirror_all: bool = False) -> Diagram:
     """Close a sketch whose ports are fully joined into a PD diagram.
 
-    ``flips`` switches the over-strand at those vertices; ``mirror_all``
-    picks the other global alternating assignment.
+    Port k of vertex v is first put at slot k of crossing v.  The colour of
+    the face at corner 0 of crossing v is then the phase that ``validate``'s
+    colouring walk gives it, which flips across an edge whose two ends have
+    the same slot parity, so turning each crossing a quarter where it is 1
+    makes every edge join an even slot to an odd one: an alternating
+    diagram.  ``flips`` switches the over-strand at those vertices;
+    ``mirror_all`` picks the other global alternating assignment.
     """
-    seen: dict[Port, int] = {}
-    for a, b in joins:
-        for p in (a, b):
-            seen[p] = seen.get(p, 0) + 1
-    if len(seen) != 4 * vertex_count or any(n != 1 for n in seen.values()):
+    ends = sorted(p for join in joins for p in join)
+    if ends != [(v, k) for v in range(vertex_count) for k in range(4)]:
         raise DiagramError("sketch ports are not perfectly matched")
-    phase = _solve_phases(vertex_count, joins)
-    offset = [
-        (phase[v] + (1 if mirror_all else 0) + (1 if v in flips else 0)) % 2
-        for v in range(vertex_count)
-    ]
     edge_of: dict[Port, int] = {}
     for label, (a, b) in enumerate(sorted(joins), start=1):
-        edge_of[a] = label
-        edge_of[b] = label
-    crossings = tuple(
-        tuple(edge_of[(v, (s + offset[v]) % 4)] for s in range(4))
-        for v in range(vertex_count)
-    )
+        edge_of[a] = edge_of[b] = label
+    ports = [[edge_of[(v, k)] for k in range(4)] for v in range(vertex_count)]
+    fs = Diagram(ports).fs
+    crossings = []
+    for v, x in enumerate(ports):
+        turn = (fs.checkerboard_color[fs.face_of[4 * v]] + mirror_all + (v in flips)) % 2
+        crossings.append(x[turn:] + x[:turn])
     return Diagram(crossings)
 
 
@@ -166,34 +143,25 @@ def random_genus_one_diagram(
 ) -> Diagram:
     """2k alternating tangles in a cycle with flipped joints.
 
-    Consecutive tangles are joined side by side; flipping every crossing of
-    the odd-position tangles makes exactly the connecting edges
-    non-alternating, which is the genus-one normal form.
+    The tangles are summed side by side and the sum is closed by joining
+    its east ports to its west ones; flipping every crossing of the
+    odd-position tangles makes exactly the connecting edges
+    non-alternating, which is the genus-one normal form.  Refuses k < 1,
+    and given sizes that are not 2k sizes of at least 1, before any draw.
     """
+    if k < 1:
+        raise DiagramError(f"a genus-one sample needs k >= 1, got {k}")
     m = 2 * k
     if tangle_sizes is None:
         tangle_sizes = [rng.randint(1, 4) for _ in range(m)]
-    sketches = [random_tangle_sketch(sz, rng) for sz in tangle_sizes]
-    shifted = []
-    base = 0
-    for s in sketches:
-        shifted.append(_shift(s, base))
-        base += s.vertex_count
-    joins = []
-    for s in shifted:
-        joins.extend(s.joins)
-    for i, s in enumerate(shifted):
-        nxt = shifted[(i + 1) % m]
-        joins.append((s.ne, nxt.nw))
-        joins.append((s.se, nxt.sw))
+    elif len(tangle_sizes) != m or min(tangle_sizes) < 1:
+        raise DiagramError(f"a genus-one sample needs {m} tangle sizes >= 1, got {tangle_sizes}")
+    t = reduce(hsum, [random_tangle_sketch(sz, rng) for sz in tangle_sizes])
+    joins = t.joins + [(t.ne, t.nw), (t.se, t.sw)]
     # flip all vertices belonging to odd-position tangles
-    flips = set()
-    base = 0
-    for i, s in enumerate(sketches):
-        if i % 2:
-            flips |= set(range(base, base + s.vertex_count))
-        base += s.vertex_count
-    return assemble(base, joins, flips=flips, mirror_all=rng.random() < 0.5)
+    starts = list(accumulate(tangle_sizes, initial=0))
+    flips = {v for i in range(1, m, 2) for v in range(starts[i], starts[i + 1])}
+    return assemble(t.vertex_count, joins, flips=flips, mirror_all=rng.random() < 0.5)
 
 
 def random_almost_alternating_diagram(
@@ -207,21 +175,14 @@ def random_almost_alternating_diagram(
     are the two closures of the n - 1 crossing tangle, and with n - 1 <= 3
     the tangle's top-level sum has a one-crossing summand, which leaves a
     kink in one closure."""
-    from .analysis import DiagramAnalysis
-    from .invariants import _check_aa_reduced
-
     if n < 5:
         raise DiagramError(f"an almost-alternating sample needs n >= 5 crossings, got {n}")
     for _ in range(max_tries):
         t = random_tangle_sketch(n - 1, rng)
-        x = crossing_sketch(base=n - 1)
-        joins = t.joins + [
-            (t.ne, x.nw), (t.se, x.sw),   # side by side
-            (t.nw, x.ne), (t.sw, x.se),   # closed around top and bottom
-        ]
+        joins = _closed_joins(hsum(t, crossing_sketch()), "N")
         d = assemble(n, joins, flips={n - 1}, mirror_all=rng.random() < 0.5)
         try:
-            _check_aa_reduced(DiagramAnalysis(d))
+            _check_aa_reduced(d, n - 1)
         except DiagramError:
             continue
         return d, n - 1

@@ -153,12 +153,12 @@ RULES = {
         _where(SRC_MODULES, ["import"], lambda m: m.split(".")[0] == "dataclasses"), []),
     # a diagram validates on its first fs read and keeps its face structure
     "only_diagram_fs_validates": (_where(SRC_MODULES, ["call"], "validate"), ["diagram.Diagram.fs"]),
-    # each step takes a diagram's one analysis, which only the CLI and a sampler build
+    # each step takes a diagram's one analysis, which only the CLI builds
     "steps_take_one_analysis": (
         _where(SRC_MODULES, ["call"], "DiagramAnalysis")
-        + _where(["decomp", "invariants"], ["import"], ".analysis"),
+        + _where(["decomp", "invariants", "sampling"], ["import"], ".analysis"),
         ["cli.analyze_record", "cli.decompose_record", "cli.obstruct_record",
-         "sampling.random_almost_alternating_diagram", "decomp.TYPE_CHECKING", "invariants.TYPE_CHECKING"]),
+         "decomp.TYPE_CHECKING", "invariants.TYPE_CHECKING"]),
     # a value is its fields: all but two are NamedTuples, compared field by field
     "values_are_their_fields": (
         [_where(SRC_MODULES, ["class"], "Frozen"), _where(SRC_MODULES, ["name"], "__eq__"),

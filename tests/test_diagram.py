@@ -152,7 +152,8 @@ def test_validate_messages(pd, message):
 
 
 def test_label_messages():
-    """c crossings take the labels 1..2c, each at two of the 4c slots."""
+    """c crossings take the labels 1..2c, each at two of the 4c slots, and
+    each crossing is a sequence of four."""
     with pytest.raises(DiagramError) as exc:
         Diagram(((1, 2, 3, 4), (1, 2, 3, 5)))
     assert str(exc.value) == "edge label 5 out of range 1..4"
@@ -172,6 +173,9 @@ def test_label_messages():
         with pytest.raises(DiagramError) as exc:
             Diagram(((bad, 1, 2, 2),))
         assert str(exc.value) == f"edge label {bad!r} is not an int"
+    with pytest.raises(DiagramError) as exc:
+        Diagram([1, 2])
+    assert str(exc.value) == "crossing needs 4 ends, got 1"
 
 
 def test_crossings_are_tuples():

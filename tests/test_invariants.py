@@ -34,7 +34,7 @@ from knotinv import (
     validate,
 )
 from knotinv.analysis import DiagramAnalysis
-from knotinv import invariants
+from knotinv import sampling
 from knotinv.cli import KnotRecord, analyze_record
 from knotinv.invariants import _check_aa_reduced, _smooth
 from knotinv.statesum import _state_loops
@@ -340,16 +340,17 @@ def _check_built_smoothings(dr, nr) -> None:
 
 def test_aa_check_matches_built_smoothings(monkeypatch):
     """On 1500+ candidate draws of the almost-alternating sampler, refused
-    ones kept, the face-read reducedness check refuses exactly when the
+    ones kept, the crossing the sampler passes as the dealternator is the
+    analysis's, the face-read reducedness check refuses exactly when the
     built D(R) or N(R) is refused, and the loop walk gives s_B(D(R))
     without building it."""
     draws = []
 
-    def keep_drawing(aa):
-        draws.append(aa)
+    def keep_drawing(d, deal):
+        draws.append((DiagramAnalysis(d), deal))
         raise DiagramError("keep drawing")
 
-    monkeypatch.setattr(invariants, "_check_aa_reduced", keep_drawing)
+    monkeypatch.setattr(sampling, "_check_aa_reduced", keep_drawing)
     rng = random.Random(16)
     for n in range(5, 14):
         with pytest.raises(DiagramError, match="no reduced"):
@@ -357,9 +358,10 @@ def test_aa_check_matches_built_smoothings(monkeypatch):
     monkeypatch.undo()
     assert len(draws) >= 1500
     accepted = 0
-    for aa in draws:
+    for aa, deal in draws:
+        assert aa.dealternator == deal == aa.diagram.crossing_count - 1, aa
         dr, nr = aa_closures(aa)
-        refused = _refused(_check_aa_reduced, aa)
+        refused = _refused(_check_aa_reduced, aa.diagram, deal)
         assert refused == _refused(_check_built_smoothings, dr, nr), aa
         accepted += not refused
         d = aa.diagram
