@@ -1,10 +1,10 @@
 """One diagram's invariants, each computed at most once.
 
-A :class:`DiagramAnalysis` wraps one diagram.  Each field is computed the
-first time it is read, from the fields already computed, and then kept on
-the object.  The CLI builds one analysis per record and drops it with the
-record; nothing is cached beyond it, so memory does not grow with the number
-of records.
+A :class:`DiagramAnalysis` wraps one diagram, validated when the analysis
+is built.  Each field is computed the first time it is read, from the
+fields already computed, and then kept on the object.  The CLI builds one
+analysis per record and drops it with the record; nothing is cached beyond
+it, so memory does not grow with the number of records.
 
 The public functions of :mod:`knotinv.decomp` and :mod:`knotinv.invariants`
 that need these fields take the analysis as their one argument, so this is
@@ -23,26 +23,24 @@ __all__ = ["DiagramAnalysis"]
 
 
 class DiagramAnalysis:
-    """Lazily computed invariants of one diagram.
+    """Lazily computed invariants of one valid diagram.
 
-    ``into`` imposes an orientation as arrival bits, as
-    :func:`~knotinv.diagram.orient` takes them, and is checked by it on the
-    first read of ``od``; without it the default orientation is used.
-    Reading ``bracket`` or ``jones`` raises
+    Building the analysis validates the diagram, so an invalid one raises
+    its :class:`~knotinv.diagram.DiagramError` there and never gets an
+    analysis; ``od`` is the diagram's default orientation.  Reading
+    ``bracket`` or ``jones`` raises
     :class:`~knotinv.statesum.CrossingLimitError` when the bracket's sweep
     would be too wide; every other field is polynomial in the crossing
-    count.  ``jones`` orients, and so validates, the diagram before it
-    sweeps, so an invalid diagram gets its
-    :class:`~knotinv.diagram.DiagramError` and never a sweep.
+    count.
     """
 
-    def __init__(self, d: Diagram, into: tuple[int, ...] | None = None):
+    def __init__(self, d: Diagram):
+        d.fs  # validates the diagram
         self.diagram = d
-        self.into = into
 
     @cached_property
     def od(self) -> OrientedDiagram:
-        return orient(self.diagram, self.into)
+        return orient(self.diagram)
 
     @cached_property
     def signs(self) -> tuple[tuple[int, ...], int, int, int]:
@@ -118,7 +116,5 @@ class DiagramAnalysis:
 
     @cached_property
     def jones(self) -> LaurentPoly:
-        """Reads the writhe off ``signs``, so the signs are worked out once,
-        and reads it first, so the diagram is validated before the sweep."""
-        writhe = self.signs[3]
-        return statesum._jones_from_bracket(self.bracket, writhe)
+        """Reads the writhe off ``signs``, so the signs are worked out once."""
+        return statesum._jones_from_bracket(self.bracket, self.signs[3])

@@ -90,7 +90,6 @@ def _decomposition_field(a: DiagramAnalysis) -> dict:
 def analyze_record(rec: KnotRecord) -> dict:
     try:
         a = DiagramAnalysis(parse_pd(rec.pd_text))
-        od = a.od
     except (PDSyntaxError, DiagramError) as exc:
         return {"name": rec.name, "fields": {}, **_err(exc)}
     f = {}
@@ -100,7 +99,7 @@ def analyze_record(rec: KnotRecord) -> dict:
     f["c_plus"] = _ok(c_plus)
     f["c_minus"] = _ok(c_minus)
     f["writhe"] = _ok(writhe)
-    f["components"] = _ok(od.component_count)
+    f["components"] = _ok(a.od.component_count)
     f["turaev_genus"] = _ok(a.turaev_genus)
     v = None
     try:
@@ -208,7 +207,9 @@ def _print_json(obj) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="knotinv", description="Diagram invariants from Kauffman state sums."
+        prog="knotinv",
+        description="Invariants, alternating decompositions and the Jones obstruction"
+        " of link diagrams given as PD codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -59,9 +59,7 @@ __all__ = [
 
 def turaev_genus(a: DiagramAnalysis) -> int:
     """g_T(D) = (2 + c - s_A - s_B) / 2 for the connected diagram of ``a``."""
-    d = a.diagram
-    d.fs  # validates the diagram
-    doubled = 2 + d.crossing_count - a.s_A - a.s_B
+    doubled = 2 + a.diagram.crossing_count - a.s_A - a.s_B
     if doubled % 2 or doubled < 0:
         raise DiagramError(f"impossible genus value {doubled}/2 (convention bug)")
     return doubled // 2
@@ -290,7 +288,6 @@ def alternating_decomposition(a: DiagramAnalysis) -> AltDecomposition:
     A marked point is a dart on a non-alternating edge, one whose ``mate``
     has the same slot parity."""
     d = a.diagram
-    d.fs  # validates the diagram
     nonalt = a.nonalternating
     if not nonalt:
         tangle = Tangle(tuple(range(d.crossing_count)), (), proper=False)

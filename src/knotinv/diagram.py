@@ -79,6 +79,8 @@ class Diagram(Frozen):
         try:
             crossings = tuple(map(tuple, crossings))  # lists, as from JSON, compare and hash as tuples
         except TypeError:
+            if not isinstance(crossings, Iterable):
+                raise DiagramError(f"crossings must be a sequence of crossings, got {crossings!r}") from None
             for x in crossings:
                 if not isinstance(x, Iterable):
                     raise DiagramError(f"crossing needs 4 ends, got {x!r}") from None
@@ -255,12 +257,12 @@ class FaceStructure(NamedTuple):
     edge at the next slot to corner ``Diagram.mate`` of that slot's dart.
     ``face_of[a]`` is the index of the face at corner ``a`` and
     ``checkerboard_color[f]`` is 0 or 1.  ``face_of`` is left out of the
-    repr; it is only read, so one empty list is every default.
+    repr.
     """
 
     faces: tuple[tuple[int, ...], ...]
     checkerboard_color: tuple[int, ...]
-    face_of: list[int] = []
+    face_of: list[int]
 
     def __repr__(self) -> str:
         return f"FaceStructure(faces={self.faces!r}, checkerboard_color={self.checkerboard_color!r})"
@@ -276,7 +278,7 @@ def validate(d: Diagram) -> FaceStructure:
     if c == 0:
         if d.free_loops != 1:
             raise DiagramError("split diagram: expected exactly one free loop with no crossings")
-        return FaceStructure(faces=((), ()), checkerboard_color=(0, 1))
+        return FaceStructure(faces=((), ()), checkerboard_color=(0, 1), face_of=[])
     if d.free_loops:
         raise DiagramError("split diagram: free loops alongside crossings")
     mate = d.mate
@@ -343,8 +345,8 @@ class OrientedDiagram(NamedTuple):
     """
 
     diagram: Diagram
-    into: tuple[int, ...] = ()
-    component_count: int = 1
+    into: tuple[int, ...]
+    component_count: int
 
     def __repr__(self) -> str:
         return f"OrientedDiagram(diagram={self.diagram!r}, component_count={self.component_count!r})"

@@ -41,20 +41,29 @@ class SignatureReport(NamedTuple):
     method: str | None = None
 
 
+_IMPLIED = ("not_almost_alternating", "turaev_genus_ge_2", "dealternating_number_ge_2")
+
+
 class ObstructionVerdict(NamedTuple):
+    """The extreme coefficients of a Jones polynomial, lowest exponent
+    first.  The obstruction fires when both have absolute value at least 2,
+    and then ``implied`` names what that rules out (Dasbach-Lowrance)."""
+
     a_m: int
     a_M: int
-    fires: bool
-    implied: tuple[str, ...]
+
+    @property
+    def fires(self) -> bool:
+        return abs(self.a_m) >= 2 and abs(self.a_M) >= 2
+
+    @property
+    def implied(self) -> tuple[str, ...]:
+        return _IMPLIED if self.fires else ()
 
     def to_json(self) -> dict:
-        """The fields, ``implied`` as a list, as JSON reads it back."""
-        return {
-            "a_m": self.a_m,
-            "a_M": self.a_M,
-            "fires": self.fires,
-            "implied": list(self.implied),
-        }
+        """The coefficients, ``fires`` and ``implied`` as a list, as JSON
+        reads them back."""
+        return {"a_m": self.a_m, "a_M": self.a_M, "fires": self.fires, "implied": list(self.implied)}
 
 
 def is_reduced(d: Diagram) -> bool:
@@ -267,16 +276,9 @@ def aa_extreme_coefficients(a: DiagramAnalysis) -> tuple[tuple[int, int], tuple[
     return ((c + 2 * v_d - 5, a0), (7 - c - 2 * vb_d, ak))
 
 
-_IMPLIED = ("not_almost_alternating", "turaev_genus_ge_2", "dealternating_number_ge_2")
-
-
 def jones_obstruction(v) -> ObstructionVerdict:
     c = v.coeffs
     if not c:
         raise ValueError("zero polynomial has no extreme coefficients")
-    a_m = next(iter(c.values()))  # coeffs run by ascending exponent
-    a_M = next(reversed(c.values()))
-    fires = abs(a_m) >= 2 and abs(a_M) >= 2
-    return ObstructionVerdict(
-        a_m=a_m, a_M=a_M, fires=fires, implied=_IMPLIED if fires else ()
-    )
+    # coeffs run by ascending exponent
+    return ObstructionVerdict(next(iter(c.values())), next(reversed(c.values())))

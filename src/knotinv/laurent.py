@@ -23,7 +23,7 @@ class LaurentPoly(Frozen):
 
     __slots__ = ("variable", "coeffs")
 
-    def __init__(self, variable: str, coeffs: dict[int, int] = {}):  # the default is only read
+    def __init__(self, variable: str, coeffs: dict[int, int]):
         _set(self, "variable", variable)
         _set(self, "coeffs", {e: c for e, c in sorted(coeffs.items()) if c})
 

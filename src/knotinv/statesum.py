@@ -37,8 +37,6 @@ from .laurent import LaurentPoly
 __all__ = [
     "CrossingLimitError",
     "StateGraph",
-    "ALL_A",
-    "ALL_B",
     "s_A",
     "s_B",
     "state_graph",
@@ -48,9 +46,6 @@ __all__ = [
     "determinant",
     "goeritz_determinant",
 ]
-
-ALL_A = "A"
-ALL_B = "B"
 
 # The sweep keeps up to Catalan(w/2) matchings of w open ends, so its time
 # grows about fourfold per two more ends, and its packed polynomials grow
@@ -107,10 +102,11 @@ def s_B(d: Diagram) -> int:
     return _state_loops(d, (3,) * d.crossing_count)[1]
 
 
-def state_graph(d: Diagram, which: str = ALL_A) -> StateGraph:
-    if which not in (ALL_A, ALL_B):
-        raise ValueError(f"state must be {ALL_A!r} or {ALL_B!r}")
-    loop, count = _state_loops(d, (1 if which == ALL_A else 3,) * d.crossing_count)
+def state_graph(d: Diagram, which: str) -> StateGraph:
+    """The graph of the all-A (``which`` = "A") or all-B ("B") state."""
+    if which not in ("A", "B"):
+        raise ValueError("state must be 'A' or 'B'")
+    loop, count = _state_loops(d, (1 if which == "A" else 3,) * d.crossing_count)
     # either smoothing puts corners 0 and 2 of a crossing on its two loops
     edges = tuple((min(u, v), max(u, v)) for u, v in zip(loop[::4], loop[2::4]))
     return StateGraph(vertex_count=count, edges=edges)
@@ -118,8 +114,8 @@ def state_graph(d: Diagram, which: str = ALL_A) -> StateGraph:
 
 def adequacy(d: Diagram) -> dict[str, bool]:
     return {
-        "a_adequate": not state_graph(d, ALL_A).has_loop_edge,
-        "b_adequate": not state_graph(d, ALL_B).has_loop_edge,
+        "a_adequate": not state_graph(d, "A").has_loop_edge,
+        "b_adequate": not state_graph(d, "B").has_loop_edge,
     }
 
 

@@ -8,6 +8,7 @@ from knotinv import (
     Diagram,
     DiagramError,
     aa_extreme_coefficients,
+    crossing_signs,
     decomp,
     diagram,
     genus_one_knot_signature,
@@ -33,7 +34,14 @@ from knotinv.sampling import (
 )
 from knotinv.textio import read_pd_file
 
-from conftest import K12N888_MIRROR_PD, _count_calls, _rebind, mirror, recognize_genus_one_reference
+from conftest import (
+    K12N888_MIRROR_PD,
+    _count_calls,
+    _rebind,
+    gordon_litherland,
+    mirror,
+    recognize_genus_one_reference,
+)
 
 
 def test_analyze_record_brackets_once(monkeypatch):
@@ -41,16 +49,6 @@ def test_analyze_record_brackets_once(monkeypatch):
     rep = analyze_record(KnotRecord(name="12n888", pd_text=K12N888_MIRROR_PD))
     assert rep["fields"]["decomposition"]["status"] == "ok"
     assert len(brackets) == 1
-
-
-def test_jones_validates_before_it_sweeps(monkeypatch):
-    """X[1,2,3,4] X[3,4,1,2] has well-paired labels but is not planar, so
-    reading ``jones`` raises the validation error and never sweeps."""
-    brackets = _count_calls(monkeypatch, statesum.kauffman_bracket)
-    a = DiagramAnalysis(parse_pd("X[1,2,3,4] X[3,4,1,2]"))
-    with pytest.raises(DiagramError, match="^not planar: "):
-        a.jones
-    assert brackets == []
 
 
 def test_decompose_record_validates_each_diagram_once(monkeypatch):
@@ -189,9 +187,9 @@ def test_steps_share_one_analysis(monkeypatch, k12n888_mirror, trefoil):
 
 
 def test_imposed_orientation_is_bits_of_the_diagram(trefoil, fig8):
-    """Reversing every strand keeps each crossing's sign, so an analysis
-    given the reversed bits keeps the signs and the signature; bits of
-    another diagram are refused when the orientation is first read."""
+    """Reversing every strand keeps each crossing's sign, so the reversed
+    bits keep the signs and the Gordon-Litherland signature of the analysis;
+    bits of another diagram are refused."""
     rng = random.Random(126)
     knots = 0
     while knots < 40:
@@ -203,18 +201,17 @@ def test_imposed_orientation_is_bits_of_the_diagram(trefoil, fig8):
         else:
             k = rng.randint(1, 2)
             d = random_genus_one_diagram(k, rng, [rng.randint(1, 4) for _ in range(2 * k)])
-        plain = DiagramAnalysis(d)
-        if plain.od.component_count != 1:
+        od = orient(d)
+        if od.component_count != 1:
             continue
         knots += 1
-        reversed_bits = tuple(1 - bit for bit in plain.od.into)
-        a = DiagramAnalysis(d, into=reversed_bits)
-        assert a.od.into == reversed_bits != plain.od.into
-        assert a.signs == plain.signs
-        assert a.signature == plain.signature
-    a = DiagramAnalysis(trefoil, into=orient(fig8).into)
+        reversed_bits = tuple(1 - bit for bit in od.into)
+        rev = orient(d, into=reversed_bits)
+        assert rev.into == reversed_bits != od.into
+        assert crossing_signs(rev) == crossing_signs(od)
+        assert gordon_litherland(rev)[0] == DiagramAnalysis(d).signature
     with pytest.raises(DiagramError):
-        a.od
+        orient(trefoil, into=orient(fig8).into)
 
 
 def test_dealternator_is_the_samplers_crossing():

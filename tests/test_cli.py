@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from knotinv import (
-    CrossingLimitError, Diagram, DiagramError, decomp, goeritz_determinant, orient, parse_pd,
-    serialize_pd, validate,
+    CrossingLimitError, Diagram, DiagramError, decomp, goeritz_determinant, kauffman_bracket, orient,
+    parse_pd, serialize_pd, validate,
 )
 from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
@@ -191,15 +191,26 @@ def test_obstruct_overlong_rows_keep_the_json_whole(capsys):
     """``tests/data/overlong_row.csv``: an over-long coefficient and two
     coefficients whose sum at one exponent is over-long each fail their own
     row; the JSON parses whole, the two good rows are ``ok`` and ``main``
-    exits 1.  The data is written for the default limit of 4300 digits."""
+    exits 1, and so does the text form, one line per record and the summary.
+    The data is written for the default limit of 4300 digits."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
         rc = main(["obstruct", "--csv", str(GOLDEN / "overlong_row.csv"), "--json"])
+        json_out = capsys.readouterr().out
+        assert main(["obstruct", "--csv", str(GOLDEN / "overlong_row.csv")]) == 1
     finally:
         sys.set_int_max_str_digits(limit)
+    fired = "fires=true => not_almost_alternating, turaev_genus_ge_2, dealternating_number_ge_2"
+    assert capsys.readouterr().out.splitlines() == [
+        f"12n253: a_m=-2 a_M=-2 {fired}",
+        "overlong: error: number too long to convert near '777777777777'",
+        f"12n254: a_m=3 a_M=2 {fired}",
+        "oversum: error: number too long to convert near '+99999999999'",
+        "summary: fired 2/2",
+    ]
     assert rc == 1
-    obj = json.loads(capsys.readouterr().out)
+    obj = json.loads(json_out)
     assert [(r["name"], r["status"]) for r in obj["records"]] == [
         ("12n253", "ok"), ("overlong", "error"), ("12n254", "ok"), ("oversum", "error")
     ]
@@ -240,6 +251,13 @@ def test_invariants_beyond_sweep_width_bound(tmp_path, capsys):
     assert fields["s_A"]["status"] == "ok"
     # the determinant comes from the Goeritz matrix, not the bracket
     assert fields["det"] == {"status": "ok", "value": 256}
+    # the text form prints each error cell as its key and message
+    assert main(["invariants", str(f)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if ": error: " in line] == [
+        f"  {key}: error: {REFUSED}" for key in ("bracket", "jones", "jones_text")
+    ]
+    assert lines[0] == "t9" and "  det = 256" in lines and lines[-1] == "  obstruction: skipped"
 
 
 def test_obstruct_beyond_sweep_width_bound():
@@ -256,7 +274,7 @@ def test_obstruct_validates_before_it_sweeps():
     crossings[0][0], crossings[2][2] = crossings[2][2], crossings[0][0]
     d = Diagram(tuple(map(tuple, crossings)))
     with pytest.raises(CrossingLimitError, match=REFUSED):
-        DiagramAnalysis(d).bracket
+        kauffman_bracket(d)
     with pytest.raises(DiagramError) as invalid:
         validate(d)
     assert obstruct_record(KnotRecord(name="bad", pd_text=serialize_pd(d))) == {

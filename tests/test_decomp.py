@@ -3,6 +3,7 @@ import random
 from knotinv import (
     Diagram,
     DiagramAnalysis,
+    Tangle,
     alternating_decomposition,
     classify_orientation,
     closures,
@@ -16,10 +17,10 @@ from knotinv import (
     oriented_closure,
     recognize_genus_one,
     reduce_kinks,
-    traczyk_signature,
+    s_A,
     turaev_genus,
 )
-from knotinv.decomp import _corners
+from knotinv.decomp import _corners, _walk
 from knotinv.sampling import random_alternating_diagram, random_genus_one_diagram
 
 from conftest import gordon_litherland, mirror, recognize_genus_one_reference, tangle_faces_reference
@@ -178,6 +179,26 @@ def test_recognition_ignores_labelling():
             assert (other.k, sorted(other.closure_determinants), conway_determinant(other)) == want
 
 
+def test_walk_refuses_what_is_not_one_cycle():
+    """The walk over hand-built tables of where each tangle's places lead:
+    two tangles joined side by side close; a step whose stubs reach two
+    tangles, or one tangle at places of equal parity, is refused, and so is
+    a walk that closes before it has visited every tangle, or never closes."""
+    tangle = Tangle((0,), (0, 1, 2, 3), True)
+    # places 0, 1 of each tangle meet places 3, 2 of the other
+    pair = [[(1, 3), (1, 2), (1, 1), (1, 0)], [(0, 3), (0, 2), (0, 1), (0, 0)]]
+    assert _walk((tangle,) * 2, pair, 3) is not None
+    two_tangles = [[(1, 3), (2, 2), (0, 0), (0, 0)], [(2, 3), (2, 2), (0, 0), (0, 0)],
+                   [(0, 3), (0, 2), (0, 0), (0, 0)]]
+    assert _walk((tangle,) * 3, two_tangles, 3) is None
+    equal_parity = [[(1, 3), (1, 1), (1, 1), (1, 0)], [(0, 3), (0, 2), (0, 3), (0, 2)]]
+    assert _walk((tangle,) * 2, equal_parity, 3) is None
+    early = pair + [[(3, 3), (3, 2), (0, 0), (0, 0)], [(2, 3), (2, 2), (0, 0), (0, 0)]]
+    assert _walk((tangle,) * 4, early, 3) is None
+    never = [pair[0], [(0, 2), (0, 1), (0, 1), (0, 0)]]
+    assert _walk((tangle,) * 2, never, 3) is None
+
+
 def test_oriented_closures_match_plain(aa_trefoil):
     gs = recognize_genus_one(DiagramAnalysis(aa_trefoil))
     od = orient(aa_trefoil)
@@ -300,7 +321,9 @@ def test_closure_signatures_match_closures(k12n888_mirror):
             assert sig == gordon_litherland(oc)[0]
             red = reduce_kinks(oc)
             if is_reduced(red.diagram):
-                assert sig == traczyk_signature(DiagramAnalysis(red.diagram, red.into))
+                # Traczyk, s_A - c_plus - 1, on the alternating reduced closure
+                assert not nonalternating_edges(red.diagram)
+                assert sig == s_A(red.diagram) - crossing_signs(red)[1] - 1
                 traczyk += 1
             else:
                 unreduced += 1

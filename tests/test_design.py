@@ -106,9 +106,10 @@ def test_src_is_what_the_cli_runs():
 
 def _facts(scope: str, node: ast.AST):
     """(scope, kind, name) of each call, import, class base, argument, def or
-    variable, and written dict key under ``node``.  The scope is the dotted
-    name of the class, function or ``if TYPE_CHECKING:`` body that a node is
-    in or opens."""
+    variable, written dict key, parameter or NamedTuple field with a
+    default, and attribute read as a bare statement under ``node``.  The
+    scope is the dotted name of the class, function or ``if TYPE_CHECKING:``
+    body that a node is in or opens."""
     for n in ast.iter_child_nodes(node):
         inner = f"{scope}.{n.name}" if isinstance(n, (ast.ClassDef, ast.FunctionDef)) else scope
         inner += ".TYPE_CHECKING" * (isinstance(n, ast.If) and getattr(n.test, "id", "") == "TYPE_CHECKING")
@@ -128,6 +129,14 @@ def _facts(scope: str, node: ast.AST):
             yield from ((inner, "key", getattr(k, "value", None)) for k in n.keys)
         elif isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store):
             yield inner, "key", getattr(n.slice, "value", None)
+        elif isinstance(n, ast.arguments):  # the defaults go to the last positional parameters
+            params = [*n.posonlyargs, *n.args]
+            named = params[len(params) - len(n.defaults):] + [a for a, v in zip(n.kwonlyargs, n.kw_defaults) if v]
+            yield from ((inner, "default", a.arg) for a in named)
+        elif isinstance(n, ast.AnnAssign) and n.value and isinstance(node, ast.ClassDef):
+            yield inner, "default", n.target.id
+        elif isinstance(n, ast.Expr):
+            yield inner, "statement", getattr(n.value, "attr", None)
         yield from _facts(inner, n)
 
 
@@ -153,6 +162,22 @@ RULES = {
         _where(SRC_MODULES, ["import"], lambda m: m.split(".")[0] == "dataclasses"), []),
     # a diagram validates on its first fs read and keeps its face structure
     "only_diagram_fs_validates": (_where(SRC_MODULES, ["call"], "validate"), ["diagram.Diagram.fs"]),
+    # a bare fs read only validates: an analysis does it when it is built, and
+    # orient and dl_coefficients, which take a bare diagram, before they read it
+    "one_validity_gate": (
+        _where(SRC_MODULES, ["statement"], "fs"),
+        ["analysis.DiagramAnalysis.__init__", "diagram.orient", "invariants.dl_coefficients"]),
+    # every default a caller may leave out is an option, so a new one is
+    # added here only when callers need different values
+    "settable_values": (
+        sorted(f"{s} {name}" for m in SRC_MODULES for s, kind, name in FACTS[m] if kind == "default"),
+        ["cli.main argv", "diagram.Diagram.__init__ free_loops", "diagram.orient into",
+         "invariants.SignatureReport exact", "invariants.SignatureReport method",
+         "sampling.assemble flips", "sampling.assemble mirror_all",
+         "sampling.random_almost_alternating_diagram max_tries",
+         "sampling.random_genus_one_diagram tangle_sizes",
+         "textio.KnotRecord.__new__ jones_text", "textio.KnotRecord.__new__ pd_text",
+         "textio._RecordFields jones_text", "textio._RecordFields pd_text"]),
     # each step takes a diagram's one analysis, which only the CLI builds
     "steps_take_one_analysis": (
         _where(SRC_MODULES, ["call"], "DiagramAnalysis")

@@ -15,6 +15,7 @@ from knotinv import (
     parse_pd,
     recognize_genus_one,
     serialize_pd,
+    statesum,
     validate,
 )
 from knotinv.diagram import rejoin
@@ -32,6 +33,7 @@ from conftest import (
     TREFOIL_PD,
     UnionFind,
     _add_curl,
+    _count_calls,
     faces_reference,
     mirror,
 )
@@ -142,13 +144,21 @@ def test_split_diagram_rejected():
          "split diagram: crossing graph is disconnected"),
         ("X[1,2,1,2]", "not planar: Euler characteristic 0 != 2"),
         ("X[1,3,2,4] X[1,3,2,4]", "not planar: Euler characteristic 0 != 2"),
+        ("X[1,2,3,4] X[3,4,1,2]", "not planar: Euler characteristic 0 != 2"),
     ],
-    ids=["free-loops", "loop-with-crossings", "disconnected", "non-planar-1", "non-planar-2"],
+    ids=["free-loops", "loop-with-crossings", "disconnected", "non-planar-1", "non-planar-2",
+         "non-planar-3"],
 )
-def test_validate_messages(pd, message):
-    with pytest.raises(DiagramError) as exc:
-        validate(parse_pd(pd))
-    assert str(exc.value) == message
+def test_validate_messages(pd, message, monkeypatch):
+    """Building an analysis validates its diagram, so an invalid diagram
+    gets the message ``validate`` gives and never gets an analysis, nor a
+    sweep: X[1,2,3,4] X[3,4,1,2] has well-paired labels and a bracket."""
+    brackets = _count_calls(monkeypatch, statesum.kauffman_bracket)
+    for build in (validate, DiagramAnalysis):
+        with pytest.raises(DiagramError) as exc:
+            build(parse_pd(pd))
+        assert str(exc.value) == message
+    assert brackets == []
 
 
 def test_label_messages():
@@ -176,6 +186,10 @@ def test_label_messages():
     with pytest.raises(DiagramError) as exc:
         Diagram([1, 2])
     assert str(exc.value) == "crossing needs 4 ends, got 1"
+    for bad in (None, 5):
+        with pytest.raises(DiagramError) as exc:
+            Diagram(bad)
+        assert str(exc.value) == f"crossings must be a sequence of crossings, got {bad}"
 
 
 def test_crossings_are_tuples():

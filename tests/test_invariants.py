@@ -1,5 +1,6 @@
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +8,11 @@ from knotinv import (
     Diagram,
     DiagramError,
     LaurentPoly,
+    ObstructionVerdict,
     aa_adjacency,
     aa_extreme_coefficients,
     conway_determinant,
+    crossing_signs,
     determinant,
     dl_coefficients,
     genus_one_knot_signature,
@@ -36,6 +39,7 @@ from knotinv import (
 from knotinv.analysis import DiagramAnalysis
 from knotinv import sampling
 from knotinv.cli import KnotRecord, analyze_record
+from knotinv.textio import read_pd_file
 from knotinv.invariants import _check_aa_reduced, _smooth
 from knotinv.statesum import _state_loops
 from knotinv.sampling import (
@@ -93,8 +97,9 @@ def test_traczyk_rejects_nugatory():
 def test_reduce_kinks():
     kinked = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]")
     red = reduce_kinks(orient(kinked))
-    assert red.diagram.crossing_count == 3
-    assert traczyk_signature(DiagramAnalysis(red.diagram, red.into)) == 2
+    assert red.diagram.crossing_count == 3 and not nonalternating_edges(red.diagram)
+    # Traczyk, s_A - c_plus - 1, in the orientation the kinked diagram induces
+    assert s_A(red.diagram) - crossing_signs(red)[1] - 1 == 2
     # a single kinked circle reduces to the unknot
     lone = reduce_kinks(orient(parse_pd("X[1,2,2,1]")))
     assert lone.diagram.crossing_count == 0 and lone.diagram.free_loops == 1
@@ -166,9 +171,21 @@ def test_theorem1_12n888(k12n888_mirror):
     assert (cell["method"], cell["det"], cell["mod4_ok"]) == ("theorem1", 45, True)
 
 
+# the named diagrams of tests/data/signature_cases.pd
+SIGNATURE_CASES = {
+    r.name: parse_pd(r.pd_text) for r in read_pd_file(Path(__file__).parent / "data" / "signature_cases.pd")
+}
+
+
 def test_theorem1_rejects_alternating(trefoil):
-    with pytest.raises(DiagramError):
+    """Theorem 1 refuses a diagram that is not genus one, and a genus-one
+    link."""
+    with pytest.raises(DiagramError, match="^exact signature formula needs a genus-one diagram$"):
         genus_one_knot_signature(DiagramAnalysis(trefoil))
+    link = DiagramAnalysis(SIGNATURE_CASES["genus_one_link"])
+    assert link.turaev_genus == 1
+    with pytest.raises(DiagramError, match="^exact signature needs a one-component diagram$"):
+        genus_one_knot_signature(link)
 
 
 def test_theorem2_12n888(k12n888_mirror):
@@ -244,8 +261,10 @@ def test_dl_fig8(fig8):
 
 
 def test_dl_rejects(aa_trefoil):
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="^extreme term formula requires an alternating diagram$"):
         dl_coefficients(aa_trefoil)
+    with pytest.raises(DiagramError, match="^extreme term formula requires a reduced diagram$"):
+        dl_coefficients(SIGNATURE_CASES["nugatory_alternating"])
     with pytest.raises(DiagramError):
         dl_coefficients(parse_pd(""))
 
@@ -273,6 +292,24 @@ def test_aa_vanishing_warning_names_the_caller():
         assert aa_adjacency(a) == (1, 1)
         aa_extreme_coefficients(a)
     assert [w.filename for w in record] == [__file__, __file__]
+
+
+def test_aa_refuses_a_dealternator_on_a_face_twice():
+    """A random diagram whose non-alternating edges are exactly the four at
+    one crossing, with a face at two of that crossing's corners, is refused
+    before either smoothing is read.  Seed 1 draws one at its seventh
+    diagram."""
+    rng = random.Random(1)
+    for _ in range(100):
+        a = DiagramAnalysis(random_diagram(rng.randint(3, 10), rng))
+        deal = a.dealternator
+        if deal is not None and len(set(a.diagram.fs.face_of[4 * deal:4 * deal + 4])) < 4:
+            break
+    else:
+        pytest.fail("no dealternator with a repeated face in 100 draws")
+    for helper in (aa_adjacency, aa_extreme_coefficients):
+        with pytest.raises(DiagramError, match="^dealternator faces are not distinct"):
+            helper(a)
 
 
 def test_aa_closures_smoothings(aa_trefoil):
@@ -415,6 +452,10 @@ def test_obstruction_verdicts():
     }
     quiet = jones_obstruction(LaurentPoly("t_half", {0: 1, 4: -7}))
     assert not quiet.fires and quiet.implied == ()
+    # a verdict is its two coefficients; whether it fires is read off them
+    assert ObstructionVerdict._fields == ("a_m", "a_M")
+    verdicts = [ObstructionVerdict(m, big) for m, big in ((1, -1), (2, -1), (1, 2), (-2, 2))]
+    assert [(v.fires, v.implied) for v in verdicts] == [(False, ())] * 3 + [(True, fires.implied)]
     with pytest.raises(ValueError):
         jones_obstruction(LaurentPoly("t_half", {}))
 
