@@ -329,30 +329,36 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize(
-    "argv, golden",
+    "argv, golden, rc",
     [
-        (["invariants", "sample_knots.pd", "--json"], "sample_knots.invariants.json"),
-        (["decompose", "sample_knots.pd", "--json"], "sample_knots.decompose.json"),
+        (["invariants", "sample_knots.pd", "--json"], "sample_knots.invariants.json", 0),
+        (["decompose", "sample_knots.pd", "--json"], "sample_knots.decompose.json", 0),
         (["obstruct", "--csv", "obstruction_examples.csv", "--json"],
-         "obstruction_examples.obstruct.json"),
+         "obstruction_examples.obstruct.json", 0),
         (["invariants", str(GOLDEN / "signature_cases.pd"), "--json"],
-         "signature_cases.invariants.json"),
-        (["invariants", "sample_knots.pd"], "sample_knots.invariants.txt"),
-        (["decompose", "sample_knots.pd"], "sample_knots.decompose.txt"),
-        (["obstruct", "--csv", "obstruction_examples.csv"], "obstruction_examples.obstruct.txt"),
+         "signature_cases.invariants.json", 0),
+        (["invariants", "sample_knots.pd"], "sample_knots.invariants.txt", 0),
+        (["decompose", "sample_knots.pd"], "sample_knots.decompose.txt", 0),
+        (["obstruct", "--csv", "obstruction_examples.csv"], "obstruction_examples.obstruct.txt", 0),
         (["obstruct", "--csv", str(GOLDEN / "obstruct_with_pd.csv"), "--json"],
-         "obstruct_with_pd.obstruct.json"),
-        (["obstruct", "--csv", str(GOLDEN / "obstruct_with_pd.csv")], "obstruct_with_pd.obstruct.txt"),
+         "obstruct_with_pd.obstruct.json", 0),
+        (["obstruct", "--csv", str(GOLDEN / "obstruct_with_pd.csv")], "obstruct_with_pd.obstruct.txt", 0),
+        # every record of invalid_diagrams.pd that is not a valid diagram is
+        # an error record, so these runs exit 1
+        (["invariants", str(GOLDEN / "invalid_diagrams.pd"), "--json"],
+         "invalid_diagrams.invariants.json", 1),
+        (["decompose", str(GOLDEN / "invalid_diagrams.pd")], "invalid_diagrams.decompose.txt", 1),
     ],
     ids=["invariants", "decompose", "obstruct", "signature-cases",
-         "invariants-text", "decompose-text", "obstruct-text", "obstruct-pd", "obstruct-pd-text"],
+         "invariants-text", "decompose-text", "obstruct-text", "obstruct-pd", "obstruct-pd-text",
+         "invalid-invariants", "invalid-decompose-text"],
 )
-def test_golden_output(argv, golden, capsys):
+def test_golden_output(argv, golden, rc, capsys):
     argv = [
         data_path(a) if a.endswith((".pd", ".csv")) and not Path(a).is_absolute() else a
         for a in argv
     ]
-    assert main(argv) == 0
+    assert main(argv) == rc
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
