@@ -1,10 +1,11 @@
 """One diagram's invariants, each computed at most once.
 
-A :class:`DiagramAnalysis` wraps one diagram, validated when the analysis
-is built.  Each field is computed the first time it is read, from the
-fields already computed, and then kept on the object.  The CLI builds one
-analysis per record and drops it with the record; nothing is cached beyond
-it, so memory does not grow with the number of records.
+A :class:`DiagramAnalysis` wraps one diagram, which is valid since it was
+built (:class:`~knotinv.diagram.Diagram` validates itself).  Each field is
+computed the first time it is read, from the fields already computed, and
+then kept on the object.  The CLI builds one analysis per record and drops
+it with the record; nothing is cached beyond it, so memory does not grow
+with the number of records.
 
 The public functions of :mod:`knotinv.decomp` and :mod:`knotinv.invariants`
 that need these fields take the analysis as their one argument, so this is
@@ -23,19 +24,16 @@ __all__ = ["DiagramAnalysis"]
 
 
 class DiagramAnalysis:
-    """Lazily computed invariants of one valid diagram.
+    """Lazily computed invariants of one diagram, valid as every built
+    diagram is.
 
-    Building the analysis validates the diagram, so an invalid one raises
-    its :class:`~knotinv.diagram.DiagramError` there and never gets an
-    analysis; ``od`` is the diagram's default orientation.  Reading
-    ``bracket`` or ``jones`` raises
-    :class:`~knotinv.statesum.CrossingLimitError` when the bracket's sweep
-    would be too wide; every other field is polynomial in the crossing
-    count.
+    ``od`` is the diagram's default orientation.  Reading ``bracket`` or
+    ``jones`` raises :class:`~knotinv.statesum.CrossingLimitError` when the
+    bracket's sweep would be too wide; every other field is polynomial in
+    the crossing count.
     """
 
     def __init__(self, d: Diagram):
-        d.fs  # validates the diagram
         self.diagram = d
 
     @cached_property

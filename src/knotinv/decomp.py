@@ -370,8 +370,8 @@ def _joins(t: Tangle, which: str) -> tuple[tuple[int, int], ...]:
 def _close(t: Tangle, d: Diagram, which: str) -> Diagram:
     """The crossings of ``t`` in its parent ``d``, in order, with the
     boundary edges rejoined past the other tangles in the pairs of the
-    ``which`` closure; not yet validated.  Each boundary edge leaves the
-    tangle, so the closure has no free loop."""
+    ``which`` closure.  Each boundary edge leaves the tangle, so the closure
+    has no free loop."""
     mate, through = d.mate, {}
     for p, q in _joins(t, which):
         through[mate[p]], through[mate[q]] = mate[q], mate[p]
@@ -380,8 +380,8 @@ def _close(t: Tangle, d: Diagram, which: str) -> Diagram:
 
 def closures(t: Tangle, d: Diagram) -> tuple[Diagram, Diagram]:
     """Numerator and denominator closures of a 2-tangle of ``d``, built
-    from ``d`` and not validated (``validate`` rejects a closure that is
-    not a planar diagram).
+    from ``d``; a closure that is not a connected planar diagram raises
+    :class:`DiagramError`.
 
     Nothing in the CLI builds them: ``GenusOneStructure`` reads the
     closure determinants and signatures off the decomposition's arcs, and

@@ -21,7 +21,7 @@ when the edge at dart ``a`` flows into its crossing there.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property, partial
+from functools import partial
 import re
 from typing import NamedTuple
 
@@ -53,7 +53,8 @@ _set = object.__setattr__
 
 
 class Diagram(Frozen):
-    """An unoriented PD-coded diagram: its crossings and its free loops.
+    """An unoriented, connected planar PD-coded diagram: its crossings and
+    its free loops.
 
     Each crossing is a 4-tuple of edge labels, kept as tuples whatever
     sequences it was given as; each label is exactly an ``int`` (a ``bool``
@@ -61,26 +62,31 @@ class Diagram(Frozen):
     labels are 1..2c, each used twice, and ``edge_count`` is
     ``2 * crossing_count``.  ``free_loops`` counts crossingless circle
     components, an ``int`` of at least 0 (``bool`` is refused), and is
-    keyword-only; the empty diagram with one free loop is the 0-crossing
-    unknot.
+    keyword-only.
+
+    A diagram is valid once built: the label check comes first, then
+    :func:`validate`, so it is connected and planar, and it has either
+    crossings and no free loop or no crossing and one free loop (the
+    0-crossing unknot).  Each refusal is a :class:`DiagramError`.
 
     ``mate`` is the dart table, built with the label check: ``mate[a]`` is
     the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
     ``s`` of crossing ``ci``), so ``mate[mate[a]] == a``; ``labels[a]`` is
-    that edge's label.  ``fs`` is the face structure; the first read
-    validates the diagram and the result is kept.  These and the counts
-    are derived from ``crossings``, so none is a constructor parameter:
-    they are neither compared nor shown in the repr.
+    that edge's label.  ``fs`` is the face structure ``validate`` returns.
+    These and the counts are derived from ``crossings``, so none is a
+    constructor parameter: they are neither compared nor shown in the repr.
     """
 
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], *, free_loops: int = 0):
         if not isinstance(free_loops, int) or isinstance(free_loops, bool) or free_loops < 0:
             raise DiagramError(f"free_loops must be a non-negative int, got {free_loops!r}")
         try:
+            crossings = tuple(crossings)  # once, so an iterator is read once
+        except TypeError:
+            raise DiagramError(f"crossings must be a sequence of crossings, got {crossings!r}") from None
+        try:
             crossings = tuple(map(tuple, crossings))  # lists, as from JSON, compare and hash as tuples
         except TypeError:
-            if not isinstance(crossings, Iterable):
-                raise DiagramError(f"crossings must be a sequence of crossings, got {crossings!r}") from None
             for x in crossings:
                 if not isinstance(x, Iterable):
                     raise DiagramError(f"crossing needs 4 ends, got {x!r}") from None
@@ -116,6 +122,7 @@ class Diagram(Frozen):
         _set(self, "free_loops", free_loops)
         _set(self, "mate", tuple(mate))
         _set(self, "labels", labels)
+        _set(self, "fs", validate(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -139,12 +146,6 @@ class Diagram(Frozen):
     def edge_count(self) -> int:
         return 2 * len(self.crossings)
 
-    @cached_property
-    def fs(self) -> FaceStructure:
-        """Face structure; the first read validates the diagram, which
-        raises DiagramError on every read while the diagram is invalid."""
-        return validate(self)
-
 
 def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagram:
     """The crossings ``keep`` of ``d``, in that order, rejoined past the rest.
@@ -155,8 +156,9 @@ def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagra
     can reach; a closed walk through dropped darts alone becomes a free
     loop.  Edges are numbered 1..2k in dart order, k = ``len(keep)``.  It
     builds tangle closures (the boundary edges rejoined past the other
-    tangles) and smoothings (a crossing's darts rejoined in pairs).
-    Returns the diagram, not yet validated.
+    tangles) and smoothings (a crossing's darts rejoined in pairs).  The
+    result is built, so validated: a split or non-planar one raises
+    :class:`DiagramError`.
     """
     mate = d.mate
     at = [-1] * d.crossing_count  # each kept crossing's place in ``keep``
@@ -359,10 +361,8 @@ def orient(d: Diagram, into: tuple[int, ...] | None = None) -> OrientedDiagram:
     Each component is one walk ``a -> mate[a ^ 2]`` over its arrival darts
     from the second dart of its lowest label.  An imposed ``into``, one bit
     per dart as :class:`OrientedDiagram` keeps it, replaces the default
-    orientation; it is checked to be coherent.  The diagram is validated
-    first.
+    orientation; it is checked to be coherent.
     """
-    d.fs  # validates the diagram
     mate, labels = d.mate, d.labels
     if into is not None:
         if len(into) != len(mate) or not {*into} <= {0, 1}:

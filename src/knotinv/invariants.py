@@ -173,7 +173,6 @@ def conway_determinant(gs: GenusOneStructure) -> int:
 def dl_coefficients(d: Diagram) -> tuple[tuple[int, int], ...]:
     """Predicted first two and last two terms of the bracket of a reduced
     alternating diagram, as (exponent, coefficient) pairs."""
-    d.fs  # validates the diagram
     if nonalternating_edges(d):
         raise DiagramError("extreme term formula requires an alternating diagram")
     if not is_reduced(d):

@@ -119,22 +119,20 @@ def adequacy(d: Diagram) -> dict[str, bool]:
     }
 
 
-def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int, int]:
-    """Crossing ends in greedy frontier order, the most open ends the sweep
-    holds at once, and the number of components of the crossing graph:
-    each next crossing is the one with the most ends on labels left open by
-    the crossings before it, the lowest such crossing on a tie.
+def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Crossing ends in greedy frontier order and the most open ends the
+    sweep holds at once: each next crossing is the one with the most ends on
+    labels left open by the crossings before it, the lowest such crossing on
+    a tie.
 
     ``count`` keeps the open ends of each crossing not yet swept (-1 once it
     is swept): sweeping a crossing opens the far end of each of its edges
-    that leads to a crossing not yet swept, and closes the others.  A
-    crossing placed while no end is open starts a new component."""
+    that leads to a crossing not yet swept, and closes the others."""
     mate = d.mate
     count = [0] * len(d.crossings)
     order = []
-    width = open_ends = components = 0
+    width = open_ends = 0
     for _ in range(len(count)):
-        components += not open_ends
         ci = count.index(max(count))
         count[ci] = -1
         order.append(d.crossings[ci])
@@ -146,7 +144,7 @@ def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int, int]
             elif cj != ci:
                 open_ends -= 1
         width = max(width, open_ends)
-    return order, width, components
+    return order, width
 
 
 def _unpack(packed: int, bits: int, offset: int) -> dict[int, int]:
@@ -189,40 +187,35 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     (Kronecker substitution), so multiplying by A is a left shift, by A^-1
     an exact right shift, by delta two shifts and a sum, and merging two
     partial states one addition.  ``bits`` and ``offset`` come from this
-    bound, which needs no validated diagram.  Let r be the number of
-    components of the crossing graph, which the sweep order counts, and
-    f = ``free_loops``.  Taking the
-    loops of a state as disks and its crossings as bands gives a surface
-    with Euler characteristic loops - c whose components, one per component
-    of the crossing graph, each have boundary, so loops <= c + r.  A partial
-    state's closed loops are loops of each of its completions, so every
-    intermediate polynomial is a sum of at most 2^c terms
-    A^k delta^(loops + f) with |k| <= c.  Hence every exponent has
-    |e| <= 3c + 2r + 2f = offset, so no digit index goes negative and each
-    right shift is exact, and every coefficient has
-    |c_e| <= 2^(2c + r + f) < 2^(bits - 1), so the signed digits read back
+    bound.  Every state of a valid diagram has at most c + 1 loops: the
+    0-crossing unknot's one state is its free loop, and otherwise the
+    diagram is connected, so taking the loops of a state as disks and its
+    crossings as bands gives a connected surface with boundary and Euler
+    characteristic loops - c.  A partial state's closed loops are loops of
+    each of its completions, so every intermediate polynomial is a sum of
+    at most 2^c terms A^k delta^m with |k| <= c and m <= c + 1.  Hence
+    every exponent has |e| <= 3c + 2 = offset, so no digit index goes
+    negative and each right shift is exact, and every coefficient has
+    |c_e| <= 2^(2c + 1) < 2^(bits - 1), so the signed digits read back
     uniquely.
 
-    The finished sum is delta times the bracket, and the delta is divided
-    out of the packed integer once, before it is unpacked: packing is a
-    ring homomorphism Z[A, A^-1] -> Z that sends delta * A^2 to
-    -(X^4 + 1), so when delta divides the sum, X^2 times its packed value
-    is -(X^4 + 1) times the packed quotient, and the integer division is
+    The finished sum is delta times the bracket, since every state has a
+    loop, and the delta is divided out of the packed integer once, before
+    it is unpacked: packing is a ring homomorphism Z[A, A^-1] -> Z that
+    sends delta * A^2 to -(X^4 + 1), so X^2 times the packed sum is
+    -(X^4 + 1) times the packed quotient, and the integer division is
     exact.  The quotient is a sum of the same terms with one delta fewer,
-    so the bound above covers its digits too.  Every state of a diagram
-    with a crossing or a free loop has a loop, so delta divides every sum
-    but the empty diagram's, whose packed value 1 leaves the remainder X^2:
-    the empty diagram raises :class:`DiagramError`, as it has no loops and
-    so no bracket.
+    so the bound above covers its digits too.  A remainder would mean a
+    sweep that lost a loop, and raises :class:`DiagramError`.
     """
-    order, width, components = _sweep_order(d)
+    order, width = _sweep_order(d)
     if width > MAX_OPEN_ENDS:
         raise CrossingLimitError(
             f"sweep frontier of {width} open ends exceeds the bound of {MAX_OPEN_ENDS}"
         )
     c, f = len(order), d.free_loops
-    bits = 2 * c + components + f + 2
-    offset = 3 * c + 2 * components + 2 * f
+    bits = 2 * c + 3
+    offset = 3 * c + 2
     two = 2 * bits
     states = {(0,) * (d.edge_count + 1): 1 << offset * bits}
     for e1, e2, e3, e4 in order:
@@ -259,7 +252,7 @@ def kauffman_bracket(d: Diagram) -> LaurentPoly:
     # poly / delta = poly * X^2 / (delta * X^2), and delta * X^2 = -(X^4 + 1)
     poly, rest = divmod(-(poly << two), (1 << 2 * two) + 1)
     if rest:
-        raise DiagramError("diagram has no loops, so its bracket is undefined")
+        raise DiagramError("the swept sum is not a multiple of delta")
     return LaurentPoly("A", _unpack(poly, bits, offset))
 
 

@@ -196,6 +196,16 @@ def bracket_state_sum(d) -> LaurentPoly:
     return bracket_from_table((s, resolve_loops(d, s)) for s in states)
 
 
+def smoothing_bracket(d: Diagram, ci: int, choice: str) -> LaurentPoly:
+    """The bracket of ``d`` with crossing ``ci`` given its ``choice``
+    ("A" or "B") smoothing, as the state sum over the states of ``d`` that
+    smooth ``ci`` so, each counted by its other crossings: the oracle for
+    the smoothings that are split diagrams, which cannot be built.  Only for
+    small diagrams."""
+    states = itertools.product("AB", repeat=d.crossing_count - 1)
+    return bracket_from_table((s, resolve_loops(d, s[:ci] + (choice,) + s[ci:])) for s in states)
+
+
 # delta^0, delta^1 and delta^2 as (exponent, coefficient) terms: one
 # crossing's smoothing closes at most two loops
 _DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
@@ -233,7 +243,7 @@ def bracket_sweep_reference(d) -> LaurentPoly:
     as its oracle: matchings as sorted (end, partner) items, polynomials as
     {A-exponent: coeff} dicts, and delta divided out of the finished dict
     by ``_over_delta``."""
-    order, width, _ = _sweep_order(d)
+    order, width = _sweep_order(d)
     if width > MAX_OPEN_ENDS:
         raise CrossingLimitError(
             f"sweep frontier of {width} open ends exceeds the bound of {MAX_OPEN_ENDS}"

@@ -64,12 +64,13 @@ def test_decompose_record_validates_each_diagram_once(monkeypatch):
 
 
 def test_diagram_validates_once_across_entry_points(monkeypatch):
-    """A parsed diagram keeps its face structure, so orienting it, its
-    Goeritz determinant, the reducedness check, an analysis of it and the
-    almost-alternating prediction validate it once between them."""
+    """A diagram validates itself when it is built and keeps its face
+    structure, so parsing it, orienting it, its Goeritz determinant, the
+    reducedness check, an analysis of it and the almost-alternating
+    prediction validate it once between them."""
     drawn, _ = random_almost_alternating_diagram(10, random.Random(7))
-    d = parse_pd(serialize_pd(drawn))
     validations = _count_calls(monkeypatch, diagram.validate)
+    d = parse_pd(serialize_pd(drawn))
     orient(d)
     goeritz_determinant(d)
     is_reduced(d)
@@ -163,14 +164,15 @@ def test_theorem2_with_nugatory_closures():
     assert f["signature"]["value"]["exact"] == -4
 
 
-def test_steps_share_one_analysis(monkeypatch, k12n888_mirror, trefoil):
-    """Recognition, the bounds, Theorem 1, Theorem 2 and Gordon-Litherland
-    on one analysis validate the diagram once, count each state's loops
-    once and decompose once; each step reads what the others computed."""
+def test_steps_share_one_analysis(monkeypatch, trefoil):
+    """Parsing the diagram and recognition, the bounds, Theorem 1, Theorem 2
+    and Gordon-Litherland on one analysis of it validate the diagram once,
+    count each state's loops once and decompose once; each step reads what
+    the others computed."""
     validations = _count_calls(monkeypatch, diagram.validate)
     loops = _count_calls(monkeypatch, statesum._state_loops)
     decompositions = _count_calls(monkeypatch, decomp.alternating_decomposition)
-    a = DiagramAnalysis(k12n888_mirror)
+    a = DiagramAnalysis(parse_pd(K12N888_MIRROR_PD))
     assert recognize_genus_one(a).k == 1
     bounds = signature_bounds(a)
     assert (bounds.lower, bounds.upper) == (8, 10)

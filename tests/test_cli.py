@@ -12,7 +12,7 @@ import pytest
 
 from knotinv import (
     CrossingLimitError, Diagram, DiagramError, decomp, goeritz_determinant, kauffman_bracket, orient,
-    parse_pd, serialize_pd, validate,
+    parse_pd, serialize_pd,
 )
 from knotinv.analysis import DiagramAnalysis
 from knotinv.cli import KnotRecord, analyze_record, decompose_record, main, obstruct_record
@@ -267,17 +267,19 @@ def test_obstruct_beyond_sweep_width_bound():
 
 
 def test_obstruct_validates_before_it_sweeps():
-    """The twist with two labels of different crossings exchanged is too
-    wide to sweep and not planar; its recomputation names the validation
-    error, since a diagram is validated before its sweep."""
-    crossings = [list(x) for x in parse_pd(full_twist_pd(9)).crossings]
-    crossings[0][0], crossings[2][2] = crossings[2][2], crossings[0][0]
-    d = Diagram(tuple(map(tuple, crossings)))
+    """The twist is too wide to sweep, and with two labels of different
+    crossings exchanged it is not planar; the recomputation names the
+    validation error, since a diagram is validated when it is built, before
+    any sweep."""
+    twist = parse_pd(full_twist_pd(9))
     with pytest.raises(CrossingLimitError, match=REFUSED):
-        kauffman_bracket(d)
-    with pytest.raises(DiagramError) as invalid:
-        validate(d)
-    assert obstruct_record(KnotRecord(name="bad", pd_text=serialize_pd(d))) == {
+        kauffman_bracket(twist)
+    crossings = [list(x) for x in twist.crossings]
+    crossings[0][0], crossings[2][2] = crossings[2][2], crossings[0][0]
+    with pytest.raises(DiagramError, match="^not planar") as invalid:
+        Diagram(tuple(map(tuple, crossings)))
+    pd_text = " ".join("X[%d,%d,%d,%d]" % tuple(x) for x in crossings)
+    assert obstruct_record(KnotRecord(name="bad", pd_text=pd_text)) == {
         "name": "bad", "status": "error", "message": f"jones recomputation failed: {invalid.value}"
     }
 

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from knotinv import (
     Diagram,
     DiagramAnalysis,
+    DiagramError,
     Tangle,
     alternating_decomposition,
     classify_orientation,
@@ -210,6 +213,21 @@ def test_oriented_closures_match_plain(aa_trefoil):
         num, den = closures(t, aa_trefoil)
         expected = num if sel == "numerator" else den
         assert oc.diagram == expected
+
+
+def test_closures_refuse_what_does_not_close(aa_trefoil):
+    """A tangle without four boundary points has no closures, and the
+    almost-alternating trefoil's orientation, which matches its denominator
+    closures only, extends to neither tangle's numerator closure."""
+    with pytest.raises(DiagramError, match="^not a 2-tangle: 2 boundary strands$"):
+        closures(Tangle((0,), (0, 2), True), aa_trefoil)
+    gs = recognize_genus_one(DiagramAnalysis(aa_trefoil))
+    od = orient(aa_trefoil)
+    assert classify_orientation(gs, od) == "denominator"
+    for t in gs.tangles:
+        assert oriented_closure(t, od, "denominator").diagram == closures(t, aa_trefoil)[1]
+        with pytest.raises(DiagramError, match="^ambient orientation does not extend to this closure$"):
+            oriented_closure(t, od, "numerator")
 
 
 def test_classify_orientation_12n888(k12n888_mirror):

@@ -157,16 +157,24 @@ RULES = {
     # the helpers test modules share live in conftest.py, so each stands alone
     "no_test_module_imports_another": (
         _where(TEST_MODULES, ["import"], lambda m: m.startswith("test_")), []),
-    # dataclasses loads inspect, ast, dis and tokenize: a third of the CLI's start-up
-    "src_imports_no_dataclasses": (
-        _where(SRC_MODULES, ["import"], lambda m: m.split(".")[0] == "dataclasses"), []),
-    # a diagram validates on its first fs read and keeps its face structure
-    "only_diagram_fs_validates": (_where(SRC_MODULES, ["call"], "validate"), ["diagram.Diagram.fs"]),
-    # a bare fs read only validates: an analysis does it when it is built, and
-    # orient and dl_coefficients, which take a bare diagram, before they read it
-    "one_validity_gate": (
-        _where(SRC_MODULES, ["statement"], "fs"),
-        ["analysis.DiagramAnalysis.__init__", "diagram.orient", "invariants.dl_coefficients"]),
+    # the CLI's start-up pays for every module it imports, and without a
+    # bytecode cache for compiling each of src's: a new import is a choice
+    # made here (dataclasses alone, with inspect, ast, dis and tokenize,
+    # was a third of the start-up)
+    "src_imports": (
+        sorted({f"{s} {name}" for m in SRC_MODULES for s, kind, name in FACTS[m]
+                if kind == "import" and not name.startswith(".")}),
+        ["analysis __future__", "analysis functools", "cli __future__", "cli argparse", "cli json",
+         "cli sys", "decomp __future__", "decomp typing", "diagram __future__",
+         "diagram collections.abc", "diagram functools", "diagram re", "diagram typing",
+         "invariants __future__", "invariants typing", "invariants warnings", "laurent __future__",
+         "sampling __future__", "sampling functools", "sampling itertools", "sampling random",
+         "sampling typing", "statesum __future__", "statesum typing", "textio __future__",
+         "textio csv", "textio re", "textio typing"]),
+    # a diagram validates itself when it is built and keeps its face structure
+    "only_diagram_fs_validates": (_where(SRC_MODULES, ["call"], "validate"), ["diagram.Diagram.__init__"]),
+    # every diagram is valid, so a bare fs read, which could only validate, has no use
+    "one_validity_gate": (_where(SRC_MODULES, ["statement"], "fs"), []),
     # every default a caller may leave out is an option, so a new one is
     # added here only when callers need different values
     "settable_values": (

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,6 @@ from knotinv import (
     parse_pd,
     recognize_genus_one,
     serialize_pd,
-    statesum,
     validate,
 )
 from knotinv.diagram import rejoin
@@ -111,20 +111,18 @@ def test_edge_labels_twice_each():
 
 
 def test_face_structure_is_kept_and_not_a_field():
-    """``Diagram.fs`` is kept after its first read, yet a validated diagram
-    equals, hashes and prints like one never validated; an invalid diagram
-    raises the same error on every read."""
+    """A diagram keeps the face structure ``validate`` gave it when it was
+    built, as a plain attribute, yet equals, hashes and prints like a fresh
+    diagram of its crossings; an invalid diagram is refused when built."""
     d = parse_pd(TREFOIL_PD)
-    assert d.fs is d.fs
+    assert vars(d)["fs"] == validate(d) and not hasattr(Diagram, "fs")
     fresh = Diagram(d.crossings)
     assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
     assert "fs" not in inspect.signature(Diagram).parameters
     with pytest.raises(TypeError):
         Diagram(d.crossings, fs=d.fs)
-    split = parse_pd("X[1,3,2,4] X[3,1,4,2] U")
-    for _ in range(2):
-        with pytest.raises(DiagramError, match="split diagram: free loops alongside crossings"):
-            split.fs
+    with pytest.raises(DiagramError, match="split diagram: free loops alongside crossings"):
+        parse_pd("X[1,3,2,4] X[3,1,4,2] U")
 
 
 def test_split_diagram_rejected():
@@ -150,15 +148,18 @@ def test_split_diagram_rejected():
          "non-planar-3"],
 )
 def test_validate_messages(pd, message, monkeypatch):
-    """Building an analysis validates its diagram, so an invalid diagram
-    gets the message ``validate`` gives and never gets an analysis, nor a
-    sweep: X[1,2,3,4] X[3,4,1,2] has well-paired labels and a bracket."""
-    brackets = _count_calls(monkeypatch, statesum.kauffman_bracket)
-    for build in (validate, DiagramAnalysis):
+    """A diagram validates itself when it is built, so ``parse_pd`` and
+    ``Diagram`` refuse an invalid one with the message ``validate`` gives,
+    and no analysis or sweep of it can start: X[1,2,3,4] X[3,4,1,2] has
+    well-paired labels and, swept, a bracket."""
+    validations = _count_calls(monkeypatch, validate)
+    tokens = pd.split()
+    crossings = tuple(tuple(map(int, re.findall(r"[0-9]+", t))) for t in tokens if t != "U")
+    for build in (lambda: parse_pd(pd), lambda: Diagram(crossings, free_loops=tokens.count("U"))):
         with pytest.raises(DiagramError) as exc:
-            build(parse_pd(pd))
+            build()
         assert str(exc.value) == message
-    assert brackets == []
+    assert len(validations) == 2
 
 
 def test_label_messages():
@@ -186,6 +187,11 @@ def test_label_messages():
     with pytest.raises(DiagramError) as exc:
         Diagram([1, 2])
     assert str(exc.value) == "crossing needs 4 ends, got 1"
+    # an iterator is read once, so its faults are the same list's
+    for crossings in ([(1, 2, 3, 4), 5], [(1, 2, 2, 1), (1, 2)]):
+        with pytest.raises(DiagramError) as exc:
+            Diagram(iter(crossings))
+        assert str(exc.value) == f"crossing needs 4 ends, got {crossings[1]!r}"
     for bad in (None, 5):
         with pytest.raises(DiagramError) as exc:
             Diagram(bad)
@@ -378,11 +384,14 @@ def test_relabel_invariance(perm):
 
 def test_rejoin_free_loops():
     """A closed walk through dropped darts alone is a free loop: the curl
-    X[1,1,2,2] dropped, its darts rejoined by the A-smoothing (a ^ 1), is
-    two circles, and by the B-smoothing (a ^ 3) one."""
+    X[1,1,2,2] dropped, its darts rejoined by the B-smoothing (a ^ 3), is
+    one circle, and by the A-smoothing (a ^ 1) two, a split diagram that
+    ``rejoin`` refuses when it builds it."""
     curl = parse_pd("X[1,1,2,2]")
-    assert rejoin(curl, (), {a: a ^ 1 for a in range(4)}) == Diagram((), free_loops=2)
     assert rejoin(curl, (), {a: a ^ 3 for a in range(4)}) == Diagram((), free_loops=1)
+    with pytest.raises(DiagramError) as exc:
+        rejoin(curl, (), {a: a ^ 1 for a in range(4)})
+    assert str(exc.value) == "split diagram: expected exactly one free loop with no crossings"
     # a kept crossing keeps its darts; edges are numbered in dart order
     two = parse_pd("X[1,2,3,4] X[4,3,2,1]")
     assert rejoin(two, (1,), {a: a ^ 1 for a in range(4)}) == Diagram(((1, 1, 2, 2),))

@@ -60,6 +60,7 @@ from conftest import (
     mirror,
     poly_mirror,
     resolve_loops,
+    smoothing_bracket,
 )
 
 
@@ -122,19 +123,28 @@ def test_reduce_kinks_removes_added_curls():
 def test_smoothing_skein_relation():
     # <D> = A <D_A> + A^-1 <D_B> at every crossing, on the smoothings
     # ``_smooth`` builds for reduce_kinks and the conftest aa_closures
-    # oracle; a free loop a smoothing leaves enters through delta
+    # oracle; a smoothing that is a split diagram is refused when built,
+    # and its bracket is the state sum over D's states that smooth the
+    # crossing so
     rng = random.Random(13)
-    pairs = 0
+    smoothings = []
     for i in range(60):
         make = random_diagram if i % 2 else random_alternating_diagram
         d = make(rng.randint(1, 12), rng)
         bracket = kauffman_bracket(d)
         for ci in range(d.crossing_count):
-            da, db = _smooth(d, ci, "A"), _smooth(d, ci, "B")
-            smoothed = _add_term({}, kauffman_bracket(da).coeffs, 1, 0)
-            assert bracket == LaurentPoly("A", _add_term(smoothed, kauffman_bracket(db).coeffs, -1, 0))
-            pairs += 1
-    assert pairs > 300
+            smoothed: dict[int, int] = {}
+            for choice, shift in (("A", 1), ("B", -1)):
+                try:
+                    part = kauffman_bracket(_smooth(d, ci, choice))
+                    smoothings.append("built")
+                except DiagramError as exc:
+                    assert str(exc).startswith("split diagram: "), exc
+                    part = smoothing_bracket(d, ci, choice)
+                    smoothings.append("split")
+                _add_term(smoothed, part.coeffs, shift, 0)
+            assert bracket == LaurentPoly("A", smoothed)
+    assert (len(smoothings), smoothings.count("split")) == (722, 47)
 
 
 def test_signature_bounds(trefoil, aa_trefoil, k12n888_mirror):
@@ -347,12 +357,13 @@ def test_aa_generated_predictions():
 
 
 def test_aa_helpers_validate_each_diagram_once(monkeypatch):
-    """The extreme-coefficient prediction validates the diagram once and
-    reads both smoothings off its face structure.  The sampler
-    has already validated its own diagram, so the count is on a fresh copy."""
+    """Building a diagram and the extreme-coefficient prediction on it
+    validate the diagram once, and the prediction reads both smoothings off
+    its face structure.  The sampler has already validated its own
+    diagram, so the count is on a fresh copy."""
     drawn, _ = random_almost_alternating_diagram(10, random.Random(7))
-    d = Diagram(drawn.crossings)
     validations = _count_calls(monkeypatch, validate)
+    d = Diagram(drawn.crossings)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         aa_extreme_coefficients(DiagramAnalysis(d))

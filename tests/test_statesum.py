@@ -102,6 +102,8 @@ def test_state_graph_trefoil(trefoil):
     gb = state_graph(trefoil, "B")
     assert (ga.vertex_count, len(ga.edges), ga.reduced_edge_count) == (3, 3, 3)
     assert (gb.vertex_count, len(gb.edges), gb.reduced_edge_count) == (2, 3, 1)
+    with pytest.raises(ValueError, match="^state must be 'A' or 'B'$"):
+        state_graph(trefoil, "C")
 
 
 def test_adequacy(trefoil, aa_trefoil):
@@ -229,7 +231,7 @@ def test_in_place_elimination_matches_reference(m):
 
 def _bracket_corpus():
     """Seeded diagrams of at most 12 crossings, with the edge cases of the
-    sweep: several components, free loops, no crossings and kinks."""
+    sweep: several components, the 0-crossing unknot and kinks."""
     rng = random.Random(4)
     for _ in range(20):
         yield random_diagram(rng.randint(1, 12), rng)
@@ -242,15 +244,20 @@ def _bracket_corpus():
         if orient(d).component_count == 2:
             yield d
             break
-    yield parse_pd(TREFOIL_PD + " U")
     yield parse_pd("")
-    yield parse_pd("U U")
     # a kinked trefoil: label 8 twice at the last crossing
     yield parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]")
     yield parse_pd("X[1,2,2,1]")
 
 
 def test_bracket_sweep_matches_state_sum():
+    """On the corpus, and on every order of its crossings; the split
+    diagrams a free loop makes beside crossings or another free loop are
+    refused when built, so they have no bracket."""
+    for pd, message in ((TREFOIL_PD + " U", "free loops alongside crossings"),
+                        ("U U", "expected exactly one free loop with no crossings")):
+        with pytest.raises(DiagramError, match=f"^split diagram: {message}$"):
+            parse_pd(pd)
     rng = random.Random(5)
     for d in _bracket_corpus():
         expected = bracket_state_sum(d)
@@ -306,9 +313,9 @@ def test_sweep_width_bound_refuses(monkeypatch):
             raise AssertionError("a state was expanded")
 
     def order_probe(d):
-        _, width, components = sweep_order(d)
+        _, width = sweep_order(d)
         probed.append(width)
-        return Unswept(), width, components
+        return Unswept(), width
 
     monkeypatch.setattr(statesum, "_sweep_order", order_probe)
     with pytest.raises(CrossingLimitError, match="frontier of 18 open ends exceeds the bound of 16"):
@@ -346,77 +353,11 @@ def test_packed_sweep_matches_reference_curls(trefoil):
     assert kauffman_bracket(d) == bracket_sweep_reference(d)
 
 
-def test_packed_sweep_digit_bound_on_split_diagram(trefoil):
-    """An unvalidated split diagram, 8 trefoils and 2 free loops: the
-    bound's r = 8 components of the crossing graph, as the sweep counts
-    them, and f = 2 free loops, and coefficients in the thousands, decoded
-    whole."""
-    copies = tuple(
-        tuple(e + 6 * i for e in x) for i in range(8) for x in trefoil.crossings
-    )
-    d = Diagram(copies, free_loops=2)
-    assert statesum._sweep_order(d)[2] == 8
-    got = kauffman_bracket(d)
-    assert got == bracket_sweep_reference(d)
-    assert max(abs(cf) for cf in got.coeffs.values()) == 3096
-
-
-def test_packed_sweep_counts_components_with_kinks():
-    """Crossings whose two ends of one edge meet at them (a kink) must not
-    hide a new component of the crossing graph from the bound: here a
-    one-crossing component is followed by a two-crossing one."""
-    d = parse_pd("X[2,1,1,2] X[4,3,3,5] X[6,4,5,6]")
-    assert kauffman_bracket(d) == bracket_state_sum(d) == bracket_sweep_reference(d)
-
-
 def test_empty_diagram_has_no_bracket():
-    """No crossing and no free loop: the state sum has no loop to divide
-    delta out of, so the bracket is refused."""
-    with pytest.raises(DiagramError, match="^diagram has no loops, so its bracket is undefined$"):
-        kauffman_bracket(Diagram(()))
-
-
-def _crossing_graph_components(d: Diagram) -> int:
-    """Components of the crossing graph, by a breadth-first search over
-    the dart table."""
-    mate = d.mate
-    seen = [False] * d.crossing_count
-    components = 0
-    for start in range(d.crossing_count):
-        if seen[start]:
-            continue
-        components += 1
-        seen[start] = True
-        queue = [start]
-        for ci in queue:
-            for a in range(4 * ci, 4 * ci + 4):
-                cj = mate[a] >> 2
-                if not seen[cj]:
-                    seen[cj] = True
-                    queue.append(cj)
-    return components
-
-
-def test_sweep_counts_components_of_split_sums():
-    """300 split sums of 1-4 random or alternating diagrams of 1-8
-    crossings each, crossings shuffled, with 0-2 free loops: the sweep
-    counts the crossing graph's components, and the bracket, whose digit
-    bound reads that count, matches the dict sweep."""
-    rng = random.Random(24)
-    for i in range(300):
-        parts = [
-            rng.choice((random_diagram, random_alternating_diagram))(rng.randint(1, 8), rng)
-            for _ in range(rng.randint(1, 4))
-        ]
-        crossings = []
-        edges = 0
-        for p in parts:
-            crossings += [tuple(e + edges for e in x) for x in p.crossings]
-            edges += p.edge_count
-        rng.shuffle(crossings)
-        d = Diagram(tuple(crossings), free_loops=rng.randint(0, 2))
-        assert statesum._sweep_order(d)[2] == _crossing_graph_components(d) == len(parts), i
-        assert kauffman_bracket(d) == bracket_sweep_reference(d), i
+    """No crossing and no free loop: the state sum would have no loop to
+    divide delta out of, but such a diagram is refused when it is built."""
+    with pytest.raises(DiagramError, match="^split diagram: expected exactly one free loop with no crossings$"):
+        Diagram(())
 
 
 def test_s_A_s_B_match_resolve_loops():
@@ -440,4 +381,4 @@ def test_sweep_order_matches_reference():
         shuffled = list(d.crossings)
         rng.shuffle(shuffled)
         for g in (d, Diagram(tuple(shuffled), free_loops=d.free_loops)):
-            assert statesum._sweep_order(g)[:2] == sweep_order_reference(g)
+            assert statesum._sweep_order(g) == sweep_order_reference(g)

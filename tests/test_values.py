@@ -161,20 +161,27 @@ def test_diagram_is_its_crossings_and_free_loops():
     assert D.edge_count == 6
     with pytest.raises(AttributeError):
         D.edge_count = 6
-    loops = Diagram(D.crossings, free_loops=2)
-    for clone in copy.copy(loops), copy.deepcopy(loops), pickle.loads(pickle.dumps(loops)):
-        assert clone == loops and clone.free_loops == 2 and repr(clone) == repr(loops)
-        assert clone.mate == loops.mate
+    with pytest.raises(DiagramError, match="^split diagram: free loops alongside crossings$"):
+        Diagram(D.crossings, free_loops=2)
+    for d in D, Diagram((), free_loops=1):
+        for clone in copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)):
+            assert clone == d and clone.free_loops == d.free_loops and repr(clone) == repr(d)
+            assert clone.mate == d.mate
 
 
 def test_free_loops_is_a_count():
     """A free-loop count that is not an int of at least 0, a bool among
     them, is refused when the diagram is built: with -1 the bracket's delta
-    factors once cancelled to the trefoil's own bracket."""
+    factors once cancelled to the trefoil's own bracket.  A valid diagram
+    has one free loop and no crossing, or crossings and none."""
     for bad in (-1, -5, True, 1.0):
         with pytest.raises(DiagramError, match="^free_loops must be a non-negative int, got "):
             Diagram(D.crossings, free_loops=bad)
-    assert [Diagram(D.crossings, free_loops=n).free_loops for n in (0, 2)] == [0, 2]
+    assert [Diagram(D.crossings, free_loops=0).free_loops, Diagram((), free_loops=1).free_loops] == [0, 1]
+    for crossings, n, message in ((D.crossings, 2, "free loops alongside crossings"),
+                                  ((), 2, "expected exactly one free loop with no crossings")):
+        with pytest.raises(DiagramError, match=f"^split diagram: {message}$"):
+            Diagram(crossings, free_loops=n)
 
 
 def test_value_classes_are_named_tuples_or_frozen():
