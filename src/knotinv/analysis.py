@@ -103,10 +103,10 @@ class DiagramAnalysis:
 
     @cached_property
     def signature(self) -> int:
-        """Gordon-Litherland, -sign(G) + mu, mu summing eta over the crossings
-        of sign -eta; read off ``goeritz``, so ``det``'s elimination is reused."""
+        """Gordon-Litherland, read off ``goeritz``, so ``det``'s elimination
+        is reused."""
         _, sign_g, etas = self.goeritz
-        return -sign_g + sum(eta for s, eta in zip(self.signs[0], etas) if s == -eta)
+        return statesum._gordon_litherland(sign_g, self.signs[0], etas)
 
     @cached_property
     def bracket(self) -> LaurentPoly:

@@ -38,7 +38,7 @@ from .diagram import (
     orient,
     rejoin,
 )
-from .statesum import _goeritz_matrix, _nested_det_signatures
+from .statesum import _goeritz_matrix, _gordon_litherland, _nested_det_signatures
 
 if TYPE_CHECKING:
     from .analysis import DiagramAnalysis
@@ -172,21 +172,18 @@ class GenusOneStructure(NamedTuple):
 
     def closure_signatures(self, signs: tuple[int, ...], which: str) -> tuple[int, ...]:
         """sigma of each tangle's ``which`` closure, oriented as the parent
-        with crossing signs ``signs`` induces, by Gordon-Litherland:
-        -sign(G) + mu on the tangle's Goeritz form G, where mu sums eta over
-        the crossings whose sign is -eta (those whose oriented smoothing
-        does not merge the two corners of G's colour class).
+        with crossing signs ``signs`` induces, by Gordon-Litherland on the
+        closure's Goeritz form.
 
         ``which`` must be a closure the parent's orientation extends to (see
         :func:`classify_orientation`).  The closures that
         :func:`oriented_closure` builds are the test oracle of this route.
         """
         k = 0 if which == "numerator" else 1
-        sigs = []
-        for t, form in zip(self.tangles, self.forms):
-            mu = sum(eta for ci, eta in zip(t.crossing_indices, form[2]) if signs[ci] == -eta)
-            sigs.append(-form[k][1] + mu)
-        return tuple(sigs)
+        return tuple(
+            _gordon_litherland(form[k][1], (signs[ci] for ci in t.crossing_indices), form[2])
+            for t, form in zip(self.tangles, self.forms)
+        )
 
 
 def _forms(fs: FaceStructure, runs: ArcRuns, tangles: tuple[Tangle, ...]) -> Forms:
@@ -217,7 +214,7 @@ def _forms(fs: FaceStructure, runs: ArcRuns, tangles: tuple[Tangle, ...]) -> For
             vertex, (corner_key[4 * ci:4 * ci + 4] for ci in t.crossing_indices)
         )
         # S23 last: with S01 grounded, the leading block is D(R_i)'s form
-        d_form, n_form = _nested_det_signatures(g, 1, len(g) - 2)
+        d_form, n_form = _nested_det_signatures(g, len(g) - 2)
         forms.append((n_form, d_form, tuple(etas)))
     return tuple(forms)
 

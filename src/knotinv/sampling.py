@@ -164,9 +164,10 @@ def random_genus_one_diagram(
     return assemble(t.vertex_count, joins, flips=flips, mirror_all=rng.random() < 0.5)
 
 
-def random_almost_alternating_diagram(
-    n: int, rng: random.Random, max_tries: int = 1000
-) -> tuple[Diagram, int]:
+_MAX_TRIES = 1000  # draws of an almost-alternating sample before it gives up
+
+
+def random_almost_alternating_diagram(n: int, rng: random.Random) -> tuple[Diagram, int]:
     """An almost-alternating diagram: alternating tangle plus a flipped
     clasp crossing closing it.  Returns (diagram, dealternator index);
     retries until both smoothings of the dealternator are reduced.
@@ -177,7 +178,7 @@ def random_almost_alternating_diagram(
     kink in one closure."""
     if n < 5:
         raise DiagramError(f"an almost-alternating sample needs n >= 5 crossings, got {n}")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         t = random_tangle_sketch(n - 1, rng)
         joins = _closed_joins(hsum(t, crossing_sketch()), "N")
         d = assemble(n, joins, flips={n - 1}, mirror_all=rng.random() < 0.5)
@@ -186,4 +187,4 @@ def random_almost_alternating_diagram(
         except DiagramError:
             continue
         return d, n - 1
-    raise DiagramError(f"no reduced almost-alternating sample found in {max_tries} tries")
+    raise DiagramError(f"no reduced almost-alternating sample found in {_MAX_TRIES} tries")

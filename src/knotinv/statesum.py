@@ -75,10 +75,10 @@ class StateGraph(NamedTuple):
 
 
 def _state_loops(d: Diagram, flips: list[int] | tuple[int, ...]) -> tuple[list[int], int]:
-    """The loop of each dart, and the loop count with free loops, of the
-    state that joins dart a to ``a ^ flips[a >> 2]`` (1 is the A-smoothing,
-    3 the B-smoothing).  A loop runs from dart a out through ``a ^ flip`` to
-    ``mate[a ^ flip]``; each is walked once, marking both darts it passes."""
+    """The loop of each dart, and the loop count (the unknot's one is its free
+    loop), of the state that joins dart a to ``a ^ flips[a >> 2]`` (1 is the
+    A-smoothing, 3 the B-smoothing).  A loop runs from dart a out through
+    ``a ^ flip`` to ``mate[a ^ flip]``, walked once, marking both darts."""
     mate = d.mate
     loop = [-1] * len(mate)
     count = 0
@@ -306,12 +306,10 @@ def _goeritz_matrix(vertex: dict, corners) -> tuple[list[list[int]], list[int]]:
     return g, etas
 
 
-def _nested_det_signatures(
-    g: list[list[int]], k: int, lead: int
-) -> tuple[tuple[int, int], tuple[int, int]]:
+def _nested_det_signatures(g: list[list[int]], lead: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(det, signature) of the leading ``lead`` x ``lead`` block of the
-    symmetric integer matrix ``g`` with its first ``k`` rows and columns
-    deleted, and of that whole matrix, from one elimination.
+    symmetric integer matrix ``g`` with its first row and column deleted
+    (the grounded face), and of that whole matrix, from one elimination.
 
     Fraction-free symmetric elimination, in place on a copy of ``g``: the
     pivot at each step is a nonzero diagonal entry of the trailing block,
@@ -331,7 +329,7 @@ def _nested_det_signatures(
     leading block that turns singular gives (0, its signature so far), and
     the elimination goes on over the whole trailing block.
     """
-    a = [row[k:] for row in g[k:]]
+    a = [row[1:] for row in g[1:]]
     n = len(a)
     prev, sig, step = 1, 0, 0
     forms = []
@@ -370,6 +368,13 @@ def _nested_det_signatures(
     return forms[0], forms[1]
 
 
+def _gordon_litherland(form_signature: int, signs, etas) -> int:
+    """Gordon-Litherland: -sign(G) + mu on a Goeritz form G, where mu sums eta
+    over the crossings whose sign is -eta (those whose oriented smoothing
+    does not merge the two corners of G's colour class)."""
+    return -form_signature + sum(eta for s, eta in zip(signs, etas) if s == -eta)
+
+
 def _goeritz_form(d: Diagram) -> tuple[int, int, list[int]]:
     """(det, signature, eta per crossing) of the Goeritz form on the faces of
     colour 0, the first deleted; with no crossing, the empty form (1, 0)."""
@@ -379,7 +384,7 @@ def _goeritz_form(d: Diagram) -> tuple[int, int, list[int]]:
         {fi: i for i, fi in enumerate(white)},
         (fs.face_of[a:a + 4] for a in range(0, 4 * d.crossing_count, 4)),
     )
-    det, sig = _nested_det_signatures(g, 1, 0)[1]
+    det, sig = _nested_det_signatures(g, 0)[1]
     return det, sig, etas
 
 

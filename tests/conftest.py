@@ -61,7 +61,7 @@ def poly_mirror(p: LaurentPoly) -> LaurentPoly:
 
 def mirror(d: Diagram) -> Diagram:
     """Swap over/under everywhere by rotating each crossing tuple one slot."""
-    return Diagram(tuple((b, c, e, a) for a, b, c, e in d.crossings), free_loops=d.free_loops)
+    return Diagram(tuple((b, c, e, a) for a, b, c, e in d.crossings))
 
 
 def bracket_from_table(table):

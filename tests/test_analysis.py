@@ -231,7 +231,7 @@ def _switch(d: Diagram, ci: int) -> Diagram:
     crossings = list(d.crossings)
     x = crossings[ci]
     crossings[ci] = x[1:] + x[:1]
-    return Diagram(tuple(crossings), free_loops=d.free_loops)
+    return Diagram(tuple(crossings))
 
 
 def test_dealternator_matches_switch_oracle():

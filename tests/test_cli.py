@@ -434,3 +434,22 @@ def test_cli_import_leaves_out_dataclasses():
         [sys.executable, "-S", "-c", code, *heavy], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "pd, golden, rc",
+    [(data_path("sample_knots.pd"), "sample_knots.invariants.json", 0),
+     (str(GOLDEN / "invalid_diagrams.pd"), "invalid_diagrams.invariants.json", 1)],
+    ids=["sample", "invalid"],
+)
+def test_module_entry_point(pd, golden, rc):
+    """``python -m knotinv.cli`` runs ``main`` and exits with its code: the
+    bundled sample prints its golden JSON byte for byte and exits 0, and
+    the invalid diagrams, every one an error record but two, exit 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "knotinv.cli", "invariants", pd, "--json"],
+        env=env, capture_output=True,
+    )
+    assert (out.returncode, out.stderr) == (rc, b"")
+    assert out.stdout == (GOLDEN / golden).read_bytes()

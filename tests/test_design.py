@@ -166,7 +166,7 @@ RULES = {
                 if kind == "import" and not name.startswith(".")}),
         ["analysis __future__", "analysis functools", "cli __future__", "cli argparse", "cli json",
          "cli sys", "decomp __future__", "decomp typing", "diagram __future__",
-         "diagram collections.abc", "diagram functools", "diagram re", "diagram typing",
+         "diagram collections.abc", "diagram re", "diagram typing",
          "invariants __future__", "invariants typing", "invariants warnings", "laurent __future__",
          "sampling __future__", "sampling functools", "sampling itertools", "sampling random",
          "sampling typing", "statesum __future__", "statesum typing", "textio __future__",
@@ -179,10 +179,9 @@ RULES = {
     # added here only when callers need different values
     "settable_values": (
         sorted(f"{s} {name}" for m in SRC_MODULES for s, kind, name in FACTS[m] if kind == "default"),
-        ["cli.main argv", "diagram.Diagram.__init__ free_loops", "diagram.orient into",
+        ["cli.main argv", "diagram.orient into",
          "invariants.SignatureReport exact", "invariants.SignatureReport method",
          "sampling.assemble flips", "sampling.assemble mirror_all",
-         "sampling.random_almost_alternating_diagram max_tries",
          "sampling.random_genus_one_diagram tangle_sizes",
          "textio.KnotRecord.__new__ jones_text", "textio.KnotRecord.__new__ pd_text",
          "textio._RecordFields jones_text", "textio._RecordFields pd_text"]),

@@ -151,15 +151,19 @@ def test_validate_messages(pd, message, monkeypatch):
     """A diagram validates itself when it is built, so ``parse_pd`` and
     ``Diagram`` refuse an invalid one with the message ``validate`` gives,
     and no analysis or sweep of it can start: X[1,2,3,4] X[3,4,1,2] has
-    well-paired labels and, swept, a bracket."""
+    well-paired labels and, swept, a bracket.  A free loop is a ``U``
+    token, which ``parse_pd`` refuses beside crossings or beside another
+    one before it builds the diagram."""
     validations = _count_calls(monkeypatch, validate)
-    tokens = pd.split()
-    crossings = tuple(tuple(map(int, re.findall(r"[0-9]+", t))) for t in tokens if t != "U")
-    for build in (lambda: parse_pd(pd), lambda: Diagram(crossings, free_loops=tokens.count("U"))):
+    builds = [lambda: parse_pd(pd)]
+    if "U" not in pd:
+        crossings = tuple(tuple(map(int, re.findall(r"[0-9]+", t))) for t in pd.split())
+        builds.append(lambda: Diagram(crossings))
+    for build in builds:
         with pytest.raises(DiagramError) as exc:
             build()
         assert str(exc.value) == message
-    assert len(validations) == 2
+    assert len(validations) == (0 if "U" in pd else 2)
 
 
 def test_label_messages():
@@ -385,13 +389,19 @@ def test_relabel_invariance(perm):
 def test_rejoin_free_loops():
     """A closed walk through dropped darts alone is a free loop: the curl
     X[1,1,2,2] dropped, its darts rejoined by the B-smoothing (a ^ 3), is
-    one circle, and by the A-smoothing (a ^ 1) two, a split diagram that
-    ``rejoin`` refuses when it builds it."""
+    one circle, the unknot, and by the A-smoothing (a ^ 1) two, a split
+    diagram that ``rejoin`` refuses, as it refuses a free loop beside
+    crossings: the kink X[7,6,8,8] smoothed along its loop edge 8."""
     curl = parse_pd("X[1,1,2,2]")
-    assert rejoin(curl, (), {a: a ^ 3 for a in range(4)}) == Diagram((), free_loops=1)
+    assert rejoin(curl, (), {a: a ^ 3 for a in range(4)}) == Diagram(())
     with pytest.raises(DiagramError) as exc:
         rejoin(curl, (), {a: a ^ 1 for a in range(4)})
     assert str(exc.value) == "split diagram: expected exactly one free loop with no crossings"
+    kinked = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,7,3] X[7,6,8,8]")
+    assert rejoin(kinked, (0, 1, 2), {a: a ^ 3 for a in range(12, 16)}).crossing_count == 3
+    with pytest.raises(DiagramError) as exc:
+        rejoin(kinked, (0, 1, 2), {a: a ^ 1 for a in range(12, 16)})
+    assert str(exc.value) == "split diagram: free loops alongside crossings"
     # a kept crossing keeps its darts; edges are numbered in dart order
     two = parse_pd("X[1,2,3,4] X[4,3,2,1]")
     assert rejoin(two, (1,), {a: a ^ 1 for a in range(4)}) == Diagram(((1, 1, 2, 2),))

@@ -399,10 +399,11 @@ def test_aa_check_matches_built_smoothings(monkeypatch):
         raise DiagramError("keep drawing")
 
     monkeypatch.setattr(sampling, "_check_aa_reduced", keep_drawing)
+    monkeypatch.setattr(sampling, "_MAX_TRIES", 170)
     rng = random.Random(16)
     for n in range(5, 14):
         with pytest.raises(DiagramError, match="no reduced"):
-            random_almost_alternating_diagram(n, rng, max_tries=170)
+            random_almost_alternating_diagram(n, rng)
     monkeypatch.undo()
     assert len(draws) >= 1500
     accepted = 0

@@ -19,6 +19,7 @@ from knotinv import (
     parse_pd,
     s_A,
     s_B,
+    serialize_pd,
     state_graph,
 )
 from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
@@ -156,19 +157,28 @@ def _symmetric_matrices(rng: random.Random, count: int):
         yield m
 
 
+def _behind_ground(m, k):
+    """The matrix that ``_nested_det_signatures``, which deletes its first
+    row and column, reads as ``m`` with its first ``k`` deleted: ``m``
+    trimmed by k - 1, or for k = 0 behind a row and column of zeros."""
+    if k:
+        return [r[k - 1:] for r in m[k - 1:]]
+    return [[0] * (len(m) + 1)] + [[0, *r] for r in m]
+
+
 def test_det_signature_matches_references():
     """One elimination's (det, signature) against Bareiss and against exact
     rational diagonalisation, on 3000 seeded symmetric matrices."""
     singular = zero_diagonal = 0
     for m in _symmetric_matrices(random.Random(3000), 3000):
-        got = statesum._nested_det_signatures(m, 0, 0)[1]
+        got = statesum._nested_det_signatures(_behind_ground(m, 0), 0)[1]
         assert got == fraction_det_signature(m), m
         assert got[0] == bareiss_det(m), m
         singular += got[0] == 0
         zero_diagonal += len(m) > 1 and not any(m[i][i] for i in range(len(m)))
         if m:
-            assert statesum._nested_det_signatures(m, 1, 0) == statesum._nested_det_signatures(
-                [r[1:] for r in m[1:]], 0, 0
+            assert statesum._nested_det_signatures(m, 0) == statesum._nested_det_signatures(
+                _behind_ground([r[1:] for r in m[1:]], 0), 0
             )
     assert singular > 300 and zero_diagonal > 800
 
@@ -183,8 +193,9 @@ def test_nested_det_signatures_match_reference():
     for m in _symmetric_matrices(random.Random(3000), 3000):
         if not m:
             continue
-        lead, whole = statesum._nested_det_signatures(m, 0, len(m) - 1)
-        assert whole == statesum._nested_det_signatures(m, 0, 0)[1], m
+        g = _behind_ground(m, 0)
+        lead, whole = statesum._nested_det_signatures(g, len(m) - 1)
+        assert whole == statesum._nested_det_signatures(g, 0)[1], m
         assert lead == fraction_det_signature([r[:-1] for r in m[:-1]]), m
         singular_lead += lead[0] == 0
         zero_diagonal += len(m) > 1 and not any(m[i][i] for i in range(len(m)))
@@ -219,13 +230,14 @@ def _singular_symmetric(draw):
 @given(m=_singular_symmetric())
 def test_in_place_elimination_matches_reference(m):
     """The in-place elimination against the old one that rebuilt each row,
-    for every k <= 2 and lead <= n - k, and it leaves its argument as it
-    was."""
-    before = copy.deepcopy(m)
+    on ``m`` with its first k <= 2 rows and columns deleted and every lead
+    <= n - k, and it leaves its argument as it was."""
     for k in range(min(2, len(m)) + 1):
+        g = _behind_ground(m, k)
+        before = copy.deepcopy(g)
         for lead in range(len(m) - k + 1):
-            got = statesum._nested_det_signatures(m, k, lead)
-            assert m == before
+            got = statesum._nested_det_signatures(g, lead)
+            assert g == before
             assert got == nested_det_signatures_reference(m, k, lead), (k, lead)
 
 
@@ -265,7 +277,7 @@ def test_bracket_sweep_matches_state_sum():
         # the sweep order follows the crossing order; the bracket does not
         shuffled = list(d.crossings)
         rng.shuffle(shuffled)
-        assert kauffman_bracket(Diagram(tuple(shuffled), free_loops=d.free_loops)) == expected
+        assert kauffman_bracket(Diagram(tuple(shuffled))) == expected
 
 
 def test_bracket_full_size_cross_check():
@@ -353,11 +365,14 @@ def test_packed_sweep_matches_reference_curls(trefoil):
     assert kauffman_bracket(d) == bracket_sweep_reference(d)
 
 
-def test_empty_diagram_has_no_bracket():
-    """No crossing and no free loop: the state sum would have no loop to
-    divide delta out of, but such a diagram is refused when it is built."""
-    with pytest.raises(DiagramError, match="^split diagram: expected exactly one free loop with no crossings$"):
-        Diagram(())
+def test_empty_diagram_is_the_unknot():
+    """No crossing is the 0-crossing unknot, one free loop: the state sum's
+    one state has that loop to divide delta out of."""
+    d = Diagram(())
+    assert d == parse_pd("") == parse_pd("U") and d.free_loops == 1
+    assert kauffman_bracket(d) == LaurentPoly("A", {0: 1}) == bracket_state_sum(d)
+    assert s_A(d) == s_B(d) == 1 and orient(d).component_count == 1
+    assert serialize_pd(d) == "U"
 
 
 def test_s_A_s_B_match_resolve_loops():
@@ -380,5 +395,5 @@ def test_sweep_order_matches_reference():
     for d in corpus:
         shuffled = list(d.crossings)
         rng.shuffle(shuffled)
-        for g in (d, Diagram(tuple(shuffled), free_loops=d.free_loops)):
+        for g in (d, Diagram(tuple(shuffled))):
             assert statesum._sweep_order(g) == sweep_order_reference(g)

@@ -2,14 +2,13 @@
 ``LaurentPoly``, which derive from ``frozen.Frozen``.
 
 Each is exactly its fields: it builds the same value from positional and
-from keyword arguments (a keyword-only field, such as ``Diagram``'s
-``free_loops``, by keyword in both), fills its defaults, refuses
-assignment and deletion, survives copy and pickle, and prints every field
-in its repr.  The repr strings were captured from the frozen dataclasses
-these classes once were, apart from ``GenusOneStructure``'s, which now
-shows ``forms``, ``Diagram``'s, which no longer shows an edge count, and
+from keyword arguments, fills its defaults, refuses assignment and
+deletion, survives copy and pickle, and prints every field in its repr.
+The repr strings were captured from the frozen dataclasses these classes
+once were, apart from ``GenusOneStructure``'s, which now shows ``forms``,
+``Diagram``'s, which no longer shows an edge count or free loops, and
 ``ObstructionVerdict``'s, which shows only its two coefficients.  Only
-``Diagram`` and ``SignatureReport`` have defaults.
+``SignatureReport`` has defaults.
 """
 
 import copy
@@ -21,7 +20,6 @@ import pytest
 from knotinv import (
     AltDecomposition,
     Diagram,
-    DiagramError,
     FaceStructure,
     GenusOneStructure,
     LaurentPoly,
@@ -36,14 +34,14 @@ from knotinv.decomp import ArcRuns
 from knotinv.frozen import Frozen
 
 D = Diagram(((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)))
-D_REPR = "Diagram(crossings=((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)), free_loops=0)"
+D_REPR = "Diagram(crossings=((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)))"
 TANGLE = Tangle((0, 2), (1, 4, 9, 6), True)
 TANGLE_REPR = "Tangle(crossing_indices=(0, 2), boundary=(1, 4, 9, 6), proper=True)"
 FORMS = (((3, 1), (1, 0), (1, -1)),)
 
 # class, its fields and one value for each, the defaults, the repr
 CASES = [
-    (Diagram, {"crossings": D.crossings, "free_loops": 0}, {"free_loops": 0}, D_REPR),
+    (Diagram, {"crossings": D.crossings}, {}, D_REPR),
     (
         FaceStructure,
         {"faces": ((0, 5), (1, 2)), "checkerboard_color": (0, 1), "face_of": [0, 1, 1, 0]},
@@ -119,10 +117,8 @@ UNHASHABLE = {FaceStructure, LaurentPoly, ArcRuns}  # a list or dict among the c
 
 @pytest.mark.parametrize("cls, values, defaults, text", CASES, ids=[c[0].__name__ for c in CASES])
 def test_value_class_contract(cls, values, defaults, text):
-    kinds = {name: p.kind for name, p in inspect.signature(cls).parameters.items()}
-    named = {name: v for name, v in values.items() if kinds[name] is inspect.Parameter.KEYWORD_ONLY}
-    args = tuple(v for name, v in values.items() if name not in named)
-    by_position, by_keyword = cls(*args, **named), cls(**values)
+    args = tuple(values.values())
+    by_position, by_keyword = cls(*args), cls(**values)
     assert by_position == by_keyword and repr(by_position) == repr(by_keyword) == text
     assert {name: getattr(by_position, name) for name in values} == values
     if cls in NAMED_TUPLES:
@@ -147,41 +143,26 @@ def test_value_class_contract(cls, values, defaults, text):
 
 
 
-def test_diagram_is_its_crossings_and_free_loops():
-    """``free_loops`` is keyword-only, so a leftover edge count passed
-    positionally is refused rather than read as free loops; the edge count
-    is read off the crossings, and a polynomial's terms come in one order,
-    which no argument picks."""
-    params = inspect.signature(Diagram).parameters
-    assert list(params) == ["crossings", "free_loops"]
+def test_diagram_is_its_crossings():
+    """A diagram's one parameter is its crossings, so a leftover edge count
+    or free-loop count is refused rather than read; the edge count and the
+    free loops, one exactly when there is no crossing, are read off the
+    crossings, and a polynomial's terms come in one order, which no
+    argument picks."""
+    assert list(inspect.signature(Diagram).parameters) == ["crossings"]
     assert list(inspect.signature(LaurentPoly.terms).parameters) == ["self"]
-    assert params["free_loops"].kind is inspect.Parameter.KEYWORD_ONLY
     with pytest.raises(TypeError):
         Diagram(D.crossings, 6)
-    assert D.edge_count == 6
-    with pytest.raises(AttributeError):
-        D.edge_count = 6
-    with pytest.raises(DiagramError, match="^split diagram: free loops alongside crossings$"):
-        Diagram(D.crossings, free_loops=2)
-    for d in D, Diagram((), free_loops=1):
+    with pytest.raises(TypeError):
+        Diagram((), free_loops=1)
+    assert (D.edge_count, D.free_loops, Diagram(()).free_loops) == (6, 0, 1)
+    for name in ("edge_count", "free_loops"):
+        with pytest.raises(AttributeError):
+            setattr(D, name, 6)
+    for d in D, Diagram(()):
         for clone in copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)):
             assert clone == d and clone.free_loops == d.free_loops and repr(clone) == repr(d)
             assert clone.mate == d.mate
-
-
-def test_free_loops_is_a_count():
-    """A free-loop count that is not an int of at least 0, a bool among
-    them, is refused when the diagram is built: with -1 the bracket's delta
-    factors once cancelled to the trefoil's own bracket.  A valid diagram
-    has one free loop and no crossing, or crossings and none."""
-    for bad in (-1, -5, True, 1.0):
-        with pytest.raises(DiagramError, match="^free_loops must be a non-negative int, got "):
-            Diagram(D.crossings, free_loops=bad)
-    assert [Diagram(D.crossings, free_loops=0).free_loops, Diagram((), free_loops=1).free_loops] == [0, 1]
-    for crossings, n, message in ((D.crossings, 2, "free loops alongside crossings"),
-                                  ((), 2, "expected exactly one free loop with no crossings")):
-        with pytest.raises(DiagramError, match=f"^split diagram: {message}$"):
-            Diagram(crossings, free_loops=n)
 
 
 def test_value_classes_are_named_tuples_or_frozen():
