@@ -16,15 +16,12 @@ from .diagram import (
 from .laurent import LaurentPoly
 from .statesum import (
     CrossingLimitError,
-    StateGraph,
-    adequacy,
     determinant,
     goeritz_determinant,
     jones,
     kauffman_bracket,
     s_A,
     s_B,
-    state_graph,
 )
 from .decomp import (
     AltDecomposition,
@@ -42,13 +39,9 @@ from .analysis import DiagramAnalysis
 from .invariants import (
     ObstructionVerdict,
     SignatureReport,
-    aa_adjacency,
-    aa_extreme_coefficients,
     conway_determinant,
-    dl_coefficients,
     genus_one_knot_signature,
     giller_mod4_check,
-    is_reduced,
     jones_obstruction,
     reduce_kinks,
     signature_bounds,

@@ -62,18 +62,6 @@ class DiagramAnalysis:
         return decomp.nonalternating_edges(self.diagram)
 
     @cached_property
-    def dealternator(self) -> int | None:
-        """The crossing whose four distinct edges are exactly the
-        non-alternating ones, or None; with three or more crossings there
-        is at most one."""
-        nonalt = self.nonalternating
-        if len(nonalt) == 4:
-            for ci, x in enumerate(self.diagram.crossings):
-                if set(x) == nonalt:
-                    return ci
-        return None
-
-    @cached_property
     def arc_runs(self) -> decomp.ArcRuns:
         """The decomposition's arcs and their runs of corners, from which its
         curves and the genus-one tangles' Goeritz forms are read."""

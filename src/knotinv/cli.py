@@ -61,8 +61,7 @@ def _signature_field(a: DiagramAnalysis) -> dict:
         elif a.turaev_genus == 1 and a.od.component_count == 1:
             rep = genus_one_knot_signature(a)
         else:
-            b = signature_bounds(a)
-            rep = SignatureReport(b.lower, b.upper, a.signature, "gordon_litherland")
+            rep = signature_bounds(a)
         return _ok(_signature_cell(a, rep))
     except (DiagramError, ValueError) as exc:
         return _err(exc)

@@ -271,11 +271,10 @@ def _arc_runs(d: Diagram) -> ArcRuns:
         for b in cycle[k:] + cycle[:k]:
             r += not (b ^ mate[b]) & 1
             run[b] = r
+        # no arc has p = q: the face would run along one edge both ways,
+        # making it a bridge, and a 4-regular plane map has none
         for i, b in enumerate(arrivals):
-            p, q = b, mate[arrivals[(i + 1) % len(arrivals)]]
-            if p == q:
-                raise DiagramError("degenerate alternating decomposition (self-arc)")
-            arcs.append((p, q, fi))
+            arcs.append((b, mate[arrivals[(i + 1) % len(arrivals)]], fi))
     return ArcRuns(run, arcs, interior)
 
 

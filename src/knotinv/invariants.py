@@ -1,14 +1,12 @@
-"""Signature formulas, determinant identities, and extreme-coefficient
-predictions for almost-alternating and genus-one diagrams."""
+"""Signature formulas, determinant identities and the Jones obstruction for
+genus-one diagrams."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
-import warnings
 
 from .diagram import Diagram, DiagramError, OrientedDiagram, orient, rejoin
-from .statesum import _state_loops, state_graph
-from .decomp import GenusOneStructure, classify_orientation, nonalternating_edges
+from .decomp import GenusOneStructure, classify_orientation
 
 if TYPE_CHECKING:
     from .analysis import DiagramAnalysis
@@ -16,16 +14,12 @@ if TYPE_CHECKING:
 __all__ = [
     "SignatureReport",
     "ObstructionVerdict",
-    "is_reduced",
     "reduce_kinks",
     "traczyk_signature",
     "signature_bounds",
     "genus_one_knot_signature",
     "tangle_sum_signature",
     "conway_determinant",
-    "dl_coefficients",
-    "aa_adjacency",
-    "aa_extreme_coefficients",
     "jones_obstruction",
     "giller_mod4_check",
 ]
@@ -37,8 +31,8 @@ class SignatureReport(NamedTuple):
 
     lower: int
     upper: int
-    exact: int | None = None
-    method: str | None = None
+    exact: int | None
+    method: str
 
 
 _IMPLIED = ("not_almost_alternating", "turaev_genus_ge_2", "dealternating_number_ge_2")
@@ -64,11 +58,6 @@ class ObstructionVerdict(NamedTuple):
         """The coefficients, ``fires`` and ``implied`` as a list, as JSON
         reads them back."""
         return {"a_m": self.a_m, "a_M": self.a_M, "fires": self.fires, "implied": list(self.implied)}
-
-
-def is_reduced(d: Diagram) -> bool:
-    """No nugatory crossing: no face touches the same crossing twice."""
-    return all(len({a >> 2 for a in face}) == len(face) for face in d.fs.faces)
 
 
 def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
@@ -105,8 +94,9 @@ def traczyk_signature(a: DiagramAnalysis) -> int:
 
 
 def signature_bounds(a: DiagramAnalysis) -> SignatureReport:
+    """The Gordon-Litherland signature between the Traczyk bounds."""
     _, c_plus, c_minus, _ = a.signs
-    return SignatureReport(lower=a.s_A - c_plus - 1, upper=-a.s_B + c_minus + 1)
+    return SignatureReport(a.s_A - c_plus - 1, -a.s_B + c_minus + 1, a.signature, "gordon_litherland")
 
 
 def giller_mod4_check(sigma: int, det: int) -> bool:
@@ -166,29 +156,6 @@ def conway_determinant(gs: GenusOneStructure) -> int:
     return abs(total)
 
 
-def dl_coefficients(d: Diagram) -> tuple[tuple[int, int], ...]:
-    """Predicted first two and last two terms of the bracket of a reduced
-    alternating diagram, as (exponent, coefficient) pairs."""
-    if nonalternating_edges(d):
-        raise DiagramError("extreme term formula requires an alternating diagram")
-    if not is_reduced(d):
-        raise DiagramError("extreme term formula requires a reduced diagram")
-    c = d.crossing_count
-    if c < 1:
-        raise DiagramError("need at least one crossing")
-    ga = state_graph(d, "A")
-    gb = state_graph(d, "B")
-    v, e = ga.vertex_count, ga.reduced_edge_count
-    vb, eb = gb.vertex_count, gb.reduced_edge_count
-    sign = lambda n: 1 if n % 2 == 0 else -1
-    return (
-        (c + 2 * v - 2, sign(v - 1)),
-        (c + 2 * v - 6, sign(v) * (e - v + 1)),
-        (6 - c - 2 * vb, sign(vb) * (eb - vb + 1)),
-        (2 - c - 2 * vb, sign(vb + 1)),
-    )
-
-
 def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
     """Replace crossing ci by its A- or B-smoothing, which joins dart a to
     ``a ^ 1`` or ``a ^ 3`` as in ``statesum._state_loops``; the other
@@ -196,79 +163,6 @@ def _smooth(d: Diagram, ci: int, choice: str) -> Diagram:
     flip = 1 if choice == "A" else 3
     keep = tuple(cj for cj in range(d.crossing_count) if cj != ci)
     return rejoin(d, keep, {a: a ^ flip for a in range(4 * ci, 4 * ci + 4)})
-
-
-def _check_aa_reduced(d: Diagram, deal: int | None) -> tuple[int, int, int, int]:
-    """The faces (u1, u2, v1, v2) at the dealternator ``deal`` of ``d``: u1,
-    u2 at its corners 1 and 3, which its A-smoothing D(R) merges, and v1, v2
-    at corners 0 and 2, which its B-smoothing N(R) merges.
-
-    Refuses a diagram with no dealternator (``deal`` None), with these
-    faces not distinct, or whose D(R) or N(R) is not reduced, read off D's
-    faces.  A smoothing keeps D's faces, less their corners at the
-    dealternator, but merges two, so it is reduced iff no face meets
-    another crossing twice, the merged two counted as one."""
-    if deal is None:
-        raise DiagramError("not almost alternating: no crossing has exactly the four non-alternating edges")
-    face_of = d.fs.face_of
-    v1, u1, v2, u2 = face_of[4 * deal:4 * deal + 4]
-    if len({u1, u2, v1, v2}) != 4:
-        raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
-    corners = [face_of[b:b + 4] for b in range(0, len(face_of), 4)]
-    del corners[deal]
-    for name, keep, merged in (("D(R)", u1, u2), ("N(R)", v1, v2)):
-        if any(len({keep if f == merged else f for f in fs}) < 4 for fs in corners):
-            raise DiagramError(f"{name} is not reduced (the diagram simplifies)")
-    return u1, u2, v1, v2
-
-
-def aa_adjacency(a: DiagramAnalysis) -> tuple[int, int]:
-    """Faces inside the tangle adjacent to both u-faces / both v-faces.
-
-    Only faces in the same checkerboard class count: each one is a vertex
-    of the checkerboard graph containing u1, u2 (resp. v1, v2), and its two
-    incident crossings are the pair of state-graph edges that become
-    parallel when the closure identifies the marked faces.
-
-    Raises DiagramError when ``a.dealternator`` is None, when its four
-    faces are not distinct, or when D(R) or N(R) is not reduced.
-    """
-    return _adjacency(a, _check_aa_reduced(a.diagram, a.dealternator))
-
-
-def _adjacency(a: DiagramAnalysis, faces: tuple[int, int, int, int]) -> tuple[int, int]:
-    """:func:`aa_adjacency` on the dealternator's faces (u1, u2, v1, v2),
-    once both smoothings are known to be reduced.  Faces of one colour meet
-    at a crossing only at opposite corners a and a ^ 2, so the faces counted
-    are those opposite both u1 and u2 (v1, v2)."""
-    u1, u2, v1, v2 = faces
-    face_of = a.diagram.fs.face_of
-    opposite: dict[int, set[int]] = {f: set() for f in faces}
-    for b, f in enumerate(face_of):
-        if f in opposite:
-            opposite[f].add(face_of[b ^ 2])
-    adj_u = len((opposite[u1] & opposite[u2]) - {u1, u2})
-    adj_v = len((opposite[v1] & opposite[v2]) - {v1, v2})
-    if adj_u == 1 and adj_v == 1:
-        warnings.warn("adj(u)=adj(v)=1: both extreme coefficient predictions vanish", stacklevel=3)
-    return adj_u, adj_v
-
-
-def aa_extreme_coefficients(a: DiagramAnalysis) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Predicted extreme bracket terms ((exp, α_0), (exp, α_k)).  D(R)'s
-    all-A state is D's, and its all-B state D's with the dealternator's flip
-    set to A, so neither smoothing is built.  Refuses what
-    :func:`aa_adjacency` refuses."""
-    adj_u, adj_v = _adjacency(a, _check_aa_reduced(a.diagram, a.dealternator))
-    d = a.diagram
-    c = d.crossing_count - 1  # crossings of the tangle
-    flips = [3] * d.crossing_count
-    flips[a.dealternator] = 1
-    v_d = a.s_A
-    vb_d = _state_loops(d, flips)[1]
-    a0 = (1 - adj_u) * (1 if v_d % 2 == 0 else -1)
-    ak = (1 - adj_v) * (1 if (vb_d - 1) % 2 == 0 else -1)
-    return ((c + 2 * v_d - 5, a0), (7 - c - 2 * vb_d, ak))
 
 
 def jones_obstruction(v) -> ObstructionVerdict:

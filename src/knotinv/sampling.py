@@ -17,7 +17,6 @@ import random
 from typing import NamedTuple
 
 from .diagram import Diagram, DiagramError
-from .invariants import _check_aa_reduced
 
 __all__ = [
     "TangleSketch",
@@ -162,6 +161,30 @@ def random_genus_one_diagram(
     starts = list(accumulate(tangle_sizes, initial=0))
     flips = {v for i in range(1, m, 2) for v in range(starts[i], starts[i + 1])}
     return assemble(t.vertex_count, joins, flips=flips, mirror_all=rng.random() < 0.5)
+
+
+def _check_aa_reduced(d: Diagram, deal: int | None) -> tuple[int, int, int, int]:
+    """The faces (u1, u2, v1, v2) at the dealternator ``deal`` of ``d``: u1,
+    u2 at its corners 1 and 3, which its A-smoothing D(R) merges, and v1, v2
+    at corners 0 and 2, which its B-smoothing N(R) merges.
+
+    Refuses a diagram with no dealternator (``deal`` None), with these
+    faces not distinct, or whose D(R) or N(R) is not reduced, read off D's
+    faces.  A smoothing keeps D's faces, less their corners at the
+    dealternator, but merges two, so it is reduced iff no face meets
+    another crossing twice, the merged two counted as one."""
+    if deal is None:
+        raise DiagramError("not almost alternating: no crossing has exactly the four non-alternating edges")
+    face_of = d.fs.face_of
+    v1, u1, v2, u2 = face_of[4 * deal:4 * deal + 4]
+    if len({u1, u2, v1, v2}) != 4:
+        raise DiagramError("dealternator faces are not distinct (diagram simplifies)")
+    corners = [face_of[b:b + 4] for b in range(0, len(face_of), 4)]
+    del corners[deal]
+    for name, keep, merged in (("D(R)", u1, u2), ("N(R)", v1, v2)):
+        if any(len({keep if f == merged else f for f in fs}) < 4 for fs in corners):
+            raise DiagramError(f"{name} is not reduced (the diagram simplifies)")
+    return u1, u2, v1, v2
 
 
 _MAX_TRIES = 1000  # draws of an almost-alternating sample before it gives up

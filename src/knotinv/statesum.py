@@ -1,4 +1,4 @@
-"""Kauffman states, state graphs, the bracket, Jones polynomial and determinant.
+"""Kauffman states, the bracket, Jones polynomial and determinant.
 
 The determinant comes from the Goeritz matrix, so it is polynomial in the
 crossing count.  One fraction-free symmetric elimination gives both the
@@ -24,8 +24,6 @@ bracket -A^-5 - A^3 + A^7 (the global mirror of the other chirality choice).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .diagram import (
     Diagram,
     DiagramError,
@@ -36,11 +34,8 @@ from .laurent import LaurentPoly
 
 __all__ = [
     "CrossingLimitError",
-    "StateGraph",
     "s_A",
     "s_B",
-    "state_graph",
-    "adequacy",
     "kauffman_bracket",
     "jones",
     "determinant",
@@ -57,21 +52,6 @@ MAX_OPEN_ENDS = 16
 class CrossingLimitError(RuntimeError):
     """Bracket refused: the sweep's frontier would hold more than
     ``MAX_OPEN_ENDS`` open edge ends at once."""
-
-
-class StateGraph(NamedTuple):
-    """Loops-as-vertices, traces-as-edges graph of a Kauffman state."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def reduced_edge_count(self) -> int:
-        return len(set(self.edges))
-
-    @property
-    def has_loop_edge(self) -> bool:
-        return any(u == v for u, v in self.edges)
 
 
 def _state_loops(d: Diagram, flips: list[int] | tuple[int, ...]) -> tuple[list[int], int]:
@@ -100,23 +80,6 @@ def s_A(d: Diagram) -> int:
 def s_B(d: Diagram) -> int:
     """Loops of the all-B state; ``resolve_loops`` in the tests is its oracle."""
     return _state_loops(d, (3,) * d.crossing_count)[1]
-
-
-def state_graph(d: Diagram, which: str) -> StateGraph:
-    """The graph of the all-A (``which`` = "A") or all-B ("B") state."""
-    if which not in ("A", "B"):
-        raise ValueError("state must be 'A' or 'B'")
-    loop, count = _state_loops(d, (1 if which == "A" else 3,) * d.crossing_count)
-    # either smoothing puts corners 0 and 2 of a crossing on its two loops
-    edges = tuple((min(u, v), max(u, v)) for u, v in zip(loop[::4], loop[2::4]))
-    return StateGraph(vertex_count=count, edges=edges)
-
-
-def adequacy(d: Diagram) -> dict[str, bool]:
-    return {
-        "a_adequate": not state_graph(d, "A").has_loop_edge,
-        "b_adequate": not state_graph(d, "B").has_loop_edge,
-    }
 
 
 def _sweep_order(d: Diagram) -> tuple[list[tuple[int, int, int, int]], int]:

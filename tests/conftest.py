@@ -4,6 +4,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -11,10 +12,11 @@ import pytest
 
 from knotinv import LaurentPoly, crossing_signs, parse_pd, serialize_pd, validate
 from knotinv.analysis import DiagramAnalysis
-from knotinv.decomp import GenusOneStructure, Tangle, _forms
+from knotinv.decomp import GenusOneStructure, Tangle, _forms, nonalternating_edges
 from knotinv.diagram import Diagram, DiagramError
 from knotinv.invariants import _smooth
 from knotinv.sampling import (
+    _check_aa_reduced,
     random_almost_alternating_diagram,
     random_alternating_diagram,
     random_diagram,
@@ -23,6 +25,7 @@ from knotinv.sampling import (
 from knotinv.statesum import (
     MAX_OPEN_ENDS,
     CrossingLimitError,
+    _state_loops,
     _sweep_order,
 )
 from knotinv.textio import KnotRecord, PolyParseError
@@ -163,11 +166,137 @@ def resolve_loops(d: Diagram, s) -> int:
     return _loops_uf(d, s).classes - 1 + d.free_loops
 
 
+# The state-graph and almost-alternating helpers: no CLI run uses them, so
+# they live here, as oracles for the extreme bracket terms of reduced
+# alternating and almost-alternating diagrams (Dasbach-Lowrance).
+
+
+class StateGraph(NamedTuple):
+    """Loops-as-vertices, traces-as-edges graph of a Kauffman state."""
+
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+
+    @property
+    def reduced_edge_count(self) -> int:
+        return len(set(self.edges))
+
+    @property
+    def has_loop_edge(self) -> bool:
+        return any(u == v for u, v in self.edges)
+
+
+def state_graph(d: Diagram, which: str) -> StateGraph:
+    """The graph of the all-A (``which`` = "A") or all-B ("B") state."""
+    if which not in ("A", "B"):
+        raise ValueError("state must be 'A' or 'B'")
+    loop, count = _state_loops(d, (1 if which == "A" else 3,) * d.crossing_count)
+    # either smoothing puts corners 0 and 2 of a crossing on its two loops
+    edges = tuple((min(u, v), max(u, v)) for u, v in zip(loop[::4], loop[2::4]))
+    return StateGraph(vertex_count=count, edges=edges)
+
+
+def adequacy(d: Diagram) -> dict[str, bool]:
+    return {
+        "a_adequate": not state_graph(d, "A").has_loop_edge,
+        "b_adequate": not state_graph(d, "B").has_loop_edge,
+    }
+
+
+def is_reduced(d: Diagram) -> bool:
+    """No nugatory crossing: no face touches the same crossing twice."""
+    return all(len({a >> 2 for a in face}) == len(face) for face in d.fs.faces)
+
+
+def dl_coefficients(d: Diagram) -> tuple[tuple[int, int], ...]:
+    """Predicted first two and last two terms of the bracket of a reduced
+    alternating diagram, as (exponent, coefficient) pairs."""
+    if nonalternating_edges(d):
+        raise DiagramError("extreme term formula requires an alternating diagram")
+    if not is_reduced(d):
+        raise DiagramError("extreme term formula requires a reduced diagram")
+    c = d.crossing_count
+    if c < 1:
+        raise DiagramError("need at least one crossing")
+    ga = state_graph(d, "A")
+    gb = state_graph(d, "B")
+    v, e = ga.vertex_count, ga.reduced_edge_count
+    vb, eb = gb.vertex_count, gb.reduced_edge_count
+    sign = lambda n: 1 if n % 2 == 0 else -1
+    return (
+        (c + 2 * v - 2, sign(v - 1)),
+        (c + 2 * v - 6, sign(v) * (e - v + 1)),
+        (6 - c - 2 * vb, sign(vb) * (eb - vb + 1)),
+        (2 - c - 2 * vb, sign(vb + 1)),
+    )
+
+
+def dealternator(a: DiagramAnalysis) -> int | None:
+    """The crossing whose four distinct edges are exactly the
+    non-alternating ones, or None; with three or more crossings there
+    is at most one."""
+    nonalt = a.nonalternating
+    if len(nonalt) == 4:
+        for ci, x in enumerate(a.diagram.crossings):
+            if set(x) == nonalt:
+                return ci
+    return None
+
+
+def aa_adjacency(a: DiagramAnalysis) -> tuple[int, int]:
+    """Faces inside the tangle adjacent to both u-faces / both v-faces.
+
+    Only faces in the same checkerboard class count: each one is a vertex
+    of the checkerboard graph containing u1, u2 (resp. v1, v2), and its two
+    incident crossings are the pair of state-graph edges that become
+    parallel when the closure identifies the marked faces.
+
+    Raises DiagramError when ``dealternator(a)`` is None, when its four
+    faces are not distinct, or when D(R) or N(R) is not reduced.
+    """
+    return _adjacency(a, _check_aa_reduced(a.diagram, dealternator(a)))
+
+
+def _adjacency(a: DiagramAnalysis, faces: tuple[int, int, int, int]) -> tuple[int, int]:
+    """:func:`aa_adjacency` on the dealternator's faces (u1, u2, v1, v2),
+    once both smoothings are known to be reduced.  Faces of one colour meet
+    at a crossing only at opposite corners a and a ^ 2, so the faces counted
+    are those opposite both u1 and u2 (v1, v2)."""
+    u1, u2, v1, v2 = faces
+    face_of = a.diagram.fs.face_of
+    opposite: dict[int, set[int]] = {f: set() for f in faces}
+    for b, f in enumerate(face_of):
+        if f in opposite:
+            opposite[f].add(face_of[b ^ 2])
+    adj_u = len((opposite[u1] & opposite[u2]) - {u1, u2})
+    adj_v = len((opposite[v1] & opposite[v2]) - {v1, v2})
+    return adj_u, adj_v
+
+
+def aa_extreme_coefficients(a: DiagramAnalysis) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Predicted extreme bracket terms ((exp, α_0), (exp, α_k)).  D(R)'s
+    all-A state is D's, and its all-B state D's with the dealternator's flip
+    set to A, so neither smoothing is built.  Refuses what
+    :func:`aa_adjacency` refuses."""
+    deal = dealternator(a)
+    adj_u, adj_v = _adjacency(a, _check_aa_reduced(a.diagram, deal))
+    d = a.diagram
+    c = d.crossing_count - 1  # crossings of the tangle
+    flips = [3] * d.crossing_count
+    flips[deal] = 1
+    v_d = a.s_A
+    vb_d = _state_loops(d, flips)[1]
+    a0 = (1 - adj_u) * (1 if v_d % 2 == 0 else -1)
+    ak = (1 - adj_v) * (1 if (vb_d - 1) % 2 == 0 else -1)
+    return ((c + 2 * v_d - 5, a0), (7 - c - 2 * vb_d, ak))
+
+
 def aa_closures(a) -> tuple[Diagram, Diagram]:
     """(D(R), N(R)): the A- and B-smoothings of the dealternator of the
     analysis ``a``, built by rejoining; the oracle for the almost-alternating
     helpers, which read both off the diagram's own tables."""
-    return _smooth(a.diagram, a.dealternator, "A"), _smooth(a.diagram, a.dealternator, "B")
+    deal = dealternator(a)
+    return _smooth(a.diagram, deal, "A"), _smooth(a.diagram, deal, "B")
 
 
 def _add_curl(d: Diagram, rng: random.Random) -> Diagram:

@@ -14,7 +14,6 @@ from knotinv import (
     crossing_signs,
     determinant,
     goeritz_determinant,
-    is_reduced,
     nonalternating_edges,
     orient,
     oriented_closure,
@@ -26,7 +25,7 @@ from knotinv import (
 from knotinv.decomp import _corners, _walk
 from knotinv.sampling import random_alternating_diagram, random_genus_one_diagram
 
-from conftest import gordon_litherland, mirror, recognize_genus_one_reference, tangle_faces_reference
+from conftest import gordon_litherland, is_reduced, mirror, recognize_genus_one_reference, tangle_faces_reference
 
 
 def test_turaev_genus_values(trefoil, fig8, hopf, aa_trefoil, k12n888_mirror):

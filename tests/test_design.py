@@ -48,12 +48,6 @@ NEVER_ENTERED = {
     "decomp.closures", "decomp._close", "decomp._joins", "decomp.oriented_closure",
     "diagram.rejoin", "diagram.serialize_pd", "invariants.reduce_kinks", "invariants._smooth",
     "statesum.determinant", "statesum.goeritz_determinant", "statesum.jones",
-    # the state-graph and almost-alternating helpers, for the knot-level
-    # Turaev genus bounds that will put them on the CLI path
-    "statesum.state_graph", "statesum.adequacy", "statesum.StateGraph.reduced_edge_count",
-    "statesum.StateGraph.has_loop_edge", "invariants.dl_coefficients", "invariants.is_reduced",
-    "invariants._check_aa_reduced", "invariants.aa_adjacency", "invariants._adjacency",
-    "invariants.aa_extreme_coefficients", "analysis.DiagramAnalysis.dealternator",
     # dunders for printing, pickling, hashing and refused assignment
     "diagram.Diagram.__eq__", "diagram.Diagram.__hash__", "diagram.Diagram.__reduce__",
     "diagram.Diagram.__repr__", "diagram.FaceStructure.__repr__",
@@ -107,9 +101,10 @@ def test_src_is_what_the_cli_runs():
 def _facts(scope: str, node: ast.AST):
     """(scope, kind, name) of each call, import, class base, argument, def or
     variable, written dict key, parameter or NamedTuple field with a
-    default, and attribute read as a bare statement under ``node``.  The
-    scope is the dotted name of the class, function or ``if TYPE_CHECKING:``
-    body that a node is in or opens."""
+    default, attribute read as a bare statement, and ``m.x`` read (an
+    attribute of a bare name, or a name imported from a module) under
+    ``node``.  The scope is the dotted name of the class, function or
+    ``if TYPE_CHECKING:`` body that a node is in or opens."""
     for n in ast.iter_child_nodes(node):
         inner = f"{scope}.{n.name}" if isinstance(n, (ast.ClassDef, ast.FunctionDef)) else scope
         inner += ".TYPE_CHECKING" * (isinstance(n, ast.If) and getattr(n.test, "id", "") == "TYPE_CHECKING")
@@ -118,6 +113,7 @@ def _facts(scope: str, node: ast.AST):
         elif isinstance(n, (ast.Import, ast.ImportFrom)):  # a relative module keeps its dots
             for a in n.names:
                 yield inner, "import", "." * getattr(n, "level", 0) + (getattr(n, "module", None) or a.name)
+                yield inner, "read", f"{getattr(n, 'module', None)}.{a.name}"
         elif isinstance(n, ast.ClassDef):  # a class with no base has the base ""
             for b in n.bases or [ast.Name("")]:
                 yield inner, "class", getattr(b, "id", getattr(b, "attr", ""))
@@ -135,6 +131,8 @@ def _facts(scope: str, node: ast.AST):
             yield from ((inner, "default", a.arg) for a in named)
         elif isinstance(n, ast.AnnAssign) and n.value and isinstance(node, ast.ClassDef):
             yield inner, "default", n.target.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            yield inner, "read", f"{n.value.id}.{n.attr}"
         elif isinstance(n, ast.Expr):
             yield inner, "statement", getattr(n.value, "attr", None)
         yield from _facts(inner, n)
@@ -167,9 +165,9 @@ RULES = {
         ["analysis __future__", "analysis functools", "cli __future__", "cli argparse", "cli json",
          "cli sys", "decomp __future__", "decomp typing", "diagram __future__",
          "diagram collections.abc", "diagram re", "diagram typing",
-         "invariants __future__", "invariants typing", "invariants warnings", "laurent __future__",
+         "invariants __future__", "invariants typing", "laurent __future__",
          "sampling __future__", "sampling functools", "sampling itertools", "sampling random",
-         "sampling typing", "statesum __future__", "statesum typing", "textio __future__",
+         "sampling typing", "statesum __future__", "textio __future__",
          "textio csv", "textio re", "textio typing"]),
     # a diagram validates itself when it is built and keeps its face structure
     "only_diagram_fs_validates": (_where(SRC_MODULES, ["call"], "validate"), ["diagram.Diagram.__init__"]),
@@ -179,9 +177,7 @@ RULES = {
     # added here only when callers need different values
     "settable_values": (
         sorted(f"{s} {name}" for m in SRC_MODULES for s, kind, name in FACTS[m] if kind == "default"),
-        ["cli.main argv", "diagram.orient into",
-         "invariants.SignatureReport exact", "invariants.SignatureReport method",
-         "sampling.assemble flips", "sampling.assemble mirror_all",
+        ["cli.main argv", "diagram.orient into", "sampling.assemble flips", "sampling.assemble mirror_all",
          "sampling.random_genus_one_diagram tangle_sizes",
          "textio.KnotRecord.__new__ jones_text", "textio.KnotRecord.__new__ pd_text",
          "textio._RecordFields jones_text", "textio._RecordFields pd_text"]),
@@ -203,6 +199,16 @@ RULES = {
     "one_record_loop": (
         _where(["cli"], ["call"], "read_pd_file") + _where(SRC_MODULES, ["key"], "message"),
         ["cli.main", "cli._err"]),
+    # a private name is read only inside its module, but where pinned here
+    # (a NamedTuple's _asdict or _replace is not a module's private name)
+    "private_reads": (
+        sorted(f"{m} {name}" for m in SRC_MODULES for s, kind, name in FACTS[m]
+               if kind == "read" and name.split(".")[0] in set(SRC_MODULES) - {m}
+               and name.split(".")[1].startswith("_")),
+        ["analysis decomp._arc_runs", "analysis statesum._goeritz_form",
+         "analysis statesum._gordon_litherland", "analysis statesum._jones_from_bracket",
+         "decomp statesum._goeritz_matrix", "decomp statesum._gordon_litherland",
+         "decomp statesum._nested_det_signatures"]),
     # the packed sum is divided by delta once; the dict division is the oracle's
     "the_bracket_divides_once": (
         _where(["statesum"], ["call"], "divmod")

@@ -1,5 +1,4 @@
 import random
-import warnings
 from pathlib import Path
 
 import pytest
@@ -9,15 +8,11 @@ from knotinv import (
     DiagramError,
     LaurentPoly,
     ObstructionVerdict,
-    aa_adjacency,
-    aa_extreme_coefficients,
     conway_determinant,
     crossing_signs,
     determinant,
-    dl_coefficients,
     genus_one_knot_signature,
     giller_mod4_check,
-    is_reduced,
     jones,
     jones_obstruction,
     kauffman_bracket,
@@ -30,7 +25,6 @@ from knotinv import (
     s_A,
     s_B,
     signature_bounds,
-    state_graph,
     tangle_sum_signature,
     traczyk_signature,
     turaev_genus,
@@ -40,9 +34,10 @@ from knotinv.analysis import DiagramAnalysis
 from knotinv import sampling
 from knotinv.cli import KnotRecord, analyze_record
 from knotinv.textio import read_pd_file
-from knotinv.invariants import _check_aa_reduced, _smooth
+from knotinv.invariants import _smooth
 from knotinv.statesum import _state_loops
 from knotinv.sampling import (
+    _check_aa_reduced,
     random_almost_alternating_diagram,
     random_alternating_diagram,
     random_diagram,
@@ -55,12 +50,18 @@ from conftest import (
     _add_term,
     _count_calls,
     _loops_uf,
+    aa_adjacency,
     aa_closures,
+    aa_extreme_coefficients,
+    dealternator,
+    dl_coefficients,
     gordon_litherland,
+    is_reduced,
     mirror,
     poly_mirror,
     resolve_loops,
     smoothing_bracket,
+    state_graph,
 )
 
 
@@ -280,12 +281,13 @@ def test_dl_rejects(aa_trefoil):
 
 
 def test_mark_almost_alternating(aa_trefoil, trefoil):
-    """The analysis marks the dealternator, and the almost-alternating
-    helpers refuse a diagram that has none."""
+    """``dealternator`` finds the one crossing of an almost-alternating
+    diagram, and the almost-alternating helpers refuse a diagram that has
+    none."""
     a = DiagramAnalysis(aa_trefoil)
-    assert a.dealternator == 2
+    assert dealternator(a) == 2
     alternating = DiagramAnalysis(trefoil)
-    assert alternating.dealternator is None
+    assert dealternator(alternating) is None
     for helper in (aa_adjacency, aa_extreme_coefficients):
         with pytest.raises(DiagramError, match="not almost alternating"):
             helper(alternating)
@@ -296,12 +298,11 @@ AA_ADJ_ONE_PD = "X[1,2,3,4] X[5,1,4,6] X[7,3,8,9] X[10,7,9,11] X[6,10,11,12] X[5
 
 
 def test_aa_vanishing_warning_names_the_caller():
-    """When adj(u) = adj(v) = 1 both helpers warn, at the caller's line."""
+    """When adj(u) = adj(v) = 1 both predicted extreme coefficients vanish."""
     a = DiagramAnalysis(parse_pd(AA_ADJ_ONE_PD))
-    with pytest.warns(UserWarning, match=r"adj\(u\)=adj\(v\)=1") as record:
-        assert aa_adjacency(a) == (1, 1)
-        aa_extreme_coefficients(a)
-    assert [w.filename for w in record] == [__file__, __file__]
+    assert aa_adjacency(a) == (1, 1)
+    (_, a0), (_, ak) = aa_extreme_coefficients(a)
+    assert a0 == ak == 0
 
 
 def test_aa_refuses_a_dealternator_on_a_face_twice():
@@ -312,7 +313,7 @@ def test_aa_refuses_a_dealternator_on_a_face_twice():
     rng = random.Random(1)
     for _ in range(100):
         a = DiagramAnalysis(random_diagram(rng.randint(3, 10), rng))
-        deal = a.dealternator
+        deal = dealternator(a)
         if deal is not None and len(set(a.diagram.fs.face_of[4 * deal:4 * deal + 4])) < 4:
             break
     else:
@@ -341,10 +342,8 @@ def test_aa_generated_predictions():
     for _ in range(25):
         d, deal = random_almost_alternating_diagram(rng.randint(5, 12), rng)
         aa = DiagramAnalysis(d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            adj_u, adj_v = aa_adjacency(aa)
-            (e0, a0), (ek, ak) = aa_extreme_coefficients(aa)
+        adj_u, adj_v = aa_adjacency(aa)
+        (e0, a0), (ek, ak) = aa_extreme_coefficients(aa)
         br = kauffman_bracket(d)
         assert br.coeffs.get(e0, 0) == a0
         assert br.coeffs.get(ek, 0) == ak
@@ -364,9 +363,7 @@ def test_aa_helpers_validate_each_diagram_once(monkeypatch):
     drawn, _ = random_almost_alternating_diagram(10, random.Random(7))
     validations = _count_calls(monkeypatch, validate)
     d = Diagram(drawn.crossings)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        aa_extreme_coefficients(DiagramAnalysis(d))
+    aa_extreme_coefficients(DiagramAnalysis(d))
     assert len(validations) == 1
     assert validations[0][0] is d
 
@@ -408,14 +405,14 @@ def test_aa_check_matches_built_smoothings(monkeypatch):
     assert len(draws) >= 1500
     accepted = 0
     for aa, deal in draws:
-        assert aa.dealternator == deal == aa.diagram.crossing_count - 1, aa
+        assert dealternator(aa) == deal == aa.diagram.crossing_count - 1, aa
         dr, nr = aa_closures(aa)
         refused = _refused(_check_aa_reduced, aa.diagram, deal)
         assert refused == _refused(_check_built_smoothings, dr, nr), aa
         accepted += not refused
         d = aa.diagram
         flips = [3] * d.crossing_count
-        flips[aa.dealternator] = 1
+        flips[dealternator(aa)] = 1
         assert s_A(d) == s_A(dr)
         assert _state_loops(d, flips)[1] == s_B(dr)
     assert 100 <= accepted <= len(draws) - 100  # both verdicts well covered
@@ -444,9 +441,7 @@ def test_adj_duality():
     for _ in range(40):
         d, deal = random_almost_alternating_diagram(rng.randint(5, 12), rng)
         aa = DiagramAnalysis(d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            adj_u, adj_v = aa_adjacency(aa)
+        adj_u, adj_v = aa_adjacency(aa)
         assert not (adj_u >= 3 and adj_v >= 3)
         if adj_u >= 3:
             assert adj_v == 0

@@ -10,7 +10,6 @@ from knotinv import (
     Diagram,
     DiagramError,
     LaurentPoly,
-    adequacy,
     determinant,
     goeritz_determinant,
     jones,
@@ -20,7 +19,6 @@ from knotinv import (
     s_A,
     s_B,
     serialize_pd,
-    state_graph,
 )
 from knotinv.sampling import random_alternating_diagram, random_diagram, random_genus_one_diagram
 from knotinv import statesum
@@ -28,21 +26,23 @@ from knotinv import statesum
 from conftest import (
     HOPF_PD,
     TREFOIL_PD,
-    bareiss_det,
     FIG8_STATES,
     HOPF_STATES,
     TREFOIL_STATES,
+    _add_curl,
+    adequacy,
+    bareiss_det,
     bracket_from_table,
     bracket_state_sum,
     bracket_sweep_reference,
     det_from_jones,
     fraction_det_signature,
     full_twist_pd,
-    _add_curl,
     mirror,
     nested_det_signatures_reference,
     poly_mirror,
     resolve_loops,
+    state_graph,
     sweep_order_reference,
 )
 

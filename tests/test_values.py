@@ -1,16 +1,15 @@
-"""The eleven value classes: nine NamedTuples, and ``Diagram`` and
+"""The ten value classes: eight NamedTuples, and ``Diagram`` and
 ``LaurentPoly``, which derive from ``frozen.Frozen``.
 
 Each is exactly its fields: it builds the same value from positional and
-from keyword arguments, fills its defaults, refuses assignment and
+from keyword arguments, needs every field, refuses assignment and
 deletion, survives copy and pickle, and prints every field in its repr.
 The repr strings were captured from the frozen dataclasses these classes
 once were, apart from ``GenusOneStructure``'s, which now shows ``forms``,
 ``Diagram``'s, which no longer shows an edge count or free loops, and
-``ObstructionVerdict``'s, which shows only its two coefficients.  Only
-``SignatureReport`` has defaults.
+``ObstructionVerdict``'s, which shows only its two coefficients.  No value
+class has defaults.
 """
-
 import copy
 import inspect
 import pickle
@@ -26,7 +25,6 @@ from knotinv import (
     ObstructionVerdict,
     OrientedDiagram,
     SignatureReport,
-    StateGraph,
     Tangle,
 )
 from knotinv.analysis import DiagramAnalysis
@@ -39,43 +37,32 @@ TANGLE = Tangle((0, 2), (1, 4, 9, 6), True)
 TANGLE_REPR = "Tangle(crossing_indices=(0, 2), boundary=(1, 4, 9, 6), proper=True)"
 FORMS = (((3, 1), (1, 0), (1, -1)),)
 
-# class, its fields and one value for each, the defaults, the repr
+# class, its fields and one value for each, the repr
 CASES = [
-    (Diagram, {"crossings": D.crossings}, {}, D_REPR),
+    (Diagram, {"crossings": D.crossings}, D_REPR),
     (
         FaceStructure,
         {"faces": ((0, 5), (1, 2)), "checkerboard_color": (0, 1), "face_of": [0, 1, 1, 0]},
-        {},
         "FaceStructure(faces=((0, 5), (1, 2)), checkerboard_color=(0, 1))",
     ),
     (
         OrientedDiagram,
         {"diagram": D, "into": (1, 0) * 6, "component_count": 1},
-        {},
         f"OrientedDiagram(diagram={D_REPR}, component_count=1)",
     ),
     (
         LaurentPoly,
         {"variable": "t_half", "coeffs": {-2: 1, 4: -3}},
-        {},
         "LaurentPoly(variable='t_half', coeffs={-2: 1, 4: -3})",
-    ),
-    (
-        StateGraph,
-        {"vertex_count": 2, "edges": ((0, 1), (1, 1))},
-        {},
-        "StateGraph(vertex_count=2, edges=((0, 1), (1, 1)))",
     ),
     (
         Tangle,
         {"crossing_indices": (0, 2), "boundary": (1, 4, 9, 6), "proper": True},
-        {},
         TANGLE_REPR,
     ),
     (
         ArcRuns,
         {"run": [0, -1, 1], "arcs": [(1, 4, 0), (9, 6, 2)], "interior": [1]},
-        {},
         "ArcRuns(run=[0, -1, 1], arcs=[(1, 4, 0), (9, 6, 2)], interior=[1])",
     ),
     (
@@ -85,46 +72,43 @@ CASES = [
             "curves": ((1, 4), (9, 6)),
             "tangles": (TANGLE,),
         },
-        {},
         "AltDecomposition(nonalternating=frozenset({2, 5}), curves=((1, 4), (9, 6)),"
         f" tangles=({TANGLE_REPR},))",
     ),
     (
         GenusOneStructure,
         {"tangles": (TANGLE,), "forms": FORMS},
-        {},
         f"GenusOneStructure(tangles=({TANGLE_REPR},), forms=(((3, 1), (1, 0), (1, -1)),))",
     ),
     (
         SignatureReport,
         {"lower": -2, "upper": -2, "exact": -2, "method": "traczyk"},
-        {"exact": None, "method": None},
         "SignatureReport(lower=-2, upper=-2, exact=-2, method='traczyk')",
     ),
     (
         ObstructionVerdict,
         {"a_m": 1, "a_M": -1},
-        {},
         "ObstructionVerdict(a_m=1, a_M=-1)",
     ),
 ]
 NAMED_TUPLES = {
-    FaceStructure, OrientedDiagram, StateGraph, Tangle, ArcRuns, AltDecomposition,
-    GenusOneStructure, SignatureReport, ObstructionVerdict,
+    FaceStructure, OrientedDiagram, Tangle, ArcRuns, AltDecomposition, GenusOneStructure,
+    SignatureReport, ObstructionVerdict,
 }
 UNHASHABLE = {FaceStructure, LaurentPoly, ArcRuns}  # a list or dict among the compared fields
 
 
-@pytest.mark.parametrize("cls, values, defaults, text", CASES, ids=[c[0].__name__ for c in CASES])
-def test_value_class_contract(cls, values, defaults, text):
+@pytest.mark.parametrize("cls, values, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_value_class_contract(cls, values, text):
     args = tuple(values.values())
     by_position, by_keyword = cls(*args), cls(**values)
     assert by_position == by_keyword and repr(by_position) == repr(by_keyword) == text
     assert {name: getattr(by_position, name) for name in values} == values
-    if cls in NAMED_TUPLES:
-        assert tuple(by_position) == args
-    short = cls(*args[:len(values) - len(defaults)])
-    assert {name: getattr(short, name) for name in defaults} == defaults
+    # a NamedTuple equals the plain tuple of its fields; the other two refuse
+    # to compare with a tuple, so they equal none
+    assert (by_position == args) == (cls in NAMED_TUPLES)
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
     for name in (*values, "extra"):
         with pytest.raises(AttributeError):
             setattr(by_position, name, None)
@@ -166,7 +150,7 @@ def test_diagram_is_its_crossings():
 
 
 def test_value_classes_are_named_tuples_or_frozen():
-    """Nine NamedTuples, and two plain classes deriving from ``Frozen``."""
+    """Eight NamedTuples, and two plain classes deriving from ``Frozen``."""
     for cls, *_ in CASES:
         assert issubclass(cls, tuple) == (cls in NAMED_TUPLES)
     assert [cls for cls, *_ in CASES if cls not in NAMED_TUPLES] == [Diagram, LaurentPoly]
