@@ -86,9 +86,16 @@ def _decomposition_field(a: DiagramAnalysis) -> dict:
         return _err(exc)
 
 
+def _analysis(rec: KnotRecord) -> DiagramAnalysis:
+    """The one analysis of the diagram of ``rec``."""
+    if rec.pd_text is None:
+        raise DiagramError("record has no PD code")
+    return DiagramAnalysis(parse_pd(rec.pd_text))
+
+
 def analyze_record(rec: KnotRecord) -> dict:
     try:
-        a = DiagramAnalysis(parse_pd(rec.pd_text))
+        a = _analysis(rec)
     except (PDSyntaxError, DiagramError) as exc:
         return {"name": rec.name, "fields": {}, **_err(exc)}
     f = {}
@@ -121,7 +128,7 @@ def analyze_record(rec: KnotRecord) -> dict:
 
 def decompose_record(rec: KnotRecord) -> dict:
     try:
-        a = DiagramAnalysis(parse_pd(rec.pd_text))
+        a = _analysis(rec)
         out = {"name": rec.name, "status": "ok", "turaev_genus": a.turaev_genus,
                "decomposition": a.decomposition.to_json(a.diagram)}
         gs = a.genus_one
@@ -141,7 +148,7 @@ def obstruct_record(rec: KnotRecord) -> dict:
     computed = None
     if rec.pd_text:
         try:
-            computed = DiagramAnalysis(parse_pd(rec.pd_text)).jones
+            computed = _analysis(rec).jones
         except (PDSyntaxError, DiagramError, CrossingLimitError) as exc:
             return {"name": rec.name, **_err(f"jones recomputation failed: {exc}")}
     if given is not None and computed is not None and given != computed:

@@ -391,15 +391,19 @@ def oriented_closure(t: Tangle, od: OrientedDiagram, which: str) -> OrientedDiag
     with the orientation ``od`` induces; a test oracle, like
     :func:`closures`.
 
-    Raises DiagramError when the orientation does not extend, that is when
-    a joined pair of boundary edges does not have one end flowing in.
+    The closure keeps the darts of the crossings of ``t``, so it keeps
+    their bits of ``od.into``; its component count is that of
+    :func:`orient`.  Raises DiagramError when the orientation does not
+    extend, that is when a joined pair of boundary edges does not have one
+    end flowing in.
     """
     into = od.into
     for p, q in _joins(t, which):
         if into[p] == into[q]:
             raise DiagramError("ambient orientation does not extend to this closure")
     bits = tuple(b for ci in t.crossing_indices for b in into[4 * ci:4 * ci + 4])
-    return orient(_close(t, od.diagram, which), into=bits)
+    dc = _close(t, od.diagram, which)
+    return OrientedDiagram(dc, bits, orient(dc).component_count)
 
 
 def _walk(tangles: tuple[Tangle, ...], far, r: int) -> tuple[Tangle, ...] | None:
@@ -435,9 +439,7 @@ def recognize_genus_one(a: DiagramAnalysis) -> GenusOneStructure | None:
     m = len(dec.tangles)
     if m < 2 or m % 2 or len(dec.curves) != m:
         return None
-    if not all(
-        t.proper and t.crossing_count >= 1 and len(t.boundary) == 4 for t in dec.tangles
-    ):
+    if not all(t.proper for t in dec.tangles):  # each with 4 points and a crossing
         return None
     # every dart of a non-alternating edge is a boundary dart: its (tangle,
     # place), and far[i][p] that of the mate of tangle i's dart at place p

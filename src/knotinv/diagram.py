@@ -151,6 +151,13 @@ class Diagram(Frozen):
         return int(not self.crossings)
 
 
+def _free_loop_error(crossings) -> DiagramError:
+    """Why free loops split a diagram: one beside ``crossings``, or more
+    than one with none."""
+    return DiagramError("split diagram: free loops alongside crossings" if crossings
+                        else "split diagram: expected exactly one free loop with no crossings")
+
+
 def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagram:
     """The crossings ``keep`` of ``d``, in that order, rejoined past the rest.
 
@@ -189,8 +196,7 @@ def rejoin(d: Diagram, keep: tuple[int, ...], through: dict[int, int]) -> Diagra
                 seen.update((b, through[b]))
                 b = mate[through[b]]
     if loops != (not keep):
-        raise DiagramError("split diagram: free loops alongside crossings" if keep
-                           else "split diagram: expected exactly one free loop with no crossings")
+        raise _free_loop_error(keep)
     return Diagram(tuple(tuple(labels[a:a + 4]) for a in range(0, len(labels), 4)))
 
 
@@ -246,8 +252,7 @@ def parse_pd(text: str) -> Diagram:
             raise PDSyntaxError(f"label too long to convert in token {tok[:16]!r}...") from None
     if loops > (not crossings):  # a free loop beside crossings, or a second
         _dart_table(crossings)  # a bad label is named first
-        raise DiagramError("split diagram: free loops alongside crossings" if crossings
-                           else "split diagram: expected exactly one free loop with no crossings")
+        raise _free_loop_error(crossings)
     return Diagram(crossings)
 
 
@@ -341,7 +346,9 @@ class OrientedDiagram(NamedTuple):
 
     ``into[a]`` is 1 when the edge at dart ``a`` flows into crossing
     ``a >> 2`` there and 0 when it flows out, so ``into[a] != into[mate[a]]``
-    and ``into[a] != into[a ^ 2]``.  ``into`` is left out of the repr.
+    and ``into[a] != into[a ^ 2]``.  :func:`orient` builds the default
+    orientation; one built from other bits is not checked, so its builder
+    keeps both rules.  ``into`` is left out of the repr.
     """
 
     diagram: Diagram
@@ -352,24 +359,15 @@ class OrientedDiagram(NamedTuple):
         return f"OrientedDiagram(diagram={self.diagram!r}, component_count={self.component_count!r})"
 
 
-def orient(d: Diagram, into: tuple[int, ...] | None = None) -> OrientedDiagram:
+def orient(d: Diagram) -> OrientedDiagram:
     """Orient every component; the lowest edge of each component is directed
     from its scan-order first end to its second.
 
     Each component is one walk ``a -> mate[a ^ 2]`` over its arrival darts
-    from the second dart of its lowest label.  An imposed ``into``, one bit
-    per dart as :class:`OrientedDiagram` keeps it, replaces the default
-    orientation; it is checked to be coherent.
+    from the second dart of its lowest label.  Another orientation is an
+    :class:`OrientedDiagram` built with its own bits.
     """
     mate, labels = d.mate, d.labels
-    if into is not None:
-        if len(into) != len(mate) or not {*into} <= {0, 1}:
-            raise DiagramError(f"an orientation needs one 0/1 bit per dart, {len(mate)} in all")
-        for a, bit in enumerate(into):
-            if bit == into[mate[a]]:
-                raise DiagramError(f"edge {labels[a]} needs one head and one tail")
-            if bit == into[a ^ 2]:
-                raise DiagramError(f"strand through crossing {a >> 2} needs one end in and one out")
     bits = [-1] * len(mate)
     last = dict(zip(labels, range(len(labels))))  # the second dart of each label
     strands = 0
@@ -377,8 +375,6 @@ def orient(d: Diagram, into: tuple[int, ...] | None = None) -> OrientedDiagram:
         a = last[e]
         if bits[a] < 0:
             strands += 1
-            if into is not None and not into[a]:
-                a = mate[a]
             while bits[a] < 0:
                 bits[a] = 1
                 bits[mate[a]] = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .diagram import Diagram, DiagramError, OrientedDiagram, orient, rejoin
+from .diagram import Diagram, DiagramError, OrientedDiagram, rejoin
 from .decomp import GenusOneStructure, classify_orientation
 
 if TYPE_CHECKING:
@@ -61,7 +61,10 @@ class ObstructionVerdict(NamedTuple):
 
 
 def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
-    """Remove Reidemeister-1 kinks, preserving the orientation."""
+    """Remove Reidemeister-1 kinks, preserving the orientation.
+
+    The result keeps the bits of ``od.into`` at the crossings it keeps, and
+    its component count, which a kink does not change."""
     d, into = od.diagram, od.into
     while True:
         kink = next(
@@ -72,7 +75,7 @@ def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:
         if kink is None:
             if d is od.diagram:
                 return od
-            return orient(d, into=into)
+            return OrientedDiagram(d, into, od.component_count)
         # a kink at slots (s, s+1) goes by the smoothing that joins (s+1, s+2)
         # and (s+3, s): its loop merges into the strand through the crossing,
         # and the other crossings keep their darts and bits

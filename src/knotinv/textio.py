@@ -15,28 +15,18 @@ class PolyParseError(ValueError):
     """Malformed polynomial text."""
 
 
-class _RecordFields(NamedTuple):
+class KnotRecord(NamedTuple):
+    """One table row: a name, and PD text or Jones polynomial text, both or
+    neither.
+
+    An immutable tuple: it unpacks and compares like ``(name, pd_text,
+    jones_text)``.  The record functions of :mod:`knotinv.cli` answer a
+    record that lacks the text they need with an error record.
+    """
+
     name: str
     pd_text: str | None = None
     jones_text: str | None = None
-
-
-class KnotRecord(_RecordFields):
-    """One table row: a name, and PD text or Jones polynomial text or both.
-
-    An immutable tuple: it unpacks and compares like ``(name, pd_text,
-    jones_text)``.  The constructor refuses a record with neither text.
-    ``KnotRecord._make(fields)`` builds a record with one ``tuple.__new__``
-    and skips that check, so it is only for callers that know one field
-    holds text, as the file readers do.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, pd_text: str | None = None, jones_text: str | None = None):
-        if pd_text is None and jones_text is None:
-            raise ValueError(f"record {name!r} has neither a PD code nor a polynomial")
-        return tuple.__new__(cls, (name, pd_text, jones_text))
 
 
 _TERM_RE = re.compile(
@@ -120,10 +110,7 @@ def parse_poly(text: str) -> LaurentPoly:
 
 def read_pd_file(path: str) -> list[KnotRecord]:
     """One PD per line, optionally prefixed ``name: pd``; blank lines and
-    ``#`` comments are skipped.  A UTF-8 byte-order mark is ignored.
-
-    Each record is built with ``KnotRecord._make``, since its PD field is
-    always a string."""
+    ``#`` comments are skipped.  A UTF-8 byte-order mark is ignored."""
     records = []
     make = KnotRecord._make
     with open(path, encoding="utf-8-sig") as fh:
@@ -149,9 +136,7 @@ def read_csv(path: str) -> list[KnotRecord]:
     ``name`` or ``jones`` field raises ``ValueError`` naming the line.
 
     Each row costs one ``len``, up to three ``strip`` calls and one
-    ``KnotRecord._make``: a bare ``tuple.__new__`` that skips the
-    constructor's check, which is safe because the ``jones`` field is
-    always a string.
+    ``KnotRecord._make``.
     """
     records = []
     append, make = records.append, KnotRecord._make

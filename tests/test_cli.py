@@ -64,8 +64,11 @@ def test_invariants_malformed_line(tmp_path, capsys):
 
 def test_error_records_and_lines(tmp_path, capsys):
     """Every kind of per-record error, key order included, and how the
-    text output shows a malformed line next to a good one (exit code 1)."""
+    text output shows a malformed line next to a good one (exit code 1).
+    A record with no PD code, or with no text at all, gets an error record
+    from each record function that needs the missing text."""
     bad_pd = "malformed token 'X[1,2'"
+    no_pd = {"status": "error", "message": "record has no PD code"}
     cases = [
         (analyze_record(KnotRecord("bad", "X[1,2")),
          {"name": "bad", "fields": {}, "status": "error", "message": bad_pd}),
@@ -78,6 +81,13 @@ def test_error_records_and_lines(tmp_path, capsys):
           "message": "jones mismatch: given 1*t^2, computed 1*t^-1 + 1*t^-3 + -1*t^-4"}),
         (obstruct_record(KnotRecord("zero", None, "0")),
          {"name": "zero", "status": "error", "message": "no usable polynomial"}),
+        (obstruct_record(KnotRecord("k")),
+         {"name": "k", "status": "error", "message": "no usable polynomial"}),
+    ] + [
+        case
+        for rec in (KnotRecord("k"), KnotRecord("k", None, "t"))
+        for case in ((analyze_record(rec), {"name": "k", "fields": {}, **no_pd}),
+                     (decompose_record(rec), {"name": "k", **no_pd}))
     ]
     for rep, expected in cases:
         assert list(rep.items()) == list(expected.items())

@@ -6,6 +6,7 @@ from knotinv import (
     Diagram,
     DiagramAnalysis,
     DiagramError,
+    OrientedDiagram,
     Tangle,
     alternating_decomposition,
     classify_orientation,
@@ -322,7 +323,8 @@ def test_closure_signatures_match_closures(k12n888_mirror):
     on each reduced oriented closure wherever it applies, and against
     Gordon-Litherland on each oriented closure itself, on 12n888, its
     mirror and 120 seeded genus-one diagrams (k = 1-4, up to 60 crossings).
-    Mirroring, with the orientation carried over, negates each signature."""
+    Each oriented closure and its reduction keep coherent bits.  Mirroring,
+    with the orientation carried over, negates each signature."""
     rng = random.Random(61)
     corpus = [k12n888_mirror, mirror(k12n888_mirror)]
     for _ in range(120):
@@ -337,6 +339,10 @@ def test_closure_signatures_match_closures(k12n888_mirror):
             oc = oriented_closure(t, od, which)
             assert sig == gordon_litherland(oc)[0]
             red = reduce_kinks(oc)
+            for o in (oc, red):  # each keeps coherent bits of its parent's
+                into, mate = o.into, o.diagram.mate
+                assert all(into[a] != into[mate[a]] and into[a] != into[a ^ 2] for a in range(len(mate)))
+                assert o.component_count == orient(o.diagram).component_count
             if is_reduced(red.diagram):
                 # Traczyk, s_A - c_plus - 1, on the alternating reduced closure
                 assert not nonalternating_edges(red.diagram)
@@ -346,7 +352,7 @@ def test_closure_signatures_match_closures(k12n888_mirror):
                 unreduced += 1
         # slot s of a crossing is slot s - 1 of its mirror image
         into_m = tuple(od.into[a & ~3 | (a + 1) & 3] for a in range(len(od.into)))
-        mirrored_od = orient(mirror(d), into=into_m)
+        mirrored_od = OrientedDiagram(mirror(d), into_m, od.component_count)
         mirrored = _closure_signatures(mirror(d), mirrored_od)
         assert mirrored.keys() == sigs.keys()
         assert all(mirrored[key][2] == -sig for key, (_, _, sig) in sigs.items())

@@ -54,7 +54,7 @@ NEVER_ENTERED = {
     "diagram.OrientedDiagram.__repr__", "laurent.LaurentPoly.__repr__",
     "frozen.Frozen.__setattr__", "frozen.Frozen.__delattr__", "frozen.Frozen.__reduce__",
     # error-message helpers, for inputs the runs do not hold
-    "diagram._token_error", "cli._err",
+    "diagram._token_error", "diagram._free_loop_error", "cli._err",
 }
 
 
@@ -177,22 +177,20 @@ RULES = {
     # added here only when callers need different values
     "settable_values": (
         sorted(f"{s} {name}" for m in SRC_MODULES for s, kind, name in FACTS[m] if kind == "default"),
-        ["cli.main argv", "diagram.orient into", "sampling.assemble flips", "sampling.assemble mirror_all",
+        ["cli.main argv", "sampling.assemble flips", "sampling.assemble mirror_all",
          "sampling.random_genus_one_diagram tangle_sizes",
-         "textio.KnotRecord.__new__ jones_text", "textio.KnotRecord.__new__ pd_text",
-         "textio._RecordFields jones_text", "textio._RecordFields pd_text"]),
+         "textio.KnotRecord jones_text", "textio.KnotRecord pd_text"]),
     # each step takes a diagram's one analysis, which only the CLI builds
     "steps_take_one_analysis": (
         _where(SRC_MODULES, ["call"], "DiagramAnalysis")
         + _where(["decomp", "invariants", "sampling"], ["import"], ".analysis"),
-        ["cli.analyze_record", "cli.decompose_record", "cli.obstruct_record",
-         "decomp.TYPE_CHECKING", "invariants.TYPE_CHECKING"]),
+        ["cli._analysis", "decomp.TYPE_CHECKING", "invariants.TYPE_CHECKING"]),
     # a value is its fields: all but two are NamedTuples, compared field by field
     "values_are_their_fields": (
         [_where(SRC_MODULES, ["class"], "Frozen"), _where(SRC_MODULES, ["name"], "__eq__"),
          _where(SRC_MODULES, ["class"], lambda b: b not in ("NamedTuple", "Frozen") and not b.endswith("Error"))],
         [VALUES, [v + ".__eq__" for v in VALUES],
-         ["analysis.DiagramAnalysis", "frozen.Frozen", "textio.KnotRecord"]]),
+         ["analysis.DiagramAnalysis", "frozen.Frozen"]]),
     # a diagram's edge count is read off its crossings
     "values_hold_no_derived_state": (_where(SRC_MODULES + TEST_MODULES, ["arg"], "edge_count"), []),
     # main reads the records in one place, and cli._err builds every error cell

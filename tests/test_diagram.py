@@ -9,6 +9,7 @@ from knotinv import (
     Diagram,
     DiagramAnalysis,
     DiagramError,
+    OrientedDiagram,
     PDSyntaxError,
     closures,
     crossing_signs,
@@ -324,32 +325,25 @@ def test_orientation_two_in_two_out():
             assert into[max(a for a in range(len(mate)) if labels[a] == e)] == 1
 
 
-def test_orient_refuses_incoherent_bits(trefoil, hopf):
-    """An imposed orientation is one 0/1 bit per dart with one head per
-    edge and one end in per strand through each crossing."""
+def test_reversed_orientation_keeps_the_components(trefoil, hopf):
+    """Every bit of the default orientation flipped is still one head per
+    edge and one end in per strand through each crossing, and walks the
+    same components."""
     for d in (trefoil, hopf):
-        into = list(orient(d).into)
-        # reverse the strand through crossing 1: both of its edges there get
-        # two heads or two tails
-        two_heads = into.copy()
-        two_heads[4] ^= 1
-        two_heads[6] ^= 1
-        with pytest.raises(DiagramError, match="needs one head and one tail"):
-            orient(d, into=tuple(two_heads))
-        # reverse the edge at dart 4: the strands through both of its
-        # crossings enter twice or leave twice
-        entering_twice = into.copy()
-        entering_twice[4] ^= 1
-        entering_twice[d.mate[4]] ^= 1
-        with pytest.raises(DiagramError, match="needs one end in and one out"):
-            orient(d, into=tuple(entering_twice))
-        for bad in (into[:-1], into + [0], into[:-1] + [2]):
-            with pytest.raises(DiagramError, match="one 0/1 bit per dart"):
-                orient(d, into=tuple(bad))
-        # the orientation reversed on every component is coherent
-        flipped = orient(d, into=tuple(1 - b for b in into))
-        assert flipped.into == tuple(1 - b for b in into)
-        assert flipped.component_count == orient(d).component_count
+        od = orient(d)
+        flipped = OrientedDiagram(d, tuple(1 - b for b in od.into), od.component_count)
+        into, mate = flipped.into, d.mate
+        assert all(into[a] != into[mate[a]] and into[a] != into[a ^ 2] for a in range(len(mate)))
+        seen, strands = set(), 0
+        for first in range(len(mate)):
+            if into[first] and first not in seen:
+                strands += 1
+                a = first
+                while a not in seen:
+                    seen.add(a)
+                    a = mate[a ^ 2]
+        assert strands == flipped.component_count == orient(d).component_count
+        assert crossing_signs(flipped) == crossing_signs(od)
 
 
 def test_component_counts(trefoil, hopf):

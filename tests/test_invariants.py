@@ -297,7 +297,7 @@ def test_mark_almost_alternating(aa_trefoil, trefoil):
 AA_ADJ_ONE_PD = "X[1,2,3,4] X[5,1,4,6] X[7,3,8,9] X[10,7,9,11] X[6,10,11,12] X[5,12,8,2]"
 
 
-def test_aa_vanishing_warning_names_the_caller():
+def test_aa_adjacency_one_predicts_vanishing_extremes():
     """When adj(u) = adj(v) = 1 both predicted extreme coefficients vanish."""
     a = DiagramAnalysis(parse_pd(AA_ADJ_ONE_PD))
     assert aa_adjacency(a) == (1, 1)
