@@ -57,7 +57,8 @@ class ObstructionVerdict(NamedTuple):
     def to_json(self) -> dict:
         """The coefficients, ``fires`` and ``implied`` as a list, as JSON
         reads them back."""
-        return {"a_m": self.a_m, "a_M": self.a_M, "fires": self.fires, "implied": list(self.implied)}
+        implied = self.implied  # reads fires once: it fires exactly when it implies
+        return {"a_m": self.a_m, "a_M": self.a_M, "fires": bool(implied), "implied": list(implied)}
 
 
 def reduce_kinks(od: OrientedDiagram) -> OrientedDiagram:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import knotinv
+from knotinv import textio
 from knotinv.cli import main
 
 SRC = Path(knotinv.__file__).resolve().parent
@@ -54,7 +55,7 @@ NEVER_ENTERED = {
     "diagram.OrientedDiagram.__repr__", "laurent.LaurentPoly.__repr__",
     "frozen.Frozen.__setattr__", "frozen.Frozen.__delattr__", "frozen.Frozen.__reduce__",
     # error-message helpers, for inputs the runs do not hold
-    "diagram._token_error", "diagram._free_loop_error", "cli._err",
+    "diagram._token_error", "diagram._free_loop_error", "cli._err", "textio._diagnose",
 }
 
 
@@ -89,6 +90,7 @@ def test_src_is_what_the_cli_runs():
             entered.add((code.co_filename, code.co_firstlineno, code.co_name))
 
     for argv in CLI_RUNS:
+        textio._TERMS.clear()  # each run starts, as a CLI process does, with no term read
         with contextlib.redirect_stdout(io.StringIO()):
             sys.setprofile(hook)
             try:

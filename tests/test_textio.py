@@ -1,10 +1,12 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotinv import KnotRecord, LaurentPoly, parse_poly, read_csv, read_pd_file
+import knotinv
+from knotinv import KnotRecord, LaurentPoly, parse_poly, read_csv, read_pd_file, textio
 from knotinv.textio import PolyParseError
 
 from conftest import parse_poly_reference
@@ -68,7 +70,7 @@ def _assert_same_as_reference(text):
 
 
 @settings(max_examples=2000, derandomize=True, deadline=None, database=None)
-@given(st.text(alphabet="t^{}/-+*0123456789 x", max_size=24))
+@given(st.text(alphabet="t^{}/-+*0123456789 x_", max_size=24))
 def test_parse_poly_matches_reference_on_fuzz(text):
     _assert_same_as_reference(text)
 
@@ -121,19 +123,71 @@ def test_parse_poly_matches_reference_on_rendered_polynomials():
         assert parse_poly(text) == parse_poly_reference(text) == LaurentPoly("t_half", coeffs), text
 
 
-@pytest.mark.parametrize(
-    "text, prefix",
-    [
-        ("2t^2 3t^3", "missing sign between terms"),
-        ("t^{1/3} + 1", "exponent '1/3' is not a half-integer"),
-        ("2x^2 + 1", "malformed polynomial"),
-        ("^3 - t", "malformed polynomial"),
-    ],
-)
+MALFORMED = [
+    ("2t^2 3t^3", "missing sign between terms"),
+    ("t^{1/3} + 1", "exponent '1/3' is not a half-integer"),
+    ("2x^2 + 1", "malformed polynomial"),
+    ("^3 - t", "malformed polynomial"),
+    # the mark that parse_poly writes for an exponent's minus, and other
+    # characters no term holds, are refused wherever they stand
+    ("t^_5", "malformed polynomial near '^_5'"),
+    ("1 + t^{_2}", "malformed polynomial near '^{_2}'"),
+    ("_1 - t", "malformed polynomial near '_1-t'"),
+    ("2t_ - t", "malformed polynomial near '_-t'"),
+    ("t^~5", "malformed polynomial near '^~5'"),
+    ("t^\u22125 + 1", "malformed polynomial near '^\u22125+1'"),
+    ("3t^{-1}; 2", "malformed polynomial near ';2'"),
+    ("t^-2 - t^{-1/2)", "malformed polynomial near '^{-1/2)'"),
+    ("t +", "malformed polynomial near '+'"),
+    ("- t^{-2", "malformed polynomial near '^{-2'"),
+]
+
+
+@pytest.mark.parametrize("text, prefix", MALFORMED)
 def test_parse_poly_matches_reference_on_malformed(text, prefix):
     _assert_same_as_reference(text)
     with pytest.raises(PolyParseError, match="^" + re.escape(prefix)):
         parse_poly(text)
+
+
+BUNDLED_CSVS = [
+    Path(knotinv.__file__).resolve().parent / "data" / "obstruction_examples.csv",
+    Path(__file__).resolve().parent / "data" / "obstruct_with_pd.csv",
+]
+
+
+def test_term_memo_cold_and_warm_agree():
+    """Each distinct term is read once and kept: a second pass, every term
+    then in the memo, gives the same polynomials and the same error
+    messages as a first pass over an empty memo, and both equal the
+    reference parser on the bundled CSVs and on rendered polynomials."""
+    rng = random.Random(11)
+    texts = [rec.jones_text for path in BUNDLED_CSVS for rec in read_csv(str(path))]
+    texts += [_render({rng.randint(-30, 30): rng.choice((-1, 1)) * rng.randint(1, 120)
+                       for _ in range(rng.randint(1, 10))}, rng) for _ in range(500)]
+    bad = [text for text, _ in MALFORMED]
+    texts += bad + [text + " + t" for text in bad] + ["t - " + text for text in bad]
+    textio._TERMS.clear()
+    cold = [_parse_outcome(parse_poly, text) for text in texts]
+    assert textio._TERMS
+    warm = [_parse_outcome(parse_poly, text) for text in texts]
+    assert cold == warm == [_parse_outcome(parse_poly_reference, text) for text in texts]
+
+
+def test_term_memo_stays_bounded():
+    """More distinct terms than the memo's cap leave it at or under the cap,
+    a term text longer than its limit is read but not kept, and every
+    parse still equals the reference parser."""
+    textio._TERMS.clear()
+    long_term = "1" * textio._MEMO_TEXT + "t^3"
+    assert parse_poly(f"2 - {long_term}") == parse_poly_reference(f"2 - {long_term}")
+    assert list(textio._TERMS) == ["2"]
+    sizes = []
+    for i in range(textio._MEMO_CAP):
+        text = f"{i}t^{{{i % 7 - 3}}} - {i}*t^-{i % 5}/2"
+        assert parse_poly(text) == parse_poly_reference(text), text
+        sizes.append(len(textio._TERMS))
+    assert max(sizes) <= textio._MEMO_CAP and sizes[-1] < max(sizes)
 
 
 def test_read_pd_file(tmp_path):
@@ -143,10 +197,13 @@ def test_read_pd_file(tmp_path):
         "\n"
         "trefoil: X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]\n"
         "X[1,3,2,4] X[3,1,4,2]\n"
+        "k1:  \n"
     )
     recs = read_pd_file(str(f))
-    assert [r.name for r in recs] == ["trefoil", "line4"]
+    assert [r.name for r in recs] == ["trefoil", "line4", "k1"]
     assert recs[0].pd_text.startswith("X[1,4")
+    # a name with no code is a record with no PD code, not the unknot
+    assert recs[2] == KnotRecord("k1", None, None)
 
 
 def test_read_csv(tmp_path):
