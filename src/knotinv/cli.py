@@ -63,7 +63,7 @@ def _signature_field(a: DiagramAnalysis) -> dict:
         else:
             rep = signature_bounds(a)
         return _ok(_signature_cell(a, rep))
-    except (DiagramError, ValueError) as exc:
+    except ValueError as exc:
         return _err(exc)
 
 

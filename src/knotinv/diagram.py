@@ -24,8 +24,6 @@ from collections.abc import Iterable
 import re
 from typing import NamedTuple
 
-from .frozen import Frozen
-
 __all__ = [
     "PDSyntaxError",
     "DiagramError",
@@ -95,7 +93,7 @@ def _dart_table(crossings) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
     return crossings, labels, tuple(mate)
 
 
-class Diagram(Frozen):
+class Diagram:
     """An unoriented, connected planar PD-coded diagram: its crossings.
 
     Each crossing is a 4-tuple of edge labels, kept as tuples whatever
@@ -115,6 +113,8 @@ class Diagram(Frozen):
     that edge's label.  ``fs`` is the face structure ``validate`` returns.
     These and the counts are derived from ``crossings``, so none is a
     constructor parameter: they are neither compared nor shown in the repr.
+    A diagram refuses attribute assignment and deletion; ``__init__`` sets
+    its attributes with ``object.__setattr__``, past the refusal.
     """
 
     def __init__(self, crossings: tuple[tuple[int, int, int, int], ...]):
@@ -123,6 +123,12 @@ class Diagram(Frozen):
         _set(self, "mate", mate)
         _set(self, "labels", labels)
         _set(self, "fs", validate(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

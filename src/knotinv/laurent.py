@@ -7,33 +7,35 @@ exponent h stands for t**(h/2).
 
 from __future__ import annotations
 
-from .frozen import Frozen
+from typing import NamedTuple
 
 __all__ = ["LaurentPoly"]
 
-_set = object.__setattr__
+_tuple_new = tuple.__new__
 
 
-class LaurentPoly(Frozen):
+class _PolyFields(NamedTuple):
+    variable: str
+    coeffs: dict[int, int]
+
+
+class LaurentPoly(_PolyFields):
     """``coeffs`` maps each exponent to its nonzero coefficient, lowest
     exponent first whatever order the terms were given in, so equal
-    polynomials have one repr and one pickle.  Polynomials compare by value
-    and are not hashable; they are built, compared and printed, and the
-    package does no arithmetic on them."""
+    polynomials have one repr and one pickle.  A NamedTuple that unpacks
+    as, and equals, ``(variable, coeffs)``; ``_replace`` and ``_make`` build
+    through the constructor, so they normalise too.  Not hashable, since
+    ``coeffs`` is a dict; polynomials are built, compared and printed, and
+    the package does no arithmetic on them."""
 
-    __slots__ = ("variable", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, variable: str, coeffs: dict[int, int]):
-        _set(self, "variable", variable)
-        _set(self, "coeffs", {e: c for e, c in sorted(coeffs.items()) if c})
+    def __new__(cls, variable: str, coeffs: dict[int, int]):
+        return _tuple_new(cls, (variable, {e: c for e, c in sorted(coeffs.items()) if c}))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.variable == other.variable and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly(variable={self.variable!r}, coeffs={self.coeffs!r})"
+    @classmethod
+    def _make(cls, fields) -> LaurentPoly:
+        return cls(*fields)
 
     @property
     def is_zero(self) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import re
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .laurent import LaurentPoly
 
@@ -79,7 +79,7 @@ _MARK = "_"
 
 def _read_term(key: str) -> tuple[int, int] | None:
     """The value of the memo key ``key``, read and kept, or None if it is
-    not a whole term (the walk of ``_diagnose`` then says why)."""
+    not a whole term (the walk of ``_read`` then says why)."""
     m = _TERM_RE.fullmatch(key.replace(_MARK, "-"))
     if m is None:
         return None
@@ -115,7 +115,10 @@ def parse_poly(text: str) -> LaurentPoly:
     8,192 texts of up to 32 characters each (at most about 2 MB), emptied
     when full.  Only a table whose terms repeat gains: one whose terms are
     all distinct pays for the split, the lookups and the stores, about 40%
-    more per polynomial than reading each term with the regex alone.
+    more per polynomial than reading each term with the regex alone.  A
+    text with a repeated exponent, or a term the memo cannot read, is read
+    again by the one term walk, which sums the repeats and names the first
+    bad term.
     """
     s = "".join(text.split())
     # collapse sign pairs so serializer output like "+ -1*t^2" reads back
@@ -127,7 +130,7 @@ def parse_poly(text: str) -> LaurentPoly:
     if not s:
         raise PolyParseError("empty polynomial text")
     if _MARK in s:  # no term holds the mark, so the walk refuses the text
-        _diagnose(s)
+        return LaurentPoly("t_half", _read(s))
     # no two signs are adjacent now, so every sign but an exponent's starts
     # a term: mark the exponent minus and split on the others
     keys = s.replace("^-", "^" + _MARK).replace("{-", "{" + _MARK).replace("-", "+-").split("+")
@@ -137,25 +140,20 @@ def parse_poly(text: str) -> LaurentPoly:
     if None in pairs:
         for i, key in enumerate(keys):
             if pairs[i] is None:
-                pairs[i] = _read_term(key) or _diagnose(s)
+                pairs[i] = _read_term(key)
+                if pairs[i] is None:  # not a whole term: the walk names it
+                    return LaurentPoly("t_half", _read(s))
     coeffs = dict(pairs)
-    if len(coeffs) < len(pairs):  # repeated exponents: sum in order
-        coeffs = {}
-        for h, c in pairs:
-            if h in coeffs:
-                c += coeffs[h]
-                try:
-                    str(c)  # a sum, too, must convert back to text
-                except ValueError:
-                    _diagnose(s)
-            coeffs[h] = c
+    if len(coeffs) < len(pairs):  # repeated exponents: the walk sums them
+        coeffs = _read(s)
     return LaurentPoly("t_half", coeffs)
 
 
-def _diagnose(s: str) -> NoReturn:
-    """Raise the ``PolyParseError`` naming the first bad term of the
-    normalised text ``s``, which ``parse_poly`` refused: walk it term by
-    term, as the regex reads it from each position."""
+def _read(s: str) -> dict[int, int]:
+    """The coefficients of the normalised text ``s``, read term by term as
+    the regex reads it from each position, with the coefficients at a
+    repeated exponent summed in order; or the ``PolyParseError`` naming its
+    first bad term, a sum past the digit limit included."""
     coeffs: dict[int, int] = {}
     match = _TERM_RE.match
     pos, n = 0, len(s)
@@ -181,7 +179,7 @@ def _diagnose(s: str) -> NoReturn:
             raise PolyParseError(f"number too long to convert near {s[pos:pos+12]!r}") from None
         coeffs[h] = c
         pos = end
-    raise AssertionError(f"parse_poly refused {s!r}, which reads term by term")
+    return coeffs
 
 
 def read_pd_file(path: str) -> list[KnotRecord]:

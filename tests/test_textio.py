@@ -156,22 +156,33 @@ BUNDLED_CSVS = [
 ]
 
 
-def test_term_memo_cold_and_warm_agree():
+def test_term_memo_cold_and_warm_agree(int_digit_limit):
     """Each distinct term is read once and kept: a second pass, every term
     then in the memo, gives the same polynomials and the same error
     messages as a first pass over an empty memo, and both equal the
-    reference parser on the bundled CSVs and on rendered polynomials."""
+    reference parser on the bundled CSVs, on rendered polynomials and on
+    texts with repeated exponents, which the term walk sums.  A sum past
+    the digit limit, which the reference does not check, is the same error
+    on both passes."""
     rng = random.Random(11)
-    texts = [rec.jones_text for path in BUNDLED_CSVS for rec in read_csv(str(path))]
-    texts += [_render({rng.randint(-30, 30): rng.choice((-1, 1)) * rng.randint(1, 120)
-                       for _ in range(rng.randint(1, 10))}, rng) for _ in range(500)]
+    rendered = [_render({rng.randint(-30, 30): rng.choice((-1, 1)) * rng.randint(1, 120)
+                         for _ in range(rng.randint(1, 10))}, rng) for _ in range(500)]
     bad = [text for text, _ in MALFORMED]
-    texts += bad + [text + " + t" for text in bad] + ["t - " + text for text in bad]
+    texts = [rec.jones_text for path in BUNDLED_CSVS for rec in read_csv(str(path))]
+    texts += rendered + bad + [text + " + t" for text in bad] + ["t - " + text for text in bad]
+    # repeated exponents, summed, cancelled, or beside a bad term
+    nines = "9" * int_digit_limit
+    texts += [text + " - " + text for text in rendered] + [text + " + " + text for text in bad]
+    texts += ["t + t", "t - t", "3 - 2 + t^{1/2} - t^2/4", "2t^3 + t^{3} - x", "t + t - t^{1/3}",
+              f"{nines}t^2 - 1t^2 + t^2"]
+    overlong = f"{nines}t^2 + 1 + {nines}t^2"
     textio._TERMS.clear()
-    cold = [_parse_outcome(parse_poly, text) for text in texts]
+    cold = [_parse_outcome(parse_poly, text) for text in texts + [overlong]]
     assert textio._TERMS
-    warm = [_parse_outcome(parse_poly, text) for text in texts]
-    assert cold == warm == [_parse_outcome(parse_poly_reference, text) for text in texts]
+    warm = [_parse_outcome(parse_poly, text) for text in texts + [overlong]]
+    assert cold == warm
+    assert cold[:-1] == [_parse_outcome(parse_poly_reference, text) for text in texts]
+    assert cold[-1] == ("PolyParseError", f"number too long to convert near {'+' + nines[:11]!r}")
 
 
 def test_term_memo_stays_bounded():

@@ -1,5 +1,5 @@
-"""The ten value classes: eight NamedTuples, and ``Diagram`` and
-``LaurentPoly``, which derive from ``frozen.Frozen``.
+"""The ten value classes: nine NamedTuples, ``LaurentPoly`` among them,
+and ``Diagram``, a plain class that refuses assignment and deletion.
 
 Each is exactly its fields: it builds the same value from positional and
 from keyword arguments, needs every field, refuses assignment and
@@ -29,7 +29,6 @@ from knotinv import (
 )
 from knotinv.analysis import DiagramAnalysis
 from knotinv.decomp import ArcRuns
-from knotinv.frozen import Frozen
 
 D = Diagram(((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)))
 D_REPR = "Diagram(crossings=((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)))"
@@ -92,8 +91,8 @@ CASES = [
     ),
 ]
 NAMED_TUPLES = {
-    FaceStructure, OrientedDiagram, Tangle, ArcRuns, AltDecomposition, GenusOneStructure,
-    SignatureReport, ObstructionVerdict,
+    FaceStructure, OrientedDiagram, LaurentPoly, Tangle, ArcRuns, AltDecomposition,
+    GenusOneStructure, SignatureReport, ObstructionVerdict,
 }
 UNHASHABLE = {FaceStructure, LaurentPoly, ArcRuns}  # a list or dict among the compared fields
 
@@ -104,8 +103,8 @@ def test_value_class_contract(cls, values, text):
     by_position, by_keyword = cls(*args), cls(**values)
     assert by_position == by_keyword and repr(by_position) == repr(by_keyword) == text
     assert {name: getattr(by_position, name) for name in values} == values
-    # a NamedTuple equals the plain tuple of its fields; the other two refuse
-    # to compare with a tuple, so they equal none
+    # a NamedTuple equals the plain tuple of its fields; a Diagram refuses
+    # to compare with a tuple, so it equals none
     assert (by_position == args) == (cls in NAMED_TUPLES)
     with pytest.raises(TypeError):
         cls(*args[:-1])
@@ -150,11 +149,25 @@ def test_diagram_is_its_crossings():
 
 
 def test_value_classes_are_named_tuples_or_frozen():
-    """Eight NamedTuples, and two plain classes deriving from ``Frozen``."""
+    """Nine NamedTuples, and ``Diagram``, a plain class that is frozen by
+    refusing assignment and deletion."""
     for cls, *_ in CASES:
         assert issubclass(cls, tuple) == (cls in NAMED_TUPLES)
-    assert [cls for cls, *_ in CASES if cls not in NAMED_TUPLES] == [Diagram, LaurentPoly]
-    assert all(issubclass(cls, Frozen) for cls in (Diagram, LaurentPoly))
+    assert [cls for cls, *_ in CASES if cls not in NAMED_TUPLES] == [Diagram]
+
+
+def test_polynomial_copies_are_normalised():
+    """``_replace`` and ``_make`` build a polynomial through its
+    constructor, so its terms come sorted and none is zero, as when it is
+    built directly."""
+    p = LaurentPoly("t_half", {-2: 1, 4: -3})
+    for q, fields, coeffs in [
+        (p._replace(coeffs={9: 0, 2: 1}), ("t_half", {9: 0, 2: 1}), {2: 1}),
+        (LaurentPoly._make(("A", {3: 0, 1: 2})), ("A", {3: 0, 1: 2}), {1: 2}),
+        (p._replace(coeffs={5: 1, -1: 0, 1: -2}), ("t_half", {5: 1, -1: 0, 1: -2}), {1: -2, 5: 1}),
+    ]:
+        assert q.__class__ is LaurentPoly and q == LaurentPoly(*fields) == (fields[0], coeffs)
+        assert list(q.coeffs) == sorted(q.coeffs) and 0 not in q.coeffs.values()
 
 
 def test_recognized_values_hash(k12n888_mirror):
